@@ -1,0 +1,7 @@
+"""Make the benchmark's modules importable as top-level names."""
+
+import os
+import sys
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))))
