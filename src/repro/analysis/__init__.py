@@ -18,7 +18,7 @@ SCAR003   wire envelope: document classes parse through
           (:mod:`repro.analysis.envelope`)
 SCAR004   error codes: the repro.errors / _ERROR_CODES / http mapping
           stays closed and ordered (:mod:`repro.analysis.errormap`)
-SCAR005   registry drift: registered policy/backend names stay CLI-
+SCAR005   registry drift: registered policy names stay CLI-
           reachable and documented (:mod:`repro.analysis.registries`)
 SCAR006   lock-order deadlocks: the inter-procedural lock-acquisition
           graph stays acyclic (:mod:`repro.analysis.deadlock`)

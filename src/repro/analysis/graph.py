@@ -255,8 +255,6 @@ def _collect_module_level(source: SourceFile,
 #: registrar name -> registry label (shared with SCAR005/SCAR009).
 REGISTRARS: dict[str, str] = {
     "register_policy": "policy",
-    "register_backend": "backend",
-    "register_topology": "topology",
 }
 
 

@@ -1,18 +1,16 @@
 """SCAR005: registered plugin names stay reachable and documented.
 
-Policies, engine backends (and future registries, e.g. topologies)
-register by name through decorators::
+Scheduler policies register by name through a decorator::
 
     @register_policy("scar")
-    @register_backend("process")
 
 A name that is registered but not selectable from the CLI, or not
 mentioned anywhere in README.md/DESIGN.md, is drift: users cannot
-discover it and docs rot silently.  The CLI exposes each registry
+discover it and docs rot silently.  The CLI exposes the registry
 *dynamically* (``--policy`` choices come from
-``DEFAULT_REGISTRY.names()``, ``--backend`` choices from
-``backend_names()``), so CLI reachability is checked structurally: the
-registry's choices call must appear in ``repro.cli``.  Documentation
+``DEFAULT_REGISTRY.names()``), so CLI reachability is checked
+structurally: the registry's choices call must appear in
+``repro.cli``.  Documentation
 coverage is literal: each registered name must appear in README.md or
 DESIGN.md under the lint root.
 
@@ -39,8 +37,6 @@ from repro.analysis.graph import REGISTRARS
 #: contain for names of this registry to be selectable.
 _CHOICES_EXPRS: dict[str, str] = {
     "policy": "DEFAULT_REGISTRY.names()",
-    "backend": "backend_names()",
-    "topology": "topology_names()",
 }
 
 _CLI_MODULE = "repro.cli"
@@ -51,9 +47,8 @@ _DOC_FILES = ("README.md", "DESIGN.md")
 class RegistryDriftChecker(Checker):
     code = "SCAR005"
     name = "registry-drift"
-    description = ("every @register_policy/@register_backend/"
-                   "@register_topology name is reachable from the CLI "
-                   "choices and mentioned in README.md/DESIGN.md")
+    description = ("every @register_policy name is reachable from the "
+                   "CLI choices and mentioned in README.md/DESIGN.md")
 
     def check_program(self, program: Any) -> Iterable[Finding]:
         cli_text = program.text(_CLI_MODULE) \

@@ -8,7 +8,7 @@ The engine runs in two phases:
   only on the file's bytes and the enabled per-file codes, so they
   are cached by content hash (:mod:`repro.analysis.cache`) and can
   run in parallel worker processes (``scar lint --jobs N``, same
-  initializer/worker idiom as the engine's process backend);
+  initializer/worker idiom as the SCAR window-search pool);
 * the **program phase** assembles every summary into a
   :class:`~repro.analysis.graph.ProgramModel` and runs the
   whole-program checkers (deadlock, taint, schema drift, dead
@@ -119,7 +119,7 @@ def _analyze_file(source: SourceFile,
 
 
 # Worker-process state, set once per worker by the initializer (the
-# same module-global idiom as repro.engine.backends._worker_init).
+# same module-global idiom as repro.core.scar._worker_init).
 _WORKER: dict[str, Any] = {}
 
 

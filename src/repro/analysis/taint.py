@@ -23,6 +23,7 @@ runs per lint over the whole-program model.
 from __future__ import annotations
 
 import ast
+import functools
 from typing import Any, Iterable
 
 from repro.analysis.core import (
@@ -58,12 +59,16 @@ def in_sink_scope(module: str) -> bool:
                for prefix in SINK_PREFIXES)
 
 
+@functools.lru_cache(maxsize=1)
 def _bindings(source: SourceFile) -> dict[str, tuple[str, str | None]]:
     """``{bound name: (module, original attr or None)}`` per file.
 
     ``import time`` binds ``time -> ("time", None)``; ``from time
     import monotonic as mono`` binds ``mono -> ("time",
-    "monotonic")``.
+    "monotonic")``.  Built once per file: the summary extracts every
+    function of one file in a row, so a one-entry cache (keyed on the
+    source object) turns the per-function module walk into one walk
+    per file.
     """
     bound: dict[str, tuple[str, str | None]] = {}
     for node in ast.walk(source.tree):

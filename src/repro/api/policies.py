@@ -49,12 +49,10 @@ def _run_scar(ctx: PolicyContext, seg_search: str) -> PolicyOutcome:
         max_nodes_per_model=request.max_nodes_per_model,
         seg_search=seg_search,
         prov_limit=request.prov_limit,
-        jobs=request.jobs,
-        backend=ctx.effective_backend(),
+        jobs=ctx.jobs,
         beam=request.beam,
-        use_cache=request.use_eval_cache,
         cache=ctx.eval_cache,
-        eval_mode=ctx.effective_eval_mode() or "scalar",
+        eval_mode=ctx.eval_mode,
     )
     result = scheduler.schedule(ctx.scenario)
     return PolicyOutcome(schedule=result.schedule, metrics=result.metrics,

@@ -1,4 +1,4 @@
-"""Scheduler-policy registry: named, pluggable scheduling backends.
+"""Scheduler-policy registry: named, pluggable scheduling policies.
 
 A *policy* is a callable turning a :class:`PolicyContext` (request +
 resolved workload and hardware) into a :class:`PolicyOutcome` (schedule,
@@ -12,7 +12,7 @@ and requests select them via ``ScheduleRequest.policy``.  This replaces
 the hardcoded policy-string dispatch the experiment runner used to carry:
 the four built-ins (``standalone``, ``nn_baton``, ``scar``,
 ``evolutionary``, see :mod:`repro.api.policies`) live in the default
-registry, and downstream code can add new backends without touching the
+registry, and downstream code can add new policies without touching the
 session or the experiment drivers.
 """
 
@@ -38,10 +38,11 @@ if TYPE_CHECKING:  # pragma: no cover
 class PolicyContext:
     """Everything a policy needs to run one request.
 
-    ``default_backend`` is the session's engine execution backend,
-    applied when the request leaves ``backend=None`` (see
-    :mod:`repro.engine.backends`); policies that do not search (the
-    baselines) ignore it.
+    ``jobs`` (worker processes for the window search) and ``eval_mode``
+    (the candidate-costing kernel, ``"scalar"`` / ``"vector"``) are the
+    session's execution settings.  Results are bit-identical across
+    both, so they only change throughput; policies that do not search
+    (the baselines) ignore them.
 
     ``eval_cache`` is an optional caller-owned
     :class:`~repro.core.evalcache.EvalCache` to run warm.  The session
@@ -50,28 +51,15 @@ class PolicyContext:
     — the simulation replay's event loop, see :mod:`repro.sim` — skip
     re-costing unchanged segments.  Policies that do not search ignore
     it.
-
-    ``default_eval_mode`` is the session's candidate-costing kernel
-    (``"scalar"`` / ``"vector"``), applied when the request leaves
-    ``eval_mode=None``; results are bit-identical across kernels, so it
-    only changes throughput.
     """
 
     request: "ScheduleRequest"
     scenario: Scenario
     mcm: MCM
     database: LayerCostDatabase
-    default_backend: str | None = None
+    jobs: int = 1
     eval_cache: "EvalCache | None" = None
-    default_eval_mode: str | None = None
-
-    def effective_backend(self) -> str | None:
-        """The backend this run should use (request wins over session)."""
-        return self.request.backend or self.default_backend
-
-    def effective_eval_mode(self) -> str | None:
-        """The costing kernel this run should use (request wins)."""
-        return self.request.eval_mode or self.default_eval_mode
+    eval_mode: str = "scalar"
 
 
 @dataclass(frozen=True)

@@ -8,15 +8,18 @@ schedule, metrics, per-window candidate summaries and perf statistics.
 
 Both round-trip through plain JSON (``from_dict(to_dict(x)) == x``), so
 the same value objects drive in-process calls, batch fan-out over worker
-processes, files on disk and -- eventually -- an HTTP front-end.
+processes, files on disk and the HTTP front-end.
 ``ScheduleRequest.cache_key()`` is the canonical wire form and doubles as
 the :class:`~repro.api.session.Session` memo key, so any two requests
-that serialize identically share one result.
+that serialize identically share one result.  A request names the
+problem only; how it runs (worker processes, costing kernel) belongs to
+the session that executes it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
@@ -40,9 +43,7 @@ from repro.core.budget import SearchBudget
 from repro.core.metrics import ScheduleMetrics
 from repro.core.scar import SCARResult
 from repro.core.schedule import Schedule
-from repro.engine.backends import backend_names
 from repro.engine.candidates import assemble_candidate_points
-from repro.engine.tensorkernel import EVAL_MODES
 from repro.core.scoring import Objective, objective_by_name
 from repro.errors import ConfigError
 from repro.perf import PerfReport
@@ -51,6 +52,15 @@ from repro.workloads.scenarios import scenario as table3_scenario
 
 _REQUEST_KIND = "schedule_request"
 _RESULT_KIND = "schedule_result"
+
+#: Integer request fields -> (minimum value or None, ``None`` allowed).
+_INT_FIELDS: dict[str, tuple[int | None, bool]] = {
+    "scenario_id": (None, True),
+    "nsplits": (0, False),
+    "prov_limit": (1, False),
+    "max_nodes_per_model": (1, True),
+    "beam": (1, True),
+}
 
 
 def scenario_spec(scenario: Scenario) -> dict[str, Any]:
@@ -77,31 +87,14 @@ class ScheduleRequest:
     (:mod:`repro.api.registry`); the engine-mode fields (``packing``,
     ``provisioning``, ``seg_search``, ...) are forwarded to policies that
     understand them and ignored by the baselines, mirroring the paper's
-    scheduler hyperparameters.
+    scheduler hyperparameters.  ``beam`` is the window-search beam width
+    (see :func:`~repro.core.sched_engine.search_window`); ``None``
+    (default) is the paper's exhaustive search.
 
-    ``use_eval_cache`` toggles the segment-cost memo inside the SCAR
-    evaluator; ``memoize`` opts the request out of the session-level
-    result memo.  Both participate in :meth:`cache_key` -- together with
-    ``jobs`` -- so runs with different caching/parallelism settings can
-    never alias to one memo entry.
-
-    ``backend`` names the engine execution backend (``"serial"`` /
-    ``"process"`` / a plugin registered via
-    :func:`repro.engine.register_backend`); ``None`` defers to the
-    session's default, falling back to the historical ``jobs`` inference
-    (1 = serial, >1 = process pool).  ``beam`` is the
-    :class:`~repro.engine.WindowSearch` beam width; ``None`` (default)
-    is the paper's exhaustive search.  Both are bit-identity-preserving
-    for ``backend`` and behaviour-changing for ``beam`` -- which is why
-    both participate in :meth:`cache_key`.
-
-    ``eval_mode`` selects the candidate-costing kernel: ``"scalar"``
-    (the pure-Python Sec. III-E reference) or ``"vector"`` (the numpy
-    tensor kernel, bit-identical results, requires the optional numpy
-    extra).  ``None`` defers to the session default, falling back to
-    ``"scalar"``.  It participates in :meth:`cache_key` like every other
-    field, even though results are identical across modes -- the memo
-    never aliases requests that serialize differently.
+    Every field can change the result, and every field is part of
+    :meth:`cache_key`.  Settings that cannot -- worker processes and the
+    costing kernel -- are :class:`~repro.api.session.Session` options.
+    Bad values raise :class:`ConfigError` here, at construction.
     """
 
     scenario_id: int | None = None
@@ -117,32 +110,32 @@ class ScheduleRequest:
     prov_limit: int = 64
     max_nodes_per_model: int | None = None
     seg_search: str = "enumerative"
-    jobs: int = 1
-    backend: str | None = None
     beam: int | None = None
-    eval_mode: str | None = None
-    use_eval_cache: bool = True
-    memoize: bool = True
 
     def __post_init__(self) -> None:
         if (self.scenario_id is None) == (self.scenario_spec is None):
             raise ConfigError(
                 "exactly one of scenario_id and scenario_spec must be set")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
-        if self.nsplits < 0:
-            raise ConfigError(f"nsplits must be >= 0, got {self.nsplits}")
-        if self.backend is not None and self.backend not in backend_names():
+        for name, (minimum, optional) in _INT_FIELDS.items():
+            value = getattr(self, name)
+            if value is None and optional:
+                continue
+            if not isinstance(value, int) or isinstance(value, bool) \
+                    or (minimum is not None and value < minimum):
+                expected = "an integer" if minimum is None \
+                    else f"an integer >= {minimum}"
+                if optional:
+                    expected = "None or " + expected
+                raise ConfigError(
+                    f"{name} must be {expected}, got {value!r}")
+        bound = self.latency_bound_s
+        if bound is not None and (
+                not isinstance(bound, (int, float))
+                or isinstance(bound, bool)
+                or not math.isfinite(bound) or bound <= 0):
             raise ConfigError(
-                f"unknown backend {self.backend!r}; "
-                f"registered: {backend_names()}")
-        if self.beam is not None and self.beam < 1:
-            raise ConfigError(
-                f"beam must be None or >= 1, got {self.beam}")
-        if self.eval_mode is not None and self.eval_mode not in EVAL_MODES:
-            raise ConfigError(
-                f"unknown eval_mode {self.eval_mode!r}; "
-                f"expected one of {EVAL_MODES}")
+                "latency_bound_s must be None or a positive finite "
+                f"number, got {bound!r}")
         objective_by_name(self.objective)  # validates the name
 
     def __hash__(self) -> int:
@@ -200,17 +193,21 @@ class ScheduleRequest:
             "prov_limit": self.prov_limit,
             "max_nodes_per_model": self.max_nodes_per_model,
             "seg_search": self.seg_search,
-            "jobs": self.jobs,
-            "backend": self.backend,
             "beam": self.beam,
-            "eval_mode": self.eval_mode,
-            "use_eval_cache": self.use_eval_cache,
-            "memoize": self.memoize,
         }
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ScheduleRequest":
-        """Rebuild a request from its wire form."""
+        """Rebuild a request from its wire form.
+
+        The one place v1 documents are translated: documents written
+        while execution settings rode in the request also carry
+        ``jobs``, ``backend``, ``eval_mode``, ``memoize`` and the
+        evaluator-cache switch.  None of them can change a result, so
+        they are ignored, and such a document parses to the same
+        request -- and the same :meth:`cache_key` -- as one without
+        them.
+        """
         check_envelope(data, _REQUEST_KIND)
         try:
             return cls(
@@ -227,14 +224,7 @@ class ScheduleRequest:
                 prov_limit=data["prov_limit"],
                 max_nodes_per_model=data.get("max_nodes_per_model"),
                 seg_search=data["seg_search"],
-                jobs=data["jobs"],
-                backend=data.get("backend"),
                 beam=data.get("beam"),
-                # .get: documents written before the vector kernel landed
-                # have no eval_mode field and mean the scalar default.
-                eval_mode=data.get("eval_mode"),
-                use_eval_cache=data["use_eval_cache"],
-                memoize=data["memoize"],
             )
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed schedule request: {exc}") from exc
@@ -251,7 +241,8 @@ class ScheduleRequest:
 
         The compact sorted-keys JSON dump of :meth:`to_dict`, so the memo
         key covers *every* field -- scenario, template, policy, objective,
-        budget, engine modes, ``jobs`` and the cache flags.
+        budget and engine modes -- and nothing that cannot change the
+        result.
         """
         return json.dumps(self.to_dict(), sort_keys=True,
                           separators=(",", ":"))
@@ -279,7 +270,7 @@ class ScheduleResult:
     raw: SCARResult | None = field(default=None, compare=False,
                                    repr=False)
 
-    # -- metric conveniences (mirror the legacy StrategyRun) ---------------
+    # -- metric conveniences -----------------------------------------------
 
     @property
     def latency_s(self) -> float:

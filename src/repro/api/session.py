@@ -14,12 +14,13 @@ and exposes two calls:
                             parallel window search inside
                             :class:`~repro.core.scar.SCARScheduler`.
 
-Results are memoized on :meth:`ScheduleRequest.cache_key`, which covers
-every request field including ``jobs`` and the cache flags, so runs with
-different parallelism or caching settings never alias.  The memo is
-unbounded by default; long-running front-ends (the job service) pass
-``max_memo=N`` to cap it with LRU eviction -- evicted entries simply
-recompute bit-identically on the next submit.
+Results are memoized on :meth:`ScheduleRequest.cache_key`.  The request
+names the problem only; the session owns execution (``jobs``,
+``eval_mode``), and since results are bit-identical across those
+settings, one memo entry serves them all.  The memo is unbounded by
+default; long-running front-ends (the job service) pass ``max_memo=N``
+to cap it with LRU eviction -- evicted entries simply recompute
+bit-identically on the next submit.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ from repro.api.registry import (
 from repro.api.request import ScheduleRequest, ScheduleResult
 from repro.api.wire import CandidatePoint
 from repro.core.evalcache import EvalCache
+from repro.core.scar import check_jobs
 from repro.dataflow.database import LayerCostDatabase
-from repro.engine.backends import backend_names
-from repro.engine.tensorkernel import EVAL_MODES, require_numpy
+from repro.engine.tensorkernel import check_eval_mode
 from repro.errors import ConfigError
 from repro.mcm import templates
 from repro.perf import PerfReport, aggregate_reports
@@ -80,22 +81,15 @@ class Session:
     worker threads are safe; two threads racing on the same cache key at
     worst compute the same bit-identical result twice.
 
-    ``backend`` selects the engine execution backend (``"serial"`` /
-    ``"process"`` / a plugin, see :mod:`repro.engine.backends`) for
-    every request that leaves ``ScheduleRequest.backend=None`` -- the
-    backend is a deployment concern (how this session's host wants to
-    spend cores), so it lives on the session rather than on each
-    scheduler.  Backends are bit-identical by contract, so the memo key
-    (which covers the *request's* ``backend`` field only) stays valid
-    across session backends.
-
-    ``eval_mode`` is the analogous session default for the
-    candidate-costing kernel (``"scalar"`` / ``"vector"``, see
-    :mod:`repro.engine.tensorkernel`), applied when a request leaves
-    ``ScheduleRequest.eval_mode=None``.  Kernels are bit-identical by
-    contract, so the memo stays valid across session eval modes too;
-    ``"vector"`` fails fast at session construction when numpy is
-    missing.
+    ``jobs`` is the number of worker processes each SCAR-family run
+    fans its window search over (1 = in-process) and ``eval_mode`` the
+    candidate-costing kernel (``"scalar"``, the default, or
+    ``"vector"``, see :mod:`repro.engine.tensorkernel`).  Both are
+    deployment concerns -- how this host wants to spend cores -- so
+    they live on the session, not in the request.  Results are
+    bit-identical across both, so memo and store entries stay valid
+    whichever session computed them; ``"vector"`` fails fast at session
+    construction when numpy is missing.
 
     ``warm_caches=True`` keeps one long-lived
     :class:`~repro.core.evalcache.EvalCache` per (scenario, template)
@@ -106,33 +100,22 @@ class Session:
     one cache across different tenant sets would alias.  Entries are
     pure functions of their keys, so warm results stay bit-identical to
     cold ones (the simulation replay's parity contract, see
-    :mod:`repro.sim.replay`).  Requests with ``use_eval_cache=False``
-    bypass warming entirely.
+    :mod:`repro.sim.replay`).
     """
 
     def __init__(self, registry: SchedulerRegistry | None = None, *,
                  max_memo: int | None = None,
-                 backend: str | None = None,
+                 jobs: int = 1,
                  eval_mode: str | None = None,
                  warm_caches: bool = False) -> None:
         if max_memo is not None and max_memo < 0:
             raise ConfigError(
                 f"max_memo must be None or >= 0, got {max_memo}")
-        if backend is not None and backend not in backend_names():
-            raise ConfigError(
-                f"unknown backend {backend!r}; "
-                f"registered: {backend_names()}")
-        if eval_mode is not None and eval_mode not in EVAL_MODES:
-            raise ConfigError(
-                f"unknown eval_mode {eval_mode!r}; "
-                f"expected one of {EVAL_MODES}")
-        if eval_mode == "vector":
-            require_numpy()
         self.registry = registry if registry is not None \
             else DEFAULT_REGISTRY
         self.max_memo = max_memo
-        self.backend = backend
-        self.eval_mode = eval_mode
+        self.jobs = check_jobs(jobs)
+        self.eval_mode = check_eval_mode(eval_mode)
         self.warm_caches = warm_caches
         self._memo: OrderedDict[str, ScheduleResult] = \
             OrderedDict()  # guarded by: _mutex
@@ -189,12 +172,12 @@ class Session:
     def _warm_cache(self, request: ScheduleRequest) -> EvalCache | None:
         """The long-lived evaluator cache for ``request``'s workload.
 
-        ``None`` unless this is a ``warm_caches`` session and the request
-        wants evaluator caching at all.  Keyed per (scenario, template):
-        EvalCache keys carry scenario-relative model indices, so a cache
-        is only valid for the exact tenant set it was warmed on.
+        ``None`` unless this is a ``warm_caches`` session.  Keyed per
+        (scenario, template): EvalCache keys carry scenario-relative
+        model indices, so a cache is only valid for the exact tenant set
+        it was warmed on.
         """
-        if not self.warm_caches or not request.use_eval_cache:
+        if not self.warm_caches:
             return None
         key = self._scenario_key(request) + "|tpl:" + request.template
         with self._mutex:
@@ -229,13 +212,10 @@ class Session:
     def cached(self, request: ScheduleRequest) -> ScheduleResult | None:
         """The memoized result for ``request``, or ``None``.
 
-        Always ``None`` for ``memoize=False`` requests.  Front-ends that
-        execute requests outside :meth:`submit` (the service's process
-        job backend) use this plus :meth:`remember` so their memo
-        behavior stays bit-for-bit the session's own.
+        Front-ends that execute requests outside :meth:`submit` (the
+        service's process job backend) use this plus :meth:`remember`
+        so their memo behavior stays bit-for-bit the session's own.
         """
-        if not request.memoize:
-            return None
         return self._memo_get(request.cache_key())
 
     def remember(self, request: ScheduleRequest, result: ScheduleResult,
@@ -249,32 +229,29 @@ class Session:
         """
         if log_perf and result.perf is not None:
             self._log_perf(result.perf)
-        if request.memoize:
-            self._memo_put(request.cache_key(), result)
+        self._memo_put(request.cache_key(), result)
 
     # -- execution ---------------------------------------------------------
 
     def submit(self, request: ScheduleRequest) -> ScheduleResult:
         """Run one request (or serve it from the session memo)."""
         key = request.cache_key()
-        if request.memoize:
-            memoized = self._memo_get(key)
-            if memoized is not None:
-                return memoized
+        memoized = self._memo_get(key)
+        if memoized is not None:
+            return memoized
 
         scenario = self._scenario(request)
         mcm = templates.build(request.template, scenario.use_case)
         ctx = PolicyContext(request=request, scenario=scenario, mcm=mcm,
                             database=self._database(mcm.clock_hz),
-                            default_backend=self.backend,
+                            jobs=self.jobs,
                             eval_cache=self._warm_cache(request),
-                            default_eval_mode=self.eval_mode)
+                            eval_mode=self.eval_mode)
         outcome = self.registry.run(ctx)
         result = self._wrap(request, outcome)
         if result.perf is not None:
             self._log_perf(result.perf)
-        if request.memoize:
-            self._memo_put(key, result)
+        self._memo_put(key, result)
         return result
 
     def _log_perf(self, perf: PerfReport) -> None:
@@ -290,25 +267,21 @@ class Session:
         """Run a batch of requests, in request order.
 
         ``jobs > 1`` fans memo-missing requests out over worker
-        processes (one fresh session per worker); each request is
-        independently deterministic, so the batch's schedules/metrics
-        are bit-identical to a serial loop.  Memoizable duplicates run
-        once, and worker perf reports / memo entries merge back into
-        this session in request order -- matching what a serial loop
-        would have accumulated.  Fanned-out results come back (and are
-        memoized) without the in-process ``raw`` population, which would
-        dominate the inter-process transfer; when a consumer needs the
-        full population, run the request through ``submit`` on a fresh
-        session or with ``memoize=False``.
+        processes (one fresh session per worker, with this session's
+        ``jobs`` and ``eval_mode``); each request is independently
+        deterministic, so the batch's schedules/metrics are
+        bit-identical to a serial loop.  Duplicates run once, and worker
+        perf reports / memo entries merge back into this session in
+        request order -- matching what a serial loop would have
+        accumulated.  Fanned-out results come back (and are memoized)
+        without the in-process ``raw`` population, which would dominate
+        the inter-process transfer; when a consumer needs the full
+        population, run the request through ``submit`` on a fresh
+        session.
 
         A non-default registry must be picklable (module-level policy
         functions) to cross into spawned workers; on fork-based
-        platforms it is inherited either way.  The same applies to
-        plugin execution backends: a session default naming a backend
-        registered via :func:`repro.engine.register_backend` reaches
-        spawned workers only if the registering module is imported at
-        worker startup (fork inherits the registration either way; the
-        built-in ``serial``/``process`` backends always resolve).
+        platforms it is inherited either way.
         """
         requests = list(requests)
         if jobs < 1:
@@ -317,38 +290,33 @@ class Session:
             return [self.submit(request) for request in requests]
 
         results: list[ScheduleResult | None] = [None] * len(requests)
-        #: one entry per unique run; memoizable duplicates share a slot.
+        #: one entry per unique run; duplicates share a slot.
         pending: dict[str, list[int]] = {}
         for i, request in enumerate(requests):
             key = request.cache_key()
-            if request.memoize:
-                memoized = self._memo_get(key)
-                if memoized is not None:
-                    results[i] = memoized
-                else:
-                    pending.setdefault(key, []).append(i)
+            memoized = self._memo_get(key)
+            if memoized is not None:
+                results[i] = memoized
             else:
-                pending.setdefault(f"unmemoized:{i}", []).append(i)
+                pending.setdefault(key, []).append(i)
         if pending:
             with self.process_pool(min(jobs, len(pending))) as pool:
                 fanned = list(pool.map(
                     run_pooled_request,
                     [requests[indices[0]] for indices in pending.values()]))
-            for indices, result in zip(pending.values(), fanned):
-                for i in indices:
+            for key, result in zip(pending, fanned):
+                for i in pending[key]:
                     results[i] = result
                 if result.perf is not None:
                     self._log_perf(result.perf)
-                if requests[indices[0]].memoize:
-                    self._memo_put(requests[indices[0]].cache_key(),
-                                   result)
+                self._memo_put(key, result)
         return results  # type: ignore[return-value]
 
     def process_pool(self, max_workers: int) -> ProcessPoolExecutor:
         """A worker-process pool that mirrors this session.
 
-        Each worker process builds a fresh session over the same
-        registry and default backend; submit requests to it with
+        Each worker process builds a fresh session with the same
+        registry, ``jobs`` and ``eval_mode``; submit requests to it with
         :func:`run_pooled_request`.  Shared by :meth:`submit_many` and
         the service's process job backend; the picklability caveats in
         :meth:`submit_many` apply.  Workers spawn lazily, so building
@@ -360,7 +328,7 @@ class Session:
             else self.registry
         return ProcessPoolExecutor(
             max_workers=max_workers, initializer=_batch_worker_init,
-            initargs=(registry, self.backend, self.eval_mode))
+            initargs=(registry, self.jobs, self.eval_mode))
 
     # -- reporting ---------------------------------------------------------
 
@@ -426,12 +394,10 @@ class Session:
 _WORKER_SESSION: Session | None = None
 
 
-def _batch_worker_init(registry: SchedulerRegistry | None,
-                       backend: str | None = None,
-                       eval_mode: str | None = None) -> None:
+def _batch_worker_init(registry: SchedulerRegistry | None, jobs: int,
+                       eval_mode: str) -> None:
     global _WORKER_SESSION
-    _WORKER_SESSION = Session(registry, backend=backend,
-                              eval_mode=eval_mode)
+    _WORKER_SESSION = Session(registry, jobs=jobs, eval_mode=eval_mode)
 
 
 def _batch_worker_run(request: ScheduleRequest) -> ScheduleResult:

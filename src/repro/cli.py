@@ -38,12 +38,13 @@ DESIGN.md "The repro.service layer") until interrupted.
 
 ``--fast`` uses the CI budget (seconds-to-minutes); the default budget
 matches the paper's settings and can take several minutes per experiment.
-``--jobs N`` fans the window search over N worker processes (bit-identical
-results); ``--backend`` picks the engine execution backend explicitly and
-``--beam K`` narrows the window search to the K best segmentation combos
-(default: exhaustive, the paper's exact behaviour -- see DESIGN.md, "The
-search engine layer").  ``--perf-stats`` prints evaluation-throughput,
-delta-evaluation and cache-hit statistics after the run.
+``--jobs N`` fans the window search over N worker processes and
+``--eval-mode vector`` picks the numpy costing kernel; both only change
+speed (results are bit-identical).  ``--beam K`` narrows the window
+search to the K best segmentation combos (default: exhaustive, the
+paper's exact behaviour -- see DESIGN.md, "The search engine layer").
+``--perf-stats`` prints evaluation-throughput, delta-evaluation and
+cache-hit statistics after the run.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from typing import Callable
 
 from repro.experiments import (
     ExperimentConfig,
-    aggregate_perf,
     drain_perf_reports,
     run_arvr,
     run_breakdown,
@@ -69,6 +69,7 @@ from repro.experiments import (
     run_packing_ablation,
     run_prov_ablation,
 )
+from repro.perf import aggregate_reports
 
 _EXPERIMENTS: dict[str, tuple[str, Callable[[ExperimentConfig], str]]] = {
     "fig2": ("Fig. 2 motivational 2x2 study",
@@ -125,10 +126,9 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         request = ScheduleRequest.for_scenario(
             workload, template=args.template,
             policy=args.policy, objective=args.objective,
-            nsplits=config.nsplits, budget=config.budget, jobs=args.jobs,
-            backend=args.backend, beam=args.beam,
-            eval_mode=args.eval_mode)
-        result = Session().submit(request)
+            nsplits=config.nsplits, budget=config.budget, beam=args.beam)
+        result = Session(jobs=args.jobs,
+                         eval_mode=args.eval_mode).submit(request)
     except ReproError as exc:
         return _report_error(exc, args.format)
     if args.output:
@@ -203,7 +203,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import json
 
-    from repro.api import scenario_spec
+    from repro.api import Session, scenario_spec
     from repro.config import load_json, scenario_from_dict
     from repro.errors import ConfigError, ReproError
     from repro.sweep import (
@@ -217,7 +217,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         if args.spec:
             # The spec document carries the whole grid; reject every
-            # flag it replaces rather than silently ignoring it.
+            # flag it replaces rather than silently ignoring it.  The
+            # execution flags (--jobs, --eval-mode) configure the
+            # session, not the grid, so they combine with --spec.
             overridden = [flag for flag, value in (
                 ("--scenarios", args.scenarios),
                 ("--scenario-file", args.scenario_file),
@@ -225,11 +227,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 ("--policies", args.policies),
                 ("--objectives", args.objectives),
                 ("--nsplits", args.nsplits),
-                ("--backends", args.backends),
                 ("--beams", args.beams),
-                ("--eval-modes", args.eval_modes),
                 ("--fast", args.fast or None),
-                ("--jobs", args.jobs if args.jobs != 1 else None),
             ) if value]
             if overridden:
                 raise ConfigError(
@@ -257,12 +256,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 objectives=tuple(args.objectives or ["edp"]),
                 nsplits=tuple(args.nsplits) if args.nsplits
                 else (config.nsplits,),
-                backends=tuple(args.backends) if args.backends
-                else (None,),
                 beams=tuple(args.beams) if args.beams else (None,),
-                eval_modes=tuple(args.eval_modes) if args.eval_modes
-                else (None,),
-                budget=config.budget, jobs=args.jobs)
+                budget=config.budget)
         store = ResultStore(args.store) if args.store else None
         if args.status:
             # Read-only progress view: expand the grid, check each
@@ -274,7 +269,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             else:
                 print(status.render())
             return 0
-        outcome = run_sweep(spec, store=store, workers=args.workers)
+        outcome = run_sweep(spec, store=store, workers=args.workers,
+                            session=Session(jobs=args.jobs,
+                                            eval_mode=args.eval_mode))
     except ReproError as exc:
         return _report_error(exc, args.format)
     report = sweep_report(outcome)
@@ -325,10 +322,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         outcomes = replay(
             trace, mode=args.mode, template=args.template,
             policy=args.policy, objective=args.objective,
-            nsplits=config.nsplits, budget=config.budget,
-            backend=args.backend, beam=args.beam,
-            eval_mode=args.eval_mode, jobs=args.jobs,
-            client=client)
+            nsplits=config.nsplits, budget=config.budget, beam=args.beam,
+            eval_mode=args.eval_mode, jobs=args.jobs, client=client)
         report = build_report(trace, args.mode, outcomes)
     except ReproError as exc:
         return _report_error(exc, args.format)
@@ -415,7 +410,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     store = ResultStore(args.store) if args.store is not None else None
     service = SchedulerService(Session(max_memo=args.max_memo,
-                                       backend=args.backend,
                                        eval_mode=args.eval_mode),
                                workers=args.workers,
                                retain=args.retain,
@@ -554,14 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N,M,...",
                        help="time-partitioning depths (default: from "
                        "--fast/full config)")
-    sweep.add_argument("--backends", type=_csv_strs, default=None,
-                       metavar="A,B,...",
-                       help="engine execution backends (default: the "
-                       "session default)")
-    sweep.add_argument("--eval-modes", type=_csv_strs, default=None,
-                       metavar="MODES",
-                       help="comma-separated candidate-costing kernels "
-                       "to sweep (scalar, vector; default scalar)")
     sweep.add_argument("--beams", type=_csv_ints, default=None,
                        metavar="K,L,...",
                        help="window-search beam widths (default: "
@@ -580,6 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("text", "json"),
                        help="report format (json: the sweep_report "
                        "document)")
+    _add_eval_mode_option(sweep)
     _add_common_options(sweep)
 
     simulate = sub.add_parser(
@@ -694,17 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="keep only the N most recent finished job "
                        "records/results; size comfortably above the "
                        "number of jobs in flight (default: unbounded)")
-    serve.add_argument("--backend", default=None,
-                       choices=_backend_choices(),
-                       help="engine execution backend for requests that "
-                       "do not pick one (default: infer from each "
-                       "request's --jobs; results are bit-identical "
-                       "across backends)")
-    serve.add_argument("--eval-mode", default=None,
-                       choices=("scalar", "vector"),
-                       help="candidate-costing kernel for requests that "
-                       "do not pick one (default scalar; vector needs "
-                       "numpy, results are bit-identical)")
+    _add_eval_mode_option(serve)
     serve.add_argument("--job-backend", default="process",
                        choices=("thread", "process"),
                        help="run each job's search on a process pool "
@@ -762,25 +739,18 @@ def _csv_strs(value: str) -> list[str]:
     return [item.strip() for item in value.split(",") if item.strip()]
 
 
-def _backend_choices() -> tuple[str, ...]:
-    from repro.engine import backend_names
-
-    return backend_names()
-
-
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
-    """Search-engine knobs (the ``schedule`` command only)."""
-    parser.add_argument("--backend", default=None,
-                        choices=_backend_choices(),
-                        help="engine execution backend (default: infer "
-                        "from --jobs; results are bit-identical across "
-                        "backends)")
+    """Search-engine knobs (``schedule`` and ``simulate``)."""
     parser.add_argument("--beam", type=_positive_int, default=None,
                         metavar="K",
                         help="beam width for the window search: keep "
                         "only the K best proxy-scored segmentation "
                         "combos (default: exhaustive search, the "
                         "paper's exact behaviour)")
+    _add_eval_mode_option(parser)
+
+
+def _add_eval_mode_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eval-mode", default=None,
                         choices=("scalar", "vector"),
                         help="candidate-costing kernel: the pure-Python "
@@ -826,7 +796,7 @@ def main(argv: list[str] | None = None) -> int:
         reports = drain_perf_reports()
         if reports:
             print()
-            print(aggregate_perf(reports, jobs=args.jobs).render())
+            print(aggregate_reports(reports, jobs=args.jobs).render())
     return 0
 
 

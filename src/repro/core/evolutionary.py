@@ -83,7 +83,7 @@ class EvolutionarySegSearch:
                  evaluator: ScheduleEvaluator, objective: Objective,
                  budget: SearchBudget, config: GAConfig | None = None,
                  seeds: dict[int, list[Cuts]] | None = None,
-                 window_search=None) -> None:
+                 beam: int | None = None) -> None:
         self.window = window
         self.alloc = alloc
         self.evaluator = evaluator
@@ -91,11 +91,9 @@ class EvolutionarySegSearch:
         self.budget = budget
         self.config = config or GAConfig()
         self.seeds = seeds or {}
-        #: Per-window SCHED strategy; ``None`` keeps the plain exhaustive
-        #: kernel (bit-identical to an engine-layer
-        #: ``WindowSearch(beam=None)``, see :mod:`repro.engine.search`).
-        self._search = window_search.run if window_search is not None \
-            else search_window
+        #: SCHED beam width for each fitness search (``None`` = the
+        #: exhaustive kernel, see :func:`search_window`).
+        self.beam = beam
         self.rng = random.Random(budget.seed + 104729 * window.index)
         evals = self.config.population_size * (self.config.generations + 1)
         self._fitness_budget = budget.fitness_slice(evals)
@@ -163,9 +161,10 @@ class EvolutionarySegSearch:
         ranked = {m: [RankedSegmentation(cuts=cuts, score=0.0)]
                   for m, cuts in individual.items()}
         try:
-            candidate = self._search(self.window, ranked, self.evaluator,
-                                     self.objective, self._fitness_budget,
-                                     collect=self.evaluated)
+            candidate = search_window(self.window, ranked, self.evaluator,
+                                      self.objective, self._fitness_budget,
+                                      collect=self.evaluated,
+                                      beam=self.beam)
         except SearchError:
             return float("inf"), None
         self._cache[key] = candidate

@@ -10,12 +10,12 @@
 3. **SEG** -- top-k segmentation candidates per model (Heuristic 1), with
    the optional Heuristic-2 node-allocation constraint.
 4. **SCHED** -- scheduling-tree placement search with full cost-model
-   evaluation (or the evolutionary variant for large MCMs), executed
-   through the unified engine layer: one
-   :class:`~repro.engine.CandidateEvaluator` (delta costing + stats), a
-   :class:`~repro.engine.WindowSearch` strategy (``beam=None`` = the
-   paper's exhaustive search) and a pluggable execution backend
-   (``serial`` / ``process``).
+   evaluation (or the evolutionary variant for large MCMs): one
+   :class:`~repro.engine.CandidateEvaluator` (delta costing + stats)
+   scores the candidates of
+   :func:`~repro.core.sched_engine.search_window` (``beam=None`` = the
+   paper's exhaustive search), in-process or over ``jobs`` worker
+   processes.
 
 The result carries the chosen schedule, its metrics and the whole
 evaluated population, which the Pareto/top-candidate figures consume.
@@ -24,6 +24,7 @@ evaluated population, which the Pareto/top-candidate figures consume.
 from __future__ import annotations
 
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from repro.core.budget import SearchBudget
@@ -40,21 +41,47 @@ from repro.core.packing import (
 )
 from repro.core.schedule import Schedule
 from repro.core.scoring import Objective, edp_objective
-from repro.core.sched_engine import WindowCandidate
+from repro.core.sched_engine import WindowCandidate, search_window
 from repro.core.segmentation import RankedSegmentation, rank_segmentations
 from repro.dataflow.database import LayerCostDatabase
-from repro.engine.backends import ExecutionBackend, resolve_backend
 from repro.engine.candidates import assemble_candidate_points
 from repro.engine.evaluator import CandidateEvaluator, EvaluatorStats
 from repro.engine.provisioning import window_allocations, window_shares
-from repro.engine.tensorkernel import EVAL_MODES, TensorEvaluator, require_numpy
-from repro.engine.search import WindowSearch
-from repro.errors import SearchError
+from repro.engine.tensorkernel import TensorEvaluator, check_eval_mode
+from repro.errors import ConfigError, SearchError
 from repro.mcm.package import MCM
-from repro.perf import PerfReport, diff_stats, log_report, merge_stats
+from repro.perf import (
+    CacheStats,
+    PerfReport,
+    diff_stats,
+    log_report,
+    merge_stats,
+)
 from repro.workloads.model import Scenario
 
-__all__ = ["SCARResult", "SCARScheduler", "assemble_candidate_points"]
+__all__ = ["SCARResult", "SCARScheduler", "assemble_candidate_points",
+           "check_jobs"]
+
+#: One unit of independent search work: (window, alloc_index, alloc).
+Task = tuple[WindowAssignment, int, dict[int, int]]
+
+#: What running one task yields: (window_index, alloc_index, best
+#: candidate, evaluated candidates, cache-stat delta, evaluator-stat
+#: delta); the deltas are ``None`` for in-process runs, whose counters
+#: already live in the run's shared evaluator.
+TaskOutcome = tuple[int, int, WindowCandidate, list[WindowCandidate],
+                    dict[str, CacheStats] | None, EvaluatorStats | None]
+
+
+def check_jobs(jobs: int) -> int:
+    """Validate a worker-process count (an ``int >= 1``).
+
+    The one check shared by :class:`~repro.api.session.Session` and
+    :class:`SCARScheduler`.
+    """
+    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
+        raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
+    return jobs
 
 
 @dataclass(frozen=True)
@@ -93,18 +120,12 @@ class SCARScheduler:
     ``max_nodes_per_model``  Heuristic-2 node-allocation constraint.
     ``seg_search``           ``"enumerative"`` or ``"evolutionary"``.
     ``jobs``                 worker processes for the window search
-                             (1 = serial; results are bit-identical
+                             (1 = in-process; results are bit-identical
                              either way, see :meth:`schedule`).
-    ``backend``              execution backend name (``"serial"`` /
-                             ``"process"`` / a registered plugin);
-                             ``None`` infers from ``jobs`` exactly as the
-                             pre-backend scheduler did.
-    ``beam``                 :class:`~repro.engine.WindowSearch` beam
-                             width; ``None`` (default, used by every
-                             paper figure) = exhaustive search.
-    ``use_cache``            enable the segment-cost memo (results are
-                             bit-identical with it off; it only trades
-                             memory for speed).
+    ``beam``                 window-search beam width (see
+                             :func:`~repro.core.sched_engine.search_window`);
+                             ``None`` (default, used by every paper
+                             figure) = exhaustive search.
     ``use_delta``            enable the chain-level delta-evaluation fast
                              path (bit-identical on or off; off is only
                              useful for measuring what it saves).
@@ -116,16 +137,18 @@ class SCARScheduler:
                              bit-identical schedules and metrics).
     ``cache``                inject a caller-owned :class:`EvalCache`
                              instead of building a fresh one per
-                             :meth:`schedule` call.  A long-lived front-end
-                             (the warm simulation replay, see
-                             :mod:`repro.sim`) shares one cache across
-                             runs *of the same scenario + MCM*, so
-                             repeated searches start warm; entries are
-                             pure functions of their keys, so results
-                             stay bit-identical.  The per-run perf report
-                             still counts only this run's lookups (the
-                             scheduler snapshots the cache counters
-                             around the run).
+                             :meth:`schedule` call
+                             (``EvalCache(enabled=False)`` runs uncached;
+                             results are bit-identical either way).  A
+                             long-lived front-end (the warm simulation
+                             replay, see :mod:`repro.sim`) shares one
+                             cache across runs *of the same scenario +
+                             MCM*, so repeated searches start warm;
+                             entries are pure functions of their keys,
+                             so results stay bit-identical.  The per-run
+                             perf report still counts only this run's
+                             lookups (the scheduler snapshots the cache
+                             counters around the run).
     """
 
     def __init__(self, mcm: MCM, *, objective: Objective | None = None,
@@ -136,8 +159,7 @@ class SCARScheduler:
                  seg_search: str = "enumerative",
                  ga_config: GAConfig | None = None,
                  prov_limit: int = 64, jobs: int = 1,
-                 backend: str | None = None, beam: int | None = None,
-                 use_cache: bool = True, use_delta: bool = True,
+                 beam: int | None = None, use_delta: bool = True,
                  cache: EvalCache | None = None,
                  eval_mode: str = "scalar") -> None:
         if packing not in ("greedy", "uniform"):
@@ -146,13 +168,8 @@ class SCARScheduler:
             raise SearchError(f"unknown provisioning mode {provisioning!r}")
         if seg_search not in ("enumerative", "evolutionary"):
             raise SearchError(f"unknown seg_search mode {seg_search!r}")
-        if jobs < 1:
-            raise SearchError(f"jobs must be >= 1, got {jobs}")
-        if eval_mode not in EVAL_MODES:
-            raise SearchError(f"unknown eval_mode {eval_mode!r}; "
-                              f"expected one of {EVAL_MODES}")
-        if eval_mode == "vector":
-            require_numpy()
+        self.jobs = check_jobs(jobs)
+        self.eval_mode = check_eval_mode(eval_mode)
         self.mcm = mcm
         self.objective = objective or edp_objective()
         self.nsplits = nsplits
@@ -164,13 +181,9 @@ class SCARScheduler:
         self.seg_search = seg_search
         self.ga_config = ga_config
         self.prov_limit = prov_limit
-        self.jobs = jobs
-        self.use_cache = use_cache
+        self.beam = beam
         self.use_delta = use_delta
         self.cache = cache
-        self.eval_mode = eval_mode
-        self.window_search = WindowSearch(beam=beam)
-        self.backend: ExecutionBackend = resolve_backend(backend, jobs)
 
     # -- public API ------------------------------------------------------------
 
@@ -180,30 +193,29 @@ class SCARScheduler:
 
         Chooses the scalar reference kernel or the numpy tensor kernel
         per ``eval_mode``; both honour ``use_delta`` and share the same
-        cache/stat channels.  Backends call this so worker processes
-        build the same kernel as the parent.
+        cache/stat channels.  Pool workers call this so they build the
+        same kernel as the parent.
         """
         cls = TensorEvaluator if self.eval_mode == "vector" \
             else CandidateEvaluator
-        if cache is None:
-            cache = EvalCache(enabled=self.use_cache)
-        return cls(scenario, self.mcm, self.database, cache=cache,
+        return cls(scenario, self.mcm, self.database,
+                   cache=cache if cache is not None else EvalCache(),
                    delta=self.use_delta)
 
     def schedule(self, scenario: Scenario) -> SCARResult:
         """Run the full SCAR search on ``scenario``.
 
         The search is decomposed into independent (window, provisioning
-        allocation) tasks handed to the configured execution backend.
-        Each task is internally deterministic (seeded by its window
-        index) and the merge orders outcomes by ``(window_index,
-        alloc_index)`` and picks per-window winners by ``(score,
-        alloc_index)`` -- exactly the serial iteration order -- so every
-        backend produces bit-identical results.
+        allocation) tasks, run in-process or over ``jobs`` worker
+        processes (see :meth:`_run_tasks`).  Each task is internally
+        deterministic (seeded by its window index) and the merge orders
+        outcomes by ``(window_index, alloc_index)`` and picks per-window
+        winners by ``(score, alloc_index)`` -- exactly the serial
+        iteration order -- so every ``jobs`` value produces
+        bit-identical results.
         """
         wall_start = time.perf_counter()
-        cache = self.cache if self.cache is not None \
-            else EvalCache(enabled=self.use_cache)
+        cache = self.cache if self.cache is not None else EvalCache()
         # An injected cache outlives this run; snapshot its counters so
         # the perf report covers this run's lookups only.
         cache_before = cache.snapshot() if self.cache is not None else None
@@ -229,8 +241,8 @@ class SCARScheduler:
             for alloc_index, alloc in enumerate(allocations):
                 tasks.append((window, alloc_index, alloc))
 
-        outcomes = self.backend.run(self, scenario, tasks, expected_lat,
-                                    evaluator)
+        outcomes = self._run_tasks(scenario, tasks, expected_lat,
+                                   evaluator)
 
         (best_by_window, all_candidates, num_evaluated, worker_stats,
          eval_stats) = self._merge_outcomes(plan, outcomes)
@@ -243,9 +255,7 @@ class SCARScheduler:
             wall_s=time.perf_counter() - wall_start,
             num_evaluated=num_evaluated,
             num_windows=plan.num_windows,
-            # The backend's parallelism, not the configured ``jobs``: an
-            # explicit serial backend overriding jobs=N reports 1.
-            jobs=self.backend.jobs,
+            jobs=self.jobs,
             cache=merge_stats(
                 cache.snapshot() if cache_before is None
                 else diff_stats(cache.snapshot(), cache_before),
@@ -258,7 +268,34 @@ class SCARScheduler:
                           window_candidates=tuple(all_candidates),
                           num_evaluated=num_evaluated, perf=perf)
 
-    # -- task merge -------------------------------------------------------
+    # -- task execution + merge ----------------------------------------------
+
+    def _run_tasks(self, scenario: Scenario, tasks: list[Task],
+                   expected_lat: list[list[float]],
+                   evaluator: CandidateEvaluator) -> list[TaskOutcome]:
+        """Run every (window, alloc) task; outcomes come back in any order.
+
+        ``jobs == 1`` (or at most one task, where a pool cannot help)
+        runs in-process against the run's shared evaluator.  Otherwise
+        a pool of ``min(jobs, len(tasks))`` workers each builds one
+        evaluator (fresh cache) at startup and ships per-task cache and
+        stat deltas back, so the parent merges exact aggregate counters.
+        """
+        if self.jobs == 1 or len(tasks) <= 1:
+            outcomes: list[TaskOutcome] = []
+            for window, alloc_index, alloc in tasks:
+                collected: list[WindowCandidate] = []
+                best = self._search_one_alloc(scenario, window, alloc,
+                                              expected_lat, evaluator,
+                                              collected)
+                outcomes.append((window.index, alloc_index, best,
+                                 collected, None, None))
+            return outcomes
+        with ProcessPoolExecutor(
+                max_workers=min(self.jobs, len(tasks)),
+                initializer=_worker_init,
+                initargs=(self, scenario, expected_lat)) as pool:
+            return list(pool.map(_worker_run, tasks))
 
     @staticmethod
     def _merge_outcomes(plan: PackingPlan, outcomes):
@@ -315,11 +352,39 @@ class SCARScheduler:
             seeds = {m: [r.cuts for r in ranked[m]] for m in ranked}
             search = EvolutionarySegSearch(
                 window, alloc, evaluator, self.objective, self.budget,
-                config=self.ga_config, seeds=seeds,
-                window_search=self.window_search)
+                config=self.ga_config, seeds=seeds, beam=self.beam)
             candidate = search.run()
             collected.extend(search.evaluated)
             return candidate
-        return self.window_search.run(window, ranked, evaluator,
-                                      self.objective, self.budget,
-                                      collect=collected)
+        return search_window(window, ranked, evaluator, self.objective,
+                             self.budget, collect=collected,
+                             beam=self.beam)
+
+
+# -- process-pool worker state (one evaluator per worker process) -----------
+
+_WORKER: dict = {}
+
+
+def _worker_init(scheduler: SCARScheduler, scenario: Scenario,
+                 expected_lat: list[list[float]]) -> None:
+    _WORKER["scheduler"] = scheduler
+    _WORKER["scenario"] = scenario
+    _WORKER["expected_lat"] = expected_lat
+    _WORKER["evaluator"] = scheduler.make_evaluator(scenario)
+
+
+def _worker_run(task: Task) -> TaskOutcome:
+    """Run one (window, alloc) task; return its outcome + stat deltas."""
+    window, alloc_index, alloc = task
+    scheduler: SCARScheduler = _WORKER["scheduler"]
+    evaluator: CandidateEvaluator = _WORKER["evaluator"]
+    cache_before = evaluator.cache.snapshot()
+    stats_before = evaluator.stats.snapshot()
+    collected: list[WindowCandidate] = []
+    best = scheduler._search_one_alloc(_WORKER["scenario"], window, alloc,
+                                       _WORKER["expected_lat"], evaluator,
+                                       collected)
+    return (window.index, alloc_index, best, collected,
+            diff_stats(evaluator.cache.snapshot(), cache_before),
+            evaluator.stats.delta(stats_before))

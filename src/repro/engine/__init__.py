@@ -1,19 +1,12 @@
 """The unified search-engine layer: one evaluation kernel for every policy.
 
-This package is the single place the scheduling search is *executed*:
+This package is the single place scheduling candidates are *costed*:
 
 * :class:`CandidateEvaluator` -- the costing kernel every policy routes
   through (segment -> chain -> window -> schedule), with a
   delta-evaluation fast path that re-costs only chains whose cut
   boundaries or congestion moved, and per-evaluator statistics feeding
   :mod:`repro.perf`.
-* :class:`WindowSearch` -- the per-window search strategy object: the
-  paper's exhaustive (segmentation x placement) enumeration, generalized
-  with a ``beam`` knob (``beam=None`` reproduces the exhaustive search
-  bit-identically and stays the default for all paper figures).
-* :mod:`~repro.engine.backends` -- pluggable execution backends
-  (``serial``, ``process``) that fan (window, allocation) tasks out and
-  merge outcomes bit-identically to a serial loop.
 * :mod:`~repro.engine.provisioning` -- the PROV step as engine plumbing
   (expected shares + allocation enumeration) shared by every scheduler.
 * :mod:`~repro.engine.candidates` -- the one candidate-point assembly
@@ -24,17 +17,9 @@ This package is the single place the scheduling search is *executed*:
 
 Policies (:mod:`repro.api.policies`) stay pure strategy objects: they
 describe *what* to search; this package owns *how* candidates are
-evaluated, pruned and distributed.
+evaluated.
 """
 
-from repro.engine.backends import (
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    backend_names,
-    register_backend,
-    resolve_backend,
-)
 from repro.engine.candidates import assemble_candidate_points
 from repro.engine.evaluator import (
     CandidateEvaluator,
@@ -42,7 +27,6 @@ from repro.engine.evaluator import (
     chain_delta_key,
 )
 from repro.engine.provisioning import window_allocations, window_shares
-from repro.engine.search import WindowSearch
 from repro.engine.tensorkernel import (
     EVAL_MODES,
     TensorEvaluator,
@@ -54,18 +38,11 @@ __all__ = [
     "CandidateEvaluator",
     "EVAL_MODES",
     "EvaluatorStats",
-    "ExecutionBackend",
-    "ProcessBackend",
-    "SerialBackend",
     "TensorEvaluator",
-    "WindowSearch",
     "assemble_candidate_points",
-    "backend_names",
     "chain_delta_key",
     "have_numpy",
-    "register_backend",
     "require_numpy",
-    "resolve_backend",
     "window_allocations",
     "window_shares",
 ]

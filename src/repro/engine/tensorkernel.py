@@ -71,7 +71,7 @@ try:  # numpy is an optional extra; the scalar path never needs it.
 except ImportError:  # pragma: no cover - exercised via monkeypatch
     _np = None
 
-#: The evaluator modes requests/sessions may name (`ScheduleRequest.eval_mode`).
+#: The evaluator modes a Session or SCARScheduler may name (``eval_mode``).
 EVAL_MODES = ("scalar", "vector")
 
 
@@ -87,6 +87,22 @@ def require_numpy() -> None:
             "eval_mode='vector' requires numpy, which is not installed; "
             "install the optional extra (pip install 'repro-scar[vector]') "
             "or use eval_mode='scalar'")
+
+
+def check_eval_mode(eval_mode: str | None) -> str:
+    """The kernel ``eval_mode`` names (``None`` = ``"scalar"``).
+
+    The one validation shared by :class:`~repro.api.session.Session` and
+    :class:`~repro.core.scar.SCARScheduler`: an unknown name, or
+    ``"vector"`` without numpy, raises :class:`ConfigError`.
+    """
+    mode = "scalar" if eval_mode is None else eval_mode
+    if mode not in EVAL_MODES:
+        raise ConfigError(f"unknown eval_mode {eval_mode!r}; "
+                          f"expected one of {EVAL_MODES}")
+    if mode == "vector":
+        require_numpy()
+    return mode
 
 
 class _ModelTables:

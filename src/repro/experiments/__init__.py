@@ -24,9 +24,6 @@ from repro.experiments.runner import (
     CORE_STRATEGIES,
     STRATEGIES,
     ExperimentConfig,
-    ExperimentRunner,
-    StrategyRun,
-    aggregate_perf,
     strategy_request,
 )
 from repro.perf import drain_perf_reports
@@ -36,9 +33,9 @@ from repro.experiments.topology_ablation import TopologyResult, run_fig12
 
 __all__ = [
     "ArvrResult", "BreakdownResult", "CORE_STRATEGIES",
-    "DatacenterResult", "ExperimentConfig", "ExperimentRunner",
+    "DatacenterResult", "ExperimentConfig",
     "Fig2Result", "ParetoResult", "STRATEGIES", "Scale6x6Result",
-    "StrategyRun", "TopologyResult", "aggregate_perf", "ascii_scatter",
+    "TopologyResult", "ascii_scatter",
     "drain_perf_reports", "format_table",
     "normalize", "pareto_front", "run_arvr", "run_breakdown",
     "run_datacenter", "run_fig11", "run_fig12", "run_fig13", "run_fig2",

@@ -63,7 +63,8 @@ def run_arvr(config: ExperimentConfig | None = None,
              scenario_ids: tuple[int, ...] = ARVR_IDS,
              strategies: tuple[str, ...] = CORE_STRATEGIES) -> ArvrResult:
     """Run the AR/VR suite under the EDP search (Table V / Fig. 10)."""
-    session = Session()
+    config = config or ExperimentConfig()
+    session = Session(jobs=config.jobs)
     runs: dict[tuple[str, int], ScheduleResult] = {}
     for scenario_id in scenario_ids:
         for strategy in strategies:

@@ -91,7 +91,8 @@ def run_datacenter(config: ExperimentConfig | None = None,
                    strategies: tuple[str, ...] = CORE_STRATEGIES
                    ) -> DatacenterResult:
     """Run the datacenter suite (Table IV rows + Fig. 7 grid inputs)."""
-    session = Session()
+    config = config or ExperimentConfig()
+    session = Session(jobs=config.jobs)
     runs: dict[tuple[str, int, str], ScheduleResult] = {}
     for scenario_id in scenario_ids:
         for search in searches:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.api import Session
 from repro.experiments.reporting import (
     Point,
     ascii_scatter,
@@ -92,9 +93,11 @@ def run_pareto(scenario_ids: tuple[int, ...],
              for scenario_id in scenario_ids
              for strategy in strategies
              for search in searches]
+    config = config or ExperimentConfig()
     requests = [strategy_request(scenario_id, strategy, search, config)
                 for scenario_id, strategy, search in cells]
-    outcome = run_requests(requests, store=store, workers=workers)
+    outcome = run_requests(requests, store=store, workers=workers,
+                           session=Session(jobs=config.jobs))
     points: dict[tuple[int, str], tuple[Point, ...]] = {
         (scenario_id, strategy): ()
         for scenario_id in scenario_ids for strategy in strategies}

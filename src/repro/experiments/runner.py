@@ -6,26 +6,17 @@ A *strategy* is the paper's (MCM template x scheduler policy) pair, e.g.
 (scenario, strategy, objective) triples into
 :class:`~repro.api.request.ScheduleRequest` values via
 :func:`strategy_request` and submit them to a shared
-:class:`~repro.api.session.Session`, which memoizes results so that e.g.
+``Session(jobs=config.jobs)``, which memoizes results so that e.g.
 Table IV and Fig. 7 share work inside one process.
-
-:class:`ExperimentRunner` is the pre-``repro.api`` entry point, kept as a
-thin deprecated shim over the session facade.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 from repro.api.request import ScheduleRequest
-from repro.api.session import Session
 from repro.core.budget import QUICK_BUDGET, SearchBudget
-from repro.core.metrics import ScheduleMetrics
-from repro.core.scar import SCARResult
-from repro.core.schedule import Schedule
 from repro.errors import ConfigError
-from repro.perf import PerfReport, aggregate_reports
 from repro.workloads.model import Scenario
 
 #: strategy name -> (MCM template, scheduler policy)
@@ -59,18 +50,16 @@ class ExperimentConfig:
     """Runtime knobs shared by every experiment driver.
 
     ``fast`` presets keep CI benches to seconds/minutes; ``full`` uses the
-    paper's defaults (nsplits=4, generous budget).  ``jobs`` fans the SCAR
-    window search out over worker processes (results are bit-identical to
-    serial runs, see :meth:`repro.core.scar.SCARScheduler.schedule`);
-    ``use_eval_cache`` toggles the segment-cost memo (also bit-identical
-    either way).
+    paper's defaults (nsplits=4, generous budget).  ``jobs`` is the
+    drivers' ``Session(jobs=...)``: the SCAR window search fans out over
+    that many worker processes (results are bit-identical to serial
+    runs, see :meth:`repro.core.scar.SCARScheduler.schedule`).
     """
 
     budget: SearchBudget = field(default_factory=SearchBudget)
     nsplits: int = 4
     seg_search: str = "enumerative"
     jobs: int = 1
-    use_eval_cache: bool = True
 
     @classmethod
     def fast(cls, jobs: int = 1) -> "ExperimentConfig":
@@ -107,101 +96,4 @@ def strategy_request(scenario: int | Scenario, strategy: str,
     return ScheduleRequest.for_scenario(
         scenario, template=template, policy=policy, objective=objective,
         nsplits=config.nsplits, budget=config.budget,
-        seg_search=seg_search, jobs=config.jobs,
-        use_eval_cache=config.use_eval_cache)
-
-
-@dataclass(frozen=True)
-class StrategyRun:
-    """Outcome of one (scenario, strategy, objective) run."""
-
-    strategy: str
-    scenario_name: str
-    objective: str
-    metrics: ScheduleMetrics
-    schedule: Schedule
-    scar_result: SCARResult | None = None
-
-    @property
-    def latency_s(self) -> float:
-        return self.metrics.latency_s
-
-    @property
-    def energy_j(self) -> float:
-        return self.metrics.energy_j
-
-    @property
-    def edp(self) -> float:
-        return self.metrics.edp
-
-    def value(self, metric: str) -> float:
-        """Look up latency / energy / edp by name."""
-        if metric == "latency":
-            return self.latency_s
-        if metric == "energy":
-            return self.energy_j
-        if metric == "edp":
-            return self.edp
-        raise ConfigError(f"unknown metric {metric!r}")
-
-
-class ExperimentRunner:
-    """Deprecated memoizing front-end; use :class:`repro.api.Session`.
-
-    Kept as a thin shim so pre-``repro.api`` callers keep working: every
-    run is translated to a :class:`ScheduleRequest` and submitted to an
-    internal session, whose memo key covers the full request (including
-    ``jobs`` and the cache flags).  SCAR perf reports accumulate in
-    ``perf_reports`` exactly as before.
-    """
-
-    def __init__(self, config: ExperimentConfig | None = None) -> None:
-        warnings.warn(
-            "ExperimentRunner is deprecated; submit ScheduleRequests to "
-            "repro.api.Session instead", DeprecationWarning, stacklevel=2)
-        self.config = config or ExperimentConfig()
-        self.session = Session()
-        self._runs: dict[tuple, StrategyRun] = {}
-
-    @property
-    def perf_reports(self) -> list[PerfReport]:
-        return self.session.perf_reports
-
-    def run(self, scenario: Scenario, strategy: str,
-            objective: str = "edp") -> StrategyRun:
-        """Run (or fetch) one strategy on one scenario.
-
-        The memo key extends the legacy tuple with ``jobs`` and the
-        cache-enable flag, so runs under different parallelism/caching
-        settings never alias (the underlying session memo additionally
-        keys on the full request).
-        """
-        key = (scenario.name, strategy, objective, self.config.nsplits,
-               self.config.budget, self.config.seg_search,
-               self.config.jobs, self.config.use_eval_cache)
-        if key in self._runs:
-            return self._runs[key]
-        result = self.session.submit(
-            strategy_request(scenario, strategy, objective, self.config))
-        run = StrategyRun(strategy=strategy, scenario_name=scenario.name,
-                          objective=objective, metrics=result.metrics,
-                          schedule=result.schedule,
-                          scar_result=result.raw)
-        self._runs[key] = run
-        return run
-
-    def run_many(self, scenario: Scenario, strategies: tuple[str, ...],
-                 objective: str = "edp") -> dict[str, StrategyRun]:
-        """Run several strategies on one scenario."""
-        return {name: self.run(scenario, name, objective)
-                for name in strategies}
-
-    def perf_summary(self) -> PerfReport:
-        """Aggregate perf report over every SCAR run this runner made."""
-        return aggregate_perf(self.perf_reports, jobs=self.config.jobs)
-
-
-def aggregate_perf(reports: list[PerfReport],
-                   jobs: int | None = None) -> PerfReport:
-    """Merge perf reports of many runs into one summary."""
-    return aggregate_reports(reports, jobs=jobs)
+        seg_search=seg_search)

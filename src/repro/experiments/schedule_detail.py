@@ -66,7 +66,8 @@ def run_breakdown(scenario_id: int = 4, strategy: str = "het_sides",
                   config: ExperimentConfig | None = None,
                   objective: str = "edp") -> BreakdownResult:
     """Run the EDP search and extract the Fig. 9 / Table VI breakdown."""
-    session = Session()
+    config = config or ExperimentConfig()
+    session = Session(jobs=config.jobs)
     sc = scenario(scenario_id)
     run = session.submit(
         strategy_request(scenario_id, strategy, objective, config))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.api import ScheduleResult
+from repro.api import ScheduleResult, Session
 from repro.experiments.reporting import format_table, normalize
 from repro.experiments.runner import ExperimentConfig, strategy_request
 from repro.sweep import ResultStore, run_requests
@@ -58,9 +58,11 @@ def run_fig12(config: ExperimentConfig | None = None,
     cells = [(strategy, scenario_id)
              for scenario_id in scenario_ids
              for strategy in (*TRIANGULAR_STRATEGIES, "stand_nvd")]
+    config = config or ExperimentConfig()
     requests = [strategy_request(scenario_id, strategy, "edp", config)
                 for strategy, scenario_id in cells]
-    outcome = run_requests(requests, store=store, workers=workers)
+    outcome = run_requests(requests, store=store, workers=workers,
+                           session=Session(jobs=config.jobs))
     runs = {cell: outcome.result_at(i)  # failed cells raise their error
             for i, cell in enumerate(cells)}
     return TopologyResult(runs=runs, scenario_ids=scenario_ids,

@@ -18,7 +18,7 @@ Three knobs make the service scale past a single box's GIL:
 
 ``job_backend="process"``  workers dispatch each search to a process
                            pool mirroring the session (same registry,
-                           same default engine backend), so concurrent
+                           ``jobs`` and ``eval_mode``), so concurrent
                            CPU-bound jobs actually overlap; results are
                            adopted back into the session memo and are
                            bit-identical to in-process ``submit``.
@@ -166,10 +166,10 @@ class SchedulerService:
     """Asynchronous job front-end over one :class:`Session`.
 
     ``workers`` bounds concurrency.  The throughput win of ``workers >
-    1`` comes from overlapping requests whose own ``jobs=N`` fan work out
-    to processes (the GIL is released while waiting on the pool) and
-    from overlapping queue/IO handling; the determinism contract is
-    unconditional either way.
+    1`` comes from overlapping requests whose session ``jobs=N`` fans
+    work out to processes (the GIL is released while waiting on the
+    pool) and from overlapping queue/IO handling; the determinism
+    contract is unconditional either way.
 
     ``retain`` bounds memory like ``Session(max_memo=N)`` does for the
     result memo: only the N most recent *terminal* jobs keep their
@@ -452,11 +452,10 @@ class SchedulerService:
         (:class:`~repro.perf.TimingSummary`); ``session`` is the wrapped
         session's aggregate :class:`~repro.perf.PerfReport` (including
         the engine's delta-evaluation ``num_segments*`` counters and
-        per-table cache/eviction stats); ``backend`` echoes the
-        session's default execution backend (``None`` = per-request
-        inference from ``jobs``).  ``job_backend`` is how jobs execute
-        (worker thread vs process pool) and ``store`` the cross-replica
-        cache's hit/miss stats (``None`` when no store is attached).
+        per-table cache/eviction stats).  ``job_backend`` is how jobs
+        execute (worker thread vs process pool) and ``store`` the
+        cross-replica cache's hit/miss stats (``None`` when no store is
+        attached).
         """
         with self._lock:
             records = list(self._records.values())
@@ -473,7 +472,6 @@ class SchedulerService:
             "jobs": counts,
             "queue": queue_summary.to_dict(),
             "run": run_summary.to_dict(),
-            "backend": self.session.backend,
             "job_backend": self.job_backend,
             "store": store_stats,
             "session": self.session.perf_summary().to_dict(),
@@ -593,8 +591,7 @@ class SchedulerService:
         cached = self.session.cached(request)
         if cached is not None:
             return cached
-        key = request.cache_key() \
-            if self._store is not None and request.memoize else None
+        key = request.cache_key() if self._store is not None else None
         if key is not None:
             stored = self._store.get(key)
             if stored is None and self._store.refresh():

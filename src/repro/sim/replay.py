@@ -149,21 +149,22 @@ def _segment_counts(session: Session,
 def replay(trace: Trace, *, mode: str = "warm",
            template: str = "het_sides_3x3", policy: str = "scar",
            objective: str = "edp", nsplits: int = 4,
-           budget: SearchBudget | None = None,
-           backend: str | None = None, beam: int | None = None,
+           budget: SearchBudget | None = None, beam: int | None = None,
            eval_mode: str | None = None,
            jobs: int = 1, client=None) -> list[EventOutcome]:
     """Replay ``trace``, re-scheduling after every event.
 
     Returns one :class:`EventOutcome` per trace event, in order.  The
     outcomes' results are deterministic (mode- and client-independent,
-    the parity contract); the perf fields are not.  ``client`` switches
+    the parity contract); the perf fields are not.  ``eval_mode`` and
+    ``jobs`` configure the local sessions.  ``client`` switches
     submission to a live service replica (``mode`` then only labels the
-    report -- warmth is the replica's).
+    report -- warmth and execution settings are the replica's).
     """
     if mode not in MODES:
         raise ConfigError(f"unknown replay mode {mode!r}; known: {MODES}")
-    warm_session = Session(warm_caches=True) \
+    warm_session = Session(eval_mode=eval_mode, jobs=jobs,
+                           warm_caches=True) \
         if client is None and mode == "warm" else None
 
     active = _ActiveSet(trace)
@@ -179,7 +180,7 @@ def replay(trace: Trace, *, mode: str = "warm",
             scenario, template=template, policy=policy,
             objective=objective, nsplits=nsplits,
             budget=budget if budget is not None else SearchBudget(),
-            backend=backend, beam=beam, eval_mode=eval_mode, jobs=jobs)
+            beam=beam)
 
         wall_start = time.perf_counter()
         if client is not None:
@@ -191,7 +192,7 @@ def replay(trace: Trace, *, mode: str = "warm",
             memo_hit = False
         else:
             session = warm_session if warm_session is not None \
-                else Session()
+                else Session(eval_mode=eval_mode, jobs=jobs)
             memo_hit = session.cached(request) is not None
             position_before = session.perf_log_position()
             result = session.submit(request)

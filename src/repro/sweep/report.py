@@ -38,14 +38,12 @@ class SweepReport:
                 status = error.code if error is not None else "missing"
                 rows.append((label, request.template, request.policy,
                              request.objective, request.nsplits,
-                             request.backend or "-",
                              request.beam if request.beam is not None
                              else "-",
                              status, "-", "-"))
                 continue
             rows.append((label, request.template, request.policy,
                          request.objective, request.nsplits,
-                         request.backend or "-",
                          request.beam if request.beam is not None else "-",
                          result.latency_s, result.energy_j, result.edp))
         return rows
@@ -84,9 +82,7 @@ class SweepReport:
                 "policy": request.policy,
                 "objective": request.objective,
                 "nsplits": request.nsplits,
-                "backend": request.backend,
                 "beam": request.beam,
-                "eval_mode": request.eval_mode,
                 "key": key,
             }
             if result is None:
@@ -117,7 +113,7 @@ class SweepReport:
         blocks = [self.summary_line()]
         blocks.append(format_table(
             ("scenario", "template", "policy", "objective", "nsplits",
-             "backend", "beam", "latency (s)", "energy (J)", "EDP (J.s)"),
+             "beam", "latency (s)", "energy (J)", "EDP (J.s)"),
             self.cell_rows(), title="sweep cells"))
         best = self.best_by_scenario()
         if best:

@@ -3,12 +3,14 @@
 A :class:`SweepSpec` names a campaign as data: scenarios (Table III ids
 and/or inline scenario documents, e.g. from ``scar generate``) crossed
 with MCM templates, scheduler policies, objectives and the engine knobs
-(``nsplits`` x ``backend`` x ``beam``).  :meth:`SweepSpec.requests`
+(``nsplits`` x ``beam``).  :meth:`SweepSpec.requests`
 expands the grid into :class:`~repro.api.request.ScheduleRequest`
 cells in a deterministic order; each cell's
 :meth:`~repro.api.request.ScheduleRequest.cache_key` is its identity in
 the JSONL result store (:mod:`repro.sweep.store`), which is what makes
-campaigns resumable.
+campaigns resumable.  Every axis is part of the problem; how the cells
+run (worker processes, costing kernel) is the executing
+:class:`~repro.api.session.Session`'s business.
 
 The spec itself round-trips through JSON (``kind: "sweep_spec"``), so
 campaigns can live in files next to their result stores.
@@ -41,10 +43,9 @@ class SweepSpec:
 
     ``scenarios`` entries are Table III ids (``int``) or inline scenario
     documents (``dict``, the :func:`repro.config.files.scenario_to_dict`
-    form).  Every other axis is a tuple of values to cross; ``backends``,
-    ``beams`` and ``eval_modes`` accept ``None`` entries (session-default
-    backend / exhaustive search / scalar costing kernel).  ``budget``,
-    ``jobs`` and ``use_eval_cache`` apply to every cell.
+    form).  Every other axis is a tuple of values to cross; ``beams``
+    accepts ``None`` entries (exhaustive search).  ``budget`` applies to
+    every cell.
     """
 
     scenarios: tuple[int | dict, ...]
@@ -52,16 +53,12 @@ class SweepSpec:
     policies: tuple[str, ...] = ("scar",)
     objectives: tuple[str, ...] = ("edp",)
     nsplits: tuple[int, ...] = (4,)
-    backends: tuple[str | None, ...] = (None,)
     beams: tuple[int | None, ...] = (None,)
-    eval_modes: tuple[str | None, ...] = (None,)
     budget: SearchBudget = field(default_factory=SearchBudget)
-    jobs: int = 1
-    use_eval_cache: bool = True
 
     def __post_init__(self) -> None:
         for axis in ("scenarios", "templates", "policies", "objectives",
-                     "nsplits", "backends", "beams", "eval_modes"):
+                     "nsplits", "beams"):
             values = getattr(self, axis)
             if isinstance(values, (str, int, dict)) \
                     or not isinstance(values, Sequence):
@@ -78,24 +75,20 @@ class SweepSpec:
                 raise ConfigError(
                     "sweep scenarios must be Table III ids (int) or "
                     f"inline scenario documents (dict), got {entry!r}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
 
     @property
     def size(self) -> int:
         """Number of cells in the grid."""
         return (len(self.scenarios) * len(self.templates)
                 * len(self.policies) * len(self.objectives)
-                * len(self.nsplits) * len(self.backends)
-                * len(self.beams) * len(self.eval_modes))
+                * len(self.nsplits) * len(self.beams))
 
     def requests(self) -> tuple[ScheduleRequest, ...]:
         """The grid's cells, in deterministic scenario-major order.
 
         Building the requests validates every axis value that
-        :class:`ScheduleRequest` validates (objective, backend, beam,
-        nsplits); unknown templates/policies surface at submit time,
-        per cell.
+        :class:`ScheduleRequest` validates (objective, beam, nsplits);
+        unknown templates/policies surface at submit time, per cell.
         """
         return tuple(self._iter_requests())
 
@@ -107,21 +100,12 @@ class SweepSpec:
                 for policy in self.policies:
                     for objective in self.objectives:
                         for nsplits in self.nsplits:
-                            for backend in self.backends:
-                                for beam in self.beams:
-                                    for mode in self.eval_modes:
-                                        yield ScheduleRequest(
-                                            **workload,
-                                            template=template,
-                                            policy=policy,
-                                            objective=objective,
-                                            nsplits=nsplits,
-                                            backend=backend, beam=beam,
-                                            eval_mode=mode,
-                                            budget=self.budget,
-                                            jobs=self.jobs,
-                                            use_eval_cache=(
-                                                self.use_eval_cache))
+                            for beam in self.beams:
+                                yield ScheduleRequest(
+                                    **workload, template=template,
+                                    policy=policy, objective=objective,
+                                    nsplits=nsplits, beam=beam,
+                                    budget=self.budget)
 
     # -- wire format -------------------------------------------------------
 
@@ -134,16 +118,20 @@ class SweepSpec:
             "policies": list(self.policies),
             "objectives": list(self.objectives),
             "nsplits": list(self.nsplits),
-            "backends": list(self.backends),
             "beams": list(self.beams),
-            "eval_modes": list(self.eval_modes),
             "budget": asdict(self.budget),
-            "jobs": self.jobs,
-            "use_eval_cache": self.use_eval_cache,
         }
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "SweepSpec":
+        """Rebuild a spec from its wire form.
+
+        v1 specs written while execution settings rode in the request
+        may also carry ``backends``, ``eval_modes``, ``jobs`` and the
+        evaluator-cache switch.  None of them changes a cell's result,
+        so they are ignored (the same translation as
+        :meth:`ScheduleRequest.from_dict`).
+        """
         check_envelope(data, _SPEC_KIND)
         try:
             return cls(
@@ -153,15 +141,9 @@ class SweepSpec:
                 policies=tuple(data.get("policies", ("scar",))),
                 objectives=tuple(data.get("objectives", ("edp",))),
                 nsplits=tuple(data.get("nsplits", (4,))),
-                backends=tuple(data.get("backends", (None,))),
                 beams=tuple(data.get("beams", (None,))),
-                # .get: specs written before the vector kernel landed
-                # have no eval_modes axis and mean the scalar default.
-                eval_modes=tuple(data.get("eval_modes", (None,))),
                 budget=SearchBudget(**data["budget"])
                 if data.get("budget") is not None else SearchBudget(),
-                jobs=data.get("jobs", 1),
-                use_eval_cache=data.get("use_eval_cache", True),
             )
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed sweep spec: {exc}") from exc

@@ -51,7 +51,6 @@ class SweepStatus:
                 "policy": request.policy,
                 "objective": request.objective,
                 "nsplits": request.nsplits,
-                "backend": request.backend,
                 "beam": request.beam,
                 "key": request.cache_key(),
             }
@@ -80,7 +79,7 @@ class SweepStatus:
                 f"  pending: {cell_scenario_label(request)} "
                 f"{request.template} {request.policy} "
                 f"{request.objective} nsplits={request.nsplits} "
-                f"backend={request.backend or '-'} beam={beam}")
+                f"beam={beam}")
         if self.complete:
             lines.append("  campaign complete")
         return "\n".join(lines)

@@ -1,6 +1,6 @@
 """Session facade, scheduler registry and legacy-parity tests.
 
-The parity class re-implements the pre-``repro.api`` ExperimentRunner
+The parity class re-implements the pre-``repro.api`` experiment
 dispatch (direct scheduler construction) and checks that
 ``Session.submit`` reproduces it bit-for-bit for every core strategy --
 the acceptance gate of the API redesign.
@@ -17,6 +17,7 @@ from repro.api import (
     Session,
 )
 from repro.core.baselines import NNBatonScheduler, StandaloneScheduler
+from repro.core.evalcache import EvalCache
 from repro.core.scar import SCARScheduler
 from repro.core.scoring import objective_by_name
 from repro.dataflow.database import LayerCostDatabase
@@ -25,7 +26,6 @@ from repro.experiments.runner import (
     CORE_STRATEGIES,
     STRATEGIES,
     ExperimentConfig,
-    ExperimentRunner,
     strategy_request,
 )
 from repro.mcm import templates
@@ -33,7 +33,7 @@ from repro.workloads.scenarios import scenario
 
 
 def _legacy_run(sc, strategy, objective, config, databases):
-    """The pre-redesign ExperimentRunner.run dispatch, verbatim."""
+    """The pre-redesign experiment dispatch, verbatim."""
     template, policy = STRATEGIES[strategy]
     mcm = templates.build(template, sc.use_case)
     if mcm.clock_hz not in databases:
@@ -159,28 +159,22 @@ class TestSessionMemo:
         session = Session()
         assert session.submit(request_) is session.submit(request_)
 
-    def test_jobs_and_cache_flags_never_alias(self, request_):
-        """Distinct jobs / cache-flag settings get distinct memo slots."""
-        keys = {request_.cache_key(),
-                request_.replace(jobs=2).cache_key(),
-                request_.replace(use_eval_cache=False).cache_key(),
-                request_.replace(jobs=2,
-                                 use_eval_cache=False).cache_key()}
-        assert len(keys) == 4
-
     def test_memoize_false_bypasses_the_memo(self, request_):
-        session = Session()
-        request = request_.replace(memoize=False)
-        first = session.submit(request)
-        second = session.submit(request)
+        """max_memo=0 switches the memo off: resubmits recompute."""
+        session = Session(max_memo=0)
+        first = session.submit(request_)
+        second = session.submit(request_)
         assert first is not second
         assert first.metrics == second.metrics
 
-    def test_eval_cache_off_is_bit_identical(self, request_):
-        session = Session()
-        cached = session.submit(request_)
-        uncached = session.submit(request_.replace(use_eval_cache=False))
-        assert cached is not uncached
+    def test_eval_cache_off_is_bit_identical(self, request_,
+                                             tiny_scenario):
+        cached = Session().submit(request_)
+        mcm = templates.build(request_.template, tiny_scenario.use_case)
+        uncached = SCARScheduler(
+            mcm, objective=request_.build_objective(),
+            nsplits=request_.nsplits, budget=request_.budget,
+            cache=EvalCache(enabled=False)).schedule(tiny_scenario)
         assert cached.metrics == uncached.metrics
         assert cached.schedule == uncached.schedule
         # the disabled cache recorded misses only
@@ -304,23 +298,3 @@ class TestSubmitMany:
     def test_bad_jobs_rejected(self, requests):
         with pytest.raises(ValueError):
             Session().submit_many(requests, jobs=0)
-
-
-class TestLegacyShim:
-    def test_runner_warns_but_works(self, tiny_scenario):
-        with pytest.warns(DeprecationWarning, match="Session"):
-            runner = ExperimentRunner(ExperimentConfig.fast())
-        run = runner.run(tiny_scenario, "het_sides")
-        result = Session().submit(strategy_request(
-            tiny_scenario, "het_sides", "edp", ExperimentConfig.fast()))
-        assert run.metrics == result.metrics
-        assert run.schedule == result.schedule
-        assert run.scar_result is not None
-        assert runner.perf_reports
-        assert runner.perf_summary().num_evaluated > 0
-
-    def test_runner_memo_identity_across_calls(self, tiny_scenario):
-        with pytest.warns(DeprecationWarning):
-            runner = ExperimentRunner(ExperimentConfig.fast())
-        assert runner.run(tiny_scenario, "stand_nvd") \
-            is runner.run(tiny_scenario, "stand_nvd")

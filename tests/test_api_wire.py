@@ -7,6 +7,7 @@ form), and malformed documents must fail loudly with ``ConfigError``.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -16,6 +17,7 @@ from repro.api import (
     CandidatePoint,
     ScheduleRequest,
     ScheduleResult,
+    Session,
     metrics_from_dict,
     metrics_to_dict,
     perf_from_dict,
@@ -51,10 +53,13 @@ def _random_request(rng: random.Random) -> ScheduleRequest:
         prov_limit=rng.randint(1, 64),
         max_nodes_per_model=rng.choice((None, rng.randint(1, 9))),
         seg_search=rng.choice(("enumerative", "evolutionary")),
-        jobs=rng.randint(1, 4),
-        use_eval_cache=rng.choice((True, False)),
-        memoize=rng.choice((True, False)),
+        beam=rng.choice((None, rng.randint(1, 8))),
     )
+
+#: The execution settings v1 documents carried inside the request.
+_LEGACY_EXECUTION_KEYS = {"jobs": 4, "backend": "process",
+                          "eval_mode": "vector", "use_eval_cache": False,
+                          "memoize": False}
 
 
 class TestRequestRoundTrip:
@@ -100,11 +105,28 @@ class TestRequestRoundTrip:
         assert request.cache_key() == \
             ScheduleRequest.from_dict(request.to_dict()).cache_key()
         assert request.cache_key() != \
-            request.replace(jobs=2).cache_key()
+            request.replace(beam=2).cache_key()
         assert request.cache_key() != \
-            request.replace(use_eval_cache=False).cache_key()
+            request.replace(packing="uniform").cache_key()
         assert request.cache_key() != \
-            request.replace(memoize=False).cache_key()
+            request.replace(latency_bound_s=0.5).cache_key()
+
+    def test_request_names_the_problem_only(self):
+        """14 problem fields; the wire form adds only kind/version."""
+        request = ScheduleRequest(scenario_id=4)
+        assert len(dataclasses.fields(ScheduleRequest)) == 14
+        assert len(request.to_dict()) == 16
+        assert not set(_LEGACY_EXECUTION_KEYS) & set(request.to_dict())
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_v1_execution_keys_are_ignored(self, seed):
+        """A v1 document pinning all five execution keys parses to the
+        request without them, under the same cache key."""
+        request = _random_request(random.Random(seed))
+        legacy = {**request.to_dict(), **_LEGACY_EXECUTION_KEYS}
+        parsed = ScheduleRequest.from_dict(legacy)
+        assert parsed == request
+        assert parsed.cache_key() == request.cache_key()
 
     def test_replace(self):
         request = ScheduleRequest(scenario_id=4)
@@ -129,8 +151,15 @@ class TestRequestValidation:
                             scenario_spec={"name": "x", "models": []})
 
     def test_bad_jobs(self):
-        with pytest.raises(ConfigError):
-            ScheduleRequest(scenario_id=1, jobs=0)
+        """jobs is a Session setting: a bad value fails there, and a
+        request document's jobs key is never read."""
+        with pytest.raises(ConfigError, match="jobs"):
+            Session(jobs=0)
+        with pytest.raises(ConfigError, match="jobs"):
+            Session(jobs=True)
+        data = {**ScheduleRequest(scenario_id=1).to_dict(), "jobs": 0}
+        assert ScheduleRequest.from_dict(data) == \
+            ScheduleRequest(scenario_id=1)
 
     def test_bad_objective(self):
         with pytest.raises(Exception):

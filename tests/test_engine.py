@@ -1,10 +1,10 @@
 """Unit tests for the unified search-engine layer (:mod:`repro.engine`).
 
-Covers the four engine pieces the schedulers now share: the
-delta-costing :class:`CandidateEvaluator`, the :class:`WindowSearch`
-strategy (beam knob), the pluggable execution backends and the
-provisioning/candidate plumbing -- plus the LRU bound on
-:class:`EvalCache` and the request/session threading of the new knobs.
+Covers the engine pieces the schedulers share: the delta-costing
+:class:`CandidateEvaluator`, the window search's beam knob, the two
+execution paths ``jobs`` selects (in-process and the worker pool) and
+the provisioning/candidate plumbing -- plus the LRU bound on
+:class:`EvalCache` and the request/session threading of the knobs.
 """
 
 from __future__ import annotations
@@ -24,14 +24,8 @@ from repro.core.segmentation import RankedSegmentation
 from repro.engine import (
     CandidateEvaluator,
     EvaluatorStats,
-    ProcessBackend,
-    SerialBackend,
-    WindowSearch,
     assemble_candidate_points,
-    backend_names,
     chain_delta_key,
-    register_backend,
-    resolve_backend,
     window_allocations,
     window_shares,
 )
@@ -156,14 +150,14 @@ class TestChainDeltaKey:
 class TestWindowSearch:
     def test_default_is_exhaustive_and_bit_identical(
             self, window, tiny_scenario, het_mcm, database, small_budget):
+        """A beam as wide as the 4 segmentation combos prunes nothing:
+        bit-identical to the default exhaustive search."""
         evaluator = CandidateEvaluator(tiny_scenario, het_mcm, database)
         ranked = _ranked({0: [(), (2,)], 1: [(), (1,)]})
-        strategy = WindowSearch()
-        assert strategy.exhaustive
         collected_a: list = []
         collected_b: list = []
-        a = strategy.run(window, ranked, evaluator, edp_objective(),
-                         small_budget, collect=collected_a)
+        a = search_window(window, ranked, evaluator, edp_objective(),
+                          small_budget, collect=collected_a, beam=4)
         b = search_window(window, ranked, evaluator, edp_objective(),
                           small_budget, collect=collected_b)
         assert a == b
@@ -174,9 +168,8 @@ class TestWindowSearch:
         evaluator = CandidateEvaluator(tiny_scenario, het_mcm, database)
         ranked = _ranked({0: [(), (2,)], 1: [(), (1,)]})
         collected: list = []
-        best = WindowSearch(beam=1).run(window, ranked, evaluator,
-                                        edp_objective(), small_budget,
-                                        collect=collected)
+        best = search_window(window, ranked, evaluator, edp_objective(),
+                             small_budget, collect=collected, beam=1)
         assert best.score == min(c.score for c in collected)
         # Only the best proxy-scored combo survives: every evaluated
         # candidate uses the rank-0 cuts of both models (no cuts).
@@ -186,36 +179,42 @@ class TestWindowSearch:
 
     def test_beam_validation(self):
         with pytest.raises(SearchError):
-            WindowSearch(beam=0)
+            search_window(None, {}, None, None, None, beam=0)
         with pytest.raises(SearchError):
             search_window(None, {}, None, None, None, beam=-1)
 
 
 class TestBackends:
-    def test_resolution_infers_from_jobs(self):
-        assert isinstance(resolve_backend(None, 1), SerialBackend)
-        process = resolve_backend(None, 4)
-        assert isinstance(process, ProcessBackend)
-        assert process.jobs == 4
-        assert isinstance(resolve_backend("serial", 8), SerialBackend)
+    """The two execution paths ``jobs`` selects: in-process and a pool."""
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SearchError, match="unknown execution backend"):
-            resolve_backend("gpu", 1)
+    def test_resolution_infers_from_jobs(self, monkeypatch, tiny_scenario,
+                                         het_mcm, small_budget):
+        """jobs=1, or a single task, runs in-process; anything else
+        builds a pool of min(jobs, tasks) workers."""
+        import repro.core.scar as scar
 
-    def test_builtin_names_registered(self):
-        assert set(backend_names()) >= {"serial", "process"}
+        pools: list[int] = []
+        real_pool = scar.ProcessPoolExecutor
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(SearchError):
-            register_backend("serial")(lambda jobs: SerialBackend())
+        def spy(**kwargs):
+            pools.append(kwargs["max_workers"])
+            return real_pool(**kwargs)
+
+        monkeypatch.setattr(scar, "ProcessPoolExecutor", spy)
+        SCARScheduler(het_mcm, nsplits=1,
+                      budget=small_budget).schedule(tiny_scenario)
+        SCARScheduler(het_mcm, nsplits=0, budget=small_budget,
+                      jobs=4).schedule(tiny_scenario)  # one task
+        assert pools == []
+        SCARScheduler(het_mcm, nsplits=1, budget=small_budget,
+                      jobs=4).schedule(tiny_scenario)  # two tasks
+        assert pools == [2]
 
     def test_process_backend_bit_identical_to_serial(
             self, tiny_scenario, het_mcm, small_budget):
-        serial = SCARScheduler(het_mcm, nsplits=1, budget=small_budget,
-                               backend="serial").schedule(tiny_scenario)
+        serial = SCARScheduler(het_mcm, nsplits=1,
+                               budget=small_budget).schedule(tiny_scenario)
         pooled = SCARScheduler(het_mcm, nsplits=1, budget=small_budget,
-                               backend="process",
                                jobs=2).schedule(tiny_scenario)
         assert pooled.metrics == serial.metrics
         assert pooled.schedule == serial.schedule
@@ -226,21 +225,6 @@ class TestBackends:
         assert pooled.perf.num_segments > 0
         assert 0 < pooled.perf.num_segments_recosted \
             <= pooled.perf.num_segments
-
-    def test_scheduler_rejects_unknown_backend(self, het_mcm):
-        with pytest.raises(SearchError):
-            SCARScheduler(het_mcm, backend="quantum")
-
-    def test_perf_reports_backend_parallelism_not_configured_jobs(
-            self, tiny_scenario, het_mcm, small_budget):
-        """An explicit serial backend overriding jobs=N reports jobs=1."""
-        result = SCARScheduler(het_mcm, nsplits=1, budget=small_budget,
-                               backend="serial",
-                               jobs=8).schedule(tiny_scenario)
-        assert result.perf.jobs == 1
-        pooled = SCARScheduler(het_mcm, nsplits=1, budget=small_budget,
-                               jobs=2).schedule(tiny_scenario)
-        assert pooled.perf.jobs == 2
 
 
 class TestProvisioningPlumbing:
@@ -341,25 +325,25 @@ class TestEvalCacheLRU:
 
 class TestRequestThreading:
     def test_backend_and_beam_round_trip(self):
-        request = ScheduleRequest(scenario_id=4, backend="process",
-                                  beam=3)
-        rebuilt = ScheduleRequest.from_dict(request.to_dict())
-        assert rebuilt == request
-        assert rebuilt.backend == "process" and rebuilt.beam == 3
+        """beam round-trips; a legacy backend key is dropped."""
+        request = ScheduleRequest(scenario_id=4, beam=3)
+        rebuilt = ScheduleRequest.from_dict(
+            {**request.to_dict(), "backend": "process"})
+        assert rebuilt == request and rebuilt.beam == 3
+        assert "backend" not in rebuilt.to_dict()
 
     def test_legacy_documents_without_engine_fields_parse(self):
         data = ScheduleRequest(scenario_id=4).to_dict()
-        del data["backend"], data["beam"]
-        rebuilt = ScheduleRequest.from_dict(data)
-        assert rebuilt.backend is None and rebuilt.beam is None
+        del data["beam"]
+        assert ScheduleRequest.from_dict(data).beam is None
 
     def test_validation(self):
-        with pytest.raises(ConfigError, match="backend"):
-            ScheduleRequest(scenario_id=4, backend="quantum")
         with pytest.raises(ConfigError, match="beam"):
             ScheduleRequest(scenario_id=4, beam=0)
-        with pytest.raises(ConfigError, match="backend"):
-            Session(backend="quantum")
+        with pytest.raises(ConfigError, match="jobs"):
+            Session(jobs=0)
+        with pytest.raises(ConfigError, match="eval_mode"):
+            Session(eval_mode="quantum")
 
     def test_cache_key_separates_beam(self):
         base = ScheduleRequest(scenario_id=4)
@@ -368,12 +352,12 @@ class TestRequestThreading:
 
     def test_session_backend_bit_identical_to_serial(
             self, tiny_scenario, small_budget):
-        """A session-wide process backend changes no result bit."""
+        """Session(jobs=2) fans the window search over a worker pool
+        and changes no result bit."""
         request = ScheduleRequest.for_scenario(
             tiny_scenario, nsplits=1, budget=small_budget)
         serial = Session().submit(request)
-        pooled = Session(backend="process").submit(
-            request.replace(jobs=2))
-        assert pooled.schedule == serial.schedule
-        assert pooled.metrics == serial.metrics
+        pooled = Session(jobs=2).submit(request)
+        assert pooled.same_payload(serial)
+        assert pooled.perf.jobs == 2 and serial.perf.jobs == 1
         assert pooled.window_candidates == serial.window_candidates

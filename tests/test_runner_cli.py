@@ -1,56 +1,64 @@
-"""Tests for the experiment runner and the CLI."""
+"""Tests for the experiment run path and the CLI."""
 
 import argparse
 import json
 
 import pytest
 
+from repro.api import Session
 from repro.cli import _positive_int, build_parser, main
 from repro.errors import ConfigError
 from repro.experiments.runner import (
     CORE_STRATEGIES,
     STRATEGIES,
     ExperimentConfig,
-    ExperimentRunner,
+    strategy_request,
 )
 
 
-@pytest.fixture
-def runner():
-    with pytest.warns(DeprecationWarning):
-        return ExperimentRunner(ExperimentConfig.fast())
+def _request(scenario, strategy):
+    return strategy_request(scenario, strategy, "edp",
+                            ExperimentConfig.fast())
 
 
 class TestRunner:
-    def test_unknown_strategy_rejected(self, runner, tiny_scenario):
-        with pytest.raises(ConfigError):
-            runner.run(tiny_scenario, "magic")
+    """strategy_request + Session: how every experiment driver runs."""
 
-    def test_standalone_strategy(self, runner, tiny_scenario):
-        run = runner.run(tiny_scenario, "stand_nvd")
+    def test_unknown_strategy_rejected(self, tiny_scenario):
+        with pytest.raises(ConfigError, match="unknown strategy"):
+            _request(tiny_scenario, "magic")
+
+    def test_standalone_strategy(self, tiny_scenario):
+        run = Session().submit(_request(tiny_scenario, "stand_nvd"))
         assert run.latency_s > 0
-        assert run.scar_result is None
+        assert run.raw is None
 
-    def test_scar_strategy_carries_population(self, runner, tiny_scenario):
-        run = runner.run(tiny_scenario, "het_sides")
-        assert run.scar_result is not None
-        assert run.scar_result.num_evaluated > 0
+    def test_scar_strategy_carries_population(self, tiny_scenario):
+        session = Session()
+        run = session.submit(_request(tiny_scenario, "het_sides"))
+        assert run.raw is not None
+        assert run.raw.num_evaluated > 0
+        assert session.perf_summary().num_evaluated > 0
 
-    def test_memoization(self, runner, tiny_scenario):
-        a = runner.run(tiny_scenario, "het_sides")
-        b = runner.run(tiny_scenario, "het_sides")
+    def test_memoization(self, tiny_scenario):
+        session = Session()
+        a = session.submit(_request(tiny_scenario, "het_sides"))
+        b = session.submit(_request(tiny_scenario, "het_sides"))
         assert a is b
 
-    def test_value_lookup(self, runner, tiny_scenario):
-        run = runner.run(tiny_scenario, "stand_nvd")
+    def test_value_lookup(self, tiny_scenario):
+        run = Session().submit(_request(tiny_scenario, "stand_nvd"))
         assert run.value("edp") == pytest.approx(
             run.value("latency") * run.value("energy"))
         with pytest.raises(ConfigError):
             run.value("power")
 
-    def test_run_many(self, runner, tiny_scenario):
-        runs = runner.run_many(tiny_scenario, ("stand_nvd", "stand_shi"))
-        assert set(runs) == {"stand_nvd", "stand_shi"}
+    def test_run_many(self, tiny_scenario):
+        strategies = ("stand_nvd", "stand_shi")
+        runs = Session().submit_many(
+            [_request(tiny_scenario, name) for name in strategies])
+        assert [run.request.template for run in runs] == \
+            [STRATEGIES[name][0] for name in strategies]
 
     def test_core_strategies_registered(self):
         assert set(CORE_STRATEGIES) <= set(STRATEGIES)
@@ -338,7 +346,7 @@ class TestSweepCLI:
         code = main(["sweep", "--spec", str(spec_path), "--scenarios",
                      "1", "--format", "json"])
         assert code == 1  # grid flags alongside --spec are rejected
-        for flag in (["--policies", "scar"], ["--fast"], ["--jobs", "2"]):
+        for flag in (["--policies", "scar"], ["--fast"]):
             capsys.readouterr()
             assert main(["sweep", "--spec", str(spec_path), "--format",
                          "json", *flag]) == 1
@@ -499,7 +507,7 @@ class TestSweepStatusCommand:
 
 
 class TestEvalModeFlags:
-    """--eval-mode / --eval-modes plumb the costing kernel through."""
+    """--eval-mode picks the session's costing kernel on every command."""
 
     def test_parser_defaults_to_unset(self):
         args = build_parser().parse_args(["schedule"])
@@ -509,7 +517,7 @@ class TestEvalModeFlags:
         args = build_parser().parse_args(["serve"])
         assert args.eval_mode is None
         args = build_parser().parse_args(["sweep"])
-        assert args.eval_modes is None
+        assert args.eval_mode is None
 
     def test_unknown_mode_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit):
@@ -527,29 +535,47 @@ class TestEvalModeFlags:
             return ScheduleResult.from_json(capsys.readouterr().out)
 
         vector, scalar = run("vector"), run("scalar")
-        assert vector.request.eval_mode == "vector"
-        assert scalar.request.eval_mode == "scalar"
-        # Same bits everywhere but the echoed request/perf.
-        assert vector.schedule == scalar.schedule
-        assert vector.metrics == scalar.metrics
-        assert vector.num_evaluated == scalar.num_evaluated
+        # Same bits everywhere but perf: the kernel is not part of
+        # the request.
+        assert vector.same_payload(scalar)
 
-    def test_sweep_crosses_eval_modes(self, capsys):
+    def test_sweep_crosses_eval_modes(self, capsys, tmp_path):
+        """The kernel is a session setting, not a grid axis: a cell the
+        vector kernel computed is a store hit for a scalar rerun."""
         pytest.importorskip("numpy")
-        assert main(["sweep", "--scenarios", "1", "--fast",
-                     "--eval-modes", "scalar,vector",
-                     "--format", "json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["kind"] == "sweep_report"
-        assert doc["cells"] == 2 and doc["computed"] == 2
-        modes = {row["eval_mode"] for row in doc["rows"]}
-        assert modes == {"scalar", "vector"}
+        store = str(tmp_path / "campaign.jsonl")
+        args = ["sweep", "--scenarios", "1", "--fast", "--store", store,
+                "--format", "json"]
+        assert main([*args, "--eval-mode", "vector"]) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert first["computed"] == 1
+        assert main([*args, "--eval-mode", "scalar"]) == 0
+        second = json.loads(capsys.readouterr().out)
+        assert second["computed"] == 0 and second["skipped"] == 1
+        assert "eval_mode" not in second["rows"][0]
 
     def test_spec_rejects_eval_modes_flag(self, capsys, tmp_path):
+        """The removed --eval-modes grid flag fails loudly instead of
+        being ignored."""
         from repro.sweep import SweepSpec
 
         path = tmp_path / "spec.json"
         path.write_text(SweepSpec(scenarios=(1,)).to_json())
-        assert main(["sweep", "--spec", str(path),
-                     "--eval-modes", "vector"]) == 1
+        with pytest.raises(SystemExit):
+            main(["sweep", "--spec", str(path), "--eval-modes", "vector"])
         assert "--eval-modes" in capsys.readouterr().err
+
+    def test_spec_combines_with_execution_flags(self, capsys, tmp_path):
+        """--jobs and --eval-mode configure the session, not the grid,
+        so they are allowed alongside --spec."""
+        pytest.importorskip("numpy")
+        from repro.core.budget import QUICK_BUDGET
+        from repro.sweep import SweepSpec
+
+        path = tmp_path / "spec.json"
+        path.write_text(SweepSpec(scenarios=(1,), nsplits=(1,),
+                                  budget=QUICK_BUDGET).to_json())
+        assert main(["sweep", "--spec", str(path), "--jobs", "2",
+                     "--eval-mode", "vector", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["cells"] == 1 and doc["computed"] == 1

@@ -5,7 +5,7 @@ import pytest
 from repro.core.budget import SearchBudget
 from repro.core.scar import SCARScheduler
 from repro.core.scoring import edp_objective, latency_objective
-from repro.errors import SearchError
+from repro.errors import ConfigError, SearchError
 
 
 @pytest.fixture
@@ -102,8 +102,10 @@ class TestParallelSearch:
     """jobs>1 must be bit-identical to the serial path."""
 
     def test_invalid_jobs_rejected(self, het_mcm):
-        with pytest.raises(SearchError):
+        with pytest.raises(ConfigError, match="jobs"):
             SCARScheduler(het_mcm, jobs=0)
+        with pytest.raises(ConfigError, match="jobs"):
+            SCARScheduler(het_mcm, jobs=1.5)
 
     def test_jobs2_bit_identical(self, tiny_scenario, het_mcm, budget):
         serial = SCARScheduler(het_mcm, nsplits=1, budget=budget) \

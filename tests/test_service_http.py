@@ -210,7 +210,42 @@ class TestSharedStoreOverHTTP:
         assert_equivalent(served, reference)
 
 
+#: (field, bad value) pairs that must fail when the request is built.
+_BAD_REQUEST_VALUES = [
+    ("nsplits", 2.5), ("nsplits", True), ("nsplits", -1),
+    ("beam", 2.5), ("beam", 0),
+    ("latency_bound_s", "1"), ("latency_bound_s", 0.0),
+    ("latency_bound_s", float("inf")),
+    ("scenario_id", "1"), ("scenario_id", 1.0),
+    ("prov_limit", -1), ("prov_limit", 0),
+    ("max_nodes_per_model", 0), ("max_nodes_per_model", 1.5),
+]
+
+
 class TestWireErrors:
+    @pytest.mark.parametrize("field,value", _BAD_REQUEST_VALUES)
+    def test_bad_request_value_is_config_error_at_every_entry(
+            self, field, value):
+        """Rejected by the constructor, by from_dict and over HTTP
+        (400 config_error) -- never as a TypeError inside the search."""
+        with pytest.raises(ConfigError, match=field):
+            ScheduleRequest(**{"scenario_id": 1, field: value})
+        document = {**ScheduleRequest(scenario_id=1).to_dict(),
+                    field: value}
+        with pytest.raises(ConfigError, match=field):
+            ScheduleRequest.from_dict(document)
+        with local_service(workers=1) as (url, _service):
+            req = urllib.request.Request(
+                url + "/v1/jobs", data=json.dumps(document).encode(),
+                method="POST",
+                headers={"Content-Type": "application/json"})
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(req, timeout=30)
+            assert excinfo.value.code == 400
+            doc = ErrorDocument.from_json(
+                excinfo.value.read().decode("utf-8"))
+            assert doc.code == "config_error"
+
     def test_unknown_job_id_raises_service_error(self):
         with local_service(workers=1) as (url, _service):
             client = ServiceClient(url)

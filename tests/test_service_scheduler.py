@@ -502,20 +502,30 @@ class TestSharedStore:
             service.submit(request).result(timeout=300)
             assert service.perf_summary()["store"]["hits"] == 1
 
-    def test_unmemoizable_requests_bypass_the_store(self, tmp_path,
-                                                    tiny_scenario,
-                                                    small_budget):
+    def test_scalar_entry_serves_a_v1_vector_request(self, tmp_path,
+                                                     tiny_scenario,
+                                                     small_budget):
+        """A result a scalar replica recorded is a store hit for a
+        vector replica, even for a v1 document that pinned
+        eval_mode="vector": the kernel is not part of the identity."""
+        pytest.importorskip("numpy")
         from repro.sweep import ResultStore
 
-        request = request_for(tiny_scenario, small_budget, "standalone",
-                              memoize=False)
-        with SchedulerService(
-                Session(),
-                store=ResultStore(tmp_path / "c.jsonl")) as service:
-            service.submit(request).result(timeout=300)
-            summary = service.perf_summary()
-        assert summary["store"] == {"hits": 0, "misses": 0,
-                                    "evictions": 0, "hit_rate": 0.0}
+        request = request_for(tiny_scenario, small_budget, "scar")
+        path = tmp_path / "cache.jsonl"
+        with SchedulerService(Session(eval_mode="scalar"),
+                              store=ResultStore(path)) as scalar:
+            stored = scalar.submit(request).result(timeout=600)
+        legacy = ScheduleRequest.from_dict(
+            {**request.to_dict(), "eval_mode": "vector", "jobs": 2})
+        with SchedulerService(Session(eval_mode="vector"),
+                              store=ResultStore(path)) as vector:
+            served = vector.submit(legacy).result(timeout=60)
+            summary = vector.perf_summary()
+        assert summary["store"]["hits"] == 1
+        assert summary["store"]["misses"] == 0
+        assert summary["session"]["num_evaluated"] == 0  # no search
+        assert served.same_payload(stored)
 
 
 class TestPerfSummary:

@@ -433,11 +433,11 @@ class TestWarmSession:
             budget=TINY_BUDGET, **kwargs)
 
     def test_warm_rerun_is_bit_identical_and_cheaper(self):
-        request = self.request(memoize=False)
-        session = Session(warm_caches=True)
+        request = self.request()
+        session = Session(warm_caches=True, max_memo=0)
         first = session.submit(request)
         second = session.submit(request)
-        assert first is not second  # memoize=False: both really ran
+        assert first is not second  # max_memo=0: both really ran
         assert first.same_payload(second)
         assert second.perf.num_segments_recosted == 0  # fully warm
         assert first.perf.num_segments_recosted > 0
@@ -469,9 +469,7 @@ class TestWarmSession:
     def test_no_warming_without_opt_in(self):
         request = self.request()
         assert Session()._warm_cache(request) is None
-        warm_session = Session(warm_caches=True)
-        uncached = dataclasses.replace(request, use_eval_cache=False)
-        assert warm_session._warm_cache(uncached) is None
+        assert Session(warm_caches=True)._warm_cache(request) is not None
 
     def test_warm_cache_lru_cap(self, monkeypatch):
         import repro.api.session as session_module

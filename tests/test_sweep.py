@@ -42,6 +42,17 @@ class TestSweepSpec:
         assert [r.cache_key() for r in rebuilt.requests()] \
             == [r.cache_key() for r in tiny_spec.requests()]
 
+    def test_v1_execution_keys_are_ignored(self, tiny_spec):
+        """A v1 spec carrying the old execution axes parses to the spec
+        without them; every cell keeps its cache key."""
+        legacy = {**tiny_spec.to_dict(), "backends": ["process", None],
+                  "eval_modes": ["scalar", "vector"], "jobs": 4,
+                  "use_eval_cache": False}
+        parsed = SweepSpec.from_dict(legacy)
+        assert parsed == tiny_spec and parsed.size == 4
+        assert [r.cache_key() for r in parsed.requests()] \
+            == [r.cache_key() for r in tiny_spec.requests()]
+
     def test_table3_ids_and_inline_specs_mix(self, tiny_scenario):
         spec = SweepSpec(scenarios=(1, scenario_spec(tiny_scenario)))
         requests = spec.requests()

@@ -5,9 +5,9 @@ never a different cost model.  Every schedule, metric, candidate
 population and perf counter it produces must be bit-identical to the
 scalar Sec. III-E reference, across scenarios, templates (mesh and
 triangular), seg-search modes and randomly generated tenant mixes; and
-the whole ``eval_mode`` plumbing (request validation, wire round-trip,
-session default, sweep axis, CLI flags, missing-numpy failure) must
-behave like the existing ``backend`` knob.
+``eval_mode`` stays an execution setting of the session and scheduler
+(validation, CLI flags, missing-numpy failure) that never reaches the
+request or its wire form.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.api import ScheduleRequest, Session
+from repro.api import ScheduleRequest, ScheduleResult, Session
 from repro.core import QUICK_BUDGET, SCARScheduler, objective_by_name
 from repro.core.evalcache import EvalCache
 from repro.engine import (
@@ -26,7 +26,7 @@ from repro.engine import (
     have_numpy,
 )
 from repro.engine.tensorkernel import require_numpy
-from repro.errors import ConfigError, SearchError
+from repro.errors import ConfigError
 from repro.mcm import templates
 from repro.sweep import SweepSpec
 from repro.workloads import scenario
@@ -36,9 +36,9 @@ from repro.workloads.generator import random_mix
 def _results(request: ScheduleRequest):
     """(scalar, vector) results for one request via session defaults.
 
-    Both sessions see the *same* request (``eval_mode=None``), so
-    ``ScheduleResult.same_payload`` -- which compares the request too --
-    is exactly the parity contract.
+    Both sessions see the *same* request (the kernel is a session
+    setting), so ``ScheduleResult.same_payload`` -- which compares the
+    request too -- is exactly the parity contract.
     """
     scalar = Session(eval_mode="scalar").submit(request)
     vector = Session(eval_mode="vector").submit(request)
@@ -87,13 +87,6 @@ class TestBitIdentity:
                 == scalar.perf.num_segments_recosted)
         assert vector.perf.num_segments_recosted > 0
 
-    def test_explicit_request_mode_beats_session_default(self):
-        request = _quick_request(1, eval_mode="vector")
-        result = Session(eval_mode="scalar").submit(request)
-        baseline = Session().submit(_quick_request(1))
-        assert result.schedule == baseline.schedule
-        assert result.metrics == baseline.metrics
-
     def test_delta_off_parity(self):
         """use_delta=False recomputes every chain through the tensor
         kernel; results still match the scalar reference."""
@@ -133,20 +126,16 @@ class TestEvaluatorUnit:
 
 
 class TestValidationAndPlumbing:
-    """eval_mode behaves like the backend knob at every layer."""
+    """eval_mode is validated once and stays out of the request."""
 
     def test_eval_modes_constant(self):
         assert EVAL_MODES == ("scalar", "vector")
         assert have_numpy()
         require_numpy()  # no-op when numpy is importable
 
-    def test_request_rejects_unknown_mode(self):
-        with pytest.raises(ConfigError, match="eval_mode"):
-            ScheduleRequest(scenario_id=1, eval_mode="bogus")
-
     def test_scheduler_rejects_unknown_mode(self):
         mcm = templates.build("het_sides_3x3", "datacenter")
-        with pytest.raises(SearchError, match="eval_mode"):
+        with pytest.raises(ConfigError, match="eval_mode"):
             SCARScheduler(mcm, eval_mode="fast")
 
     def test_session_rejects_unknown_mode(self):
@@ -164,35 +153,28 @@ class TestValidationAndPlumbing:
         assert scalar.delta and vector.delta
 
     def test_wire_round_trip(self):
-        request = ScheduleRequest(scenario_id=1, eval_mode="vector")
-        assert ScheduleRequest.from_dict(request.to_dict()) == request
-        assert '"eval_mode":"vector"' in request.cache_key()
-
-    def test_cache_key_separates_modes(self):
-        scalar = ScheduleRequest(scenario_id=1, eval_mode="scalar")
-        vector = ScheduleRequest(scenario_id=1, eval_mode="vector")
-        unset = ScheduleRequest(scenario_id=1)
-        assert len({scalar.cache_key(), vector.cache_key(),
-                    unset.cache_key()}) == 3
+        """A vector-kernel result round-trips; its echoed request
+        carries no kernel."""
+        result = Session(eval_mode="vector").submit(_quick_request(1))
+        document = result.to_dict()
+        assert "eval_mode" not in document["request"]
+        assert ScheduleResult.from_dict(document).same_payload(result)
 
     def test_legacy_document_means_unset(self):
-        """Requests serialized before the kernel landed still load."""
+        """A v1 request's eval_mode key means nothing: every value
+        parses to the same request and cache key."""
         data = ScheduleRequest(scenario_id=1).to_dict()
-        del data["eval_mode"]
-        assert ScheduleRequest.from_dict(data).eval_mode is None
-
-    def test_sweep_axis(self):
-        spec = SweepSpec(scenarios=(1,),
-                         eval_modes=("scalar", "vector"))
-        requests = spec.requests()
-        assert spec.size == len(requests) == 2
-        assert {r.eval_mode for r in requests} == {"scalar", "vector"}
-        assert SweepSpec.from_dict(spec.to_dict()) == spec
+        parsed = {ScheduleRequest.from_dict({**data, "eval_mode": mode})
+                  .cache_key() for mode in (None, "scalar", "vector")}
+        assert parsed == {ScheduleRequest(scenario_id=1).cache_key()}
 
     def test_sweep_legacy_document_means_scalar_default(self):
-        data = SweepSpec(scenarios=(1,)).to_dict()
-        del data["eval_modes"]
-        assert SweepSpec.from_dict(data).eval_modes == (None,)
+        """A v1 sweep spec's eval_modes axis is dropped: it re-searched
+        identical problems."""
+        spec = SweepSpec(scenarios=(1,))
+        data = {**spec.to_dict(), "eval_modes": ["scalar", "vector"]}
+        assert SweepSpec.from_dict(data) == spec
+        assert spec.size == 1
 
     def test_determinism_lint_covers_the_kernel(self):
         from repro.analysis.determinism import _in_scope
@@ -224,16 +206,12 @@ class TestMissingNumpy:
         with pytest.raises(ConfigError, match="numpy"):
             Session(eval_mode="vector")
 
-    def test_vector_request_fails_as_config_error(self, no_numpy):
-        """A vector request on a numpy-less host surfaces the stable
-        config_error wire code (HTTP 400 through the service)."""
-        from repro.api import ErrorDocument
-
-        request = _quick_request(1, eval_mode="vector")
-        with pytest.raises(ConfigError) as excinfo:
-            Session().submit(request)
-        assert ErrorDocument.from_exception(excinfo.value).code \
-            == "config_error"
+    def test_v1_vector_request_runs_on_a_scalar_host(self, no_numpy):
+        """A v1 document that pinned eval_mode="vector" is served by a
+        numpy-less host: the kernel is the session's choice."""
+        data = {**_quick_request(1).to_dict(), "eval_mode": "vector"}
+        result = Session().submit(ScheduleRequest.from_dict(data))
+        assert result.num_evaluated > 0
 
     def test_scalar_path_still_runs(self, no_numpy):
         result = Session().submit(_quick_request(1))
