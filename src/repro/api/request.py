@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from typing import Any
 
 from repro.api.wire import (
@@ -259,6 +260,11 @@ class ScheduleResult:
     window candidates, packing plan) for callers that need more than the
     wire form carries; it never crosses the wire and is excluded from
     equality so JSON round-trips compare clean.
+
+    :attr:`wire_bytes` is the canonical encoding, computed on first read
+    and kept on the instance (not a field), so it is not part of
+    equality, ``repr`` or :meth:`same_payload`, and a
+    ``dataclasses.replace`` copy encodes afresh.
     """
 
     request: ScheduleRequest
@@ -349,7 +355,9 @@ class ScheduleResult:
                 schedule=schedule_from_dict(data["schedule"]),
                 metrics=metrics_from_dict(data["metrics"]),
                 window_candidates=tuple(
-                    tuple(CandidatePoint.from_dict(point)
+                    tuple(CandidatePoint(score=point["score"],
+                                         latency_s=point["latency_s"],
+                                         energy_j=point["energy_j"])
                           for point in window)
                     for window in data["window_candidates"]
                 ),
@@ -359,6 +367,18 @@ class ScheduleResult:
             )
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed schedule result: {exc}") from exc
+
+    @cached_property
+    def wire_bytes(self) -> bytes:
+        """Compact, sorted-key UTF-8 JSON of :meth:`to_dict`.
+
+        Encoded once per result (cached_property writes ``__dict__``
+        directly, which is fine on a frozen dataclass): a memoized
+        result is immutable, and the HTTP front-end answers every
+        ``GET /result`` for it with these bytes.
+        """
+        return json.dumps(self.to_dict(), sort_keys=True,
+                          separators=(",", ":")).encode("utf-8")
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

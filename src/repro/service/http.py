@@ -15,10 +15,12 @@ Endpoints (all JSON, all under ``/v1``)::
     GET    /v1/health              -> {"status": "ok", ...}
 
 Every failure body is a structured :class:`~repro.api.ErrorDocument` --
-no tracebacks cross the wire.  :class:`ServiceServer` is a
-``ThreadingHTTPServer`` bound to one :class:`SchedulerService`;
-:func:`local_service` runs one in a background thread for tests,
-examples and notebooks.
+no tracebacks cross the wire.  A ``schedule_result`` body is the
+result's :attr:`~repro.api.ScheduleResult.wire_bytes`, encoded once per
+result object, so repeated fetches of a memoized result re-encode
+nothing.  :class:`ServiceServer` is a ``ThreadingHTTPServer`` bound to
+one :class:`SchedulerService`; :func:`local_service` runs one in a
+background thread for tests, examples and notebooks.
 """
 
 from __future__ import annotations
@@ -71,6 +73,10 @@ class _JobsHandler(BaseHTTPRequestHandler):
     #: Socket timeout: a client that declares a body and stalls cannot
     #: pin its handler thread forever.
     timeout = 60
+    #: TCP_NODELAY: headers and body go out as two writes, and on a
+    #: keep-alive connection Nagle would hold the body back until the
+    #: client's delayed ACK (40 ms on Linux) for every response.
+    disable_nagle_algorithm = True
 
     # Quiet by default: per-request logging would swamp test output.
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
@@ -85,6 +91,10 @@ class _JobsHandler(BaseHTTPRequestHandler):
     def _send(self, status: int, payload: dict | list,
               headers: dict[str, str] | None = None) -> None:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        self._send_bytes(status, body, headers)
+
+    def _send_bytes(self, status: int, body: bytes,
+                    headers: dict[str, str] | None = None) -> None:
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -239,7 +249,7 @@ class _JobsHandler(BaseHTTPRequestHandler):
         record, result = self.service.snapshot(job_id)
         if record.state == jobstate.DONE:
             assert result is not None
-            self._send(200, result.to_dict())
+            self._send_bytes(200, result.wire_bytes)
         elif record.state == jobstate.FAILED:
             assert record.error is not None
             self._send(500, record.error.to_dict())

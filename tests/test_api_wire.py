@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import pickle
 import random
 
 import pytest
@@ -263,6 +264,43 @@ class TestResultRoundTrip:
             result.value("latency") * result.value("energy"))
         with pytest.raises(ConfigError):
             result.value("power")
+
+    @pytest.mark.parametrize("point", [
+        {"score": 1.0, "latency_s": 0.01},
+        [1.0, 0.01, 0.002],
+        None,
+    ], ids=["missing-energy", "list", "null"])
+    def test_malformed_window_candidate_is_config_error(self, result,
+                                                        point):
+        document = result.to_dict()
+        document["window_candidates"][0][0] = point
+        with pytest.raises(ConfigError):
+            ScheduleResult.from_dict(document)
+
+    def test_wire_bytes_is_the_compact_sorted_encoding(self, result):
+        assert result.wire_bytes == json.dumps(
+            result.to_dict(), sort_keys=True,
+            separators=(",", ":")).encode()
+        assert result.wire_bytes is result.wire_bytes  # encoded once
+        assert ScheduleResult.from_dict(
+            json.loads(result.wire_bytes)) == result
+
+    def test_encoding_is_not_part_of_the_value(self, result):
+        """Reading wire_bytes first changes none of ==, repr,
+        same_payload, dataclasses.replace or a pickle round-trip."""
+        read = ScheduleResult.from_dict(result.to_dict())
+        unread = ScheduleResult.from_dict(result.to_dict())
+        encoded = read.wire_bytes
+        assert read == unread and repr(read) == repr(unread)
+        assert read.same_payload(unread) and unread.same_payload(read)
+        assert dataclasses.replace(read) == unread
+        changed = dataclasses.replace(
+            read, num_evaluated=read.num_evaluated + 1)
+        assert json.loads(changed.wire_bytes)["num_evaluated"] == \
+            read.num_evaluated + 1
+        clone = pickle.loads(pickle.dumps(read))
+        assert clone == unread and repr(clone) == repr(unread)
+        assert clone.wire_bytes == encoded
 
 
 class TestLintReportRoundTrip:

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.api import ErrorDocument, ScheduleRequest, Session
+from repro.api import ErrorDocument, ScheduleRequest, ScheduleResult, Session
 from repro.errors import (
     ConfigError,
     JobNotFoundError,
@@ -352,3 +353,60 @@ class TestWireErrors:
             client = ServiceClient(url)
             result = client.submit(request).result(timeout=300)
             assert result.metrics.latency_s > 0
+
+
+class TestResultBody:
+    def test_memo_hit_serves_the_once_encoded_body(self, tiny_scenario,
+                                                   small_budget,
+                                                   monkeypatch):
+        """A request and its memo hit: both GET /result bodies are the
+        same compact sorted-key bytes, from one to_dict call."""
+        request = request_for(tiny_scenario, small_budget, "standalone")
+        reference = Session().submit(request)
+        to_dict = ScheduleResult.to_dict
+        encoded = []
+
+        def counting_to_dict(result):
+            encoded.append(result)
+            return to_dict(result)
+
+        monkeypatch.setattr(ScheduleResult, "to_dict", counting_to_dict)
+        with local_service(workers=1) as (url, service):
+            client = ServiceClient(url)
+            bodies = []
+            for _ in range(2):
+                handle = client.submit(request)
+                assert handle.wait(timeout=300).state == DONE
+                with urllib.request.urlopen(
+                        f"{url}/v1/jobs/{handle.job_id}/result",
+                        timeout=30) as response:
+                    bodies.append(response.read())
+            memoized = service.session.cached(request)
+        assert len(encoded) == 1 and encoded[0] is memoized
+        assert bodies[0] == bodies[1] == json.dumps(
+            to_dict(memoized), sort_keys=True,
+            separators=(",", ":")).encode()
+        decoded = ScheduleResult.from_dict(json.loads(bodies[1]))
+        assert decoded.same_payload(reference)
+
+    def test_keep_alive_responses_are_not_delayed(self):
+        """20 GETs over one persistent connection.  With Nagle's
+        algorithm on, every body waited for the client's delayed ACK
+        (at least 40 ms on Linux), so 20 took at least 0.8 s."""
+        import http.client
+
+        with local_service(workers=1) as (url, _service):
+            host, port = url.removeprefix("http://").split(":")
+            conn = http.client.HTTPConnection(host, int(port),
+                                              timeout=30)
+            try:
+                started = time.perf_counter()
+                for _ in range(20):
+                    conn.request("GET", "/v1/health")
+                    response = conn.getresponse()
+                    assert response.status == 200
+                    response.read()
+                elapsed = time.perf_counter() - started
+            finally:
+                conn.close()
+        assert elapsed < 0.4, f"20 keep-alive GETs took {elapsed:.3f} s"
