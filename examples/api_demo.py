@@ -2,8 +2,8 @@
 
 Builds three declarative :class:`~repro.api.ScheduleRequest` jobs (SCAR
 under two objectives plus the standalone baseline), runs them through one
-:class:`~repro.api.Session` batch, round-trips a result through its JSON
-wire document and prints the session's aggregate perf report.
+:class:`~repro.api.Session`, round-trips a result through its JSON wire
+document and prints the session's running perf total.
 
 Run:  python examples/api_demo.py
 """
@@ -23,7 +23,7 @@ def main() -> None:
         scar.replace(template="simba_nvd_3x3", policy="standalone"),
     ]
 
-    results = session.submit_many(requests)
+    results = [session.submit(request) for request in requests]
     for request, result in zip(requests, results):
         print(f"{request.policy:10s} {request.objective:8s} "
               f"{result.metrics.summary()}")

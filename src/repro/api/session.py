@@ -1,18 +1,12 @@
-"""The Session facade: lifecycle owner and batch executor.
+"""The Session facade: lifecycle owner of scheduling runs.
 
 A :class:`Session` owns everything a scheduling run needs besides the
 request itself -- MCM construction, the memoized
 :class:`~repro.dataflow.database.LayerCostDatabase` per clock domain,
-resolved scenarios, the result memo and the accumulated perf reports --
-and exposes two calls:
-
-``submit(request)``         run one :class:`ScheduleRequest`.
-``submit_many(requests)``   run a batch, optionally fanned out over a
-                            process pool (``jobs=N``); results come back
-                            in request order and are bit-identical to a
-                            serial loop, the same contract as the
-                            parallel window search inside
-                            :class:`~repro.core.scar.SCARScheduler`.
+resolved scenarios, the result memo and a running perf total -- and
+runs one :class:`ScheduleRequest` per :meth:`Session.submit` call.
+Overlapping many requests is the job service's concern
+(:class:`~repro.service.SchedulerService`).
 
 Results are memoized on :meth:`ScheduleRequest.cache_key`.  The request
 names the problem only; the session owns execution (``jobs``,
@@ -30,7 +24,6 @@ import json
 import threading
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
-from typing import Iterable
 
 from repro.api import policies as _builtin_policies  # noqa: F401
 from repro.api.registry import (
@@ -49,10 +42,6 @@ from repro.mcm import templates
 from repro.perf import PerfReport, aggregate_reports
 from repro.workloads.model import Scenario
 
-#: Cap on the accumulated perf log, mirroring ``repro.perf.GLOBAL_PERF``:
-#: a long-running service session must not grow memory per run.
-_PERF_REPORTS_CAP = 4096
-
 #: LRU cap on resolved scenarios: inline ``scenario_spec`` requests are
 #: each a distinct key, so the cache must not grow per unique spec.
 #: Evicted scenarios re-resolve deterministically on the next submit.
@@ -70,9 +59,9 @@ class Session:
 
     One session per process (or per logical tenant) is the intended
     shape: experiments, the CLI and batch drivers all share databases and
-    results through it.  SCAR runs' perf reports accumulate in
-    ``perf_reports`` for aggregate throughput / cache-hit reporting
-    (capped to the most recent 4096 runs, like the process-wide log).
+    results through it.  SCAR runs' perf reports fold into one running
+    total, :meth:`perf_summary`, for aggregate throughput / cache-hit
+    reporting.
 
     ``max_memo`` bounds the result memo: ``None`` (the default) keeps
     every result, ``N >= 1`` keeps the N most recently used, ``0``
@@ -125,8 +114,7 @@ class Session:
             OrderedDict()  # guarded by: _mutex
         self._eval_caches: OrderedDict[str, EvalCache] = \
             OrderedDict()  # guarded by: _mutex
-        self.perf_reports: list[PerfReport] = []  # guarded by: _mutex
-        self.perf_reports_dropped = 0  # guarded by: _mutex
+        self._perf_total = PerfReport()  # guarded by: _mutex
         self._mutex = threading.RLock()
 
     # -- resource lifecycle ------------------------------------------------
@@ -222,8 +210,8 @@ class Session:
                  *, log_perf: bool = False) -> None:
         """Adopt an externally computed result exactly as submit would.
 
-        ``log_perf=True`` also appends the result's perf report to the
-        session log -- right for results this session's own workers
+        ``log_perf=True`` also adds the result's perf report to the
+        session total -- right for results this session's own workers
         computed, wrong for results another replica computed (their
         engine counters belong to that replica's session).
         """
@@ -256,113 +244,39 @@ class Session:
 
     def _log_perf(self, perf: PerfReport) -> None:
         with self._mutex:
-            self.perf_reports.append(perf)
-            if len(self.perf_reports) > _PERF_REPORTS_CAP:
-                excess = len(self.perf_reports) - _PERF_REPORTS_CAP
-                del self.perf_reports[:excess]
-                self.perf_reports_dropped += excess
-
-    def submit_many(self, requests: Iterable[ScheduleRequest], *,
-                    jobs: int = 1) -> list[ScheduleResult]:
-        """Run a batch of requests, in request order.
-
-        ``jobs > 1`` fans memo-missing requests out over worker
-        processes (one fresh session per worker, with this session's
-        ``jobs`` and ``eval_mode``); each request is independently
-        deterministic, so the batch's schedules/metrics are
-        bit-identical to a serial loop.  Duplicates run once, and worker
-        perf reports / memo entries merge back into this session in
-        request order -- matching what a serial loop would have
-        accumulated.  Fanned-out results come back (and are memoized)
-        without the in-process ``raw`` population, which would dominate
-        the inter-process transfer; when a consumer needs the full
-        population, run the request through ``submit`` on a fresh
-        session.
-
-        A non-default registry must be picklable (module-level policy
-        functions) to cross into spawned workers; on fork-based
-        platforms it is inherited either way.
-        """
-        requests = list(requests)
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if jobs == 1 or len(requests) <= 1:
-            return [self.submit(request) for request in requests]
-
-        results: list[ScheduleResult | None] = [None] * len(requests)
-        #: one entry per unique run; duplicates share a slot.
-        pending: dict[str, list[int]] = {}
-        for i, request in enumerate(requests):
-            key = request.cache_key()
-            memoized = self._memo_get(key)
-            if memoized is not None:
-                results[i] = memoized
-            else:
-                pending.setdefault(key, []).append(i)
-        if pending:
-            with self.process_pool(min(jobs, len(pending))) as pool:
-                fanned = list(pool.map(
-                    run_pooled_request,
-                    [requests[indices[0]] for indices in pending.values()]))
-            for key, result in zip(pending, fanned):
-                for i in pending[key]:
-                    results[i] = result
-                if result.perf is not None:
-                    self._log_perf(result.perf)
-                self._memo_put(key, result)
-        return results  # type: ignore[return-value]
+            self._perf_total = aggregate_reports([self._perf_total, perf])
 
     def process_pool(self, max_workers: int) -> ProcessPoolExecutor:
         """A worker-process pool that mirrors this session.
 
         Each worker process builds a fresh session with the same
         registry, ``jobs`` and ``eval_mode``; submit requests to it with
-        :func:`run_pooled_request`.  Shared by :meth:`submit_many` and
-        the service's process job backend; the picklability caveats in
-        :meth:`submit_many` apply.  Workers spawn lazily, so building
-        the pool is cheap until the first submit.
+        :func:`run_pooled_request`.  The service's process job backend
+        runs on it.  A non-default registry must be picklable
+        (module-level policy functions) to cross into spawned workers;
+        on fork-based platforms it is inherited either way.  Workers
+        spawn lazily, so building the pool is cheap until the first
+        submit.
         """
         # The default registry needs no shipping: workers rebuild it
         # (fork inherits any extra registrations either way).
         registry = None if self.registry is DEFAULT_REGISTRY \
             else self.registry
         return ProcessPoolExecutor(
-            max_workers=max_workers, initializer=_batch_worker_init,
+            max_workers=max_workers, initializer=_pool_worker_init,
             initargs=(registry, self.jobs, self.eval_mode))
 
     # -- reporting ---------------------------------------------------------
 
-    def perf_log_position(self) -> int:
-        """Monotone count of reports ever logged (drops included).
-
-        Snapshot it around a submit and feed the difference to
-        :meth:`perf_reports_tail` to attribute evaluator work to that
-        submit -- the simulation replay's per-event accounting.  Unlike
-        ``len(perf_reports)``, cap trimming never moves it backwards.
-        """
-        with self._mutex:
-            return len(self.perf_reports) + self.perf_reports_dropped
-
-    def perf_reports_tail(self, count: int) -> list[PerfReport]:
-        """The most recent ``count`` logged reports (possibly fewer)."""
-        if count <= 0:
-            return []
-        with self._mutex:
-            return list(self.perf_reports[-count:])
-
     def perf_summary(self) -> PerfReport:
-        """Aggregate perf report over every SCAR run this session made.
+        """Running total over every SCAR run this session made.
 
-        Snapshots the log under the lock so a concurrent worker's append
-        or cap-trim cannot tear the aggregate.  ``reports_dropped`` on
-        the aggregate counts runs the 4096-entry cap evicted -- when it
-        is non-zero the summary undercounts (a long simulation replay
-        can exceed the cap; see :mod:`repro.sim`).
+        A snapshot: the total is replaced, never mutated, on each run,
+        so a held summary keeps its value and diffs against a later one
+        with :func:`repro.perf.diff_reports`.
         """
         with self._mutex:
-            reports = list(self.perf_reports)
-            dropped = self.perf_reports_dropped
-        return aggregate_reports(reports, reports_dropped=dropped)
+            return self._perf_total
 
     # -- result assembly ---------------------------------------------------
 
@@ -389,26 +303,23 @@ class Session:
         )
 
 
-# -- batch-pool worker state (one session per worker process) --------------
+# -- process-pool worker state (one session per worker process) ------------
 
 _WORKER_SESSION: Session | None = None
 
 
-def _batch_worker_init(registry: SchedulerRegistry | None, jobs: int,
-                       eval_mode: str) -> None:
+def _pool_worker_init(registry: SchedulerRegistry | None, jobs: int,
+                      eval_mode: str) -> None:
     global _WORKER_SESSION
     _WORKER_SESSION = Session(registry, jobs=jobs, eval_mode=eval_mode)
 
 
-def _batch_worker_run(request: ScheduleRequest) -> ScheduleResult:
+def run_pooled_request(request: ScheduleRequest) -> ScheduleResult:
+    """Run one request on a pool built by :meth:`Session.process_pool`.
+
+    Module-level, and so picklable.  The result comes back without the
+    in-process ``raw`` population: it is excluded from equality and the
+    wire anyway, and would dominate the transfer.
+    """
     assert _WORKER_SESSION is not None
-    result = _WORKER_SESSION.submit(request)
-    # The raw candidate population stays in the worker: it is excluded
-    # from equality/wire anyway and would dominate the IPC payload.
-    return dataclasses.replace(result, raw=None)
-
-
-#: Run one request on a pool built by :meth:`Session.process_pool`.
-#: Module-level (and so picklable) by construction; the public name for
-#: front-ends that drive the pool future-by-future.
-run_pooled_request = _batch_worker_run
+    return dataclasses.replace(_WORKER_SESSION.submit(request), raw=None)

@@ -180,7 +180,6 @@ def perf_from_dict(data: dict[str, Any]) -> PerfReport:
                    for table, entry in data.get("cache", {}).items()},
             num_segments=data.get("num_segments", 0),
             num_segments_recosted=data.get("num_segments_recosted", 0),
-            reports_dropped=data.get("reports_dropped", 0),
         )
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed perf report: {exc}") from exc

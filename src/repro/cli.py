@@ -56,7 +56,6 @@ from typing import Callable
 
 from repro.experiments import (
     ExperimentConfig,
-    drain_perf_reports,
     run_arvr,
     run_breakdown,
     run_datacenter,
@@ -69,7 +68,7 @@ from repro.experiments import (
     run_packing_ablation,
     run_prov_ablation,
 )
-from repro.perf import aggregate_reports
+from repro.perf import diff_reports, process_total
 
 _EXPERIMENTS: dict[str, tuple[str, Callable[[ExperimentConfig], str]]] = {
     "fig2": ("Fig. 2 motivational 2x2 study",
@@ -789,14 +788,12 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_serve(args)
     config = ExperimentConfig.fast(jobs=args.jobs) if args.fast \
         else ExperimentConfig(jobs=args.jobs)
-    drain_perf_reports()  # start the perf log fresh for this command
+    perf_before = process_total()
     _, runner = _EXPERIMENTS[args.command]
     print(runner(config))
     if args.perf_stats:
-        reports = drain_perf_reports()
-        if reports:
-            print()
-            print(aggregate_reports(reports, jobs=args.jobs).render())
+        print()
+        print(diff_reports(process_total(), perf_before).render())
     return 0
 
 

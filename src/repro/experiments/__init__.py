@@ -26,7 +26,6 @@ from repro.experiments.runner import (
     ExperimentConfig,
     strategy_request,
 )
-from repro.perf import drain_perf_reports
 from repro.experiments.scale6x6 import Scale6x6Result, run_fig13
 from repro.experiments.schedule_detail import BreakdownResult, run_breakdown
 from repro.experiments.topology_ablation import TopologyResult, run_fig12
@@ -36,7 +35,7 @@ __all__ = [
     "DatacenterResult", "ExperimentConfig",
     "Fig2Result", "ParetoResult", "STRATEGIES", "Scale6x6Result",
     "TopologyResult", "ascii_scatter",
-    "drain_perf_reports", "format_table",
+    "format_table",
     "normalize", "pareto_front", "run_arvr", "run_breakdown",
     "run_datacenter", "run_fig11", "run_fig12", "run_fig13", "run_fig2",
     "run_fig8", "run_nsplits_ablation", "run_pareto", "run_packing_ablation",

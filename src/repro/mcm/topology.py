@@ -12,10 +12,9 @@ traffic analyzer can attribute flows to individual links.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from functools import lru_cache
-
-import networkx as nx
 
 from repro.errors import HardwareError
 
@@ -137,16 +136,23 @@ class Topology:
 @lru_cache(maxsize=None)
 def _all_pairs_paths(rows: int, cols: int,
                      kind: str) -> dict[tuple[int, int], list[int]]:
-    """Deterministic all-pairs shortest paths for non-mesh topologies."""
+    """Deterministic all-pairs shortest paths for non-mesh topologies.
+
+    One FIFO breadth-first search per source over the ascending
+    neighbor lists; the first path to reach a node is kept, which is the
+    lowest-node-id tie-break.
+    """
     topo = Topology(rows=rows, cols=cols, kind=kind)
-    graph = nx.Graph()
-    graph.add_nodes_from(range(topo.num_nodes))
-    graph.add_edges_from(topo.edges())
     paths: dict[tuple[int, int], list[int]] = {}
     for src in range(topo.num_nodes):
-        # nx BFS is deterministic given sorted adjacency insertion order.
-        for dst, path in nx.single_source_shortest_path(graph, src).items():
-            paths[(src, dst)] = path
+        paths[(src, src)] = [src]
+        frontier = deque([src])
+        while frontier:
+            node = frontier.popleft()
+            for nxt in topo.neighbors(node):
+                if (src, nxt) not in paths:
+                    paths[(src, nxt)] = paths[(src, node)] + [nxt]
+                    frontier.append(nxt)
     return paths
 
 

@@ -12,11 +12,16 @@ acceleration") surfaces its effect through two small value types:
   machine-readable form written into ``benchmarks/BENCH_*.json``.
 
 Both types merge associatively, so parallel workers can ship their local
-counters back to the parent for a deterministic aggregate.
+counters back to the parent for a deterministic aggregate, and a long
+run of scheduling calls keeps one running total rather than a log:
+:func:`log_report` folds every run into the process total, and a reader
+that wants "the work since X" diffs two snapshots with
+:func:`diff_reports`.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 
@@ -96,11 +101,6 @@ class PerfReport:
                                difference is what the engine's
                                delta-evaluation fast path saved (see
                                :class:`repro.engine.CandidateEvaluator`).
-    ``reports_dropped``        on an *aggregate* report: how many
-                               per-run reports the capped log evicted
-                               before this summary was taken (0 on a
-                               single run's report).  Non-zero means the
-                               summary undercounts.
     """
 
     wall_s: float = 0.0
@@ -110,7 +110,6 @@ class PerfReport:
     cache: dict[str, CacheStats] = field(default_factory=dict)
     num_segments: int = 0
     num_segments_recosted: int = 0
-    reports_dropped: int = 0
 
     @property
     def evals_per_s(self) -> float:
@@ -142,10 +141,6 @@ class PerfReport:
             f"evaluations    {self.num_evaluated} window candidates over "
             f"{self.num_windows} windows ({self.evals_per_s:.0f} evals/s)",
         ]
-        if self.reports_dropped:
-            lines.append(
-                f"dropped        {self.reports_dropped} per-run reports "
-                f"evicted by the log cap (summary undercounts)")
         if self.num_segments:
             lines.append(
                 f"segments       {self.num_segments_recosted}/"
@@ -169,7 +164,6 @@ class PerfReport:
             "num_segments": self.num_segments,
             "num_segments_recosted": self.num_segments_recosted,
             "segment_reuse_rate": self.segment_reuse_rate,
-            "reports_dropped": self.reports_dropped,
             "cache": {table: stats.to_dict()
                       for table, stats in sorted(self.cache.items())},
         }
@@ -181,8 +175,7 @@ class TimingSummary:
 
     The scheduling service feeds one sample per job into two of these
     (time spent ``QUEUED`` and time spent ``RUNNING``) and surfaces them
-    through ``SchedulerService.perf_summary()``; merging is associative
-    so summaries from several services can combine.
+    through ``SchedulerService.perf_summary()``.
     """
 
     count: int = 0
@@ -205,77 +198,69 @@ class TimingSummary:
             summary.add(sample)
         return summary
 
-    def merge(self, other: "TimingSummary") -> "TimingSummary":
-        """Combine two summaries (associative, like ``merge_stats``)."""
-        return TimingSummary(count=self.count + other.count,
-                             total_s=self.total_s + other.total_s,
-                             max_s=max(self.max_s, other.max_s))
-
     def to_dict(self) -> dict:
         return {"count": self.count, "total_s": self.total_s,
                 "mean_s": self.mean_s, "max_s": self.max_s}
 
 
-def aggregate_reports(reports: list[PerfReport],
-                      jobs: int | None = None,
-                      reports_dropped: int = 0) -> PerfReport:
+def aggregate_reports(reports: list[PerfReport]) -> PerfReport:
     """Merge perf reports of many runs into one summary.
 
-    ``jobs`` defaults to the largest worker count any report used.
-    ``reports_dropped`` records how many per-run reports the caller's
-    capped log evicted before ``reports`` was taken (also summed with
-    any drops the inputs themselves carry).
+    ``jobs`` is the largest worker count any report used.  The result
+    shares no counters with its inputs, so it stays a value.
     """
     return PerfReport(
         wall_s=sum(p.wall_s for p in reports),
         num_evaluated=sum(p.num_evaluated for p in reports),
         num_windows=sum(p.num_windows for p in reports),
-        jobs=jobs if jobs is not None
-        else max((p.jobs for p in reports), default=1),
+        jobs=max((p.jobs for p in reports), default=1),
         cache=merge_stats(*(p.cache for p in reports)),
         num_segments=sum(p.num_segments for p in reports),
         num_segments_recosted=sum(p.num_segments_recosted
                                   for p in reports),
-        reports_dropped=reports_dropped + sum(p.reports_dropped
-                                              for p in reports),
     )
 
 
-#: Process-wide PerfReport log.  Every ``SCARScheduler.schedule`` call
-#: logs its report here, so front-ends (``scar ... --perf-stats``) can
-#: aggregate runs made by experiment drivers that construct their
-#: schedulers internally.  Capped so long-lived library processes that
-#: never drain it cannot grow it without bound.
-GLOBAL_PERF: list[PerfReport] = []
+def diff_reports(after: PerfReport, before: PerfReport) -> PerfReport:
+    """The runs folded into a running total between two snapshots.
 
-_GLOBAL_PERF_CAP = 4096
+    ``after`` and ``before`` are snapshots of one running total (see
+    :func:`process_total` and ``Session.perf_summary()``); the result
+    counts exactly the reports logged in between.  Cache tables that saw
+    no lookups in the span are left out, and ``jobs`` is ``after``'s:
+    the largest worker count the total has seen.
+    """
+    cache = diff_stats(after.cache, before.cache)
+    return PerfReport(
+        wall_s=after.wall_s - before.wall_s,
+        num_evaluated=after.num_evaluated - before.num_evaluated,
+        num_windows=after.num_windows - before.num_windows,
+        jobs=after.jobs,
+        cache={table: stats for table, stats in cache.items()
+               if stats.lookups or stats.evictions},
+        num_segments=after.num_segments - before.num_segments,
+        num_segments_recosted=after.num_segments_recosted
+        - before.num_segments_recosted,
+    )
 
-#: Reports evicted from :data:`GLOBAL_PERF` by the cap since the last
-#: :func:`drain_perf_reports`.  Surfaced so long replays (thousands of
-#: scheduling runs, see :mod:`repro.sim`) cannot silently truncate the
-#: perf record; read it via :func:`global_reports_dropped`.
-_GLOBAL_PERF_DROPPED = 0
+
+#: Running total of every report :func:`log_report` was given in this
+#: process.  ``SCARScheduler.schedule`` logs each run here, so front-ends
+#: (``scar ... --perf-stats``) can account for runs that experiment
+#: drivers make with schedulers they construct internally.  Replaced,
+#: never mutated, so a snapshot a reader holds keeps its value.
+_process_total = PerfReport()  # guarded by: _TOTAL_LOCK
+_TOTAL_LOCK = threading.Lock()
 
 
 def log_report(report: PerfReport) -> None:
-    """Append to the process-wide perf log, evicting the oldest past cap."""
-    global _GLOBAL_PERF_DROPPED
-    GLOBAL_PERF.append(report)
-    if len(GLOBAL_PERF) > _GLOBAL_PERF_CAP:
-        excess = len(GLOBAL_PERF) - _GLOBAL_PERF_CAP
-        del GLOBAL_PERF[:excess]
-        _GLOBAL_PERF_DROPPED += excess
+    """Fold one run's report into the process-wide running total."""
+    global _process_total
+    with _TOTAL_LOCK:
+        _process_total = aggregate_reports([_process_total, report])
 
 
-def global_reports_dropped() -> int:
-    """Reports the cap evicted since the last drain."""
-    return _GLOBAL_PERF_DROPPED
-
-
-def drain_perf_reports() -> list[PerfReport]:
-    """Return and clear the process-wide perf log (drop counter included)."""
-    global _GLOBAL_PERF_DROPPED
-    reports = list(GLOBAL_PERF)
-    GLOBAL_PERF.clear()
-    _GLOBAL_PERF_DROPPED = 0
-    return reports
+def process_total() -> PerfReport:
+    """Every report logged in this process so far, summed (a snapshot)."""
+    with _TOTAL_LOCK:
+        return _process_total

@@ -181,7 +181,7 @@ class SchedulerService:
     (size ``workers``) instead of the worker thread itself, so
     CPU-bound jobs overlap in wall time; the worker threads then only
     shepherd queue state and IPC.  A non-default registry must be
-    picklable to cross into the pool (see ``Session.submit_many``);
+    picklable to cross into the pool (see ``Session.process_pool``);
     keep the default ``"thread"`` backend for closure-based test
     policies.  ``max_pending`` bounds the admission queue (``None`` =
     unbounded): a submit that would leave more than ``max_pending``
@@ -583,7 +583,7 @@ class SchedulerService:
         The lookup order preserves the bit-identity contract: a session
         memo hit returns the identical object ``Session.submit`` would;
         a store hit rebuilds the exact wire payload another replica
-        computed (adopted into the memo, but *not* the perf log -- its
+        computed (adopted into the memo, but *not* the perf total -- its
         engine counters belong to the replica that searched); a miss
         computes here (worker thread or process pool) and is recorded
         back to the store for the other replicas.

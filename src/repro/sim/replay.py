@@ -25,8 +25,8 @@ additionally requires the warm mode to re-cost >= 40% fewer segments.
 A third mode drives a live service replica instead: pass ``client=``
 (a :class:`~repro.service.client.ServiceClient`) and every event's
 request is submitted as a job; the replica's own session provides the
-warmth.  Per-event segment accounting then comes from the result's perf
-report (the replica's counters), and memo hits are not observable.
+warmth.  Memo hits are then not observable, so every event is charged
+its result's perf report (the replica's counters).
 """
 
 from __future__ import annotations
@@ -132,20 +132,6 @@ class _ActiveSet:
                      for tenant in self.ordered())
 
 
-def _segment_counts(session: Session,
-                    position_before: int) -> tuple[int, int]:
-    """This submit's (num_segments, num_segments_recosted).
-
-    Reads the session perf log delta rather than ``result.perf``: a
-    memo-served result carries the *original* run's report, but costs
-    this event nothing (no new report is logged).
-    """
-    new = session.perf_reports_tail(
-        session.perf_log_position() - position_before)
-    return (sum(p.num_segments for p in new),
-            sum(p.num_segments_recosted for p in new))
-
-
 def replay(trace: Trace, *, mode: str = "warm",
            template: str = "het_sides_3x3", policy: str = "scar",
            objective: str = "edp", nsplits: int = 4,
@@ -185,19 +171,18 @@ def replay(trace: Trace, *, mode: str = "warm",
         wall_start = time.perf_counter()
         if client is not None:
             result = client.submit(request).result()
-            wall = time.perf_counter() - wall_start
-            perf = result.perf
-            segments = 0 if perf is None else perf.num_segments
-            recosted = 0 if perf is None else perf.num_segments_recosted
             memo_hit = False
         else:
             session = warm_session if warm_session is not None \
                 else Session(eval_mode=eval_mode, jobs=jobs)
             memo_hit = session.cached(request) is not None
-            position_before = session.perf_log_position()
             result = session.submit(request)
-            wall = time.perf_counter() - wall_start
-            segments, recosted = _segment_counts(session, position_before)
+        wall = time.perf_counter() - wall_start
+        # A memo-served result carries the original run's report but
+        # costs this event nothing; any other submit ran exactly it.
+        perf = None if memo_hit else result.perf
+        segments = 0 if perf is None else perf.num_segments
+        recosted = 0 if perf is None else perf.num_segments_recosted
         outcomes.append(EventOutcome(
             event=event, tenants=active.ordered(),
             deadlines=active.deadlines(), result=result, wall_s=wall,

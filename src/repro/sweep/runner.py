@@ -29,7 +29,7 @@ from repro.api.request import ScheduleRequest, ScheduleResult
 from repro.api.session import Session
 from repro.api.wire import ErrorDocument
 from repro.errors import ReproError
-from repro.perf import PerfReport, aggregate_reports
+from repro.perf import PerfReport, diff_reports
 from repro.service.scheduler import SchedulerService
 from repro.sweep.spec import SweepSpec
 from repro.sweep.store import ResultStore
@@ -98,12 +98,9 @@ def run_requests(requests: Iterable[ScheduleRequest], *,
     """
     requests = tuple(requests)
     session = session if session is not None else Session()
-    # Perf snapshot: outcome.perf must cover THIS run only, even on a
-    # caller-shared session whose log already holds earlier campaigns.
-    # Holding the snapshot list keeps its report objects alive, so the
-    # identity filter below stays exact even if the session's cap trims
-    # the log mid-run.
-    perf_before = list(session.perf_reports)
+    # outcome.perf covers THIS run only, even on a caller-shared session
+    # whose total already holds earlier campaigns.
+    perf_before = session.perf_summary()
     outcome = SweepOutcome(requests=requests)
 
     pending: list[tuple[str, ScheduleRequest]] = []
@@ -139,12 +136,7 @@ def run_requests(requests: Iterable[ScheduleRequest], *,
     outcome.computed = sum(
         1 for key in outcome.keys
         if key in pending_keys and key in outcome.results)
-    # Aggregate only the reports this run appended (trim-proof: by
-    # object identity against the held snapshot).
-    before_ids = {id(report) for report in perf_before}
-    outcome.perf = aggregate_reports(
-        [report for report in list(session.perf_reports)
-         if id(report) not in before_ids])
+    outcome.perf = diff_reports(session.perf_summary(), perf_before)
     return outcome
 
 

@@ -8,6 +8,8 @@ the acceptance gate of the API redesign.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.api import (
@@ -29,6 +31,7 @@ from repro.experiments.runner import (
     strategy_request,
 )
 from repro.mcm import templates
+from repro.perf import aggregate_reports
 from repro.workloads.scenarios import scenario
 
 
@@ -183,12 +186,14 @@ class TestSessionMemo:
 
     def test_perf_reports_accumulate(self, request_):
         session = Session()
-        session.submit(request_)
-        session.submit(request_.replace(objective="latency"))
-        assert len(session.perf_reports) == 2
+        results = [session.submit(request_),
+                   session.submit(request_.replace(objective="latency"))]
+        session.submit(request_)  # a memo hit adds nothing
         summary = session.perf_summary()
-        assert summary.num_evaluated == sum(
-            p.num_evaluated for p in session.perf_reports)
+        total = aggregate_reports([r.perf for r in results])
+        assert summary == dataclasses.replace(total,
+                                              wall_s=summary.wall_s)
+        assert summary.wall_s == pytest.approx(total.wall_s)
 
 
 class TestMemoLRU:
@@ -237,64 +242,3 @@ class TestMemoLRU:
     def test_negative_rejected(self):
         with pytest.raises(ConfigError, match="max_memo"):
             Session(max_memo=-1)
-
-    def test_batch_path_respects_the_cap(self, requests):
-        session = Session(max_memo=1)
-        session.submit_many(requests, jobs=2)
-        assert len(session._memo) == 1
-
-
-class TestSubmitMany:
-    @pytest.fixture
-    def requests(self, tiny_scenario, small_budget):
-        base = ScheduleRequest.for_scenario(
-            tiny_scenario, template="het_sides_3x3", policy="scar",
-            budget=small_budget, nsplits=1)
-        return [base,
-                base.replace(objective="latency"),
-                base.replace(template="simba_nvd_3x3",
-                             policy="standalone")]
-
-    def test_serial_batch_matches_submits(self, requests):
-        serial = [Session().submit(r) for r in requests]
-        batch = Session().submit_many(requests)
-        assert [r.metrics for r in batch] == [r.metrics for r in serial]
-        assert [r.schedule for r in batch] == [r.schedule for r in serial]
-
-    def test_parallel_batch_is_bit_identical(self, requests):
-        serial = Session().submit_many(requests)
-        parallel = Session().submit_many(requests, jobs=2)
-        assert [r.metrics for r in parallel] == \
-            [r.metrics for r in serial]
-        assert [r.schedule for r in parallel] == \
-            [r.schedule for r in serial]
-
-    def test_parallel_batch_fills_memo_and_perf(self, requests):
-        session = Session()
-        results = session.submit_many(requests, jobs=2)
-        # SCAR requests contributed perf reports, in request order
-        assert len(session.perf_reports) == 2
-        # and a resubmit is served from the memo
-        assert session.submit(requests[0]) is results[0]
-
-    def test_parallel_batch_dedupes_memoizable_duplicates(self, requests):
-        session = Session()
-        results = session.submit_many([requests[0], requests[0]], jobs=2)
-        assert results[0] is results[1]
-        assert len(session.perf_reports) == 1  # ran once, like serial
-
-    def test_parallel_results_drop_raw_population(self, requests):
-        serial = Session().submit_many([requests[0]])
-        parallel = Session().submit_many(list(requests), jobs=2)
-        assert serial[0].raw is not None
-        assert parallel[0].raw is None  # stays in the worker
-        # ...without affecting the deterministic payload
-        assert parallel[0].metrics == serial[0].metrics
-        assert parallel[0].schedule == serial[0].schedule
-        assert parallel[0].window_candidates == \
-            serial[0].window_candidates
-        assert parallel[0].num_evaluated == serial[0].num_evaluated
-
-    def test_bad_jobs_rejected(self, requests):
-        with pytest.raises(ValueError):
-            Session().submit_many(requests, jobs=0)

@@ -247,6 +247,15 @@ class TestResultRoundTrip:
         assert clone.window_candidates == result.window_candidates
         assert clone.perf == result.perf
 
+    def test_legacy_perf_key_still_parses(self, result):
+        """Documents written before the perf logs became running totals
+        carry ``perf.reports_dropped``; it is ignored."""
+        document = json.loads(result.to_json())
+        document["perf"]["reports_dropped"] = 0
+        clone = ScheduleResult.from_dict(document)
+        assert clone.same_payload(result)
+        assert clone.perf == result.perf
+
     def test_raw_population_stays_in_process(self, result):
         assert result.raw is not None
         clone = ScheduleResult.from_dict(result.to_dict())

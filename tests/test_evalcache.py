@@ -10,7 +10,6 @@ from repro.core.schedule import Segment, WindowSchedule
 from repro.perf import (
     CacheStats,
     PerfReport,
-    TimingSummary,
     aggregate_reports,
     merge_stats,
 )
@@ -92,37 +91,6 @@ class TestStats:
         assert PerfReport().segment_reuse_rate == 0.0
         # Reports without segment counters render without the line.
         assert "re-costed" not in PerfReport().render()
-
-
-class TestTimingSummaryMerge:
-    def test_merge_combines_counts_totals_and_max(self):
-        a = TimingSummary.from_samples([1.0, 2.0])
-        b = TimingSummary.from_samples([4.0])
-        merged = a.merge(b)
-        assert merged.count == 3
-        assert merged.total_s == pytest.approx(7.0)
-        assert merged.max_s == pytest.approx(4.0)
-        assert merged.mean_s == pytest.approx(7.0 / 3)
-
-    def test_merge_is_commutative_and_keeps_operands(self):
-        a = TimingSummary.from_samples([1.0, 3.0])
-        b = TimingSummary.from_samples([2.0, 5.0])
-        assert a.merge(b) == b.merge(a)
-        assert a == TimingSummary.from_samples([1.0, 3.0])  # unchanged
-
-    def test_merge_with_empty_is_identity(self):
-        samples = TimingSummary.from_samples([0.5, 1.5])
-        assert samples.merge(TimingSummary()) == samples
-        assert TimingSummary().merge(samples) == samples
-        assert TimingSummary().merge(TimingSummary()) == TimingSummary()
-
-    def test_merge_equals_from_samples_of_concatenation(self):
-        splits = ([0.1], [0.2, 0.9], [0.4, 0.3, 0.8])
-        merged = TimingSummary()
-        for split in splits:
-            merged = merged.merge(TimingSummary.from_samples(split))
-        flat = [s for split in splits for s in split]
-        assert merged == TimingSummary.from_samples(flat)
 
 
 class TestKeys:

@@ -2,6 +2,10 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,9 @@ from repro.experiments.runner import (
     ExperimentConfig,
     strategy_request,
 )
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _request(scenario, strategy):
@@ -55,8 +62,9 @@ class TestRunner:
 
     def test_run_many(self, tiny_scenario):
         strategies = ("stand_nvd", "stand_shi")
-        runs = Session().submit_many(
-            [_request(tiny_scenario, name) for name in strategies])
+        session = Session()
+        runs = [session.submit(_request(tiny_scenario, name))
+                for name in strategies]
         assert [run.request.template for run in runs] == \
             [STRATEGIES[name][0] for name in strategies]
 
@@ -208,6 +216,54 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot bind")
         assert "Traceback" not in err
+
+
+class TestPerfStatsCLI:
+    @staticmethod
+    def _perf_lines(out: str) -> list[str]:
+        """The deterministic lines of a ``--perf-stats`` block (the
+        evaluations line minus its wall-time rate)."""
+        lines = []
+        for line in out.splitlines():
+            if line.startswith("evaluations"):
+                lines.append(line.split("(")[0])
+            elif line.startswith(("segments", "cache[")):
+                lines.append(line)
+        return lines
+
+    def test_each_command_reports_only_its_own_runs(self, capsys):
+        assert main(["fig2", "--fast", "--perf-stats"]) == 0
+        first = self._perf_lines(capsys.readouterr().out)
+        assert first[0].startswith("evaluations")
+        assert any(line.startswith("cache[") for line in first)
+        assert main(["fig2", "--fast", "--perf-stats"]) == 0
+        assert self._perf_lines(capsys.readouterr().out) == first
+
+    def test_no_block_without_the_flag(self, capsys):
+        assert main(["fig2", "--fast"]) == 0
+        out = capsys.readouterr().out
+        assert "wall time" not in out and not self._perf_lines(out)
+
+
+class TestMinimalInstall:
+    def test_cli_runs_without_numpy_or_networkx(self):
+        """The declared (empty) dependency list is enough for the scalar
+        path on a triangular NoP and for the linter."""
+        script = (
+            "import sys\n"
+            "sys.modules['networkx'] = sys.modules['numpy'] = None\n"
+            "from repro.cli import main\n"
+            "assert main(['schedule', '--scenario', '4', '--template',"
+            " 'het_t', '--fast']) == 0\n"
+            "assert main(['lint', 'src/repro/perf.py']) == 0\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH")
+            else "")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=300,
+                              env=env, cwd=REPO_ROOT)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestGenerateCLI:

@@ -391,6 +391,19 @@ class TestProcessJobBackend:
         for got, want in zip(results, reference):
             assert_equivalent(got, want)
 
+    def test_pooled_results_drop_raw_population(self, tiny_scenario,
+                                                small_budget):
+        """The raw population stays in the worker process, without
+        affecting the deterministic payload."""
+        request = request_for(tiny_scenario, small_budget, "scar")
+        reference = Session().submit(request)
+        with SchedulerService(workers=1,
+                              job_backend="process") as service:
+            pooled = service.submit(request).result(timeout=600)
+        assert reference.raw is not None
+        assert pooled.raw is None
+        assert_equivalent(pooled, reference)
+
     def test_pooled_results_adopt_the_session_memo(self, tiny_scenario,
                                                    small_budget):
         """A pooled job's result lands in the session memo exactly like
@@ -561,12 +574,3 @@ class TestTimingSummary:
         assert summary.mean_s == 0.0
         assert summary.to_dict() == {"count": 0, "total_s": 0.0,
                                      "mean_s": 0.0, "max_s": 0.0}
-
-    def test_merge_is_associative(self):
-        a = TimingSummary.from_samples([1.0, 2.0])
-        b = TimingSummary.from_samples([4.0])
-        c = TimingSummary.from_samples([0.5, 3.0])
-        merged = a.merge(b).merge(c)
-        assert merged == a.merge(b.merge(c))
-        assert merged == TimingSummary.from_samples(
-            [1.0, 2.0, 4.0, 0.5, 3.0])

@@ -484,73 +484,101 @@ class TestWarmSession:
         assert session._warm_cache(request) is not first  # evicted
 
 
-class TestPerfLogAccounting:
-    def test_session_cap_counts_drops(self, monkeypatch):
-        import repro.api.session as session_module
-        from repro.perf import PerfReport
-        monkeypatch.setattr(session_module, "_PERF_REPORTS_CAP", 3)
-        session = Session()
-        for _ in range(5):
-            session._log_perf(PerfReport())
-        assert len(session.perf_reports) == 3
-        assert session.perf_reports_dropped == 2
-        assert session.perf_log_position() == 5
-        assert session.perf_summary().reports_dropped == 2
+class TestPerfTotals:
+    """Sessions and the process keep running perf totals, not logs."""
 
-    def test_position_is_monotone_across_trimming(self, monkeypatch):
-        import repro.api.session as session_module
-        from repro.perf import PerfReport
-        monkeypatch.setattr(session_module, "_PERF_REPORTS_CAP", 2)
-        session = Session()
-        positions = []
-        for _ in range(6):
-            session._log_perf(PerfReport())
-            positions.append(session.perf_log_position())
-        assert positions == sorted(positions) == list(range(1, 7))
+    @staticmethod
+    def report(i):
+        from repro.perf import CacheStats, PerfReport
+        return PerfReport(wall_s=0.001, num_evaluated=i, num_windows=1,
+                          num_segments=2 * i, num_segments_recosted=i,
+                          cache={"chain": CacheStats(hits=i, misses=1)})
 
-    def test_tail_returns_most_recent(self):
-        from repro.perf import PerfReport
-        session = Session()
-        for i in range(4):
-            session._log_perf(PerfReport(num_evaluated=i))
-        assert [p.num_evaluated
-                for p in session.perf_reports_tail(2)] == [2, 3]
-        assert session.perf_reports_tail(0) == []
-        assert len(session.perf_reports_tail(99)) == 4
+    @staticmethod
+    def counters(report):
+        """Everything but the float wall time and the worker count."""
+        return dataclasses.replace(report, wall_s=0.0, jobs=1)
 
-    def test_global_log_counts_drops(self, monkeypatch):
-        import repro.perf as perf_module
+    def test_session_total_is_exact_past_the_old_cap(self):
+        # More runs than a 4096-entry log held; none may go uncounted.
+        session = Session()
+        for i in range(5000):
+            session._log_perf(self.report(i))
+        total = session.perf_summary()
+        assert total.num_evaluated == total.num_segments_recosted \
+            == sum(range(5000))
+        assert total.num_segments == 2 * sum(range(5000))
+        assert total.num_windows == 5000
+        assert total.cache_table("chain").hits == sum(range(5000))
+        assert total.cache_table("chain").misses == 5000
+        assert total.wall_s == pytest.approx(5.0)
+
+    def test_diff_counts_the_reports_logged_between(self):
+        from repro.perf import PerfReport, aggregate_reports, diff_reports
+        session = Session()
+        for i in range(3):
+            session._log_perf(self.report(i))
+        before = session.perf_summary()
+        held = before.to_dict()
+        between = [self.report(i) for i in range(10, 14)]
+        for report in between:
+            session._log_perf(report)
+        diff = diff_reports(session.perf_summary(), before)
+        assert self.counters(diff) == \
+            self.counters(aggregate_reports(between))
+        assert diff.wall_s == pytest.approx(0.004)
+        assert before.to_dict() == held  # a snapshot is a value
+        assert diff_reports(before, before) == PerfReport()
+
+    def test_process_total_diffs_around_log_report(self):
         from repro.perf import (
-            PerfReport,
-            drain_perf_reports,
-            global_reports_dropped,
+            aggregate_reports,
+            diff_reports,
             log_report,
+            process_total,
         )
-        monkeypatch.setattr(perf_module, "_GLOBAL_PERF_CAP", 2)
-        drain_perf_reports()
-        assert global_reports_dropped() == 0
-        for _ in range(5):
-            log_report(PerfReport())
-        assert global_reports_dropped() == 3
-        assert len(drain_perf_reports()) == 2
-        assert global_reports_dropped() == 0  # drain resets the counter
+        before = process_total()
+        held = before.to_dict()
+        between = [self.report(i) for i in range(1, 6)]
+        for report in between:
+            log_report(report)
+        diff = diff_reports(process_total(), before)
+        assert self.counters(diff) == \
+            self.counters(aggregate_reports(between))
+        assert diff.wall_s == pytest.approx(0.005)
+        assert before.to_dict() == held
 
-    def test_aggregate_carries_drop_count(self):
-        from repro.perf import PerfReport, aggregate_reports
-        summary = aggregate_reports(
-            [PerfReport(reports_dropped=2), PerfReport()],
-            reports_dropped=3)
-        assert summary.reports_dropped == 5
-        assert "evicted" in summary.render()
+    def test_concurrent_logging_loses_no_run(self):
+        """Service worker threads log concurrently; each total is a
+        read-modify-write that its lock must keep whole."""
+        import sys
+        import threading
 
-    def test_report_round_trips_drop_count(self):
-        from repro.api.wire import perf_from_dict
-        from repro.perf import PerfReport
-        report = PerfReport(reports_dropped=7)
-        assert perf_from_dict(report.to_dict()).reports_dropped == 7
-        legacy = report.to_dict()
-        del legacy["reports_dropped"]
-        assert perf_from_dict(legacy).reports_dropped == 0
+        from repro.perf import diff_reports, log_report, process_total
+        session = Session()
+        before = process_total()
+        workers, per_worker = 8, 200
+
+        def work():
+            for _ in range(per_worker):
+                log_report(self.report(1))
+                session._log_perf(self.report(1))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work)
+                       for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        runs = workers * per_worker
+        assert session.perf_summary().num_windows == runs
+        assert diff_reports(process_total(), before).num_windows == runs
 
 
 class TestSimDeterminismContract:
