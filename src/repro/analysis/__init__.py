@@ -38,10 +38,9 @@ SCAR010   hot-path allocation: no per-iteration allocations in the
 
 Findings suppress per line with ``# scar: noqa[CODE]``; reports render
 as text, GitHub annotations or the ``kind: "lint_report"`` wire
-document.  Per-file results cache incrementally by content hash and
-the per-file phase parallelizes across processes (``scar lint --jobs
-N --cache PATH``).  See DESIGN.md "Static analysis" for the full
-contract and how to add a checker.
+document.  A lint is one serial pass: per-file facts, then the
+whole-program model (:mod:`repro.analysis.runner`).  See DESIGN.md
+"Static analysis" for the full contract and how to add a checker.
 """
 
 from repro.analysis.core import (
@@ -66,7 +65,6 @@ from repro.analysis import locks as _locks  # noqa: F401
 from repro.analysis import registries as _registries  # noqa: F401
 from repro.analysis import schema as _schema  # noqa: F401
 from repro.analysis import taint as _taint  # noqa: F401
-from repro.analysis.cache import LintCache
 from repro.analysis.graph import FileSummary, ProgramModel, summarize
 from repro.analysis.report import (
     REPORT_KIND,
@@ -83,7 +81,6 @@ __all__ = [
     "Checker",
     "FileSummary",
     "Finding",
-    "LintCache",
     "LintReport",
     "ProgramModel",
     "REPORT_KIND",

@@ -11,8 +11,8 @@ Checkers come in two flavours:
 
 * per-file checkers implement :meth:`Checker.check` and run once per
   :class:`SourceFile` they :meth:`apply to <Checker.applies_to>`;
-* project checkers implement :meth:`Checker.check_project` and run once
-  over the whole file set (cross-file invariants, e.g. the
+* program checkers implement :meth:`Checker.check_program` and run once
+  over the whole-program model (cross-file invariants, e.g. the
   exception-to-wire-code table).
 
 New checkers subclass :class:`Checker`, pick the next free ``SCARnnn``
@@ -23,7 +23,6 @@ code and register with :func:`register_checker`; the runner
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
 import re
 import tokenize
@@ -112,7 +111,6 @@ class SourceFile:
             else module_name_for(path)
         self.lines = text.splitlines()
         self._tree: ast.Module | None = None
-        self._hash: str | None = None
         self._comments: dict[int, str] | None = None
 
     @classmethod
@@ -143,14 +141,6 @@ class SourceFile:
         """The source lines a node spans, joined (comments included)."""
         end = getattr(node, "end_lineno", node.lineno)
         return "\n".join(self.lines[node.lineno - 1:end])
-
-    @property
-    def content_hash(self) -> str:
-        """SHA-256 of the source text (the incremental-cache key)."""
-        if self._hash is None:
-            self._hash = hashlib.sha256(
-                self.text.encode("utf-8")).hexdigest()
-        return self._hash
 
     def comments(self) -> dict[int, str]:
         """Real ``#`` comment tokens by line (tokenize-backed).
@@ -187,8 +177,12 @@ class SourceFile:
 
         Only comment tokens that *are* the directive count; a comment
         that merely mentions the syntax is prose, not a suppression.
+        A directive comment contains ``scar:``, so a file without it
+        is never tokenized.
         """
         directives: dict[int, frozenset[str]] = {}
+        if "scar:" not in self.text:
+            return directives
         for lineno, comment in self.comments().items():
             match = _NOQA_DIRECTIVE_RE.match(comment)
             if match is not None:
@@ -199,9 +193,11 @@ class SourceFile:
         return directives
 
     def has_hot_pragma(self) -> bool:
-        """True when a ``# scar: hot`` comment opts this file in."""
-        return any(_HOT_PRAGMA_RE.match(comment)
-                   for comment in self.comments().values())
+        """True when a ``# scar: hot`` comment opts this file in
+        (a file without ``scar:`` is never tokenized)."""
+        return "scar:" in self.text and any(
+            _HOT_PRAGMA_RE.match(comment)
+            for comment in self.comments().values())
 
     def finding(self, code: str, message: str,
                 node: ast.AST | None = None, *,
@@ -217,16 +213,10 @@ class Checker:
     """Base class of one invariant's analysis pass.
 
     Subclasses set ``code``/``name``/``description`` and implement
-    :meth:`check` (per file), :meth:`check_program` (once over the
-    whole-program model -- see :mod:`repro.analysis.graph`) or the
-    legacy :meth:`check_project` (once over the materialized file
-    set).  ``applies_to`` scopes per-file checkers to the modules
-    whose invariant they guard.
-
-    Per-file results are cacheable by content hash; program passes run
-    every lint but read the (cached) per-file summaries, so prefer
-    ``check_program`` over ``check_project`` -- the latter forces every
-    file to be re-parsed even on warm incremental runs.
+    :meth:`check` (per file) or :meth:`check_program` (once over the
+    whole-program model -- see :mod:`repro.analysis.graph`).
+    ``applies_to`` scopes per-file checkers to the modules whose
+    invariant they guard.
     """
 
     code: str = ""
@@ -241,11 +231,7 @@ class Checker:
 
     def check_program(self, program: Any) -> Iterable[Finding]:
         """Whole-program pass over a :class:`~repro.analysis.graph.\
-ProgramModel` (summaries always available, sources parsed lazily)."""
-        return ()
-
-    def check_project(self, sources: Sequence[SourceFile],
-                      root: Path) -> Iterable[Finding]:
+ProgramModel` (every file's summary and parsed source)."""
         return ()
 
     @classmethod
@@ -256,8 +242,7 @@ ProgramModel` (summaries always available, sources parsed lazily)."""
     @classmethod
     def is_program(cls) -> bool:
         """True when this checker implements a whole-program pass."""
-        return (cls.check_program is not Checker.check_program
-                or cls.check_project is not Checker.check_project)
+        return cls.check_program is not Checker.check_program
 
 
 _CHECKERS: dict[str, type[Checker]] = {}

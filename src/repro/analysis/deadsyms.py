@@ -155,11 +155,11 @@ def orphan_noqa_findings(
     """Directives that suppress nothing (runner post-pass).
 
     ``directives`` maps each file path to its whole-comment noqa
-    lines (from the cached summaries, so warm runs never re-tokenize
-    clean files); ``raw`` are the run's findings *before* suppression
-    folding.  A directive is judged only when every code it names was
-    enabled this run -- a partial ``--select`` cannot prove a
-    suppression dead.
+    lines (:meth:`~repro.analysis.core.SourceFile.noqa_directives`);
+    ``raw`` are the run's findings *before* suppression folding.  A
+    directive is judged only when every code it names was enabled
+    this run -- a partial ``--select`` cannot prove a suppression
+    dead.
     """
     if "SCAR009" not in enabled_codes:
         return []

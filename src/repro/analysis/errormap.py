@@ -20,10 +20,8 @@ on the client.  Concretely, over the three modules:
   ``_CODE_TO_EXCEPTION``.
 
 This checker runs once per lint as a whole-program pass, and only
-when the errors/wire modules are both in the checked set.  It is a
-model citizen of the incremental engine: it pulls exactly the three
-modules it needs from the program model's lazy source loader, so a
-warm run parses at most those three files for it.
+when the errors/wire modules are both in the checked set; it reads
+the three modules' parsed sources from the program model.
 """
 
 from __future__ import annotations

@@ -1,18 +1,14 @@
 """The cross-module program model behind the whole-program checkers.
 
 One pass over each file (:func:`summarize`) distills its AST into a
-JSON-serializable :class:`FileSummary`: the module's imports, exports,
-registry registrations, class/function inventory, per-function lock
+:class:`FileSummary`: the module's imports, exports, registry
+registrations, class/function inventory, per-function lock
 acquisitions and call sites, taint facts and wire-schema fragments.
-Summaries are what the incremental cache persists -- a warm re-lint
-rebuilds the whole-program view without re-parsing unchanged files.
 
 :class:`ProgramModel` stitches the summaries together:
 
-* the **import graph** (module -> project modules it imports) and its
-  reverse (:meth:`ProgramModel.dependents`), which drives incremental
-  invalidation -- a changed file dirties itself plus everything that
-  imports it;
+* the **import edges** (:meth:`FileSummary.project_imports`: module ->
+  project modules it imports), which SCAR009 reads as module liveness;
 * a **symbol table** (module-level defs, classes and methods,
   ``__all__`` exports, ``@register_*`` registrations);
 * the **call graph**: dotted call paths resolved through import
@@ -35,10 +31,6 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.analysis.core import SourceFile
-
-#: Bumped whenever summary extraction changes shape; cached entries
-#: from another version are discarded wholesale.
-SUMMARY_VERSION = 1
 
 #: ``threading`` constructors whose instances count as locks.  The
 #: reentrant ones may legally self-nest; plain ``Lock`` may not.
@@ -97,7 +89,6 @@ class FileSummary:
 
     path: str
     module: str
-    content_hash: str
     imports: dict[str, str] = field(default_factory=dict)
     from_imports: list[list[str]] = field(default_factory=list)
     constants: dict[str, str] = field(default_factory=dict)
@@ -109,26 +100,6 @@ class FileSummary:
     functions: dict[str, dict[str, Any]] = field(default_factory=dict)
     uses: list[list[str]] = field(default_factory=list)
     emitters: list[dict[str, Any]] = field(default_factory=list)
-    noqa_lines: dict[str, list[str]] = field(default_factory=dict)
-    hot_pragma: bool = False
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "path": self.path, "module": self.module,
-            "content_hash": self.content_hash, "imports": self.imports,
-            "from_imports": self.from_imports,
-            "constants": self.constants, "assigns": self.assigns,
-            "exports": self.exports,
-            "exports_line": self.exports_line,
-            "registrations": self.registrations, "classes": self.classes,
-            "functions": self.functions, "uses": self.uses,
-            "emitters": self.emitters, "noqa_lines": self.noqa_lines,
-            "hot_pragma": self.hot_pragma,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FileSummary":
-        return cls(**data)
 
     def project_imports(self, modules: set[str]) -> set[str]:
         """Modules of this project this file imports (direct deps)."""
@@ -533,17 +504,12 @@ def summarize(source: SourceFile,
     :mod:`repro.analysis.taint`) to keep this module free of checker
     specifics; ``None`` skips taint facts (graph-only consumers).
     """
-    summary = FileSummary(path=source.path, module=source.module,
-                          content_hash=source.content_hash)
+    summary = FileSummary(path=source.path, module=source.module)
     _collect_module_level(source, summary)
     _collect_registrations(source, summary)
     _collect_uses(source, summary)
     _collect_defs(source, summary, taint_extractor)
     _collect_emitters(source, summary)
-    summary.noqa_lines = {
-        str(line): sorted(codes)
-        for line, codes in source.noqa_directives().items()}
-    summary.hot_pragma = source.has_hot_pragma()
     return summary
 
 
@@ -553,86 +519,38 @@ def summarize(source: SourceFile,
 class ProgramModel:
     """Cross-module view the program checkers run against.
 
-    Built from per-file summaries (fresh or cache-loaded) plus a lazy
-    source loader: ``program.source(module)`` parses a file on demand
-    (SCAR004 reads three modules' ASTs), ``program.text(module)``
-    returns raw text without parsing (registry-name greps).
+    Built from the per-file summaries plus the parsed sources they
+    were distilled from (``sources[i]`` is the file ``summaries[i]``
+    summarizes): ``program.source(module)`` is the parsed file
+    (SCAR004 reads three modules' ASTs), ``program.text(module)`` its
+    raw text (registry-name greps).  When two files share a module
+    name (sibling ``conftest.py`` files), the first one keeps both its
+    summary and its source, so a module's text is always the text of
+    its summary's file.
     """
 
     def __init__(self, summaries: Sequence[FileSummary], root: Path,
-                 load_source: Callable[[str], SourceFile] | None = None
-                 ) -> None:
+                 sources: Sequence[SourceFile]) -> None:
         self.root = Path(root)
         self.summaries: dict[str, FileSummary] = {}
-        for summary in summaries:
-            self.summaries[summary.module] = summary
-        self.modules: set[str] = set(self.summaries)
         self._sources: dict[str, SourceFile] = {}
-        self._load = load_source
-        self._import_graph: dict[str, set[str]] | None = None
-        self._dependents: dict[str, set[str]] | None = None
+        for summary, source in zip(summaries, sources, strict=True):
+            if summary.module not in self.summaries:
+                self.summaries[summary.module] = summary
+                self._sources[summary.module] = source
+        self.modules: set[str] = set(self.summaries)
         self._lock_closure: dict[str, frozenset[str]] | None = None
 
     # -- sources ----------------------------------------------------------
 
     def source(self, module: str) -> SourceFile | None:
-        """Parsed source of ``module`` (lazy; ``None`` when absent)."""
-        if module in self._sources:
-            return self._sources[module]
-        summary = self.summaries.get(module)
-        if summary is None:
-            return None
-        if self._load is not None:
-            loaded = self._load(module)
-        else:
-            loaded = SourceFile.load(summary.path)
-        self._sources[module] = loaded
-        return loaded
-
-    def preload(self, module: str, source: SourceFile) -> None:
-        """Adopt an already-parsed source (fresh-analysis reuse)."""
-        self._sources[module] = source
+        """Parsed source of ``module`` (``None`` when absent)."""
+        return self._sources.get(module)
 
     def text(self, module: str) -> str | None:
-        """Raw text of ``module`` without forcing a parse."""
+        """Raw text of ``module`` (``None`` when absent)."""
         source = self._sources.get(module)
-        if source is not None:
-            return source.text
-        summary = self.summaries.get(module)
-        if summary is None:
-            return None
-        return self.source(module).text if self._load is None \
-            else self._load(module).text
-
-    # -- import graph ------------------------------------------------------
-
-    def import_graph(self) -> dict[str, set[str]]:
-        """``module -> project modules it imports`` (direct edges)."""
-        if self._import_graph is None:
-            self._import_graph = {
-                module: summary.project_imports(self.modules)
-                for module, summary in self.summaries.items()}
-        return self._import_graph
-
-    def dependents(self, module: str) -> set[str]:
-        """Transitive reverse-import closure (who must re-analyze)."""
-        if self._dependents is None:
-            reverse: dict[str, set[str]] = {m: set() for m in
-                                            self.modules}
-            for src, deps in self.import_graph().items():
-                for dep in deps:
-                    reverse.setdefault(dep, set()).add(src)
-            self._dependents = reverse
-        seen: set[str] = set()
-        frontier = [module]
-        while frontier:
-            current = frontier.pop()
-            for user in self._dependents.get(current, ()):
-                if user not in seen:
-                    seen.add(user)
-                    frontier.append(user)
-        seen.discard(module)
-        return seen
+        return source.text if source is not None else None
 
     # -- symbol resolution -------------------------------------------------
 

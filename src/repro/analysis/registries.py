@@ -14,11 +14,10 @@ structurally: the registry's choices call must appear in
 coverage is literal: each registered name must appear in README.md or
 DESIGN.md under the lint root.
 
-Since PR 10 this runs as a whole-program pass: the registrations come
-from the cached :class:`~repro.analysis.graph.FileSummary` facts (the
-same extraction :mod:`repro.analysis.deadsyms` consumes for SCAR009's
-reachability half) and the CLI is read as raw text, so a warm
-incremental lint re-parses nothing for it.
+This runs as a whole-program pass: the registrations come from the
+:class:`~repro.analysis.graph.FileSummary` facts (the same extraction
+:mod:`repro.analysis.deadsyms` consumes for SCAR009's reachability
+half) and the CLI is read as raw text.
 
 Both halves degrade gracefully on partial lints: without ``repro.cli``
 in the checked set the CLI check is skipped, and without README/DESIGN

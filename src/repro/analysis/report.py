@@ -32,13 +32,11 @@ REPORT_KIND = "lint_report"
 class LintReport:
     """Outcome of one lint run (``kind: "lint_report"`` on the wire).
 
-    Version 2 of the document adds the run's performance facts:
-    per-checker wall time (``timings``), incremental-cache hits and
-    misses (``cache``), and the worker count (``jobs``).  They are
-    observability fields, not identity --
-    :func:`strip_nonidentity` zeroes them so two runs of the same
-    tree compare byte-identical regardless of cache warmth or
-    parallelism.
+    ``timings`` (per-checker wall time) is an observability field, not
+    identity -- :func:`strip_nonidentity` zeroes it so two runs of the
+    same tree compare byte-identical.  Documents written before the
+    incremental cache and ``--jobs`` were removed may still carry
+    ``cache`` and ``jobs`` keys; they parse, and are not read.
     """
 
     findings: tuple[Finding, ...] = ()
@@ -50,9 +48,6 @@ class LintReport:
     # is what was checked and what was found, never how fast.
     timings: dict[str, float] = field(default_factory=dict,
                                       compare=False)
-    cache_hits: int = field(default=0, compare=False)
-    cache_misses: int = field(default=0, compare=False)
-    jobs: int = field(default=1, compare=False)
 
     @property
     def clean(self) -> bool:
@@ -84,14 +79,8 @@ class LintReport:
         return "\n".join(lines)
 
     def stats_lines(self) -> list[str]:
-        """Human-readable run stats (``scar lint --stats``)."""
-        total = self.cache_hits + self.cache_misses
-        rate = (100.0 * self.cache_hits / total) if total else 0.0
-        lines = [f"cache: {self.cache_hits} hit"
-                 f"{'s' if self.cache_hits != 1 else ''}, "
-                 f"{self.cache_misses} miss"
-                 f"{'es' if self.cache_misses != 1 else ''} "
-                 f"({rate:.0f}% hit rate), jobs: {self.jobs}"]
+        """Per-checker wall time (``scar lint --stats``)."""
+        lines = ["timings:"]
         for code in self.codes:
             lines.append(
                 f"  {code}: {self.timings.get(code, 0.0) * 1e3:.1f} ms")
@@ -112,16 +101,12 @@ class LintReport:
                            for finding in self.suppressed],
             "timings": {code: self.timings.get(code, 0.0)
                         for code in self.codes},
-            "cache": {"hits": self.cache_hits,
-                      "misses": self.cache_misses},
-            "jobs": self.jobs,
         }
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "LintReport":
         check_envelope(data, REPORT_KIND)
         try:
-            cache = data.get("cache", {})
             return cls(
                 findings=tuple(Finding.from_dict(entry)
                                for entry in data["findings"]),
@@ -130,9 +115,6 @@ class LintReport:
                 checked_files=data["checked_files"],
                 codes=tuple(data["codes"]),
                 timings=dict(data.get("timings", {})),
-                cache_hits=cache.get("hits", 0),
-                cache_misses=cache.get("misses", 0),
-                jobs=data.get("jobs", 1),
             )
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed lint report: {exc}") from exc
@@ -146,16 +128,13 @@ class LintReport:
 
 
 def strip_nonidentity(document: dict[str, Any]) -> dict[str, Any]:
-    """A copy of a ``lint_report`` document without run-performance
-    fields, for byte-identity comparisons (same convention as
-    ``repro.sim.metrics.strip_nonidentity``): per-checker timings are
-    zeroed, cache hit/miss counters and the worker count reset.  The
-    *identity* of a lint run -- what was checked and what was found --
-    is everything that remains.
+    """A copy of a ``lint_report`` document with its per-checker
+    timings zeroed, for byte-identity comparisons (same convention as
+    ``repro.sim.metrics.strip_nonidentity``).  The *identity* of a
+    lint run -- what was checked and what was found -- is everything
+    that remains.
     """
     stripped = dict(document)
     stripped["timings"] = {code: 0.0
                            for code in document.get("timings", {})}
-    stripped["cache"] = {"hits": 0, "misses": 0}
-    stripped["jobs"] = 0
     return stripped

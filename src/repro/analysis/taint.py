@@ -16,8 +16,8 @@ tainted stays tainted) and propagates across functions through the
 call graph: a function returning taint taints its callers' values, a
 function forwarding a parameter propagates its callers' argument
 taint one level.  Extraction happens once per file (the facts ride in
-the cached :class:`~repro.analysis.graph.FileSummary`); the fixpoint
-runs per lint over the whole-program model.
+its :class:`~repro.analysis.graph.FileSummary`); the fixpoint runs
+once per lint over the whole-program model.
 """
 
 from __future__ import annotations

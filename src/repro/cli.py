@@ -354,8 +354,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         paths = ["src"] if Path("src").is_dir() else ["."]
     try:
         report = lint_paths(paths, select=args.select,
-                            ignore=args.ignore, jobs=args.jobs,
-                            cache_path=args.cache,
+                            ignore=args.ignore,
                             update_schemas=args.update_schemas)
     except ReproError as exc:
         # Usage/config failures (unknown code, unreadable file) exit 2
@@ -642,20 +641,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="output format: one finding per line, the "
                       "lint_report JSON wire document, or GitHub "
                       "Actions ::error annotations")
-    lint.add_argument("--jobs", type=_positive_int, default=1,
-                      metavar="N",
-                      help="per-file analysis worker processes "
-                      "(default: 1)")
-    lint.add_argument("--cache", default=None, metavar="PATH",
-                      help="incremental per-file result cache (JSONL, "
-                      "append-only); warm runs re-analyze only "
-                      "changed files plus their import-graph "
-                      "dependents")
     lint.add_argument("--output", default=None,
                       help="write the lint_report JSON document here")
     lint.add_argument("--stats", action="store_true",
-                      help="print per-checker wall time and the "
-                      "cache hit rate after the report")
+                      help="print per-checker wall time after the "
+                      "report")
     lint.add_argument("--update-schemas", action="store_true",
                       help="regenerate the SCAR008 golden "
                       "analysis/schemas.json from the current tree "

@@ -104,6 +104,18 @@ class TestFramework:
         assert src.noqa_codes(1) == {"SCAR001", "SCAR005"}
         assert src.noqa_codes(2) == frozenset()
 
+    def test_file_without_scar_is_never_tokenized(self, monkeypatch):
+        import tokenize
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("tokenized a file without 'scar:'")
+
+        monkeypatch.setattr(tokenize, "generate_tokens", refuse)
+        plain = _source("x = 1  # an ordinary comment\n")
+        assert plain.noqa_directives() == {}
+        assert not plain.has_hot_pragma()
+        assert _lint(plain).clean
+
     def test_finding_render_shape(self):
         finding = Finding(code="SCAR001", message="boom",
                           path="a.py", line=3, col=4)

@@ -4,9 +4,8 @@ Each program checker gets the same treatment as the per-file ones in
 ``test_analysis.py``: a minimal seeded violation it must catch, the
 fixed version it must stay quiet on, and (where meaningful) a
 ``# scar: noqa[CODE]`` suppression.  The engine-level features --
-skip-dir file discovery, the JSONL incremental cache and the
-byte-identical determinism contract of ``lint_paths`` -- are covered
-at the bottom.
+skip-dir file discovery, the byte-identical determinism contract of
+``lint_paths`` and the CLI flags -- are covered at the bottom.
 """
 
 from __future__ import annotations
@@ -19,13 +18,14 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
-    LintCache,
     LintReport,
+    ProgramModel,
     SourceFile,
     lint_paths,
     run_checkers,
     strip_nonidentity,
 )
+from repro.analysis import runner
 from repro.analysis.runner import iter_python_files
 from repro.cli import main
 
@@ -589,42 +589,7 @@ class TestIterPythonFiles:
 
 
 # ---------------------------------------------------------------------------
-# incremental cache
-
-
-class TestLintCache:
-    def test_last_record_wins(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        with LintCache(path) as cache:
-            cache.record({"path": "a.py", "hash": "old"})
-            cache.record({"path": "a.py", "hash": "new"})
-        entries = LintCache(path).load()
-        assert entries["a.py"]["hash"] == "new"
-
-    def test_torn_tail_is_tolerated(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        with LintCache(path) as cache:
-            cache.record({"path": "a.py", "hash": "ok"})
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"path": "b.py", "hash": "tor')
-        cache = LintCache(path)
-        entries = cache.load()
-        assert set(entries) == {"a.py"}
-        assert cache.corrupt_lines == 1
-
-    def test_foreign_format_records_are_skipped(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write('{"path": "a.py", "format": 999}\n')
-        entries = LintCache(path).load()
-        assert entries == {}
-
-    def test_missing_file_loads_empty(self, tmp_path):
-        assert LintCache(tmp_path / "absent.jsonl").load() == {}
-
-
-# ---------------------------------------------------------------------------
-# lint_paths determinism + incrementality
+# lint_paths determinism
 
 
 def _write_tree(tmp_path: Path) -> Path:
@@ -659,44 +624,33 @@ class TestLintPathsDeterminism:
         backward = lint_paths([beta, alpha], root=root)
         assert _identity(forward) == _identity(backward)
 
-    def test_report_identical_across_jobs(self, tmp_path):
-        root = _write_tree(tmp_path)
-        serial = lint_paths([root], root=root, jobs=1)
-        fanned = lint_paths([root], root=root, jobs=2)
-        assert serial.jobs == 1 and fanned.jobs == 2
-        assert _identity(serial) == _identity(fanned)
+    def test_shared_module_name_pairs_summary_with_its_source(
+            self, tmp_path, monkeypatch):
+        for sibling in ("benchmarks", "tests"):
+            conftest = tmp_path / sibling / "conftest.py"
+            conftest.parent.mkdir()
+            conftest.write_text(f"WHERE = {sibling!r}\n",
+                                encoding="utf-8")
+        built: list[ProgramModel] = []
 
-    def test_report_identical_warm_vs_cold(self, tmp_path):
-        root = _write_tree(tmp_path)
-        cache = tmp_path / "cache.jsonl"
-        cold = lint_paths([root], root=root, cache_path=cache)
-        warm = lint_paths([root], root=root, cache_path=cache)
-        assert cold.cache_misses == 3 and cold.cache_hits == 0
-        assert warm.cache_hits == 3 and warm.cache_misses == 0
-        assert _identity(cold) == _identity(warm)
+        class Recorded(ProgramModel):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
 
-    def test_touch_invalidates_file_and_direct_importers(
-            self, tmp_path):
-        root = _write_tree(tmp_path)
-        cache = tmp_path / "cache.jsonl"
-        lint_paths([root], root=root, cache_path=cache)
-        alpha = root / "repro" / "alpha.py"
-        alpha.write_text(alpha.read_text(encoding="utf-8")
-                         + "\nEXTRA = 2\n", encoding="utf-8")
-        warm = lint_paths([root], root=root, cache_path=cache)
-        # alpha (changed) + beta (direct importer); __init__ untouched.
-        assert warm.cache_misses == 2
-        assert warm.cache_hits == 1
+        monkeypatch.setattr(runner, "ProgramModel", Recorded)
+        lint_paths([tmp_path], root=tmp_path)
+        program = built[0]
+        summary = program.summaries["conftest"]
+        assert program.text("conftest") == \
+            Path(summary.path).read_text(encoding="utf-8")
 
     def test_report_v2_round_trips(self, tmp_path):
         root = _write_tree(tmp_path)
-        report = lint_paths([root], root=root, jobs=1)
+        report = lint_paths([root], root=root)
         clone = LintReport.from_dict(report.to_dict())
         assert clone.to_dict() == report.to_dict()
-        assert clone.jobs == 1
         stripped = strip_nonidentity(report.to_dict())
-        assert stripped["jobs"] == 0
-        assert stripped["cache"] == {"hits": 0, "misses": 0}
         assert all(v == 0.0 for v in stripped["timings"].values())
 
 
@@ -729,8 +683,8 @@ class TestCliEngineFlags:
         rc = main(["lint", str(root), "--stats"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "cache:" in out and "jobs: 1" in out
-        assert "SCAR006:" in out
+        assert "timings:" in out and "SCAR006:" in out
+        assert "cache:" not in out
 
     def test_github_format_annotates_findings(self, tmp_path, capsys):
         bad = tmp_path / "repro" / "engine" / "hot.py"
@@ -743,21 +697,14 @@ class TestCliEngineFlags:
         assert "::error file=" in out
         assert "title=SCAR002" in out
 
-    def test_jobs_flag_runs_parallel(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", [["--jobs", "2"],
+                                      ["--cache", "x.jsonl"]])
+    def test_removed_engine_flags_are_usage_errors(self, tmp_path,
+                                                   flag):
         root = _write_tree(tmp_path)
-        rc = main(["lint", str(root), "--jobs", "2"])
-        assert rc == 0
-        assert "0 findings" in capsys.readouterr().out
-
-    def test_cache_flag_warms_across_invocations(self, tmp_path,
-                                                 capsys):
-        root = _write_tree(tmp_path)
-        cache = tmp_path / "cache.jsonl"
-        main(["lint", str(root), "--cache", str(cache)])
-        rc = main(["lint", str(root), "--cache", str(cache),
-                   "--stats"])
-        assert rc == 0
-        assert "3 hits, 0 misses" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", str(root), *flag])
+        assert excinfo.value.code == 2
 
     def test_update_schemas_writes_golden_and_passes(
             self, tmp_path, capsys, monkeypatch):

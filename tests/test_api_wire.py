@@ -379,6 +379,17 @@ class TestLintReportRoundTrip:
         with pytest.raises(ConfigError, match="malformed finding"):
             LintReport.from_dict(data)
 
+    def test_legacy_cache_and_jobs_keys_still_parse(self, report):
+        """Documents written while the linter had an incremental cache
+        and ``--jobs`` carry ``cache`` and ``jobs``; they are ignored."""
+        from repro.analysis import LintReport
+
+        document = dict(report.to_dict(),
+                        cache={"hits": 3, "misses": 0}, jobs=2)
+        clone = LintReport.from_dict(document)
+        assert clone == report
+        assert clone.to_dict() == report.to_dict()
+
 
 def _random_trace(rng: random.Random):
     """A seeded, valid trace: staircase lifecycles over random models."""
