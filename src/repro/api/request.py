@@ -42,10 +42,12 @@ from repro.config.files import (
 )
 from repro.core.budget import SearchBudget
 from repro.core.metrics import ScheduleMetrics
-from repro.core.scar import SCARResult
+from repro.core.packing import PACKING_MODES
+from repro.core.scar import SEG_SEARCH_MODES, SCARResult
 from repro.core.schedule import Schedule
 from repro.engine.candidates import assemble_candidate_points
-from repro.core.scoring import Objective, objective_by_name
+from repro.engine.provisioning import PROVISIONING_MODES
+from repro.core.scoring import Objective, OptTarget, objective_by_name
 from repro.errors import ConfigError
 from repro.perf import PerfReport
 from repro.workloads.model import Scenario
@@ -61,6 +63,14 @@ _INT_FIELDS: dict[str, tuple[int | None, bool]] = {
     "prov_limit": (1, False),
     "max_nodes_per_model": (1, True),
     "beam": (1, True),
+}
+
+#: String request fields with a closed vocabulary -> the allowed values.
+_CHOICE_FIELDS: dict[str, tuple[str, ...]] = {
+    "objective": tuple(target.value for target in OptTarget),
+    "packing": PACKING_MODES,
+    "provisioning": PROVISIONING_MODES,
+    "seg_search": SEG_SEARCH_MODES,
 }
 
 
@@ -137,7 +147,21 @@ class ScheduleRequest:
             raise ConfigError(
                 "latency_bound_s must be None or a positive finite "
                 f"number, got {bound!r}")
-        objective_by_name(self.objective)  # validates the name
+        if self.scenario_spec is not None \
+                and not isinstance(self.scenario_spec, dict):
+            raise ConfigError("scenario_spec must be None or an object, "
+                              f"got {self.scenario_spec!r}")
+        for name in ("template", "policy"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} must be a string, "
+                                  f"got {getattr(self, name)!r}")
+        for name, choices in _CHOICE_FIELDS.items():
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"{name} must be one of {choices}, "
+                                  f"got {getattr(self, name)!r}")
+        if not isinstance(self.budget, SearchBudget):
+            raise ConfigError(
+                f"budget must be a SearchBudget, got {self.budget!r}")
 
     def __hash__(self) -> int:
         # The generated frozen-dataclass hash would choke on the

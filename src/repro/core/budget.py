@@ -9,9 +9,9 @@ runtime is bounded and deterministic.  Defaults are generous enough that
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
-from repro.errors import SearchError
+from repro.errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,10 @@ class SearchBudget:
     ``max_paths_per_model``        DFS paths kept per model per tree.
     ``max_candidates_per_window``  fully-evaluated window schedules.
     ``seed``                       RNG seed for any sampling.
+
+    Every field is an ``int`` (not a ``bool``) and every cap is ``>= 1``;
+    anything else raises :class:`~repro.errors.ConfigError` here, so a
+    bad budget in a request document fails when the request is built.
     """
 
     top_k_segmentations: int = 3
@@ -36,11 +40,14 @@ class SearchBudget:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("top_k_segmentations", "max_segment_candidates",
-                     "max_root_combos", "max_paths_per_model",
-                     "max_candidates_per_window"):
-            if getattr(self, name) < 1:
-                raise SearchError(f"{name} must be >= 1")
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            cap = spec.name != "seed"
+            if not isinstance(value, int) or isinstance(value, bool) \
+                    or (cap and value < 1):
+                expected = "an integer >= 1" if cap else "an integer"
+                raise ConfigError(f"budget {spec.name} must be "
+                                  f"{expected}, got {value!r}")
 
     def fitness_slice(self, num_fitness_evals: int,
                       floor: int = 4) -> "SearchBudget":

@@ -21,6 +21,9 @@ from repro.errors import SchedulingError
 from repro.mcm.package import MCM
 from repro.workloads.model import Scenario
 
+#: Valid ``packing`` modes: Algorithm 1, or the uniform baseline.
+PACKING_MODES = ("greedy", "uniform")
+
 
 @dataclass(frozen=True)
 class WindowAssignment:

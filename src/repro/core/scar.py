@@ -32,6 +32,7 @@ from repro.core.evalcache import EvalCache
 from repro.core.evolutionary import EvolutionarySegSearch, GAConfig
 from repro.core.metrics import ScheduleMetrics
 from repro.core.packing import (
+    PACKING_MODES,
     PackingPlan,
     WindowAssignment,
     expected_layer_energies,
@@ -46,7 +47,11 @@ from repro.core.segmentation import RankedSegmentation, rank_segmentations
 from repro.dataflow.database import LayerCostDatabase
 from repro.engine.candidates import assemble_candidate_points
 from repro.engine.evaluator import CandidateEvaluator, EvaluatorStats
-from repro.engine.provisioning import window_allocations, window_shares
+from repro.engine.provisioning import (
+    PROVISIONING_MODES,
+    window_allocations,
+    window_shares,
+)
 from repro.engine.tensorkernel import TensorEvaluator, check_eval_mode
 from repro.errors import ConfigError, SearchError
 from repro.mcm.package import MCM
@@ -59,8 +64,11 @@ from repro.perf import (
 )
 from repro.workloads.model import Scenario
 
-__all__ = ["SCARResult", "SCARScheduler", "assemble_candidate_points",
-           "check_jobs"]
+__all__ = ["SCARResult", "SCARScheduler", "SEG_SEARCH_MODES",
+           "assemble_candidate_points", "check_jobs"]
+
+#: Valid ``seg_search`` modes: top-k enumeration, or the GA.
+SEG_SEARCH_MODES = ("enumerative", "evolutionary")
 
 #: One unit of independent search work: (window, alloc_index, alloc).
 Task = tuple[WindowAssignment, int, dict[int, int]]
@@ -162,11 +170,11 @@ class SCARScheduler:
                  beam: int | None = None, use_delta: bool = True,
                  cache: EvalCache | None = None,
                  eval_mode: str = "scalar") -> None:
-        if packing not in ("greedy", "uniform"):
+        if packing not in PACKING_MODES:
             raise SearchError(f"unknown packing mode {packing!r}")
-        if provisioning not in ("uniform", "exhaustive"):
+        if provisioning not in PROVISIONING_MODES:
             raise SearchError(f"unknown provisioning mode {provisioning!r}")
-        if seg_search not in ("enumerative", "evolutionary"):
+        if seg_search not in SEG_SEARCH_MODES:
             raise SearchError(f"unknown seg_search mode {seg_search!r}")
         self.jobs = check_jobs(jobs)
         self.eval_mode = check_eval_mode(eval_mode)

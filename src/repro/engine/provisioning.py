@@ -17,7 +17,7 @@ from repro.core.provisioner import exhaustive_allocations, uniform_allocation
 from repro.core.scoring import Objective
 from repro.errors import SearchError
 
-#: Valid ``provisioning`` modes, shared with request validation.
+#: Valid ``provisioning`` modes: the Eq. (2) rule, or enumeration.
 PROVISIONING_MODES = ("uniform", "exhaustive")
 
 

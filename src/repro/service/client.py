@@ -25,12 +25,22 @@ import json
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.api.request import ScheduleRequest, ScheduleResult
 from repro.api.wire import ErrorDocument, is_error_document
 from repro.errors import ServiceError, ServiceOverloadedError
 from repro.service.jobs import JobRecord
+
+#: How many times a submit rejected with ``service_overloaded`` (HTTP
+#: 429) is retried before the rejection surfaces.
+OVERLOAD_RETRIES = 6
+#: First retry delay; it doubles per attempt up to BACKOFF_CAP_S, and
+#: never undercuts the server's ``Retry-After`` (itself capped).
+BACKOFF_S = 0.05
+BACKOFF_CAP_S = 2.0
+#: Delay between polls while waiting for a job to finish.
+POLL_S = 0.05
 
 
 class RemoteJob:
@@ -67,26 +77,14 @@ class RemoteJob:
 class ServiceClient:
     """JSON-over-HTTP client speaking the ``/v1/jobs`` endpoints.
 
-    ``overload_retries`` bounds how many times a submit rejected with
-    ``service_overloaded`` (HTTP 429) is retried; the delay doubles
-    from ``backoff_s`` per attempt, never exceeds ``backoff_cap_s``,
-    and never undercuts the server's ``Retry-After``.
-    ``overload_retries=0`` surfaces the first rejection directly.
+    ``timeout_s`` bounds each HTTP round trip.  Overload retries and
+    polling follow the module constants (``OVERLOAD_RETRIES``,
+    ``BACKOFF_S``, ``BACKOFF_CAP_S``, ``POLL_S``).
     """
 
-    def __init__(self, base_url: str, *, timeout_s: float = 30.0,
-                 poll_s: float = 0.05, overload_retries: int = 6,
-                 backoff_s: float = 0.05,
-                 backoff_cap_s: float = 2.0) -> None:
-        if overload_retries < 0:
-            raise ValueError(
-                f"overload_retries must be >= 0, got {overload_retries}")
+    def __init__(self, base_url: str, *, timeout_s: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
-        self.poll_s = poll_s
-        self.overload_retries = overload_retries
-        self.backoff_s = backoff_s
-        self.backoff_cap_s = backoff_cap_s
 
     # -- submission --------------------------------------------------------
 
@@ -106,7 +104,7 @@ class ServiceClient:
 
     def _post_with_backoff(self, path: str,
                            payload: dict | list) -> Any:
-        """POST, absorbing up to ``overload_retries`` 429 rejections.
+        """POST, absorbing up to ``OVERLOAD_RETRIES`` 429 rejections.
 
         Submission is idempotent to retry here because a rejected
         submit queued nothing (batch admission is all-or-nothing on
@@ -117,14 +115,12 @@ class ServiceClient:
             try:
                 return self._call("POST", path, payload=payload)
             except ServiceOverloadedError as exc:
-                if attempt >= self.overload_retries:
+                if attempt >= OVERLOAD_RETRIES:
                     raise
-                delay = min(self.backoff_s * (2 ** attempt),
-                            self.backoff_cap_s)
+                delay = min(BACKOFF_S * (2 ** attempt), BACKOFF_CAP_S)
                 retry_after = getattr(exc, "retry_after_s", None)
                 if retry_after is not None:
-                    delay = max(delay, min(retry_after,
-                                           self.backoff_cap_s))
+                    delay = max(delay, min(retry_after, BACKOFF_CAP_S))
                 time.sleep(delay)
                 attempt += 1
 
@@ -141,17 +137,10 @@ class ServiceClient:
     def wait(self, job_id: str,
              timeout: float | None = None) -> JobRecord:
         """Poll until the job is terminal; returns the final record."""
-        deadline = None if timeout is None \
-            else time.monotonic() + timeout
-        while True:
+        def terminal_record() -> JobRecord | None:
             record = self.job(job_id)
-            if record.terminal:
-                return record
-            if deadline is not None and time.monotonic() >= deadline:
-                raise ServiceError(
-                    f"job {job_id} still {record.state} after "
-                    f"{timeout}s")
-            time.sleep(self.poll_s)
+            return record if record.terminal else None
+        return self._poll(job_id, timeout, terminal_record)
 
     def result(self, job_id: str) -> ScheduleResult:
         """The finished job's result; remote failures re-raise typed."""
@@ -166,18 +155,14 @@ class ServiceClient:
         *is* the result, so a ``--retain`` cap on the server can never
         evict a result between observing DONE and retrieving it.
         """
-        deadline = None if timeout is None \
-            else time.monotonic() + timeout
-        while True:
+        def finished_result() -> ScheduleResult | None:
             try:
                 return self.result(job_id)
             except ServiceError as exc:
                 if getattr(exc, "code", None) != "job_not_done":
                     raise
-            if deadline is not None and time.monotonic() >= deadline:
-                raise ServiceError(
-                    f"job {job_id} not finished after {timeout}s")
-            time.sleep(self.poll_s)
+                return None
+        return self._poll(job_id, timeout, finished_result)
 
     def cancel(self, job_id: str) -> JobRecord:
         return JobRecord.from_dict(self._call("DELETE",
@@ -187,6 +172,22 @@ class ServiceClient:
         return self._call("GET", "/v1/health")
 
     # -- plumbing ----------------------------------------------------------
+
+    @staticmethod
+    def _poll(job_id: str, timeout: float | None,
+              attempt: Callable[[], Any]) -> Any:
+        """Call ``attempt`` every ``POLL_S`` until it returns a value;
+        past ``timeout`` seconds raise :class:`ServiceError`."""
+        deadline = None if timeout is None \
+            else time.monotonic() + timeout
+        while True:
+            value = attempt()
+            if value is not None:
+                return value
+            if deadline is not None and time.monotonic() >= deadline:
+                raise ServiceError(
+                    f"job {job_id} not finished after {timeout}s")
+            time.sleep(POLL_S)
 
     @staticmethod
     def _jobs_path(priority: int) -> str:

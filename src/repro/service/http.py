@@ -244,8 +244,8 @@ class _JobsHandler(BaseHTTPRequestHandler):
             self._send_exception(exc)
 
     def _send_result(self, job_id: str) -> None:
-        # One atomic snapshot: a separate job()-then-result() pair could
-        # lose the result to retain-eviction between the two calls.
+        # One atomic snapshot: reading the record and the result in two
+        # lock sections could lose the result to retain-eviction between.
         record, result = self.service.snapshot(job_id)
         if record.state == jobstate.DONE:
             assert result is not None

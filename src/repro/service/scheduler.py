@@ -73,28 +73,34 @@ JOB_BACKENDS = ("thread", "process")
 _SHUTDOWN_PRIORITY = float("inf")
 
 
-class _Completion:
-    """Terminal-outcome slot shared between the service and one handle.
+class _Job:
+    """One job's state: the slot shared by the service and its handle.
 
-    The worker fills ``record``/``result`` *before* setting ``event``,
-    so any waiter that wakes reads a complete outcome.  Retain-eviction
-    drops the service's reference only -- a live :class:`JobHandle`
-    keeps its own, so an in-process caller can never lose a result it
-    is waiting on.
+    The service keeps one slot per job id (``SchedulerService._jobs``);
+    the slot holds the current :class:`JobRecord`, the result, the done
+    event, the enqueue time, the cancel flag, the retrieved flag and the
+    terminal sequence number.  Every field is written only by a
+    :class:`SchedulerService` method holding the service's ``_lock``,
+    and the terminal ``record`` and ``result`` are written before
+    ``done`` is set, so a waiter that wakes reads a complete outcome.
+    Retain-eviction drops the service's reference only -- a live
+    :class:`JobHandle` keeps its own, so an in-process caller can never
+    lose a job it holds.
     """
 
-    __slots__ = ("event", "record", "result")
+    __slots__ = ("record", "result", "done", "enqueued_at",
+                 "cancel_requested", "retrieved", "terminal_seq")
 
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.record: JobRecord | None = None
-        self.result: ScheduleResult | None = None
-
-    def finish(self, record: JobRecord,
-               result: ScheduleResult | None = None) -> None:
+    def __init__(self, record: JobRecord) -> None:
         self.record = record
-        self.result = result
-        self.event.set()
+        self.result: ScheduleResult | None = None
+        self.done = threading.Event()
+        self.enqueued_at = time.monotonic()
+        self.cancel_requested = False
+        #: result fetched at least once (the eviction preference)
+        self.retrieved = False
+        #: position in the terminal order, set when the job finishes
+        self.terminal_seq: int | None = None
 
 
 class JobHandle:
@@ -104,29 +110,22 @@ class JobHandle:
     blocks until the job is terminal and either returns the
     ``ScheduleResult`` or raises the job's typed error (``FAILED``) /
     :class:`~repro.errors.ServiceError` (``CANCELLED``).  The handle
-    holds the job's :class:`_Completion`, so waiting through it is
-    immune to retain-eviction (unlike by-id access, which lives inside
-    the retention window).
+    holds the job's slot and reads it directly, so ``record()``,
+    ``wait()`` and ``result()`` are immune to retain-eviction (unlike
+    by-id access, which lives inside the retention window).
     """
 
-    def __init__(self, service: "SchedulerService", job_id: str,
-                 submitted_record: JobRecord,
-                 completion: _Completion) -> None:
+    def __init__(self, service: "SchedulerService", job: _Job) -> None:
         self._service = service
-        self._completion = completion
-        self.job_id = job_id
-        #: The QUEUED record snapshotted at submit time, so accepting a
-        #: job can always be acknowledged even if a tight ``retain`` cap
-        #: evicts it immediately after it finishes.
-        self.submitted_record = submitted_record
+        self._job = job
+        self.job_id = job.record.job_id
+        #: The QUEUED record snapshotted at submit time: the HTTP 201
+        #: acknowledges it, whatever state the job has reached by the
+        #: time the response is written.
+        self.submitted_record = job.record
 
     def record(self) -> JobRecord:
-        try:
-            return self._service.job(self.job_id)
-        except JobNotFoundError:
-            # Evicted from the service; the handle still knows the
-            # final (or at least the submitted) state.
-            return self._completion.record or self.submitted_record
+        return self._job.record
 
     @property
     def state(self) -> str:
@@ -136,19 +135,17 @@ class JobHandle:
         return self.record().terminal
 
     def wait(self, timeout: float | None = None) -> JobRecord:
-        if not self._completion.event.wait(timeout):
+        if not self._job.done.wait(timeout):
             raise ServiceError(
                 f"job {self.job_id} still {self.record().state} after "
                 f"{timeout}s")
-        record = self._completion.record
-        assert record is not None  # set before the event fires
-        return record
+        return self._job.record
 
     def result(self, timeout: float | None = None) -> ScheduleResult:
         record = self.wait(timeout)
         if record.state == jobstate.DONE:
-            result = self._completion.result
-            assert result is not None
+            result = self._job.result
+            assert result is not None  # set before the event fires
             return result
         if record.state == jobstate.FAILED:
             assert record.error is not None
@@ -171,11 +168,13 @@ class SchedulerService:
     pool) and from overlapping queue/IO handling; the determinism
     contract is unconditional either way.
 
-    ``retain`` bounds memory like ``Session(max_memo=N)`` does for the
-    result memo: only the N most recent *terminal* jobs keep their
-    records and results; older ones are evicted and subsequently raise
-    :class:`~repro.errors.JobNotFoundError`.  ``None`` (the default)
-    retains everything.
+    Each job lives in one slot (``_jobs``, id -> :class:`_Job`) that
+    its :class:`JobHandle` shares.  ``retain`` bounds memory like
+    ``Session(max_memo=N)`` does for the result memo: only the N most
+    recent *terminal* jobs keep their slots; older ones are evicted, and
+    by-id access to them (``job``, ``snapshot``, ``cancel``) raises
+    :class:`~repro.errors.JobNotFoundError`, while an open handle still
+    reads its own slot.  ``None`` (the default) retains everything.
 
     ``job_backend="process"`` runs each job's search on a process pool
     (size ``workers``) instead of the worker thread itself, so
@@ -219,29 +218,23 @@ class SchedulerService:
             if job_backend == "process" else None
         self._queue: queue.PriorityQueue = queue.PriorityQueue()
         self._lock = threading.Lock()
-        self._records: dict[str, JobRecord] = {}  # guarded by: _lock
-        self._results: dict[str, ScheduleResult] = {}  # guarded by: _lock
-        self._completions: dict[str, _Completion] = {}  # guarded by: _lock
-        self._enqueued_at: dict[str, float] = {}  # guarded by: _lock
-        self._cancel_requested: set[str] = set()  # guarded by: _lock
+        #: job id -> its slot, in submission order.
+        self._jobs: dict[str, _Job] = {}  # guarded by: _lock
         #: per-state record tally, maintained incrementally on every
         #: transition so /v1/health and admission checks are O(states),
         #: not O(jobs).
         self._counts: dict[str, int] = {  # guarded by: _lock
             state: 0 for state in jobstate.JOB_STATES}
-        #: job id -> terminal sequence number, in terminal order; the
-        #: eviction order for ``retain`` (an ordered dict so eviction
-        #: pops are O(1) instead of ``list.remove``'s O(n)).
-        self._terminal_order: OrderedDict[str, int] = \
+        #: retained terminal job ids, oldest first: the eviction order
+        #: for ``retain`` (an ordered dict so eviction pops are O(1)
+        #: instead of ``list.remove``'s O(n)).
+        self._terminal_order: OrderedDict[str, None] = \
             OrderedDict()  # guarded by: _lock
         self._terminal_seq = itertools.count()
-        # results fetched at least once
-        self._retrieved: set[str] = set()  # guarded by: _lock
         #: (terminal seq, job id) min-heap of retrieved jobs: the
         #: eviction preference queue.  Entries are lazily invalidated --
         #: an already-evicted head is popped and skipped -- which keeps
-        #: the bit-identical "oldest retrieved first" policy of the old
-        #: linear scan at O(log n).
+        #: the "oldest retrieved first" policy at O(log n).
         self._retrieved_heap: list[tuple[int, str]] = []  # guarded by: _lock
         self._seq = itertools.count()
         self._closed = False  # guarded by: _lock
@@ -298,22 +291,18 @@ class SchedulerService:
         if self._closed:
             raise ServiceError("service is closed; no new jobs")
         seq = next(self._seq)
-        job_id = f"job-{seq:06d}"
-        record = JobRecord(job_id=job_id, request=request,
-                           priority=priority,
-                           events=(jobstate.JobEvent(
-                               seq=0, state=jobstate.QUEUED),))
-        self._records[job_id] = record
+        job = _Job(JobRecord(job_id=f"job-{seq:06d}", request=request,
+                             priority=priority,
+                             events=(jobstate.JobEvent(
+                                 seq=0, state=jobstate.QUEUED),)))
+        self._jobs[job.record.job_id] = job
         self._counts[jobstate.QUEUED] += 1
-        completion = _Completion()
-        self._completions[job_id] = completion
-        self._enqueued_at[job_id] = time.monotonic()
         # Enqueue under the same lock as the closed check: a close()
         # racing in between would drain the workers before this put
         # landed, stranding an accepted job QUEUED forever.  The queue
         # is unbounded, so put never blocks.
-        self._queue.put((priority, seq, job_id))
-        return JobHandle(self, job_id, record, completion)
+        self._queue.put((priority, seq, job))
+        return JobHandle(self, job)
 
     # -- observation -------------------------------------------------------
 
@@ -321,46 +310,12 @@ class SchedulerService:
         """Snapshot one job's record (unknown/evicted ids raise
         :class:`~repro.errors.JobNotFoundError`)."""
         with self._lock:
-            try:
-                return self._records[job_id]
-            except KeyError:
-                raise JobNotFoundError(
-                    f"unknown job id {job_id!r}") from None
+            return self._job_locked(job_id).record
 
     def jobs(self) -> list[JobRecord]:
         """Snapshots of every job, in submission order."""
         with self._lock:
-            return list(self._records.values())
-
-    def wait(self, job_id: str,
-             timeout: float | None = None) -> JobRecord:
-        """Block until the job is terminal; returns the final record.
-
-        By-id access: with ``retain=N`` the record is only reachable
-        inside the retention window.  Prefer ``JobHandle.wait``, which
-        is eviction-immune.
-        """
-        completion = self._completion(job_id)
-        if not completion.event.wait(timeout):
-            # The job may have finished (and even been retain-evicted)
-            # between the wait timing out and this point; the completion
-            # slot outlives eviction, so fall back to it -- like
-            # JobHandle.record() -- instead of racing job() into a
-            # spurious JobNotFoundError.
-            record = completion.record
-            if record is not None:
-                return record
-            try:
-                state = self.job(job_id).state
-            except JobNotFoundError:
-                record = completion.record
-                assert record is not None  # evicted implies terminal
-                return record
-            raise ServiceError(
-                f"job {job_id} still {state} after {timeout}s")
-        record = completion.record
-        assert record is not None
-        return record
+            return [job.record for job in self._jobs.values()]
 
     def snapshot(self, job_id: str) \
             -> tuple[JobRecord, ScheduleResult | None]:
@@ -368,40 +323,14 @@ class SchedulerService:
 
         One lock section, so retain-eviction can never fall between
         observing a terminal state and fetching the payload -- the HTTP
-        result endpoint is built on this.
+        result endpoint is built on this.  Reading a ``DONE`` job marks
+        its result retrieved, which makes it the first to evict.
         """
         with self._lock:
-            record = self._records.get(job_id)
-            if record is None:
-                raise JobNotFoundError(f"unknown job id {job_id!r}")
-            result = self._results.get(job_id)
-            if record.state == jobstate.DONE:
-                self._mark_retrieved_locked(job_id)
-            return record, result
-
-    def result(self, job_id: str) -> ScheduleResult:
-        """The finished job's result (non-blocking; see also ``wait``).
-
-        ``FAILED`` jobs re-raise their typed error; ``CANCELLED`` and
-        still-pending jobs raise :class:`~repro.errors.ServiceError`.
-        """
-        # One lock acquisition for the state check and the result
-        # lookup: with retain-eviction a job can disappear between the
-        # two, which must surface as JobNotFoundError, not a KeyError.
-        with self._lock:
-            record = self._records.get(job_id)
-            if record is None:
-                raise JobNotFoundError(f"unknown job id {job_id!r}")
-            if record.state == jobstate.DONE:
-                self._mark_retrieved_locked(job_id)
-                return self._results[job_id]
-        if record.state == jobstate.FAILED:
-            assert record.error is not None
-            raise record.error.exception()
-        if record.state == jobstate.CANCELLED:
-            raise ServiceError(f"job {job_id} was cancelled")
-        raise ServiceError(
-            f"job {job_id} is {record.state}, not finished")
+            job = self._job_locked(job_id)
+            if job.record.state == jobstate.DONE:
+                self._mark_retrieved_locked(job)
+            return job.record, job.result
 
     # -- cancellation ------------------------------------------------------
 
@@ -414,24 +343,13 @@ class SchedulerService:
         returned unchanged.
         """
         with self._lock:
-            record = self._records.get(job_id)
-            if record is None:
-                raise JobNotFoundError(f"unknown job id {job_id!r}")
-            if record.terminal:
-                return record
-            if record.state == jobstate.QUEUED:
-                queue_s = time.monotonic() - self._enqueued_at[job_id]
-                record = record.transition(jobstate.CANCELLED,
-                                           note="cancelled while queued",
-                                           queue_s=queue_s)
-                self._replace_locked(job_id, record)
-                self._completions[job_id].finish(record)
-                self._mark_terminal_locked(job_id)
-                self._evict_locked()
-                return record
-            # RUNNING: flag it; the worker finishes the transition.
-            self._cancel_requested.add(job_id)
-            return record
+            job = self._job_locked(job_id)
+            if job.record.state == jobstate.QUEUED:
+                self._cancel_queued_locked(job, "cancelled while queued")
+            elif job.record.state == jobstate.RUNNING:
+                # Flag it; the worker finishes the transition.
+                job.cancel_requested = True
+            return job.record
 
     # -- reporting ---------------------------------------------------------
 
@@ -443,7 +361,7 @@ class SchedulerService:
         retention window holds.
         """
         with self._lock:
-            return {**self._counts, "total": len(self._records)}
+            return {**self._counts, "total": len(self._jobs)}
 
     def perf_summary(self) -> dict:
         """Service-level stats: job states, queue/run times, session perf.
@@ -458,7 +376,7 @@ class SchedulerService:
         attached).
         """
         with self._lock:
-            records = list(self._records.values())
+            records = [job.record for job in self._jobs.values()]
             counts = {**self._counts, "total": len(records)}
             store_stats = self._store_stats.to_dict() \
                 if self._store is not None else None
@@ -497,18 +415,11 @@ class SchedulerService:
             first = not self._closed
             self._closed = True
             if cancel_pending:
-                for job_id, record in list(self._records.items()):
-                    if record.state != jobstate.QUEUED:
-                        continue
-                    queue_s = time.monotonic() \
-                        - self._enqueued_at[job_id]
-                    cancelled = record.transition(
-                        jobstate.CANCELLED,
-                        note="cancelled at shutdown", queue_s=queue_s)
-                    self._replace_locked(job_id, cancelled)
-                    self._completions[job_id].finish(cancelled)
-                    self._mark_terminal_locked(job_id)
-                self._evict_locked()
+                # A copy: cancelling evicts, which pops from _jobs.
+                for job in list(self._jobs.values()):
+                    if job.record.state == jobstate.QUEUED:
+                        self._cancel_queued_locked(
+                            job, "cancelled at shutdown")
         if first:
             for _ in self._threads:
                 self._queue.put(
@@ -539,43 +450,36 @@ class SchedulerService:
 
     # -- internals ---------------------------------------------------------
 
-    def _completion(self, job_id: str) -> _Completion:
-        with self._lock:
-            try:
-                return self._completions[job_id]
-            except KeyError:
-                raise JobNotFoundError(
-                    f"unknown job id {job_id!r}") from None
-
     def _worker(self) -> None:
         while True:
-            _, _, job_id = self._queue.get()
-            if job_id is None:  # shutdown sentinel
+            _, _, job = self._queue.get()
+            if job is None:  # shutdown sentinel
                 self._queue.task_done()
                 return
             try:
-                self._run_one(job_id)
+                self._run_one(job)
             finally:
                 self._queue.task_done()
 
-    def _run_one(self, job_id: str) -> None:
+    def _run_one(self, job: _Job) -> None:
         with self._lock:
-            record = self._records.get(job_id)
-            if record is None or record.state != jobstate.QUEUED:
+            if job.record.state != jobstate.QUEUED:
                 # Cancelled off the queue (and possibly evicted already);
                 # the stale queue entry is a no-op.
                 return
-            queue_s = time.monotonic() - self._enqueued_at[job_id]
-            record = record.transition(jobstate.RUNNING, queue_s=queue_s)
-            self._replace_locked(job_id, record)
+            queue_s = time.monotonic() - job.enqueued_at
+            self._replace_locked(
+                job, job.record.transition(jobstate.RUNNING,
+                                           queue_s=queue_s))
+            request = job.record.request
         started = time.monotonic()
         try:
-            result = self._execute(record.request)
+            result = self._execute(request)
         except Exception as exc:  # noqa: BLE001 - mapped to wire error
-            self._finish(job_id, jobstate.FAILED, started,
+            self._finish(job, jobstate.FAILED, started,
                          error=ErrorDocument.from_exception(exc))
         else:
-            self._finish(job_id, jobstate.DONE, started, result=result)
+            self._finish(job, jobstate.DONE, started, result=result)
 
     def _execute(self, request: ScheduleRequest) -> ScheduleResult:
         """One job's search: memo, then shared store, then compute.
@@ -611,46 +515,57 @@ class SchedulerService:
             self._store.record(result, key=key)
         return result
 
-    def _finish(self, job_id: str, state: str, started: float, *,
+    def _finish(self, job: _Job, state: str, started: float, *,
                 result: ScheduleResult | None = None,
-                error: ErrorDocument | None = None,
-                note: str = "") -> None:
+                error: ErrorDocument | None = None) -> None:
         run_s = time.monotonic() - started
+        note = ""
         with self._lock:
             # The cancel flag is honoured under the same lock that sets
             # it, so a cancel() racing the end of the run can never be
             # silently dropped into a DONE.
-            if state == jobstate.DONE \
-                    and job_id in self._cancel_requested:
+            if state == jobstate.DONE and job.cancel_requested:
                 state = jobstate.CANCELLED
                 result = None
                 note = "cancelled during run; result discarded"
-            record = self._records[job_id].transition(
-                state, note=note, error=error, run_s=run_s)
-            self._replace_locked(job_id, record)
-            if result is not None:
-                self._results[job_id] = result
-            self._cancel_requested.discard(job_id)
-            self._completions[job_id].finish(record, result)
-            self._mark_terminal_locked(job_id)
-            self._evict_locked()
+            self._terminate_locked(job, job.record.transition(
+                state, note=note, error=error, run_s=run_s), result)
 
-    def _replace_locked(self, job_id: str, record: JobRecord) -> None:
+    def _job_locked(self, job_id: str) -> _Job:
+        try:
+            return self._jobs[job_id]
+        except KeyError:
+            raise JobNotFoundError(f"unknown job id {job_id!r}") from None
+
+    def _cancel_queued_locked(self, job: _Job, note: str) -> None:
+        queue_s = time.monotonic() - job.enqueued_at
+        self._terminate_locked(job, job.record.transition(
+            jobstate.CANCELLED, note=note, queue_s=queue_s))
+
+    def _replace_locked(self, job: _Job, record: JobRecord) -> None:
         """Swap in a transitioned record, keeping the state counters."""
-        self._counts[self._records[job_id].state] -= 1
+        self._counts[job.record.state] -= 1
         self._counts[record.state] += 1
-        self._records[job_id] = record
+        job.record = record
 
-    def _mark_terminal_locked(self, job_id: str) -> None:
-        self._terminal_order[job_id] = next(self._terminal_seq)
+    def _terminate_locked(self, job: _Job, record: JobRecord,
+                          result: ScheduleResult | None = None) -> None:
+        """Install the terminal ``record``, wake the job's waiters and
+        evict past the ``retain`` cap."""
+        job.result = result
+        self._replace_locked(job, record)
+        job.terminal_seq = next(self._terminal_seq)
+        self._terminal_order[record.job_id] = None
+        job.done.set()
+        self._evict_locked()
 
-    def _mark_retrieved_locked(self, job_id: str) -> None:
-        if job_id in self._retrieved:
+    def _mark_retrieved_locked(self, job: _Job) -> None:
+        if job.retrieved:
             return
-        self._retrieved.add(job_id)
-        tseq = self._terminal_order.get(job_id)
-        if tseq is not None:  # retrieval implies DONE implies terminal
-            heapq.heappush(self._retrieved_heap, (tseq, job_id))
+        job.retrieved = True
+        assert job.terminal_seq is not None  # retrieval implies DONE
+        heapq.heappush(self._retrieved_heap,
+                       (job.terminal_seq, job.record.job_id))
 
     def _evict_locked(self) -> None:
         """Drop terminal jobs past the ``retain`` cap, oldest first,
@@ -662,29 +577,21 @@ class SchedulerService:
         well-paced client rarely loses an unfetched result; when *every*
         candidate is unretrieved the oldest goes anyway -- the cap is a
         hard memory bound, so ``retain`` should be sized comfortably
-        above the number of jobs in flight.  The victim choice -- the
+        above the number of jobs in flight.  The victim -- the
         oldest-terminal retrieved job, else the oldest terminal job --
-        comes from the retrieved heap and the terminal order dict in
-        O(log n), bit-identical to the old linear scan.
+        comes from the retrieved heap and the terminal order in
+        O(log n).
         """
         if self.retain is None:
             return
         while len(self._terminal_order) > self.retain:
             job_id = None
             while self._retrieved_heap:
-                _, candidate = self._retrieved_heap[0]
+                _, candidate = heapq.heappop(self._retrieved_heap)
                 if candidate in self._terminal_order:
                     job_id = candidate
-                    heapq.heappop(self._retrieved_heap)
-                    break
-                heapq.heappop(self._retrieved_heap)  # already evicted
+                    break  # else already evicted: skip
             if job_id is None:
                 job_id = next(iter(self._terminal_order))
             del self._terminal_order[job_id]
-            record = self._records.pop(job_id)
-            self._counts[record.state] -= 1
-            self._results.pop(job_id, None)
-            self._completions.pop(job_id, None)
-            self._enqueued_at.pop(job_id, None)
-            self._cancel_requested.discard(job_id)
-            self._retrieved.discard(job_id)
+            self._counts[self._jobs.pop(job_id).record.state] -= 1

@@ -11,6 +11,7 @@ import urllib.request
 import pytest
 
 from repro.api import ErrorDocument, ScheduleRequest, ScheduleResult, Session
+from repro.core.budget import SearchBudget
 from repro.errors import (
     ConfigError,
     JobNotFoundError,
@@ -25,6 +26,7 @@ from repro.service import (
     ServiceClient,
     local_service,
 )
+from repro.service import client as client_module
 from service_helpers import (
     POLICIES,
     assert_equivalent,
@@ -123,16 +125,17 @@ class TestJobLifecycleOverHTTP:
 
 class TestAdmissionControlOverHTTP:
     @pytest.fixture
-    def overloaded(self, tiny_scenario, small_budget):
+    def overloaded(self, tiny_scenario, small_budget, monkeypatch):
         """A 1-worker, max_pending=1 service with the worker gated and
         the one queue slot filled: the next submit must get a 429."""
         registry, started, release, _order = gated_registry()
         request = ScheduleRequest.for_scenario(
             tiny_scenario, template="het_sides_3x3", policy="gated",
             budget=small_budget, nsplits=1)
+        monkeypatch.setattr(client_module, "OVERLOAD_RETRIES", 0)
         with local_service(Session(registry), workers=1,
                            max_pending=1) as (url, svc):
-            client = ServiceClient(url, overload_retries=0)
+            client = ServiceClient(url)
             client.submit(request)  # occupies the worker
             assert started.wait(timeout=60)
             client.submit(request.replace(prov_limit=63))  # fills queue
@@ -161,13 +164,16 @@ class TestAdmissionControlOverHTTP:
             client.submit(request.replace(prov_limit=62))
         assert excinfo.value.retry_after_s == 1.0
 
-    def test_client_backoff_retries_until_admitted(self, overloaded):
+    def test_client_backoff_retries_until_admitted(self, overloaded,
+                                                   monkeypatch):
         """The backing-off client rides out the overload: once the gate
         releases and the queue drains, a retried submit is accepted and
         completes."""
         url, _client, request, release = overloaded
-        patient = ServiceClient(url, overload_retries=8,
-                                backoff_s=0.05, backoff_cap_s=0.05)
+        monkeypatch.setattr(client_module, "OVERLOAD_RETRIES", 8)
+        monkeypatch.setattr(client_module, "BACKOFF_S", 0.05)
+        monkeypatch.setattr(client_module, "BACKOFF_CAP_S", 0.05)
+        patient = ServiceClient(url)
         releaser = threading.Timer(0.15, release.set)
         releaser.start()
         try:
@@ -220,7 +226,55 @@ _BAD_REQUEST_VALUES = [
     ("scenario_id", "1"), ("scenario_id", 1.0),
     ("prov_limit", -1), ("prov_limit", 0),
     ("max_nodes_per_model", 0), ("max_nodes_per_model", 1.5),
+    ("packing", "gredy"), ("provisioning", "exhaustve"),
+    ("seg_search", "evolutionery"), ("objective", "edp2"),
 ]
+
+#: (budget field, bad value) pairs that must fail when the budget is
+#: built, and so when the request document is parsed.
+_BAD_BUDGET_VALUES = [
+    ("max_candidates_per_window", 0), ("max_root_combos", 2.5),
+    ("top_k_segmentations", True), ("seed", "x"),
+]
+
+
+def _post_job(url: str, document) -> tuple[int, dict]:
+    """POST one document to /v1/jobs: (HTTP status, response body)."""
+    req = urllib.request.Request(
+        url + "/v1/jobs", data=json.dumps(document).encode(),
+        method="POST", headers={"Content-Type": "application/json"})
+    try:
+        with urllib.request.urlopen(req, timeout=30) as resp:
+            return resp.status, json.loads(resp.read())
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read())
+
+
+def _parse_boundary_cases() -> list[tuple[str, dict]]:
+    """(case id, document): every top-level and every budget field of a
+    cheap request dropped, set to null and set to a value of the wrong
+    type, plus every budget cap set to 0."""
+    base = ScheduleRequest(scenario_id=1, policy="standalone",
+                           nsplits=1).to_dict()
+    budget = base["budget"]
+
+    def variants(doc: dict):
+        for name, value in doc.items():
+            yield f"{name}-dropped", {k: v for k, v in doc.items()
+                                      if k != name}
+            yield f"{name}-null", {**doc, name: None}
+            yield f"{name}-wrong-type", {
+                **doc, name: 7 if isinstance(value, str) else "7"}
+
+    return (list(variants(base))
+            + [(f"budget.{case}", {**base, "budget": doc})
+               for case, doc in variants(budget)]
+            + [(f"budget.{name}-zero", {**base,
+                                        "budget": {**budget, name: 0}})
+               for name in budget if name != "seed"])
+
+
+_PARSE_BOUNDARY_CASES = _parse_boundary_cases()
 
 
 class TestWireErrors:
@@ -246,6 +300,24 @@ class TestWireErrors:
             doc = ErrorDocument.from_json(
                 excinfo.value.read().decode("utf-8"))
             assert doc.code == "config_error"
+
+    @pytest.mark.parametrize("field,value", _BAD_BUDGET_VALUES)
+    def test_bad_budget_value_is_config_error_at_every_entry(
+            self, field, value):
+        """A bad budget fails where the budget is built, so a request
+        document carrying it is a 400 config_error naming the field --
+        not a 500 search_error or a job that fails later."""
+        with pytest.raises(ConfigError, match=field):
+            SearchBudget(**{field: value})
+        base = ScheduleRequest(scenario_id=1).to_dict()
+        document = {**base, "budget": {**base["budget"], field: value}}
+        with pytest.raises(ConfigError, match=field):
+            ScheduleRequest.from_dict(document)
+        with local_service(workers=1) as (url, _service):
+            status, body = _post_job(url, document)
+        assert status == 400
+        assert body["code"] == "config_error"
+        assert field in body["message"]
 
     def test_unknown_job_id_raises_service_error(self):
         with local_service(workers=1) as (url, _service):
@@ -353,6 +425,33 @@ class TestWireErrors:
             client = ServiceClient(url)
             result = client.submit(request).result(timeout=300)
             assert result.metrics.latency_s > 0
+
+
+class TestRequestParseBoundary:
+    @pytest.fixture(scope="class")
+    def url(self):
+        with local_service(workers=1) as (url, _service):
+            yield url
+
+    @pytest.mark.parametrize(
+        "document", [doc for _, doc in _PARSE_BOUNDARY_CASES],
+        ids=[case for case, _ in _PARSE_BOUNDARY_CASES])
+    def test_document_parses_or_is_a_config_error(self, url, document):
+        """from_dict either parses or raises ConfigError (never a
+        SearchError or TypeError), and the POST agrees: 201 for a
+        document that parses, 400 config_error for one that does not."""
+        try:
+            ScheduleRequest.from_dict(document)
+        except ConfigError:
+            parsed = False
+        else:
+            parsed = True
+        status, body = _post_job(url, document)
+        if parsed:
+            assert status == 201, body
+        else:
+            assert status == 400, body
+            assert body["code"] == "config_error"
 
 
 class TestResultBody:

@@ -20,6 +20,7 @@ from repro.service import (
     CANCELLED,
     DONE,
     FAILED,
+    JOB_STATES,
     RUNNING,
     SchedulerService,
 )
@@ -101,7 +102,7 @@ class TestLifecycle:
         assert record.state == CANCELLED
         assert record.queue_s is not None and record.run_s is None
         with pytest.raises(ServiceError, match="cancelled"):
-            service.result(queued.job_id)
+            queued.result(timeout=60)
         release.set()
         assert running.result(timeout=300).metrics.latency_s > 0
 
@@ -237,12 +238,13 @@ class TestLifecycle:
             ha.wait(timeout=300)  # a terminal, NOT retrieved by id
             hb = service.submit(b)
             hb.wait(timeout=300)
-            service.result(hb.job_id)  # b retrieved
+            service.snapshot(hb.job_id)  # b retrieved
             service.submit(c).result(timeout=300)  # over cap: evict b
             remaining = {r.job_id for r in service.jobs()}
             assert ha.job_id in remaining  # unretrieved a survived
             assert hb.job_id not in remaining
-            assert service.result(ha.job_id).metrics.latency_s > 0
+            _, result = service.snapshot(ha.job_id)
+            assert result.metrics.latency_s > 0
 
     def test_handle_result_survives_eviction(self, tiny_scenario,
                                              small_budget):
@@ -254,8 +256,8 @@ class TestLifecycle:
             second = service.submit(b)
             second.wait(timeout=300)  # finishing b evicts a's record
             with pytest.raises(JobNotFoundError):
-                service.result(first.job_id)  # by-id: window semantics
-            # ...but the handle kept its completion slot
+                service.snapshot(first.job_id)  # by-id: window semantics
+            # ...but the handle kept its slot
             assert first.result(timeout=300).metrics.latency_s > 0
             assert first.record().state == DONE
 
@@ -304,55 +306,6 @@ class TestLifecycleBugfixes:
         release.set()
         service.close()
 
-    def test_wait_timeout_survives_eviction(self, tiny_scenario,
-                                            small_budget):
-        """A by-id wait() whose timeout races retain-eviction returns
-        the completion record instead of raising JobNotFoundError: the
-        completion slot outlives eviction, like JobHandle.record()."""
-        with SchedulerService(workers=1, retain=1) as service:
-            a = service.submit(
-                request_for(tiny_scenario, small_budget, "standalone"))
-            a.wait(timeout=300)  # a is terminal, retained for now
-            # Stall the waiter deterministically: its event "times out"
-            # only after the test has evicted the job.
-            entered = threading.Event()
-            evicted = threading.Event()
-
-            class _StalledEvent:
-                @staticmethod
-                def wait(timeout=None):
-                    entered.set()
-                    evicted.wait(timeout=60)
-                    return False  # report a timeout
-
-                @staticmethod
-                def set():
-                    pass
-
-            service._completions[a.job_id].event = _StalledEvent()
-            outcome: dict = {}
-
-            def waiter():
-                try:
-                    outcome["record"] = service.wait(a.job_id,
-                                                     timeout=0.01)
-                except ServiceError as exc:
-                    outcome["error"] = exc
-
-            thread = threading.Thread(target=waiter)
-            thread.start()
-            assert entered.wait(timeout=60)
-            b = service.submit(
-                request_for(tiny_scenario, small_budget, "nn_baton"))
-            b.wait(timeout=300)  # a second terminal job evicts a
-            with pytest.raises(JobNotFoundError):
-                service.job(a.job_id)
-            evicted.set()
-            thread.join(timeout=60)
-            assert not thread.is_alive()
-        assert "error" not in outcome, outcome.get("error")
-        assert outcome["record"].state == DONE
-
     def test_concurrent_close_waits_for_drain(self, gated_service):
         """Every close(wait=True) caller blocks until the workers are
         joined -- the second closer must not return early just because
@@ -375,6 +328,80 @@ class TestLifecycleBugfixes:
         assert not any(worker.is_alive()
                        for worker in service._threads)
         assert handle.record().state == DONE
+
+
+class TestConcurrentSlots:
+    def test_racing_submits_cancels_and_snapshots_keep_the_tally(
+            self, tiny_scenario, small_budget, monkeypatch):
+        """More worker and caller threads than cores, with a tiny switch
+        interval and a policy that returns at once: no thread dies,
+        every job's slot ends terminal, the per-state counters still
+        match the retained records, and a handle whose job was evicted
+        still reads its own outcome."""
+        import sys
+
+        from repro.api import PolicyOutcome, SchedulerRegistry
+        from repro.core.baselines import StandaloneScheduler
+
+        canned: list = []
+        registry = SchedulerRegistry()
+
+        @registry.register("instant")
+        def _instant(ctx):
+            if not canned:
+                outcome = StandaloneScheduler(ctx.mcm, ctx.database) \
+                    .schedule(ctx.scenario)
+                canned.append(PolicyOutcome(schedule=outcome.schedule,
+                                            metrics=outcome.metrics))
+            return canned[0]
+
+        callers, per_caller, retain = 8, 200, 5
+        handles: list = []
+        base = request_for(tiny_scenario, small_budget, "instant")
+
+        def work(caller: int) -> None:
+            for i in range(per_caller):
+                handle = service.submit(
+                    base.replace(prov_limit=1 + caller * per_caller + i))
+                handles.append(handle)
+                try:
+                    if i % 3 == 0:
+                        handle.cancel()
+                    service.snapshot(handle.job_id)
+                except JobNotFoundError:
+                    pass  # already finished and evicted
+
+        crashes: list = []
+        monkeypatch.setattr(threading, "excepthook", crashes.append)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            service = SchedulerService(Session(registry), workers=8,
+                                       retain=retain)
+            threads = [threading.Thread(target=work, args=(caller,))
+                       for caller in range(callers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            service.close()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert crashes == []
+        assert len(handles) == callers * per_caller
+        records = service.jobs()
+        counts = service.state_counts()
+        assert counts["total"] == len(records) == retain
+        for state in JOB_STATES:
+            assert counts[state] == sum(
+                record.state == state for record in records)
+        for handle in handles:
+            record = handle.wait(timeout=0)
+            if record.state == DONE:
+                assert handle.result().metrics.latency_s > 0
+            else:
+                assert record.state == CANCELLED
 
 
 class TestProcessJobBackend:
