@@ -43,7 +43,7 @@ from repro.config.files import (
 from repro.core.budget import SearchBudget
 from repro.core.metrics import ScheduleMetrics
 from repro.core.packing import PACKING_MODES
-from repro.core.scar import SEG_SEARCH_MODES, SCARResult
+from repro.core.scar import SEG_SEARCH_MODES
 from repro.core.schedule import Schedule
 from repro.engine.candidates import assemble_candidate_points
 from repro.engine.provisioning import PROVISIONING_MODES
@@ -279,11 +279,11 @@ class ScheduleResult:
 
     ``window_candidates`` summarizes the evaluated population per time
     window (rank 0 after sorting by score = the chosen candidate); the
-    Pareto figures consume it via :meth:`candidate_points`.  ``raw``
-    keeps the in-process :class:`~repro.core.scar.SCARResult` (full
-    window candidates, packing plan) for callers that need more than the
-    wire form carries; it never crosses the wire and is excluded from
-    equality so JSON round-trips compare clean.
+    Pareto figures consume it via :meth:`candidate_points`.  A result
+    holds only what the wire carries, so a memoized one pins no search
+    state; callers that need the full in-process population (window
+    candidates, packing plan) run
+    :class:`~repro.core.scar.SCARScheduler` themselves.
 
     :attr:`wire_bytes` is the canonical encoding, computed on first read
     and kept on the instance (not a field), so it is not part of
@@ -297,8 +297,6 @@ class ScheduleResult:
     window_candidates: tuple[tuple[CandidatePoint, ...], ...] = ()
     num_evaluated: int = 0
     perf: PerfReport | None = None
-    raw: SCARResult | None = field(default=None, compare=False,
-                                   repr=False)
 
     # -- metric conveniences -----------------------------------------------
 
@@ -328,9 +326,9 @@ class ScheduleResult:
         """Equality on the deterministic payload.
 
         The service determinism contract: request, schedule, metrics,
-        candidate summaries and evaluation count -- excluding ``raw``
-        (never crosses the wire) and ``perf`` (wall times vary run to
-        run).  This is THE definition parity tests and benches gate on.
+        candidate summaries and evaluation count -- excluding ``perf``
+        (wall times vary run to run).  This is THE definition parity
+        tests and benches gate on.
         """
         return (self.request == other.request
                 and self.schedule == other.schedule
@@ -371,7 +369,7 @@ class ScheduleResult:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ScheduleResult":
-        """Rebuild a result from its wire form (``raw`` does not survive)."""
+        """Rebuild a result from its wire form."""
         check_envelope(data, _RESULT_KIND)
         try:
             return cls(

@@ -8,18 +8,23 @@ runs one :class:`ScheduleRequest` per :meth:`Session.submit` call.
 Overlapping many requests is the job service's concern
 (:class:`~repro.service.SchedulerService`).
 
+Every request a session runs reads and fills the same per-clock
+database, so a layer one request costed is a dictionary hit for the
+next; it holds at most :data:`repro.dataflow.database._MAX_ENTRIES`
+costs.
+
 Results are memoized on :meth:`ScheduleRequest.cache_key`.  The request
 names the problem only; the session owns execution (``jobs``,
 ``eval_mode``), and since results are bit-identical across those
-settings, one memo entry serves them all.  The memo is unbounded by
-default; long-running front-ends (the job service) pass ``max_memo=N``
-to cap it with LRU eviction -- evicted entries simply recompute
-bit-identically on the next submit.
+settings, one memo entry serves them all.  The memo holds wire-level
+:class:`ScheduleResult` values only, never a search's candidate
+population.  It is unbounded by default; long-running front-ends (the
+job service) pass ``max_memo=N`` to cap it with LRU eviction -- evicted
+entries simply recompute bit-identically on the next submit.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import threading
 from collections import OrderedDict
@@ -299,7 +304,6 @@ class Session:
                 for window in scar_result.window_candidates),
             num_evaluated=scar_result.num_evaluated,
             perf=scar_result.perf,
-            raw=scar_result,
         )
 
 
@@ -317,9 +321,9 @@ def _pool_worker_init(registry: SchedulerRegistry | None, jobs: int,
 def run_pooled_request(request: ScheduleRequest) -> ScheduleResult:
     """Run one request on a pool built by :meth:`Session.process_pool`.
 
-    Module-level, and so picklable.  The result comes back without the
-    in-process ``raw`` population: it is excluded from equality and the
-    wire anyway, and would dominate the transfer.
+    Module-level, and so picklable.  The result is the worker session's
+    memoized one, which holds only its wire-level payload, so the
+    transfer carries no search population.
     """
     assert _WORKER_SESSION is not None
-    return dataclasses.replace(_WORKER_SESSION.submit(request), raw=None)
+    return _WORKER_SESSION.submit(request)

@@ -76,9 +76,10 @@ class CandidatePoint:
 
     ``score`` is the candidate's objective score inside its window (lower
     is better); latency/energy are the window metrics the Pareto figures
-    consume.  Full :class:`~repro.core.sched_engine.WindowCandidate`
-    objects stay in-process (see ``ScheduleResult.raw``); only these
-    summaries cross the wire.
+    consume.  A :class:`~repro.api.ScheduleResult` keeps only these
+    summaries; full :class:`~repro.core.sched_engine.WindowCandidate`
+    objects live in the :class:`~repro.core.scar.SCARResult` of a
+    direct :class:`~repro.core.scar.SCARScheduler` run.
     """
 
     score: float

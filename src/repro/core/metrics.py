@@ -159,7 +159,8 @@ class ScheduleEvaluator:
                  cache: EvalCache | None = None) -> None:
         self.scenario = scenario
         self.mcm = mcm
-        self.database = database or LayerCostDatabase(clock_hz=mcm.clock_hz)
+        self.database = database if database is not None \
+            else LayerCostDatabase(clock_hz=mcm.clock_hz)
         self.comm = CommModel(mcm)
         #: Memoized segment/window costs; valid for this (scenario, mcm)
         #: pair only.

@@ -123,6 +123,12 @@ class SCARScheduler:
     ``nsplits``              time-window split count (default 4 -> 5 windows).
     ``objective``            Latency / Energy / EDP search (default EDP).
     ``budget``               search caps (see :class:`SearchBudget`).
+    ``database``             the layer-cost database the search reads and
+                             fills, kept as given even while empty
+                             (default: a fresh one at the MCM's clock).
+                             A :class:`~repro.api.session.Session`
+                             passes its per-clock database, so costs one
+                             request computes serve every later one.
     ``packing``              ``"greedy"`` (Algorithm 1) or ``"uniform"``.
     ``provisioning``         ``"uniform"`` (Eq. 2) or ``"exhaustive"``.
     ``max_nodes_per_model``  Heuristic-2 node-allocation constraint.
@@ -182,7 +188,8 @@ class SCARScheduler:
         self.objective = objective or edp_objective()
         self.nsplits = nsplits
         self.budget = budget or SearchBudget()
-        self.database = database or LayerCostDatabase(clock_hz=mcm.clock_hz)
+        self.database = database if database is not None \
+            else LayerCostDatabase(clock_hz=mcm.clock_hz)
         self.packing = packing
         self.provisioning = provisioning
         self.max_nodes_per_model = max_nodes_per_model

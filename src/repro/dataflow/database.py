@@ -11,6 +11,8 @@ chiplet (its resource tuple), plus the Eq. (1) expectation helpers::
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol
 
@@ -48,6 +50,25 @@ class _ChipletKey:
                    chiplet.noc_gbps, chiplet.mem_gbps)
 
 
+#: Entries one database keeps.  A session's per-clock database lives as
+#: long as the session, so it must not grow with every distinct layer it
+#: ever costs: at 0.75-0.86 KB an entry this is 12-14 MB, five times the
+#: 3,264 distinct costs a 102-request Table III x Fig. 6 search mix
+#: needs.  A full table is dropped whole and refills; entries are pure
+#: functions of their keys, so a reset never changes a result.
+_MAX_ENTRIES = 16_384
+
+#: Serializes misses.  Module-level rather than per instance, so a
+#: database pickles as plain data into spawned window-search workers.
+#: A forking thread holds it across the fork, so a forked worker never
+#: inherits it held by a thread that does not exist in the child.
+_MISS_LOCK = threading.Lock()
+if hasattr(os, "register_at_fork"):  # POSIX
+    os.register_at_fork(before=_MISS_LOCK.acquire,
+                        after_in_parent=_MISS_LOCK.release,
+                        after_in_child=_MISS_LOCK.release)
+
+
 def _layer_key(layer: Layer) -> tuple:
     return (layer.op, layer.n, layer.k, layer.c, layer.y, layer.x, layer.r,
             layer.s, layer.stride, layer.bytes_per_element)
@@ -57,10 +78,17 @@ class LayerCostDatabase:
     """Memoized per-(layer, chiplet-class) cost store.
 
     One database instance corresponds to one operating point (clock, energy
-    table); experiments create one per hardware configuration and share it
-    across all engines -- lookups after the first are dictionary hits, which
-    is what makes the large searches tractable (the paper's "offline
-    analysis" step).
+    table) and is shared by every engine that runs at it: a
+    :class:`~repro.api.session.Session` keeps one per clock domain for
+    all its requests, and a scheduler built without one makes its own.
+    Lookups after the first are dictionary hits, which is what makes the
+    large searches tractable (the paper's "offline analysis" step).
+
+    Safe to share between threads: a hit is one lock-free ``dict.get``;
+    a miss takes the module's miss lock, checks again, computes, and
+    inserts.  The table holds at most :data:`_MAX_ENTRIES` costs: the
+    insert that would pass the cap first rebinds it to a fresh dict, so
+    a reader holding the old one still sees a consistent mapping.
     """
 
     def __init__(self, clock_hz: float = 500e6,
@@ -76,18 +104,23 @@ class LayerCostDatabase:
         """Intra-chiplet cost of ``layer`` on ``chiplet``'s class."""
         key = (_layer_key(layer), _ChipletKey.of(chiplet))
         cached = self._cache.get(key)
-        if cached is None:
-            dataflow = by_name(chiplet.dataflow)
-            cached = compute_layer_cost(
-                layer, dataflow,
-                num_pes=chiplet.num_pes,
-                sram_bytes=chiplet.sram_bytes,
-                noc_gbps=chiplet.noc_gbps,
-                mem_gbps=chiplet.mem_gbps,
-                clock_hz=self.clock_hz,
-                energy=self.energy,
-            )
-            self._cache[key] = cached
+        if cached is not None:
+            return cached
+        with _MISS_LOCK:
+            cached = self._cache.get(key)
+            if cached is None:
+                cached = compute_layer_cost(
+                    layer, by_name(chiplet.dataflow),
+                    num_pes=chiplet.num_pes,
+                    sram_bytes=chiplet.sram_bytes,
+                    noc_gbps=chiplet.noc_gbps,
+                    mem_gbps=chiplet.mem_gbps,
+                    clock_hz=self.clock_hz,
+                    energy=self.energy,
+                )
+                if len(self._cache) >= _MAX_ENTRIES:
+                    self._cache = {}
+                self._cache[key] = cached
         return cached
 
     def latency_s(self, layer: Layer, chiplet: ChipletLike) -> float:

@@ -42,8 +42,8 @@ def replicated_request(small_budget, policy="scar",
 
 
 def assert_equivalent(a, b):
-    """Result equality minus ``raw`` and the nondeterministic perf wall
-    times — the service determinism contract.  The granular asserts give
+    """Result equality minus the nondeterministic perf wall times — the
+    service determinism contract.  The granular asserts give
     readable failures; the final ``same_payload`` check keeps this
     helper honest if the contract ever gains a field."""
     assert a.request == b.request

@@ -9,20 +9,27 @@ the acceptance gate of the API redesign.
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
+import repro.dataflow.database as database_module
 from repro.api import (
     PolicyOutcome,
     ScheduleRequest,
+    ScheduleResult,
     SchedulerRegistry,
     Session,
 )
+from repro.api.policies import scar_policy
 from repro.core.baselines import NNBatonScheduler, StandaloneScheduler
+from repro.core.budget import QUICK_BUDGET
 from repro.core.evalcache import EvalCache
 from repro.core.scar import SCARScheduler
 from repro.core.scoring import objective_by_name
 from repro.dataflow.database import LayerCostDatabase
+from repro.engine import CandidateEvaluator, TensorEvaluator, have_numpy
 from repro.errors import ConfigError
 from repro.experiments.runner import (
     CORE_STRATEGIES,
@@ -184,6 +191,26 @@ class TestSessionMemo:
         assert uncached.perf.overall_hit_rate == 0.0
         assert cached.perf.overall_hit_rate > 0.0
 
+    def test_memo_does_not_pin_the_search_population(self, request_):
+        """A memoized result keeps its wire payload, not the SCARResult
+        (and its whole candidate population) the search built."""
+        populations = []
+        registry = SchedulerRegistry()
+
+        @registry.register("scar")
+        def _scar(ctx):
+            outcome = scar_policy(ctx)
+            populations.append(weakref.ref(outcome.scar_result))
+            return outcome
+
+        session = Session(registry)
+        result = session.submit(request_)
+        gc.collect()
+        assert populations[0]() is None
+        assert session.cached(request_) is result
+        assert "raw" not in {f.name
+                             for f in dataclasses.fields(ScheduleResult)}
+
     def test_perf_reports_accumulate(self, request_):
         session = Session()
         results = [session.submit(request_),
@@ -194,6 +221,44 @@ class TestSessionMemo:
         assert summary == dataclasses.replace(total,
                                               wall_s=summary.wall_s)
         assert summary.wall_s == pytest.approx(total.wall_s)
+
+
+class TestSharedDatabase:
+    """The database a caller passes is the one every search fills."""
+
+    def test_callers_empty_database_is_kept(self, tiny_scenario):
+        mcm = templates.build("het_sides_3x3", tiny_scenario.use_case)
+        database = LayerCostDatabase(clock_hz=mcm.clock_hz)
+        assert len(database) == 0  # empty, and so falsy
+        holders = [SCARScheduler(mcm, database=database),
+                   CandidateEvaluator(tiny_scenario, mcm, database),
+                   StandaloneScheduler(mcm, database),
+                   NNBatonScheduler(mcm, database=database)]
+        if have_numpy():
+            holders.append(TensorEvaluator(tiny_scenario, mcm, database))
+        for holder in holders:
+            assert holder.database is database
+
+    def test_later_requests_reuse_the_session_database(self, monkeypatch):
+        calls = []
+        compute = database_module.compute_layer_cost
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return compute(*args, **kwargs)
+
+        monkeypatch.setattr(database_module, "compute_layer_cost",
+                            counting)
+        session = Session()
+        request = ScheduleRequest(scenario_id=4, template="het_sides_3x3",
+                                  budget=QUICK_BUDGET)
+        session.submit(request)
+        assert calls
+        calls.clear()
+        session.submit(request.replace(objective="latency"))
+        assert calls == []
+        (database,) = session._databases.values()
+        assert len(database) > 0
 
 
 class TestMemoLRU:

@@ -256,17 +256,17 @@ class TestResultRoundTrip:
         assert clone.same_payload(result)
         assert clone.perf == result.perf
 
-    def test_raw_population_stays_in_process(self, result):
-        assert result.raw is not None
-        clone = ScheduleResult.from_dict(result.to_dict())
-        assert clone.raw is None  # raw never crosses the wire
-        assert clone == result    # ... and does not affect equality
+    def test_candidate_points_survive_the_wire(self, result,
+                                              tiny_scenario):
+        from repro.core.scar import SCARScheduler
+        from repro.mcm import templates
 
-    def test_candidate_points_survive_the_wire(self, result):
         clone = ScheduleResult.from_json(result.to_json())
         assert clone.candidate_points() == result.candidate_points()
-        assert clone.candidate_points() == \
-            result.raw.candidate_points()
+        direct = SCARScheduler(
+            templates.build("het_sides_3x3", tiny_scenario.use_case),
+            budget=QUICK_BUDGET, nsplits=1).schedule(tiny_scenario)
+        assert clone.candidate_points() == direct.candidate_points()
 
     def test_value_lookup(self, result):
         assert result.value("edp") == pytest.approx(

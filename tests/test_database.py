@@ -1,8 +1,15 @@
 """Unit tests for the offline layer-cost database (Eq. 1)."""
 
+import os
+import pickle
+import threading
+
 import pytest
 
+import repro.dataflow.database as database_module
+from repro.dataflow.cost import compute_layer_cost
 from repro.dataflow.database import LayerCostDatabase
+from repro.dataflow.dataflow import by_name
 from repro.mcm.chiplet import arvr_chiplet, datacenter_chiplet
 from repro.workloads.layer import conv, gemm
 
@@ -44,6 +51,58 @@ class TestMemoization:
         assert len(db) == 1
         db.cost(layer, arvr_chiplet("nvdla"))
         assert len(db) == 2
+
+
+class TestCap:
+    def test_full_table_resets_and_costs_stay_exact(self, db, monkeypatch):
+        monkeypatch.setattr(database_module, "_MAX_ENTRIES", 4)
+        layers = [conv(f"c{i}", c=8, k=8 + i, y=8, x=8) for i in range(10)]
+        costs = [db.cost(layer, NVD) for layer in layers]
+        assert len(db) <= 4
+        for layer, cost in zip(layers, costs):
+            assert cost == compute_layer_cost(
+                layer, by_name(NVD.dataflow), num_pes=NVD.num_pes,
+                sram_bytes=NVD.sram_bytes, noc_gbps=NVD.noc_gbps,
+                mem_gbps=NVD.mem_gbps, clock_hz=db.clock_hz,
+                energy=db.energy)
+
+    def test_pickles_with_its_entries(self, db):
+        """Spawned window-search workers receive the database pickled."""
+        layer = conv("c", c=8, k=8, y=8, x=8)
+        cost = db.cost(layer, NVD)
+        clone = pickle.loads(pickle.dumps(db))
+        assert len(clone) == 1
+        assert clone.cost(layer, NVD) == cost
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_can_miss_while_a_thread_holds_the_lock(self, db):
+        """A fork taken while another thread computes a miss must not
+        hand the child a lock that no thread of the child will release."""
+        import multiprocessing
+
+        holding, release = threading.Event(), threading.Event()
+
+        def hold():
+            with database_module._MISS_LOCK:
+                holding.set()
+                release.wait(timeout=10)
+
+        thread = threading.Thread(target=hold)
+        thread.start()
+        assert holding.wait(timeout=10)
+        # The fork waits for the holder, so let it go shortly after.
+        threading.Timer(0.2, release.set).start()
+        child = multiprocessing.get_context("fork").Process(
+            target=db.cost, args=(conv("c", c=8, k=8, y=8, x=8), NVD))
+        child.start()
+        child.join(timeout=30)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert not hung
+        assert child.exitcode == 0
 
 
 class TestQueries:

@@ -38,13 +38,12 @@ class TestRunner:
     def test_standalone_strategy(self, tiny_scenario):
         run = Session().submit(_request(tiny_scenario, "stand_nvd"))
         assert run.latency_s > 0
-        assert run.raw is None
 
     def test_scar_strategy_carries_population(self, tiny_scenario):
         session = Session()
         run = session.submit(_request(tiny_scenario, "het_sides"))
-        assert run.raw is not None
-        assert run.raw.num_evaluated > 0
+        assert run.num_evaluated > 0
+        assert run.window_candidates
         assert session.perf_summary().num_evaluated > 0
 
     def test_memoization(self, tiny_scenario):

@@ -404,6 +404,53 @@ class TestConcurrentSlots:
                 assert record.state == CANCELLED
 
 
+class TestSharedDatabase:
+    def test_thread_workers_share_one_capped_database(
+            self, tiny_scenario, small_budget, monkeypatch):
+        """More thread workers than cores search on one session, so they
+        race on its per-clock database, capped at 8 entries so that it
+        resets mid-run: every job still matches a serial submit, and
+        no miss ever finds the table past its cap."""
+        import sys
+
+        import repro.dataflow.database as database_module
+
+        monkeypatch.setattr(database_module, "_MAX_ENTRIES", 8)
+        session = Session()
+        sizes: list[int] = []
+        compute = database_module.compute_layer_cost
+
+        def sizing(*args, **kwargs):
+            # All four templates share one clock, so one database.
+            sizes.append(max(map(len, session._databases.values())))
+            return compute(*args, **kwargs)
+
+        monkeypatch.setattr(database_module, "compute_layer_cost", sizing)
+        requests = [request_for(tiny_scenario, small_budget, policy,
+                                template=template, objective=objective)
+                    for template in ("het_sides_3x3", "het_cb_3x3",
+                                     "simba_nvd_3x3", "simba_shi_3x3")
+                    for objective in ("edp", "latency")
+                    for policy in ("scar", "evolutionary")]
+        assert len({r.cache_key() for r in requests}) == 16
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with SchedulerService(session, workers=8,
+                                  job_backend="thread") as service:
+                handles = service.submit_many(requests)
+                records = [h.wait(timeout=300) for h in handles]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.state for r in records] == [DONE] * len(requests)
+        (database,) = session._databases.values()
+        assert len(sizes) > 8 and max(sizes) <= 8
+        assert len(database) <= 8
+        serial = Session()
+        for request, handle in zip(requests, handles):
+            assert handle.result().same_payload(serial.submit(request))
+
+
 class TestProcessJobBackend:
     def test_process_workers_match_session_submit(self, tiny_scenario,
                                                   small_budget):
@@ -417,19 +464,6 @@ class TestProcessJobBackend:
             assert service.perf_summary()["job_backend"] == "process"
         for got, want in zip(results, reference):
             assert_equivalent(got, want)
-
-    def test_pooled_results_drop_raw_population(self, tiny_scenario,
-                                                small_budget):
-        """The raw population stays in the worker process, without
-        affecting the deterministic payload."""
-        request = request_for(tiny_scenario, small_budget, "scar")
-        reference = Session().submit(request)
-        with SchedulerService(workers=1,
-                              job_backend="process") as service:
-            pooled = service.submit(request).result(timeout=600)
-        assert reference.raw is not None
-        assert pooled.raw is None
-        assert_equivalent(pooled, reference)
 
     def test_pooled_results_adopt_the_session_memo(self, tiny_scenario,
                                                    small_budget):
