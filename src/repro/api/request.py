@@ -49,9 +49,11 @@ from repro.engine.candidates import assemble_candidate_points
 from repro.engine.provisioning import PROVISIONING_MODES
 from repro.core.scoring import Objective, OptTarget, objective_by_name
 from repro.errors import ConfigError
+from repro.mcm.templates import template_names
 from repro.perf import PerfReport
 from repro.workloads.model import Scenario
 from repro.workloads.scenarios import scenario as table3_scenario
+from repro.workloads.scenarios import scenario_ids
 
 _REQUEST_KIND = "schedule_request"
 _RESULT_KIND = "schedule_result"
@@ -67,6 +69,7 @@ _INT_FIELDS: dict[str, tuple[int | None, bool]] = {
 
 #: String request fields with a closed vocabulary -> the allowed values.
 _CHOICE_FIELDS: dict[str, tuple[str, ...]] = {
+    "template": template_names(),
     "objective": tuple(target.value for target in OptTarget),
     "packing": PACKING_MODES,
     "provisioning": PROVISIONING_MODES,
@@ -105,7 +108,12 @@ class ScheduleRequest:
     Every field can change the result, and every field is part of
     :meth:`cache_key`.  Settings that cannot -- worker processes and the
     costing kernel -- are :class:`~repro.api.session.Session` options.
-    Bad values raise :class:`ConfigError` here, at construction.
+    Bad values raise :class:`ConfigError` here, at construction,
+    including a ``scenario_id`` outside Table III and an unknown
+    ``template``.  Which policies exist depends on the registry of the
+    session that runs the request, so an unregistered ``policy`` is
+    rejected there (and by :meth:`SchedulerService.submit
+    <repro.service.SchedulerService.submit>`).
     """
 
     scenario_id: int | None = None
@@ -151,6 +159,10 @@ class ScheduleRequest:
                 and not isinstance(self.scenario_spec, dict):
             raise ConfigError("scenario_spec must be None or an object, "
                               f"got {self.scenario_spec!r}")
+        if self.scenario_id is not None \
+                and self.scenario_id not in scenario_ids():
+            raise ConfigError(f"scenario_id must be None or one of "
+                              f"{scenario_ids()}, got {self.scenario_id!r}")
         for name in ("template", "policy"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigError(f"{name} must be a string, "

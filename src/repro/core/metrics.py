@@ -220,6 +220,9 @@ class ScheduleEvaluator:
     # -- layers and costs ---------------------------------------------------
 
     def _layer(self, model: int, index: int, batch: int) -> Layer:
+        # Rebuilt on every call, unlike Model.at_batch, on purpose: the
+        # vector kernel bench gates its speedup against this scalar path
+        # (see DESIGN.md, "What is memoized where, and for how long").
         return self.scenario[model].model[index].with_batch(batch)
 
     def _chiplet_of(self, segment: Segment):

@@ -18,7 +18,13 @@ from repro.core.metrics import ScheduleEvaluator, WindowMetrics
 from repro.core.packing import WindowAssignment
 from repro.core.schedule import Segment, WindowSchedule
 from repro.core.scoring import Objective
-from repro.core.sched_tree import NodeRank, Placement, placements
+from repro.core.sched_tree import (
+    NodeRank,
+    Path,
+    PathMemo,
+    Placement,
+    placements,
+)
 from repro.core.segmentation import (
     Cuts,
     RankedSegmentation,
@@ -36,26 +42,45 @@ class WindowCandidate:
     score: float
 
 
+ChainMemo = dict[tuple[int, Cuts, Path], tuple[Segment, ...]]
+"""``(model, cuts, path)`` -> the segment chain they place in one window."""
+
+
 def build_window_schedule(window: WindowAssignment,
                           cuts_by_model: dict[int, Cuts],
-                          placement: Placement) -> WindowSchedule:
-    """Materialize a WindowSchedule from cuts + chiplet paths."""
-    chains = []
+                          placement: Placement,
+                          chains: ChainMemo | None = None
+                          ) -> WindowSchedule:
+    """Materialize a WindowSchedule from cuts + chiplet paths.
+
+    Each chain is built once per ``(model, cuts, path)`` and kept in
+    ``chains`` (a fresh dict when omitted); pass one dict to every call
+    for the same ``window``, as :func:`search_window` does.  A path too
+    short for its cuts raises :class:`SearchError` and is not kept.
+    """
+    if chains is None:
+        chains = {}
+    placed = []
     for model in window.models:
-        layer_range = window.range_for(model)
-        assert layer_range is not None
-        ranges = segments_from_cuts(layer_range[0], layer_range[1],
-                                    cuts_by_model[model])
+        cuts = cuts_by_model[model]
         path = placement[model]
-        if len(path) < len(ranges):
-            raise SearchError(
-                f"model {model}: {len(ranges)} segments but only "
-                f"{len(path)} chiplets in path")
-        chain = tuple(
-            Segment(model=model, start=s, stop=e, node=path[i])
-            for i, (s, e) in enumerate(ranges))
-        chains.append(chain)
-    return WindowSchedule(index=window.index, chains=tuple(chains))
+        key = (model, cuts, path)
+        chain = chains.get(key)
+        if chain is None:
+            layer_range = window.range_for(model)
+            assert layer_range is not None
+            ranges = segments_from_cuts(layer_range[0], layer_range[1],
+                                        cuts)
+            if len(path) < len(ranges):
+                raise SearchError(
+                    f"model {model}: {len(ranges)} segments but only "
+                    f"{len(path)} chiplets in path")
+            chain = tuple(
+                Segment(model=model, start=s, stop=e, node=path[i])
+                for i, (s, e) in enumerate(ranges))
+            chains[key] = chain
+        placed.append(chain)
+    return WindowSchedule(index=window.index, chains=tuple(placed))
 
 
 def node_affinity_ranks(window: WindowAssignment,
@@ -110,6 +135,13 @@ def search_window(window: WindowAssignment,
     evaluation budget.  ``collect``, when given, receives every evaluated
     candidate (for Pareto reporting).
 
+    For the life of the search, two dicts keep what recurs across
+    combos and placements: segment chains by ``(model, cuts, path)``
+    and scheduling-tree DFS paths by ``(model, start, count,
+    blocked)``.  Both are pure functions of their keys within one
+    window (same ranges, MCM, budget and affinity ranks), so they
+    change no result.
+
     ``beam`` prunes the combination list to the ``beam``
     best-proxy-scored entries *before* the budget is split, trading
     population coverage for a deeper placement search per surviving
@@ -131,6 +163,8 @@ def search_window(window: WindowAssignment,
     per_combo_budget = max(1, budget.max_candidates_per_window // len(combos))
     rng = random.Random(budget.seed + 7919 * window.index)
     node_ranks = node_affinity_ranks(window, evaluator, objective)
+    chains: ChainMemo = {}
+    paths: PathMemo = {}
 
     best: WindowCandidate | None = None
     evaluated = 0
@@ -145,9 +179,9 @@ def search_window(window: WindowAssignment,
             key=lambda mc: (-mc[1], mc[0]))
         combo_evals = 0
         for placement in placements(evaluator.mcm, seg_counts, budget, rng,
-                                    node_ranks=node_ranks):
+                                    node_ranks=node_ranks, paths=paths):
             window_schedule = build_window_schedule(window, cuts_by_model,
-                                                    placement)
+                                                    placement, chains)
             metrics = evaluator.evaluate_window(window_schedule)
             score = objective.score_window(metrics)
             candidate = WindowCandidate(window=window_schedule,

@@ -27,6 +27,9 @@ Placement = dict[int, Path]
 NodeRank = dict[int, float]
 """Node id -> affinity score for one model (lower = preferred)."""
 
+PathMemo = dict[tuple[int, int, int, frozenset[int]], list[Path]]
+"""``(model, start, count, blocked)`` -> that model's :func:`simple_paths`."""
+
 
 def simple_paths(mcm: MCM, start: int, length: int,
                  blocked: frozenset[int], limit: int,
@@ -76,8 +79,8 @@ def simple_paths(mcm: MCM, start: int, length: int,
 def placements(mcm: MCM, seg_counts: Sequence[tuple[int, int]],
                budget: SearchBudget,
                rng: random.Random | None = None,
-               node_ranks: dict[int, NodeRank] | None = None
-               ) -> Iterator[Placement]:
+               node_ranks: dict[int, NodeRank] | None = None,
+               paths: PathMemo | None = None) -> Iterator[Placement]:
     """Enumerate complete placements for a window's segment chains.
 
     ``seg_counts`` is ``[(model, num_segments), ...]`` in the order models
@@ -87,8 +90,16 @@ def placements(mcm: MCM, seg_counts: Sequence[tuple[int, int]],
     Fig. 1; without it, starts are visited in a seeded shuffled order.
     Yields lazily -- callers stop consuming when their evaluation budget
     is spent.
+
+    Each DFS result is kept in ``paths`` (a fresh dict when omitted), so
+    a (model, start, count, blocked) that recurs is enumerated once.  A
+    caller may pass one dict to several calls that share ``mcm``,
+    ``budget`` and ``node_ranks``: the window search does, across its
+    segmentation combos.
     """
     rng = rng or random.Random(budget.seed)
+    if paths is None:
+        paths = {}
     models = list(seg_counts)
     total_needed = sum(count for _, count in models)
     if total_needed > mcm.num_chiplets:
@@ -114,12 +125,16 @@ def placements(mcm: MCM, seg_counts: Sequence[tuple[int, int]],
         for start in start_orders[idx]:
             if start in blocked:
                 continue
-            paths = simple_paths(mcm, start, count, blocked,
-                                 budget.max_paths_per_model, rank)
-            if not paths:
+            key = (model, start, count, blocked)
+            found = paths.get(key)
+            if found is None:
+                found = simple_paths(mcm, start, count, blocked,
+                                     budget.max_paths_per_model, rank)
+                paths[key] = found
+            if not found:
                 continue
             starts_tried += 1
-            for path in paths:
+            for path in found:
                 acc[model] = path
                 yield from assign(idx + 1, blocked | frozenset(path), acc)
             acc.pop(model, None)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol
 
 from repro.dataflow.cost import LayerCost, compute_layer_cost
@@ -34,20 +33,6 @@ class ChipletLike(Protocol):
     sram_bytes: int
     noc_gbps: float
     mem_gbps: float
-
-
-@dataclass(frozen=True)
-class _ChipletKey:
-    dataflow: str
-    num_pes: int
-    sram_bytes: int
-    noc_gbps: float
-    mem_gbps: float
-
-    @classmethod
-    def of(cls, chiplet: ChipletLike) -> "_ChipletKey":
-        return cls(chiplet.dataflow, chiplet.num_pes, chiplet.sram_bytes,
-                   chiplet.noc_gbps, chiplet.mem_gbps)
 
 
 #: Entries one database keeps.  A session's per-clock database lives as
@@ -102,7 +87,11 @@ class LayerCostDatabase:
 
     def cost(self, layer: Layer, chiplet: ChipletLike) -> LayerCost:
         """Intra-chiplet cost of ``layer`` on ``chiplet``'s class."""
-        key = (_layer_key(layer), _ChipletKey.of(chiplet))
+        # The chiplet class is its resource tuple; a plain tuple keeps
+        # the hit path free of dataclass construction and hashing.
+        key = (_layer_key(layer), (chiplet.dataflow, chiplet.num_pes,
+                                    chiplet.sram_bytes, chiplet.noc_gbps,
+                                    chiplet.mem_gbps))
         cached = self._cache.get(key)
         if cached is not None:
             return cached

@@ -23,6 +23,12 @@ the exact activation byte counts (integer ``minibatch * per_sample``
 products, which :class:`~repro.workloads.layer.Layer` guarantees are
 linear in batch) feeding the vectorized communication terms.
 
+Every table lives as long as its evaluator, which is one request.  The
+batched layers the tables are built from do not: they come from
+:meth:`~repro.workloads.model.Model.at_batch`, which keeps them on the
+model, so a zoo model's layers at a given mini-batch are built once per
+process, not once per request.
+
 Exactness contract
 ------------------
 
@@ -169,6 +175,9 @@ class TensorEvaluator(CandidateEvaluator):
     tables are memoized per evaluator instance (pure functions of their
     ``(model, class_key, io_hops)`` key), as are the routes, segment
     statics and per-chain flow sets the kernel reads on every recost.
+    Batched layers are not memoized here: :meth:`_layer` reads the
+    model's own :meth:`~repro.workloads.model.Model.at_batch` tuples,
+    which outlive the evaluator.
     """
 
     def __init__(self, scenario: Scenario, mcm: MCM,
@@ -184,7 +193,6 @@ class TensorEvaluator(CandidateEvaluator):
         self._route_memo: dict[tuple, tuple] = {}
         self._static_memo: dict[tuple, object] = {}
         self._entries_memo: dict[tuple, list] = {}
-        self._layer_memo: dict[tuple[int, int, int], Layer] = {}
         self._tiles_f = _np.array(_TILE_FACTORS, dtype=_np.float64)
         # Precomputed serialization denominators; same one-product floats
         # the scalar CommModel recomputes per call.
@@ -207,10 +215,9 @@ class TensorEvaluator(CandidateEvaluator):
         mb = _np.array(divisors, dtype=_np.int64)
         num_mb = instance.batch // mb
         tiles = _np.array(_TILE_FACTORS, dtype=_np.int64)
-        input_ps = [instance.model[i].with_batch(1).input_bytes
-                    for i in range(num_layers)]
-        output_ps = [instance.model[i].with_batch(1).output_bytes
-                     for i in range(num_layers)]
+        per_sample = instance.model.at_batch(1)
+        input_ps = [layer.input_bytes for layer in per_sample]
+        output_ps = [layer.output_bytes for layer in per_sample]
         weight_prefix = [0]
         for i in range(num_layers):
             weight_prefix.append(weight_prefix[-1]
@@ -307,14 +314,10 @@ class TensorEvaluator(CandidateEvaluator):
     # -- table-backed scalar hooks ----------------------------------------
 
     def _layer(self, model: int, index: int, batch: int) -> Layer:
-        # Layers are frozen value objects; memoize the with_batch
-        # rebuilds the table builders and residency checks ask for.
-        key = (model, index, batch)
-        layer = self._layer_memo.get(key)
-        if layer is None:
-            layer = super()._layer(model, index, batch)
-            self._layer_memo[key] = layer
-        return layer
+        # The model's batched layers outlive this evaluator (see
+        # Model.at_batch), so the table builders and residency checks
+        # rebuild no layer another request already batched.
+        return self.scenario[model].model.at_batch(batch)[index]
 
     def _segment_weight_bytes(self, segment: Segment) -> float:
         # Integer prefix difference == the scalar integer sum, exactly.

@@ -252,9 +252,12 @@ class SchedulerService:
                priority: int = 0) -> JobHandle:
         """Queue one request; lower ``priority`` runs first.
 
-        Raises :class:`~repro.errors.ServiceOverloadedError` when the
+        Raises :class:`~repro.errors.ConfigError` when the session's
+        registry has no policy of the request's name, and
+        :class:`~repro.errors.ServiceOverloadedError` when the
         admission queue (``max_pending``) is full.
         """
+        self.session.registry.get(request.policy)  # unknown: ConfigError
         with self._lock:
             self._admit_locked(1)
             return self._submit_locked(request, priority)
@@ -267,9 +270,12 @@ class SchedulerService:
         ``close()`` either rejects it entirely or accepts it entirely --
         never a partially queued batch behind an error.  Admission
         control is likewise all-or-nothing: a batch that does not fit
-        under ``max_pending`` is rejected whole, queueing nothing.
+        under ``max_pending``, or that names an unregistered policy, is
+        rejected whole, queueing nothing.
         """
         requests = list(requests)
+        for request in requests:
+            self.session.registry.get(request.policy)
         with self._lock:
             self._admit_locked(len(requests))
             return [self._submit_locked(request, priority)

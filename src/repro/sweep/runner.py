@@ -94,7 +94,9 @@ def run_requests(requests: Iterable[ScheduleRequest], *,
     ``workers`` sizes the service worker pool (results are
     bit-identical to ``workers=1``); ``session`` lets callers share a
     memo across campaigns.  Returns a :class:`SweepOutcome`; failed
-    cells are collected, not raised.
+    cells are collected, not raised.  A cell naming a policy the
+    session's registry lacks raises :class:`~repro.errors.ConfigError`
+    before any cell is queued.
     """
     requests = tuple(requests)
     session = session if session is not None else Session()

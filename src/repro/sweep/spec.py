@@ -87,8 +87,9 @@ class SweepSpec:
         """The grid's cells, in deterministic scenario-major order.
 
         Building the requests validates every axis value that
-        :class:`ScheduleRequest` validates (objective, beam, nsplits);
-        unknown templates/policies surface at submit time, per cell.
+        :class:`ScheduleRequest` validates (scenario id, template,
+        objective, beam, nsplits); a policy the running session's
+        registry lacks is refused when the cells are submitted.
         """
         return tuple(self._iter_requests())
 

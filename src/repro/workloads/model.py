@@ -43,6 +43,18 @@ class Model:
                     f"model {self.name!r}: skip edge ({src}, {dst}) is not a "
                     "forward edge within range"
                 )
+        # Not a field: the batched-layer memo stays out of equality,
+        # hashing, repr and pickles (see __getstate__).
+        object.__setattr__(self, "_batched", {})
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_batched"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        object.__setattr__(self, "_batched", {})
 
     def __len__(self) -> int:
         return len(self.layers)
@@ -52,6 +64,24 @@ class Model:
 
     def __getitem__(self, idx: int) -> Layer:
         return self.layers[idx]
+
+    def at_batch(self, batch: int) -> tuple[Layer, ...]:
+        """Every layer with its batch dimension set to ``batch``.
+
+        Built once per batch and kept on the model, so every request
+        that schedules this model reads the same tuple; zoo models live
+        for the process (:func:`repro.workloads.zoo.build` caches them),
+        and a search asks for the same few batches -- an instance's
+        batch and its divisors -- hundreds of thousands of times.  Two
+        threads that race on a first call build equal tuples and the
+        first one stored wins.
+        """
+        layers = self._batched.get(batch)
+        if layers is None:
+            layers = self._batched.setdefault(
+                batch, tuple(layer.with_batch(batch)
+                             for layer in self.layers))
+        return layers
 
     @property
     def total_macs(self) -> int:
@@ -123,12 +153,11 @@ class ModelInstance:
 
     def layer(self, idx: int) -> Layer:
         """Layer ``idx`` with the instance batch applied."""
-        return self.model[idx].with_batch(self.batch)
+        return self.model.at_batch(self.batch)[idx]
 
     def layers(self) -> tuple[Layer, ...]:
         """All layers with the instance batch applied."""
-        return tuple(self.model[i].with_batch(self.batch)
-                     for i in range(len(self.model)))
+        return self.model.at_batch(self.batch)
 
     @property
     def total_macs(self) -> int:

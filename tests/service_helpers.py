@@ -10,8 +10,14 @@ from __future__ import annotations
 
 import threading
 
-from repro.api import PolicyOutcome, ScheduleRequest, SchedulerRegistry
+from repro.api import (
+    DEFAULT_REGISTRY,
+    PolicyOutcome,
+    ScheduleRequest,
+    SchedulerRegistry,
+)
 from repro.core.baselines import StandaloneScheduler
+from repro.errors import SearchError
 
 #: Every built-in policy; the parity suites run all of them.
 POLICIES = ("standalone", "nn_baton", "scar", "evolutionary")
@@ -79,3 +85,23 @@ def gated_registry():
                              metrics=outcome.metrics)
 
     return registry, started, release, order
+
+
+def failing_registry() -> SchedulerRegistry:
+    """Every built-in policy plus 'failing', which raises SearchError.
+
+    A request naming 'failing' passes every boundary check (it parses,
+    and the registry knows the policy) and fails only when it runs: the
+    FAILED-job and failed-cell paths, now that unknown scenarios,
+    templates and policies are refused at submit.
+    """
+    registry = SchedulerRegistry()
+    for name in DEFAULT_REGISTRY.names():
+        registry.register(name, DEFAULT_REGISTRY.get(name))
+
+    @registry.register("failing")
+    def _failing(ctx):
+        raise SearchError(f"no schedule for {ctx.scenario.name} "
+                          "(failing test policy)")
+
+    return registry

@@ -1,10 +1,17 @@
 """Unit tests for Model / ModelInstance / Scenario."""
 
+import dataclasses
 import math
+import pickle
+import sys
+import threading
 
 import pytest
 
+from repro.config.files import scenario_to_dict
+from repro.core.metrics import _divisors
 from repro.errors import WorkloadError
+from repro.workloads import zoo
 from repro.workloads.layer import conv
 from repro.workloads.model import (
     Model,
@@ -12,6 +19,7 @@ from repro.workloads.model import (
     Scenario,
     scheduling_space_magnitude,
 )
+from repro.workloads.scenarios import scenario, scenario_ids
 
 
 def _model(name="m", n=3):
@@ -49,6 +57,81 @@ class TestModel:
     def test_summary_mentions_name_and_count(self):
         text = _model(name="net", n=2).summary()
         assert "net" in text and "2 layers" in text
+
+
+def _table3_batches() -> list[tuple[str, int]]:
+    """(zoo model, batch) for every divisor batch Table III runs it at:
+    the batches a search builds layers at."""
+    pairs = {(inst.model.name, minibatch)
+             for sid in scenario_ids() for inst in scenario(sid)
+             for minibatch in _divisors(inst.batch)}
+    return sorted(pairs)
+
+
+class TestAtBatch:
+    @pytest.mark.parametrize("name,batch", _table3_batches())
+    def test_equals_with_batch_and_is_built_once(self, name, batch):
+        model = zoo.build(name)
+        layers = model.at_batch(batch)
+        assert layers == tuple(layer.with_batch(batch)
+                               for layer in model.layers)
+        assert model.at_batch(batch) is layers
+
+    def test_instance_layers_read_the_model_memo(self):
+        inst = ModelInstance(_model(), batch=3)
+        assert inst.layers() is inst.model.at_batch(3)
+        assert inst.layer(1) is inst.model.at_batch(3)[1]
+
+    @pytest.mark.parametrize("model", [_model("net"), zoo.build("unet")],
+                             ids=["inline", "zoo"])
+    def test_memo_is_not_part_of_the_value(self, model):
+        """Equality, hash, repr, the scenario wire form and the pickle
+        are those of a model that never batched a layer."""
+        fresh = dataclasses.replace(model)
+        before = (hash(fresh), repr(fresh), pickle.dumps(fresh),
+                  scenario_to_dict(Scenario("s", (ModelInstance(fresh, 4),))))
+        for batch in (1, 2, 4):
+            fresh.at_batch(batch)
+        assert fresh == dataclasses.replace(model)
+        assert (hash(fresh), repr(fresh), pickle.dumps(fresh),
+                scenario_to_dict(Scenario("s", (ModelInstance(fresh, 4),)))
+                ) == before
+        clone = pickle.loads(pickle.dumps(fresh))
+        assert clone == fresh
+        assert clone.at_batch(4) == fresh.at_batch(4)
+        assert clone.at_batch(4) is not fresh.at_batch(4)
+
+    def test_bad_batch_rejected(self):
+        with pytest.raises(WorkloadError, match="batch"):
+            _model().at_batch(0)
+
+    def test_racing_first_calls_share_one_tuple(self):
+        """Threads that miss together each build a tuple, but every one
+        of them gets the tuple the memo kept."""
+        model = _model(n=40)
+        batches = (1, 2, 3, 4)
+        got: list[tuple[int, tuple]] = []
+        start = threading.Barrier(8)
+
+        def worker():
+            start.wait(timeout=30)
+            for batch in batches:
+                got.append((batch, model.at_batch(batch)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(got) == 8 * len(batches)
+        for batch, layers in got:
+            assert layers is model.at_batch(batch)
 
 
 class TestModelInstance:

@@ -146,8 +146,8 @@ class TestCLI:
                      "--format", "json"])
         assert code == 1
         doc = ErrorDocument.from_json(capsys.readouterr().out)
-        assert doc.code == "workload_error"
-        assert "unknown scenario id 99" in doc.message
+        assert doc.code == "config_error"
+        assert "scenario_id must be None or one of" in doc.message
 
     def test_schedule_json_output_write_failure_is_structured(
             self, capsys):

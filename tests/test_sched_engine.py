@@ -1,7 +1,17 @@
 """Unit tests for the SCHED engine's per-window search."""
 
+import dataclasses
+from collections import Counter
+
 import pytest
 
+from repro.core import (
+    QUICK_BUDGET,
+    SCARScheduler,
+    scar,
+    sched_engine,
+    sched_tree,
+)
 from repro.core.metrics import ScheduleEvaluator
 from repro.core.packing import WindowAssignment
 from repro.core.scoring import edp_objective, latency_objective
@@ -12,6 +22,10 @@ from repro.core.sched_engine import (
 )
 from repro.core.segmentation import RankedSegmentation
 from repro.errors import SearchError
+from repro.mcm import templates
+from repro.workloads.layer import Layer
+from repro.workloads.model import ModelInstance, Scenario
+from repro.workloads.scenarios import scenario
 
 
 @pytest.fixture
@@ -43,6 +57,25 @@ class TestBuildWindowSchedule:
         with pytest.raises(SearchError):
             build_window_schedule(window, {0: (1, 2), 1: ()},
                                   {0: (0, 3), 1: (2,)})
+
+    def test_shared_memo_interns_chains(self, window):
+        chains = {}
+        a = build_window_schedule(window, {0: (2,), 1: ()},
+                                  {0: (0, 3), 1: (2,)}, chains)
+        b = build_window_schedule(window, {0: (2,), 1: ()},
+                                  {0: (0, 3), 1: (5,)}, chains)
+        assert a.chain_for(0) is b.chain_for(0)
+        assert a.chain_for(1) != b.chain_for(1)
+        assert len(chains) == 3
+
+    def test_short_path_raises_again_on_a_shared_memo(self, window):
+        """A rejected chain is not kept, so its key raises every time."""
+        chains = {}
+        for _ in range(2):
+            with pytest.raises(SearchError, match="only 2 chiplets"):
+                build_window_schedule(window, {0: (1, 2), 1: ()},
+                                      {0: (0, 3), 1: (2,)}, chains)
+        assert (0, (1, 2), (0, 3)) not in chains
 
 
 class TestNodeAffinity:
@@ -109,3 +142,75 @@ class TestSearchWindow:
                           small_budget)
         assert a.score == b.score
         assert a.window == b.window
+
+
+class TestSearchMemos:
+    """What a search builds, by count: each batched layer once per
+    model, and per window search each chain and each scheduling-tree
+    DFS once."""
+
+    def test_fast_vector_search_builds_each_value_once(self, monkeypatch):
+        pytest.importorskip("numpy")
+        table3 = scenario(4)
+        # Fresh models: the zoo's cached ones may already hold batched
+        # layers from earlier tests.
+        workload = Scenario(table3.name, tuple(
+            ModelInstance(dataclasses.replace(inst.model), inst.batch)
+            for inst in table3), table3.use_case)
+        batched = Counter()
+        with_batch = Layer.with_batch
+
+        def counting_with_batch(layer, batch):
+            batched[(layer, batch)] += 1
+            return with_batch(layer, batch)
+
+        searches = []
+
+        def spy_search(*args, **kwargs):
+            searches.append({"wanted": set(), "asked": 0, "built": 0,
+                             "dfs": Counter()})
+            return search_window(*args, **kwargs)
+
+        def spy_build(window, cuts_by_model, placement, chains=None):
+            searches[-1]["wanted"].update(
+                (model, cuts_by_model[model], placement[model])
+                for model in window.models)
+            searches[-1]["asked"] += len(window.models)
+            return build_window_schedule(window, cuts_by_model, placement,
+                                         chains)
+
+        segments_from_cuts = sched_engine.segments_from_cuts
+
+        def spy_segments(start, stop, cuts):
+            searches[-1]["built"] += 1
+            return segments_from_cuts(start, stop, cuts)
+
+        simple_paths = sched_tree.simple_paths
+
+        def spy_paths(mcm, start, length, blocked, limit, node_rank=None):
+            # Each model's affinity rank is its own dict, so its id
+            # stands in for the model.
+            searches[-1]["dfs"][(id(node_rank), start, length,
+                                 blocked)] += 1
+            return simple_paths(mcm, start, length, blocked, limit,
+                                node_rank)
+
+        monkeypatch.setattr(Layer, "with_batch", counting_with_batch)
+        monkeypatch.setattr(scar, "search_window", spy_search)
+        monkeypatch.setattr(sched_engine, "build_window_schedule",
+                            spy_build)
+        monkeypatch.setattr(sched_engine, "segments_from_cuts",
+                            spy_segments)
+        monkeypatch.setattr(sched_tree, "simple_paths", spy_paths)
+        mcm = templates.build("het_sides_3x3", workload.use_case)
+        result = SCARScheduler(mcm, nsplits=2, budget=QUICK_BUDGET,
+                               eval_mode="vector").schedule(workload)
+
+        assert result.num_evaluated > len(searches) > 0
+        assert batched and max(batched.values()) == 1
+        for search in searches:
+            assert 0 < search["built"] <= len(search["wanted"])
+            assert max(search["dfs"].values()) == 1
+        # The chain memo had repeats to absorb.
+        assert sum(s["built"] for s in searches) \
+            < sum(s["asked"] for s in searches)

@@ -10,14 +10,20 @@ import urllib.request
 
 import pytest
 
-from repro.api import ErrorDocument, ScheduleRequest, ScheduleResult, Session
+from repro.api import (
+    DEFAULT_REGISTRY,
+    ErrorDocument,
+    ScheduleRequest,
+    ScheduleResult,
+    Session,
+)
 from repro.core.budget import SearchBudget
 from repro.errors import (
     ConfigError,
     JobNotFoundError,
+    SearchError,
     ServiceError,
     ServiceOverloadedError,
-    WorkloadError,
 )
 from repro.service import (
     CANCELLED,
@@ -30,6 +36,7 @@ from repro.service import client as client_module
 from service_helpers import (
     POLICIES,
     assert_equivalent,
+    failing_registry,
     gated_registry,
     request_for,
 )
@@ -109,17 +116,18 @@ class TestJobLifecycleOverHTTP:
         listed = client.jobs()
         assert [r.job_id for r in listed] == [handle.job_id]
 
-    def test_failed_job_reraises_typed_error(self, small_budget):
-        bad = ScheduleRequest(scenario_id=99, policy="standalone",
-                              budget=small_budget, nsplits=1)
-        with local_service(workers=1) as (url, _service):
+    def test_failed_job_reraises_typed_error(self, tiny_scenario,
+                                             small_budget):
+        bad = request_for(tiny_scenario, small_budget, "failing")
+        with local_service(Session(failing_registry()),
+                           workers=1) as (url, _service):
             client = ServiceClient(url)
             handle = client.submit(bad)
             record = handle.wait(timeout=300)
             assert record.state == FAILED
             assert record.error is not None
-            assert record.error.code == "workload_error"
-            with pytest.raises(WorkloadError, match="unknown scenario"):
+            assert record.error.code == "search_error"
+            with pytest.raises(SearchError, match="failing test policy"):
                 handle.result()
 
 
@@ -223,7 +231,8 @@ _BAD_REQUEST_VALUES = [
     ("beam", 2.5), ("beam", 0),
     ("latency_bound_s", "1"), ("latency_bound_s", 0.0),
     ("latency_bound_s", float("inf")),
-    ("scenario_id", "1"), ("scenario_id", 1.0),
+    ("scenario_id", "1"), ("scenario_id", 1.0), ("scenario_id", 11),
+    ("template", "nope"),
     ("prov_limit", -1), ("prov_limit", 0),
     ("max_nodes_per_model", 0), ("max_nodes_per_model", 1.5),
     ("packing", "gredy"), ("provisioning", "exhaustve"),
@@ -271,7 +280,10 @@ def _parse_boundary_cases() -> list[tuple[str, dict]]:
                for case, doc in variants(budget)]
             + [(f"budget.{name}-zero", {**base,
                                         "budget": {**budget, name: 0}})
-               for name in budget if name != "seed"])
+               for name in budget if name != "seed"]
+            + [("scenario_id-unknown", {**base, "scenario_id": 11}),
+               ("template-unknown", {**base, "template": "nope"}),
+               ("policy-unknown", {**base, "policy": "nope"})])
 
 
 _PARSE_BOUNDARY_CASES = _parse_boundary_cases()
@@ -318,6 +330,21 @@ class TestWireErrors:
         assert status == 400
         assert body["code"] == "config_error"
         assert field in body["message"]
+
+    def test_unregistered_policy_is_config_error_at_submit(self):
+        """A policy name is any string when the request is built; the
+        replica's registry refuses an unknown one with a 400, alone or
+        in a batch, and queues nothing."""
+        good = ScheduleRequest(scenario_id=1, policy="standalone").to_dict()
+        bad = {**good, "policy": "nope"}
+        ScheduleRequest.from_dict(bad)  # parses
+        with local_service(workers=1) as (url, service):
+            for document in (bad, [good, bad]):
+                status, body = _post_job(url, document)
+                assert status == 400, body
+                assert body["code"] == "config_error"
+                assert "unknown policy 'nope'" in body["message"]
+            assert service.jobs() == []
 
     def test_unknown_job_id_raises_service_error(self):
         with local_service(workers=1) as (url, _service):
@@ -439,9 +466,10 @@ class TestRequestParseBoundary:
     def test_document_parses_or_is_a_config_error(self, url, document):
         """from_dict either parses or raises ConfigError (never a
         SearchError or TypeError), and the POST agrees: 201 for a
-        document that parses, 400 config_error for one that does not."""
+        document that parses and names a registered policy, 400
+        config_error for one that does not."""
         try:
-            ScheduleRequest.from_dict(document)
+            DEFAULT_REGISTRY.get(ScheduleRequest.from_dict(document).policy)
         except ConfigError:
             parsed = False
         else:

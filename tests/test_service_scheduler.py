@@ -11,9 +11,9 @@ from repro.api import ScheduleRequest, Session
 from repro.errors import (
     ConfigError,
     JobNotFoundError,
+    SearchError,
     ServiceError,
     ServiceOverloadedError,
-    WorkloadError,
 )
 from repro.perf import TimingSummary
 from repro.service import (
@@ -27,6 +27,7 @@ from repro.service import (
 from service_helpers import (
     POLICIES,
     assert_equivalent,
+    failing_registry,
     gated_registry,
     replicated_request,
     request_for,
@@ -137,17 +138,31 @@ class TestLifecycle:
         last.wait(timeout=300)
         assert order == [10, 20, 30, 40]  # backlog ran by priority
 
-    def test_failed_job_carries_error_document(self, small_budget):
-        bad = ScheduleRequest(scenario_id=99, policy="standalone",
-                              budget=small_budget, nsplits=1)
-        with SchedulerService(workers=1) as service:
+    def test_failed_job_carries_error_document(self, tiny_scenario,
+                                               small_budget):
+        bad = request_for(tiny_scenario, small_budget, "failing")
+        with SchedulerService(Session(failing_registry()),
+                              workers=1) as service:
             handle = service.submit(bad)
             record = handle.wait(timeout=300)
             assert record.state == FAILED
             assert record.error is not None
-            assert record.error.code == "workload_error"
-            with pytest.raises(WorkloadError, match="unknown scenario"):
+            assert record.error.code == "search_error"
+            with pytest.raises(SearchError, match="failing test policy"):
                 handle.result()
+
+    def test_unregistered_policy_rejected_at_submit(self, tiny_scenario,
+                                                    small_budget):
+        """Known only to another registry: refused before queueing, so
+        no job record is ever created for it."""
+        good = request_for(tiny_scenario, small_budget, "standalone")
+        bad = request_for(tiny_scenario, small_budget, "failing")
+        with SchedulerService(workers=1) as service:
+            with pytest.raises(ConfigError, match="unknown policy"):
+                service.submit(bad)
+            with pytest.raises(ConfigError, match="unknown policy"):
+                service.submit_many([good, bad])
+            assert service.jobs() == []
 
     def test_submit_after_close_rejected(self, tiny_scenario,
                                          small_budget):
@@ -606,9 +621,9 @@ class TestPerfSummary:
     def test_counts_states_and_aggregates_timings(self, tiny_scenario,
                                                   small_budget):
         good = request_for(tiny_scenario, small_budget, "scar")
-        bad = ScheduleRequest(scenario_id=99, policy="standalone",
-                              budget=small_budget, nsplits=1)
-        with SchedulerService(workers=2) as service:
+        bad = request_for(tiny_scenario, small_budget, "failing")
+        with SchedulerService(Session(failing_registry()),
+                              workers=2) as service:
             for handle in service.submit_many([good, bad]):
                 handle.wait(timeout=600)
             summary = service.perf_summary()

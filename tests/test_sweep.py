@@ -6,7 +6,7 @@ import pytest
 
 from repro.api import ScheduleRequest, Session, scenario_spec
 from repro.core.budget import SearchBudget
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SearchError
 from repro.sweep import (
     ResultStore,
     SweepSpec,
@@ -15,6 +15,7 @@ from repro.sweep import (
     sweep_report,
     sweep_status,
 )
+from service_helpers import failing_registry
 
 
 @pytest.fixture
@@ -70,6 +71,14 @@ class TestSweepSpec:
     def test_bad_scenario_entry_rejected(self):
         with pytest.raises(ConfigError):
             SweepSpec(scenarios=("sc1",))
+
+    @pytest.mark.parametrize("axes", [{"scenarios": (11,)},
+                                      {"scenarios": (1,),
+                                       "templates": ("nope",)}],
+                             ids=["scenario", "template"])
+    def test_unknown_axis_value_rejected_when_cells_are_built(self, axes):
+        with pytest.raises(ConfigError, match="must be"):
+            SweepSpec(**axes).requests()
 
     def test_bad_envelope_rejected(self):
         with pytest.raises(ConfigError):
@@ -222,13 +231,26 @@ class TestRunSweep:
                                                  small_budget):
         good = ScheduleRequest(scenario_spec=scenario_spec(tiny_scenario),
                                nsplits=1, budget=small_budget)
-        bad = good.replace(template="no_such_template")
-        outcome = run_requests([good, bad])
+        bad = good.replace(policy="failing")
+        outcome = run_requests([good, bad],
+                               session=Session(failing_registry()))
         assert outcome.failed == 1
         assert outcome.result_for(good) is not None
         assert outcome.result_for(bad) is None
         error = outcome.failures[bad.cache_key()]
-        assert error.code == "config_error"
+        assert error.code == "search_error"
+
+    def test_unregistered_policy_rejects_the_run(self, tiny_scenario,
+                                                 small_budget):
+        """Not a failed cell: the session cannot run the policy at all,
+        so the sweep is refused before any cell is queued."""
+        good = ScheduleRequest(scenario_spec=scenario_spec(tiny_scenario),
+                               nsplits=1, budget=small_budget)
+        session = Session()
+        with pytest.raises(ConfigError, match="unknown policy"):
+            run_requests([good, good.replace(policy="failing")],
+                         session=session)
+        assert session.cached(good) is None
 
     def test_failed_cell_not_stored_and_retried(self, tmp_path,
                                                 tiny_scenario,
@@ -236,10 +258,11 @@ class TestRunSweep:
         store = ResultStore(tmp_path / "s.jsonl")
         bad = ScheduleRequest(scenario_spec=scenario_spec(tiny_scenario),
                               nsplits=1, budget=small_budget,
-                              template="no_such_template")
-        run_requests([bad], store=store)
+                              policy="failing")
+        run_requests([bad], store=store, session=Session(failing_registry()))
         assert len(store) == 0
-        retry = run_requests([bad], store=ResultStore(tmp_path / "s.jsonl"))
+        retry = run_requests([bad], store=ResultStore(tmp_path / "s.jsonl"),
+                             session=Session(failing_registry()))
         assert retry.skipped == 0 and retry.failed == 1
 
     def test_shared_session_memoizes_across_sweeps(self, tiny_spec):
@@ -258,11 +281,12 @@ class TestRunSweep:
                                              small_budget):
         good = ScheduleRequest(scenario_spec=scenario_spec(tiny_scenario),
                                nsplits=1, budget=small_budget)
-        bad = good.replace(template="no_such_template")
-        outcome = run_requests([good, bad])
+        bad = good.replace(policy="failing")
+        outcome = run_requests([good, bad],
+                               session=Session(failing_registry()))
         assert outcome.result_at(0).same_payload(
             outcome.ordered_results()[0])
-        with pytest.raises(ConfigError):
+        with pytest.raises(SearchError, match="failing test policy"):
             outcome.result_at(1)
 
 
@@ -287,11 +311,11 @@ class TestSweepReport:
     def test_failure_rows_carry_error(self, tiny_scenario, small_budget):
         bad = ScheduleRequest(scenario_spec=scenario_spec(tiny_scenario),
                               nsplits=1, budget=small_budget,
-                              template="no_such_template")
-        outcome = run_requests([bad])
+                              policy="failing")
+        outcome = run_requests([bad], session=Session(failing_registry()))
         doc = sweep_report(outcome).to_document()
-        assert doc["rows"][0]["error"]["code"] == "config_error"
-        assert "config_error" in sweep_report(outcome).render()
+        assert doc["rows"][0]["error"]["code"] == "search_error"
+        assert "search_error" in sweep_report(outcome).render()
 
 
 class TestSweepStatus:
