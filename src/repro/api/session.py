@@ -94,7 +94,10 @@ class Session:
     one cache across different tenant sets would alias.  Entries are
     pure functions of their keys, so warm results stay bit-identical to
     cold ones (the simulation replay's parity contract, see
-    :mod:`repro.sim.replay`).
+    :mod:`repro.sim.replay`).  A warm cache serves one submit at a
+    time: a concurrent submit on the same workload runs with a cold
+    cache instead (same results), because a batch evaluation keeps
+    unfinished placeholder entries in its cache until it returns.
     """
 
     def __init__(self, registry: SchedulerRegistry | None = None, *,
@@ -119,6 +122,8 @@ class Session:
             OrderedDict()  # guarded by: _mutex
         self._eval_caches: OrderedDict[str, EvalCache] = \
             OrderedDict()  # guarded by: _mutex
+        #: warm caches a running submit holds
+        self._lent_caches: set[EvalCache] = set()  # guarded by: _mutex
         self._perf_total = PerfReport()  # guarded by: _mutex
         self._mutex = threading.RLock()
 
@@ -183,6 +188,23 @@ class Session:
                 self._eval_caches.popitem(last=False)
             return cache
 
+    def _lend_warm_cache(self, request: ScheduleRequest) -> EvalCache | None:
+        """:meth:`_warm_cache`, unless another submit holds it (``None``).
+
+        Return it with :meth:`_return_warm_cache`.
+        """
+        cache = self._warm_cache(request)
+        with self._mutex:
+            if cache is None or cache in self._lent_caches:
+                return None
+            self._lent_caches.add(cache)
+            return cache
+
+    def _return_warm_cache(self, cache: EvalCache | None) -> None:
+        if cache is not None:
+            with self._mutex:
+                self._lent_caches.discard(cache)
+
     # -- result memo -------------------------------------------------------
 
     def _memo_get(self, key: str) -> ScheduleResult | None:
@@ -235,12 +257,16 @@ class Session:
 
         scenario = self._scenario(request)
         mcm = templates.build(request.template, scenario.use_case)
-        ctx = PolicyContext(request=request, scenario=scenario, mcm=mcm,
-                            database=self._database(mcm.clock_hz),
-                            jobs=self.jobs,
-                            eval_cache=self._warm_cache(request),
-                            eval_mode=self.eval_mode)
-        outcome = self.registry.run(ctx)
+        eval_cache = self._lend_warm_cache(request)
+        try:
+            ctx = PolicyContext(request=request, scenario=scenario,
+                                mcm=mcm,
+                                database=self._database(mcm.clock_hz),
+                                jobs=self.jobs, eval_cache=eval_cache,
+                                eval_mode=self.eval_mode)
+            outcome = self.registry.run(ctx)
+        finally:
+            self._return_warm_cache(eval_cache)
         result = self._wrap(request, outcome)
         if result.perf is not None:
             self._log_perf(result.perf)

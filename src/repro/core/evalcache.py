@@ -41,6 +41,14 @@ A cache instance is only valid for one (scenario, MCM) pair -- keys do
 not include workload or package identity.  ``EvalCache(enabled=False)``
 degrades every lookup to a recomputation (used by the property tests to
 prove cached == uncached).
+
+A batch evaluator that scores many entries in one pass (the vector
+kernel's :meth:`~repro.engine.tensorkernel.TensorEvaluator.evaluate_windows`)
+lets a factory return a :class:`Pending` placeholder.  Later lookups in
+the batch hit the placeholder exactly as they would hit the value, and
+:meth:`EvalCache.settle` then swaps each stored placeholder for its
+value in place, leaving LRU order and counters as a sequential run
+would have left them.
 """
 
 # scar: hot -- allocation-linted kernel module (SCAR010)
@@ -61,6 +69,20 @@ DEFAULT_MAX_ENTRIES = 65536
 
 #: Internal sentinel distinguishing "absent" from a cached ``None``.
 _MISSING = object()
+
+
+class Pending:
+    """A cache value its evaluator fills in later, within the same call.
+
+    ``value`` stays unset until the evaluator computes it; whoever holds
+    the placeholder (a later hit, the batch itself) reads ``value`` once
+    the batch is scored.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value: Any = _MISSING
 
 
 class EvalCache:
@@ -86,6 +108,9 @@ class EvalCache:
         self.max_entries = max_entries
         self._tables: dict[str, OrderedDict[Any, Any]] = {}
         self.stats: dict[str, CacheStats] = {}
+        #: ``(table, key, placeholder)`` of every stored :class:`Pending`
+        #: not yet settled.
+        self._pending: list[tuple[OrderedDict, Any, Pending]] = []
 
     def _stats(self, table: str) -> CacheStats:
         if table not in self.stats:
@@ -112,11 +137,30 @@ class EvalCache:
         stats.record(hit=False)
         value = factory()
         store[key] = value
+        if value.__class__ is Pending:
+            self._pending.append((store, key, value))
         if self.max_entries is not None:
             while len(store) > self.max_entries:
                 store.popitem(last=False)
                 stats.evictions += 1
         return value
+
+    def settle(self) -> None:
+        """Replace every stored :class:`Pending` by its value, in place.
+
+        A filled placeholder keeps its LRU position (assigning to an
+        existing key does not move it) and no counter moves; one that
+        was never filled (its batch raised) is dropped, so no unfinished
+        entry stays readable.  A placeholder evicted meanwhile, or
+        replaced by a later miss on the same key, is skipped.
+        """
+        for store, key, pending in self._pending:
+            if store.get(key) is pending:
+                if pending.value is _MISSING:
+                    del store[key]
+                else:
+                    store[key] = pending.value
+        self._pending.clear()
 
     def record(self, table: str, hit: bool) -> None:
         """Count a hit/miss for a memo managed outside this cache."""

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.core.evalcache import EvalCache, segment_place_key, window_key
 from repro.core.schedule import Schedule, Segment, WindowSchedule
@@ -100,6 +101,18 @@ class WindowMetrics:
     def model_latency(self, model: int) -> float:
         """Latency of a model's chain in this window (0 if absent)."""
         return self._latency_by_model.get(model, 0.0)
+
+
+def _window_metrics(index: int, per_model: list[ModelWindowMetrics]
+                    ) -> WindowMetrics:
+    """A window's metrics from its chains' metrics.
+
+    ``Lat(tw) = max_m Lat(SG_m)``; energy sums over the chains.
+    """
+    latency = max((m.latency_s for m in per_model), default=0.0)
+    energy = sum(m.energy_j for m in per_model)
+    return WindowMetrics(index=index, latency_s=latency, energy_j=energy,
+                         per_model=tuple(per_model))
 
 
 @dataclass(frozen=True)
@@ -194,15 +207,23 @@ class ScheduleEvaluator:
         return self.cache.lookup("window", window_key(window),
                                  lambda: self._evaluate_window(window))
 
+    def evaluate_windows(self, windows: Sequence[WindowSchedule]
+                         ) -> list[WindowMetrics]:
+        """Evaluate windows in order: :meth:`evaluate_window` on each.
+
+        The SCHED engine hands a window search's whole candidate list
+        here.  The vector kernel overrides it to score the list's
+        recosted chains in one batched pass, with the same results,
+        cache counters and evaluator statistics as this loop.
+        """
+        return [self.evaluate_window(window) for window in windows]
+
     def _evaluate_window(self, window: WindowSchedule) -> WindowMetrics:
         congestion = self._window_congestion(window)
         per_model = []
         for chain in window.chains:
             per_model.append(self._chain_metrics_cached(chain, congestion))
-        latency = max((m.latency_s for m in per_model), default=0.0)
-        energy = sum(m.energy_j for m in per_model)
-        return WindowMetrics(index=window.index, latency_s=latency,
-                             energy_j=energy, per_model=tuple(per_model))
+        return _window_metrics(window.index, per_model)
 
     def _chain_metrics_cached(self, chain: tuple[Segment, ...],
                               congestion: dict[tuple, float]

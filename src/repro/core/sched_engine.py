@@ -135,6 +135,12 @@ def search_window(window: WindowAssignment,
     evaluation budget.  ``collect``, when given, receives every evaluated
     candidate (for Pareto reporting).
 
+    The candidates are built first, in visiting order, and evaluated
+    by one :meth:`~repro.core.metrics.ScheduleEvaluator.evaluate_windows`
+    call, which the vector kernel scores as one batch; scores, the
+    collected population and the winner come out as if each candidate
+    were evaluated as it was built.
+
     For the life of the search, two dicts keep what recurs across
     combos and placements: segment chains by ``(model, cuts, path)``
     and scheduling-tree DFS paths by ``(model, start, count,
@@ -166,37 +172,59 @@ def search_window(window: WindowAssignment,
     chains: ChainMemo = {}
     paths: PathMemo = {}
 
-    best: WindowCandidate | None = None
-    evaluated = 0
-    for combo in combos:
-        if evaluated >= budget.max_candidates_per_window:
-            break
-        cuts_by_model = {m: r.cuts for m, r in zip(models, combo)}
-        # Place larger chains first (paper's subtree ordering intuition:
-        # big subtrees constrain the forest the most).
-        seg_counts = sorted(
-            ((m, len(cuts_by_model[m]) + 1) for m in models),
-            key=lambda mc: (-mc[1], mc[0]))
-        combo_evals = 0
-        for placement in placements(evaluator.mcm, seg_counts, budget, rng,
-                                    node_ranks=node_ranks, paths=paths):
-            window_schedule = build_window_schedule(window, cuts_by_model,
-                                                    placement, chains)
-            metrics = evaluator.evaluate_window(window_schedule)
-            score = objective.score_window(metrics)
-            candidate = WindowCandidate(window=window_schedule,
-                                        metrics=metrics, score=score)
-            if collect is not None:
-                collect.append(candidate)
-            if best is None or candidate.score < best.score:
-                best = candidate
-            evaluated += 1
-            combo_evals += 1
-            if (combo_evals >= per_combo_budget
-                    or evaluated >= budget.max_candidates_per_window):
+    # Which candidates a search visits never depends on their scores,
+    # so the whole list is built first and evaluated in one call.
+    windows: list[WindowSchedule] = []
+    try:
+        for combo in combos:
+            if len(windows) >= budget.max_candidates_per_window:
                 break
+            cuts_by_model = {m: r.cuts for m, r in zip(models, combo)}
+            # Place larger chains first (paper's subtree ordering
+            # intuition: big subtrees constrain the forest the most).
+            seg_counts = sorted(
+                ((m, len(cuts_by_model[m]) + 1) for m in models),
+                key=lambda mc: (-mc[1], mc[0]))
+            combo_evals = 0
+            for placement in placements(evaluator.mcm, seg_counts, budget,
+                                        rng, node_ranks=node_ranks,
+                                        paths=paths):
+                windows.append(build_window_schedule(
+                    window, cuts_by_model, placement, chains))
+                combo_evals += 1
+                if (combo_evals >= per_combo_budget
+                        or len(windows) >= budget.max_candidates_per_window):
+                    break
+    except SearchError:
+        # A path too short for its cuts ends the search where the
+        # candidate-by-candidate loop ended it: after evaluating (and
+        # collecting) every candidate built before it.
+        _score_candidates(windows, evaluator, objective, collect)
+        raise
+    best = _score_candidates(windows, evaluator, objective, collect)
     if best is None:
         raise SearchError(
             f"window {window.index}: no feasible placement found "
             f"(models {models}, {evaluator.mcm.num_chiplets} chiplets)")
+    return best
+
+
+def _score_candidates(windows: list[WindowSchedule],
+                      evaluator: ScheduleEvaluator, objective: Objective,
+                      collect: list[WindowCandidate] | None
+                      ) -> WindowCandidate | None:
+    """Evaluate ``windows`` in one call; collect them; return the best.
+
+    The first of equally scored candidates wins, as in visiting order.
+    """
+    best: WindowCandidate | None = None
+    for window_schedule, metrics in zip(
+            windows, evaluator.evaluate_windows(windows)):
+        candidate = WindowCandidate(window=window_schedule,
+                                    metrics=metrics,
+                                    score=objective.score_window(metrics))
+        if collect is not None:
+            collect.append(candidate)
+        if best is None or candidate.score < best.score:
+            best = candidate
     return best

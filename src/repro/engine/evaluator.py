@@ -29,6 +29,7 @@ and the counters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.core.evalcache import EvalCache
 from repro.core.metrics import ModelWindowMetrics, ScheduleEvaluator
@@ -94,12 +95,23 @@ def chain_delta_key(chain: tuple[Segment, ...],
     if structure is None:
         structure = tuple((seg.model, seg.start, seg.stop, seg.node)
                           for seg in chain)
+    return (structure, chain_factors(chain, congestion))
+
+
+def chain_factors(chain: tuple[Segment, ...],
+                  congestion: dict[tuple, float]) -> tuple[float, ...]:
+    """The congestion factors one chain reads, in chain order.
+
+    One per segment for its incoming transfer (the head's off-chip
+    input, then each hand-off), then one for the tail's off-chip
+    write-back; an absent flow reads ``1.0``.
+    """
     factors = [congestion.get((None, chain[0].node), 1.0)]
     for pos in range(1, len(chain)):
         factors.append(congestion.get(
             (chain[pos - 1].node, chain[pos].node), 1.0))
     factors.append(congestion.get((chain[-1].node, None), 1.0))
-    return (structure, tuple(factors))
+    return tuple(factors)
 
 
 class CandidateEvaluator(ScheduleEvaluator):
@@ -128,11 +140,26 @@ class CandidateEvaluator(ScheduleEvaluator):
     def _chain_metrics_cached(self, chain: tuple[Segment, ...],
                               congestion: dict[tuple, float]
                               ) -> ModelWindowMetrics:
+        return self._lookup_chain(chain, congestion, self._chain_metrics)
+
+    def _lookup_chain(self, chain: tuple[Segment, ...],
+                      congestion: dict[tuple, float],
+                      score: Callable[[tuple[Segment, ...],
+                                       dict[tuple, float]], Any]) -> Any:
+        """One chain's metrics through the delta memo.
+
+        Counts the chain's segments; on a ``chain`` table miss (on every
+        call with ``delta=False``) counts them as recosted too and
+        returns ``score(chain, congestion)``.  The sequential path
+        scores with :meth:`_chain_metrics`; the vector kernel's batch
+        passes a scorer that defers the recost (see
+        :meth:`~repro.engine.tensorkernel.TensorEvaluator.evaluate_windows`).
+        """
         self.stats.num_segments += len(chain)
 
-        def recost() -> ModelWindowMetrics:
+        def recost():
             self.stats.num_segments_recosted += len(chain)
-            return self._chain_metrics(chain, congestion)
+            return score(chain, congestion)
 
         if not self.delta:
             return recost()

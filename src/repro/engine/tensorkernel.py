@@ -3,25 +3,41 @@
 :class:`TensorEvaluator` is a drop-in
 :class:`~repro.engine.evaluator.CandidateEvaluator` whose chain costing
 (:meth:`~repro.core.metrics.ScheduleEvaluator._chain_metrics`, the ~90%
-hot path of every search) scores all mini-batch divisors x tile factors
-of a chain in a handful of numpy passes instead of the scalar evaluator's
-nested Python loops.  Everything above it -- delta costing, statistics,
-the window memo, the search strategies -- is inherited unchanged, so
-``num_evaluated`` / ``num_segments`` / ``num_segments_recosted`` report
-identically in either mode.
+hot path of every search) scores every chain of a batch at every
+mini-batch divisor x tile factor in one fixed sequence of numpy passes
+instead of the scalar evaluator's nested Python loops.  A window
+search hands its whole candidate list to :meth:`evaluate_windows`,
+which walks the windows through the same window and chain memos as the
+sequential path and scores the chains that missed them together.
+Delta costing, statistics, the memos and the search strategies behave
+exactly as in the scalar kernel, so ``num_evaluated`` /
+``num_segments`` / ``num_segments_recosted`` report identically in
+either mode.
 
 Tensor layout
 -------------
 
-Per ``(model, chiplet class_key, io_hops)`` placement class, two
-``float64`` tables of shape ``(D, L+1, L+1)`` (``D`` = divisors of the
-instance batch, ``L`` = model layers) hold the compute latency/energy of
-every ``(start, stop)`` sub-chain at every mini-batch, DRAM re-fetch
-terms included; ``table[:, start, stop]`` is the all-divisors cost vector
-of one segment, one strided read.  Per model, two ``(L, D)`` tables hold
-the exact activation byte counts (integer ``minibatch * per_sample``
-products, which :class:`~repro.workloads.layer.Layer` guarantees are
-linear in batch) feeding the vectorized communication terms.
+Each model has one float64 **row store** of shape ``(rows, D)`` (``D``
+= divisors of the instance batch): every row is one quantity at every
+mini-batch.  It holds a zero row, a ones row and the mini-batch count
+row; the exact ``sizes / bandwidth`` serialization rows of every
+layer's off-chip input, off-chip output and NoP output; the off-chip
+and NoP energy rows per hop count; and, per placement class ``(chiplet
+class_key, io_hops)``, the compute latency and energy of every ``(start,
+stop)`` sub-chain (``L`` = model layers, ``(L+1)**2`` rows each), DRAM
+re-fetch terms included.  Blocks are appended as a search first needs
+them.
+
+A chain's *plan* names, per segment, seven rows --
+compute latency, input-transfer and output-transfer serialization,
+compute energy, input and output transfer energy, and the weight-energy
+multiplier (ones when resident, the mini-batch count when re-streamed)
+-- plus three scalars: the weight re-stream latency, the weight energy
+and the fixed per-tile latency.  A batch groups its chains by ``(model,
+K)`` (``K`` = chain length); a group of ``N`` chains is one ``(N, K,
+7)`` index array, so one fancy-index gather yields every term of every
+segment as ``(N, K, 7, D)`` rows, and the whole group is scored by the
+same few dozen numpy calls whatever ``N`` and ``K`` are.
 
 Every table lives as long as its evaluator, which is one request.  The
 batched layers the tables are built from do not: they come from
@@ -33,8 +49,8 @@ Exactness contract
 ------------------
 
 The vector path is **bit-identical** to the scalar path, not
-approximately equal, because every reduction preserves the scalar
-evaluation order:
+approximately equal: every element of the batch sees the scalar path's
+operations in the scalar order.
 
 * Sub-chain tables are built with ``np.cumsum`` over an interleaved
   ``[compute_0, refetch_0, compute_1, refetch_1, ...]`` stream --
@@ -42,53 +58,96 @@ evaluation order:
   loop's ``((lat + compute_i) + refetch_i)`` association (a re-fetch term
   of ``0.0`` is an exact no-op on non-negative partial sums).  Plain
   ``np.sum`` is never used: its pairwise reduction changes association.
-* Elementwise arithmetic mirrors :class:`~repro.mcm.comm.CommModel`
-  operation-for-operation (same association, same operand order), and
-  IEEE-754 elementwise ops are deterministic per element.
-* The winning ``(minibatch, tile)`` is picked by a Python loop over the
-  ``(D, T)`` latency grid in the scalar iteration order with the same
-  ``1e-15`` improvement epsilon.
+* A term the scalar path skips or adds as ``0.0`` (no transfer, a
+  resident segment's re-stream latency, the output transfer of a
+  non-tail segment) is an exact zero row, and every partial sum is
+  non-negative, so adding it is a bitwise no-op.  Congestion factors
+  multiply every serialization row; a factor of ``1.0`` is the scalar
+  path's own ``* max(congestion, 1.0)``.
+* Sums across segments (the pipeline fill) and across a chain's energy
+  terms (four per segment, in the scalar order) run left to right
+  along one axis with ``np.cumsum``; elementwise arithmetic mirrors
+  :class:`~repro.mcm.comm.CommModel` operation for operation, and
+  IEEE-754 elementwise ops are deterministic per element.  The maximum
+  over segments is exact in any order.
+* Each chain picks its winning ``(minibatch, tile)`` with the scalar
+  loop's ``1e-15`` improvement rule: the row's first minimum is the
+  scalar winner when it is the only value within the epsilon band, and
+  a near-tie replays the scalar iteration order on that row.
 
 ``benchmarks/test_kernel_vector.py`` gates both the parity and the
 speedup; the randomized property tests in ``tests/test_tensorkernel.py``
 assert ``ScheduleResult.same_payload`` across scenarios, batches and
 topologies.  The scalar path remains the default everywhere
 (``eval_mode=None`` resolves to ``"scalar"``) and keeps working without
-numpy installed; ``eval_mode="vector"`` without numpy raises
-:class:`~repro.errors.ConfigError` (wire code ``config_error``, HTTP 400
-through the service).
+numpy installed: numpy is imported the first time the vector kernel is
+asked for, never at module import.  ``eval_mode="vector"`` without numpy
+raises :class:`~repro.errors.ConfigError` (wire code ``config_error``,
+HTTP 400 through the service).
 """
 
 # scar: hot -- allocation-linted kernel module (SCAR010)
 from __future__ import annotations
 
-from repro.core.evalcache import EvalCache
-from repro.core.metrics import _TILE_FACTORS, ModelWindowMetrics, _divisors
-from repro.core.schedule import Segment
+import mmap
+from array import array
+from typing import Sequence
+
+from repro.core.evalcache import EvalCache, Pending, window_key
+from repro.core.metrics import (
+    _TILE_FACTORS,
+    ModelWindowMetrics,
+    WindowMetrics,
+    _divisors,
+    _window_metrics,
+)
+from repro.core.schedule import Segment, WindowSchedule
 from repro.dataflow.database import LayerCostDatabase
-from repro.engine.evaluator import CandidateEvaluator
+from repro.engine.evaluator import CandidateEvaluator, chain_factors
 from repro.errors import ConfigError
 from repro.mcm.package import MCM
 from repro.workloads.layer import Layer
 from repro.workloads.model import Scenario
 
-try:  # numpy is an optional extra; the scalar path never needs it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatch
-    _np = None
+#: ``_np`` before the first :func:`_numpy` call.
+_UNLOADED = object()
+
+#: The numpy module once loaded; ``None`` when it is not installed.
+#: numpy is an optional extra and the scalar path never needs it, so it
+#: loads on first use, not at import.
+_np = _UNLOADED
 
 #: The evaluator modes a Session or SCARScheduler may name (``eval_mode``).
 EVAL_MODES = ("scalar", "vector")
 
+#: Fixed rows at the head of every model's row store.
+_ZERO_ROW, _ONES_ROW, _NUM_MB_ROW = 0, 1, 2
+
+#: Row-index columns of one segment in a chain plan.
+_PLAN_COLUMNS = 7
+
+
+def _numpy():
+    """The numpy module, importing it on first call (``None`` if absent)."""
+    global _np
+    if _np is _UNLOADED:
+        try:
+            import numpy
+        except ImportError:  # pragma: no cover - exercised via monkeypatch
+            _np = None
+        else:
+            _np = numpy
+    return _np
+
 
 def have_numpy() -> bool:
     """Whether the vector kernel's numpy dependency is importable."""
-    return _np is not None
+    return _numpy() is not None
 
 
 def require_numpy() -> None:
     """Raise a wire-stable :class:`ConfigError` when numpy is missing."""
-    if _np is None:
+    if _numpy() is None:
         raise ConfigError(
             "eval_mode='vector' requires numpy, which is not installed; "
             "install the optional extra (pip install 'repro-scar[vector]') "
@@ -111,36 +170,57 @@ def check_eval_mode(eval_mode: str | None) -> str:
     return mode
 
 
-class _ModelTables:
-    """Per-model mini-batch axis and exact activation byte tables.
+def _scalar_winner(latencies: list[float]) -> int:
+    """Flat index the scalar loop settles on (divisors outer, tiles inner)."""
+    best = 0
+    best_lat = None
+    for index, lat in enumerate(latencies):
+        if best_lat is None or lat < best_lat - 1e-15:
+            best_lat = lat
+            best = index
+    return best
 
-    ``input_sizes`` / ``output_sizes`` are ``(L, D)`` float64 tables of
-    exact ``minibatch * per_sample`` byte counts; ``input_ps`` /
+
+class _ModelTables:
+    """Per-model mini-batch axis, byte counts and the row store.
+
+    ``rows`` is the ``(capacity, D)`` float64 store the chain kernel
+    gathers from (see the module docstring).  Its capacity is the most
+    rows the evaluator can ever ask for -- a block per placement class,
+    per off-chip hop count and per NoP hop count -- so it never grows
+    or moves.  It lives in its own anonymous memory mapping, which
+    starts zero-filled and holds in memory only the pages written: the
+    capacity of blocks never built costs address space, not memory,
+    and all of it returns to the system when the store is dropped (a
+    numpy allocation of that size may come from the heap, or from huge
+    pages, and hold more).  :meth:`new_block` hands out the next rows.
+    The store opens with the zero, ones and mini-batch count rows, then
+    the ``L``-row serialization blocks at ``in_var_off`` /
+    ``out_var_off`` / ``out_var_nop`` (exact ``minibatch *
+    per_sample`` bytes over the package's bandwidth, the congestion
+    factor being the only per-window multiplier left).  ``in_e_off`` /
+    ``out_e_off`` / ``out_e_nop`` map a hop count to its energy block.
+
+    ``input_sizes`` / ``output_sizes`` are the ``(L, D)`` exact byte
+    tables the energy blocks are built from; ``input_ps`` /
     ``output_ps`` / ``weight_prefix`` keep the integer per-sample and
     prefix-summed weight bytes for the full-batch flow analysis (integer
     arithmetic, so prefix *differences* are exact).  ``num_mb_f`` and
     ``units_m1_f`` pre-convert the integer pipelining axes to float64
-    (exact for these magnitudes) so the chain kernel pays no per-call
-    int-to-float conversions.
-
-    The communication terms are hoisted too: ``in_var_off`` /
-    ``out_var_off`` / ``out_var_nop`` are ``sizes / bandwidth`` base
-    serialization rows (the congestion factor is the only per-window
-    multiplier left for the kernel), and ``in_e_off`` / ``out_e_off`` /
-    ``out_e_nop`` memoize the hop-dependent energy rows per hop count --
-    each built once with the exact scalar expression, so reads are free.
+    (exact for these magnitudes).
     """
 
-    __slots__ = ("batch", "divisors", "num_mb_f", "units_m1_f",
+    __slots__ = ("divisors", "num_layers", "num_mb_f", "units_m1_f",
                  "input_sizes", "output_sizes", "input_ps", "output_ps",
-                 "weight_prefix", "in_var_off", "out_var_off",
-                 "out_var_nop", "in_e_off", "out_e_off", "out_e_nop")
+                 "weight_prefix", "rows", "num_rows", "in_var_off",
+                 "out_var_off", "out_var_nop", "in_e_off", "out_e_off",
+                 "out_e_nop")
 
-    def __init__(self, batch, divisors, num_mb_f, units_m1_f,
-                 input_sizes, output_sizes, input_ps, output_ps,
-                 weight_prefix, in_var_off, out_var_off, out_var_nop):
-        self.batch = batch
+    def __init__(self, divisors, num_mb_f, units_m1_f, input_sizes,
+                 output_sizes, input_ps, output_ps, weight_prefix,
+                 offchip_denom, nop_denom, capacity):
         self.divisors = divisors
+        self.num_layers = len(input_ps)
         self.num_mb_f = num_mb_f
         self.units_m1_f = units_m1_f
         self.input_sizes = input_sizes
@@ -148,22 +228,50 @@ class _ModelTables:
         self.input_ps = input_ps
         self.output_ps = output_ps
         self.weight_prefix = weight_prefix
-        self.in_var_off = in_var_off
-        self.out_var_off = out_var_off
-        self.out_var_nop = out_var_nop
-        self.in_e_off: dict[int, object] = {}
-        self.out_e_off: dict[int, object] = {}
-        self.out_e_nop: dict[int, object] = {}
+        self.rows = _np.frombuffer(mmap.mmap(
+            -1, capacity * len(divisors) * 8, flags=mmap.MAP_PRIVATE)
+        ).reshape(capacity, len(divisors))
+        self.num_rows = 0
+        _, fixed = self.new_block(3)
+        fixed[_ZERO_ROW] = 0.0
+        fixed[_ONES_ROW] = 1.0
+        fixed[_NUM_MB_ROW] = num_mb_f
+        self.in_var_off = self.add_rows(input_sizes / offchip_denom)
+        self.out_var_off = self.add_rows(output_sizes / offchip_denom)
+        self.out_var_nop = self.add_rows(output_sizes / nop_denom)
+        self.in_e_off: dict[int, int] = {}
+        self.out_e_off: dict[int, int] = {}
+        self.out_e_nop: dict[int, int] = {}
+
+    def new_block(self, count: int):
+        """The next ``count`` rows: ``(first row index, writable view)``."""
+        first = self.num_rows
+        self.num_rows = first + count
+        assert self.num_rows <= len(self.rows), "row store capacity"
+        return first, self.rows[first:self.num_rows]
+
+    def add_rows(self, block) -> int:
+        """Append ``block`` (``(n, D)``); return its first row index."""
+        first, rows = self.new_block(len(block))
+        rows[:] = block
+        return first
 
 
-class _PlaceTables:
-    """Sub-chain compute cost tables of one (model, placement class)."""
+class _ChainGroup:
+    """The deferred recosts of one ``(model, K)`` batch group.
 
-    __slots__ = ("lat", "joule")
+    ``positions`` are the recosts' indices in the batch; ``rows`` holds
+    their plans' row indices and ``values`` their plans' scalars
+    followed by their ``K + 1`` congestion factors, flat, chain after
+    chain, as machine arrays numpy reads without a copy.
+    """
 
-    def __init__(self, lat, joule):
-        self.lat = lat
-        self.joule = joule
+    __slots__ = ("positions", "rows", "values")
+
+    def __init__(self) -> None:
+        self.positions: list[int] = []
+        self.rows = array("q")
+        self.values = array("d")
 
 
 class TensorEvaluator(CandidateEvaluator):
@@ -171,10 +279,10 @@ class TensorEvaluator(CandidateEvaluator):
 
     Construction requires numpy (:func:`require_numpy`); everything else
     -- caches, stats, the ``delta`` knob -- behaves exactly like the
-    scalar :class:`~repro.engine.evaluator.CandidateEvaluator`.  Tensor
-    tables are memoized per evaluator instance (pure functions of their
-    ``(model, class_key, io_hops)`` key), as are the routes, segment
-    statics and per-chain flow sets the kernel reads on every recost.
+    scalar :class:`~repro.engine.evaluator.CandidateEvaluator`.  The
+    row stores are memoized per evaluator instance (pure functions of
+    their block keys), as are the routes, segment statics, per-chain
+    flow sets the kernel reads on every recost.
     Batched layers are not memoized here: :meth:`_layer` reads the
     model's own :meth:`~repro.workloads.model.Model.at_batch` tuples,
     which outlive the evaluator.
@@ -187,19 +295,86 @@ class TensorEvaluator(CandidateEvaluator):
         require_numpy()
         super().__init__(scenario, mcm, database, cache=cache, delta=delta)
         self._model_tables: dict[int, _ModelTables] = {}
-        self._place_tables: dict[tuple, _PlaceTables] = {}
-        self._place_by_node: dict[tuple[int, int], _PlaceTables] = {}
+        self._place_tables: dict[tuple, int] = {}
+        self._place_by_node: dict[tuple[int, int], int] = {}
         self._hops_memo: dict[tuple[int, int], int] = {}
         self._route_memo: dict[tuple, tuple] = {}
         self._static_memo: dict[tuple, object] = {}
         self._entries_memo: dict[tuple, list] = {}
         self._tiles_f = _np.array(_TILE_FACTORS, dtype=_np.float64)
+        # Row store sizing: one compute block pair per placement class;
+        # one energy block per off-chip hop count (input and output) and
+        # per NoP hop count, which a simple path keeps below the node
+        # count.
+        self._num_place_classes = len({
+            (mcm.chiplet(node).class_key, self._io_hops[node])
+            for node in range(mcm.num_chiplets)})
+        self._hop_blocks = (2 * len(set(self._io_hops))
+                            + mcm.num_chiplets - 1)
         # Precomputed serialization denominators; same one-product floats
         # the scalar CommModel recomputes per call.
         self._offchip_denom = mcm.offchip_gbps * 1e9
         self._nop_denom = mcm.nop_gbps * 1e9
 
-    # -- tensor tables ----------------------------------------------------
+    # -- batched window evaluation ----------------------------------------
+
+    def evaluate_windows(self, windows: Sequence[WindowSchedule]
+                         ) -> list[WindowMetrics]:
+        """Evaluate windows in order, scoring their recosts as one batch.
+
+        Walks the windows exactly like repeated :meth:`evaluate_window`
+        calls -- the same ``window`` and ``chain`` lookups in the same
+        order, the same :class:`~repro.engine.evaluator.EvaluatorStats`
+        counts -- but each miss stores a
+        :class:`~repro.core.evalcache.Pending` placeholder instead of
+        computing.  A later duplicate in the batch hits the placeholder
+        as it would have hit the value.  The deferred chain recosts are
+        then scored by :meth:`_score_chains`, the windows assembled, and
+        :meth:`EvalCache.settle` fills every stored placeholder in place
+        (or drops it, if this call raises).
+        """
+        recosts: list[tuple[tuple[Segment, ...], dict]] = []
+        chain_slots: list[Pending] = []
+        window_slots: list[tuple[Pending, int, list]] = []
+
+        def defer_chain(chain, congestion) -> Pending:
+            recosts.append((chain, congestion))
+            slot = Pending()
+            chain_slots.append(slot)
+            return slot
+
+        def defer_window(window: WindowSchedule) -> Pending:
+            congestion = self._window_congestion(window)
+            parts = [self._lookup_chain(chain, congestion, defer_chain)
+                     for chain in window.chains]
+            slot = Pending()
+            window_slots.append((slot, window.index, parts))
+            return slot
+
+        lookup = self.cache.lookup
+        results: list = []
+        try:
+            for window in windows:
+                # The factory runs inside this iteration's lookup, so
+                # the closure reads the current window.
+                results.append(lookup("window", window_key(window),
+                                      lambda: defer_window(window)))
+            for slot, metrics in zip(chain_slots,
+                                     self._score_chains(recosts)):
+                slot.value = metrics
+            for slot, index, parts in window_slots:
+                for pos, part in enumerate(parts):
+                    if part.__class__ is Pending:
+                        parts[pos] = part.value
+                slot.value = _window_metrics(index, parts)
+        finally:
+            self.cache.settle()
+        for pos, result in enumerate(results):
+            if result.__class__ is Pending:
+                results[pos] = result.value
+        return results
+
+    # -- row store --------------------------------------------------------
 
     def _model_tables_for(self, model: int) -> _ModelTables:
         tables = self._model_tables.get(model)
@@ -229,51 +404,56 @@ class TensorEvaluator(CandidateEvaluator):
         output_sizes = (_np.array(output_ps, dtype=_np.int64)[:, None]
                         * mb[None, :]).astype(_np.float64)
         return _ModelTables(
-            batch=instance.batch, divisors=divisors,
-            num_mb_f=num_mb.astype(_np.float64),
+            divisors=divisors, num_mb_f=num_mb.astype(_np.float64),
             units_m1_f=(num_mb[:, None] * tiles[None, :] - 1)
             .astype(_np.float64),
             input_sizes=input_sizes, output_sizes=output_sizes,
             input_ps=input_ps, output_ps=output_ps,
             weight_prefix=weight_prefix,
-            in_var_off=input_sizes / self._offchip_denom,
-            out_var_off=output_sizes / self._offchip_denom,
-            out_var_nop=output_sizes / self._nop_denom)
+            offchip_denom=self._offchip_denom, nop_denom=self._nop_denom,
+            capacity=(3 + num_layers * (3 + self._hop_blocks)
+                      + self._num_place_classes * 2 * (num_layers + 1) ** 2))
 
-    def _place_tables_for(self, segment: Segment) -> _PlaceTables:
+    def _place_rows_for(self, segment: Segment) -> int:
+        """First row of the segment's placement-class compute block."""
         assert segment.node is not None
         node_key = (segment.model, segment.node)
-        tables = self._place_by_node.get(node_key)
-        if tables is None:
+        first = self._place_by_node.get(node_key)
+        if first is None:
             # Distinct nodes share tables whenever their chiplet class and
             # io distance agree; only the first touch per node pays the
             # class lookup.
             chiplet = self._chiplet_of(segment)
             class_key = (segment.model, chiplet.class_key,
                          self._io_hops[segment.node])
-            tables = self._place_tables.get(class_key)
-            if tables is None:
-                tables = self._build_place_tables(segment.model, chiplet,
-                                                  segment.node)
-                self._place_tables[class_key] = tables
-            self._place_by_node[node_key] = tables
-        return tables
+            first = self._place_tables.get(class_key)
+            if first is None:
+                first = self._build_place_tables(segment.model, chiplet,
+                                                 segment.node)
+                self._place_tables[class_key] = first
+            self._place_by_node[node_key] = first
+        return first
 
-    def _build_place_tables(self, model: int, chiplet,
-                            node: int) -> _PlaceTables:
-        """All ``(divisor, start, stop)`` compute costs of one placement.
+    def _build_place_tables(self, model: int, chiplet, node: int) -> int:
+        """All ``(start, stop, divisor)`` compute costs of one placement.
 
-        Each ``start`` row comes from one ``np.cumsum`` over the
+        Appends the latency block, then the energy block, to the model's
+        row store (row ``start * (L+1) + stop`` of each block is one
+        segment at every divisor) and returns the latency block's first
+        row.  Each ``start`` row comes from one ``np.cumsum`` over the
         interleaved per-layer ``[compute, refetch]`` stream, so every
-        table entry carries the scalar loop's exact left-to-right
-        association (see the module docstring).
+        entry carries the scalar loop's exact left-to-right association
+        (see the module docstring).
         """
-        instance = self.scenario[model]
-        num_layers = len(instance.model)
-        divisors = self._model_tables_for(model).divisors
-        shape = (len(divisors), num_layers + 1, num_layers + 1)
-        lat = _np.zeros(shape)
-        joule = _np.zeros(shape)
+        tables = self._model_tables_for(model)
+        num_layers = tables.num_layers
+        divisors = tables.divisors
+        side = num_layers + 1
+        first, block = tables.new_block(2 * side * side)
+        # The store starts zero-filled: the entries below are the only
+        # ones written, and the rest (stop <= start) are never read.
+        place = block.reshape(2, side, side, len(divisors))
+        lat, joule = place[0], place[1]
         stream_lat = _np.empty(2 * num_layers)
         stream_j = _np.empty(2 * num_layers)
         # Shifted-stream matrices: row ``start`` holds the stream from
@@ -305,11 +485,37 @@ class TensorEvaluator(CandidateEvaluator):
             odd_lat = _np.cumsum(mat_lat, axis=1)[:, 1::2]
             odd_j = _np.cumsum(mat_j, axis=1)[:, 1::2]
             for start in range(num_layers):
-                lat[d, start, start + 1:] = \
+                lat[start, start + 1:, d] = \
                     odd_lat[start, :num_layers - start]
-                joule[d, start, start + 1:] = \
+                joule[start, start + 1:, d] = \
                     odd_j[start, :num_layers - start]
-        return _PlaceTables(lat=lat, joule=joule)
+        return first
+
+    def _e_off_rows(self, memo: dict, sizes, tables: _ModelTables,
+                    hops: int) -> int:
+        """First row of the off-chip energy block for one hop count.
+
+        The build expression is :meth:`CommModel.offchip_parts` verbatim
+        (same association and operand order), evaluated elementwise over
+        the exact byte tables -- so each row is the exact scalar energy
+        at every mini-batch.
+        """
+        first = memo.get(hops)
+        if first is None:
+            first = tables.add_rows(
+                (sizes * self.comm.dram_pj_byte
+                 + sizes * self.comm.nop_pj_byte * hops) * 1e-12)
+            memo[hops] = first
+        return first
+
+    def _e_nop_rows(self, tables: _ModelTables, hops: int) -> int:
+        """First row of the NoP hand-off energy block for one hop count."""
+        first = tables.out_e_nop.get(hops)
+        if first is None:
+            first = tables.add_rows(tables.output_sizes
+                                    * self.comm.nop_pj_byte * hops * 1e-12)
+            tables.out_e_nop[hops] = first
+        return first
 
     # -- table-backed scalar hooks ----------------------------------------
 
@@ -326,8 +532,8 @@ class TensorEvaluator(CandidateEvaluator):
 
     def _segment_static(self, segment: Segment):
         # One plain-dict hop in front of the EvalCache lookup: the chain
-        # kernel reads segment statics on every recost, and the shared
-        # cache's LRU/statistics machinery costs more than the lookup.
+        # plans read segment statics, and the shared cache's
+        # LRU/statistics machinery costs more than the lookup.
         key = (segment.model, segment.start, segment.stop, segment.node)
         static = self._static_memo.get(key)
         if static is None:
@@ -427,185 +633,187 @@ class TensorEvaluator(CandidateEvaluator):
                 congestion[key] = factor if factor > current else current
         return congestion
 
-    # -- vectorized communication terms -----------------------------------
+    # -- chain plans ------------------------------------------------------
 
-    def _e_off_rows(self, memo: dict, sizes, hops: int):
-        """Off-chip energy ``(L, D)`` rows for one hop count, memoized.
-
-        The build expression is :meth:`CommModel.offchip_parts` verbatim
-        (same association and operand order), evaluated elementwise over
-        the exact byte tables -- so each row read afterwards is the exact
-        scalar energy at every mini-batch.
-        """
-        energy = memo.get(hops)
-        if energy is None:
-            energy = (sizes * self.comm.dram_pj_byte
-                      + sizes * self.comm.nop_pj_byte * hops) * 1e-12
-            memo[hops] = energy
-        return energy
-
-    def _e_nop_rows(self, tables: _ModelTables, hops: int):
-        """NoP hand-off energy ``(L, D)`` rows for one hop count."""
-        energy = tables.out_e_nop.get(hops)
-        if energy is None:
-            energy = (tables.output_sizes * self.comm.nop_pj_byte
-                      * hops * 1e-12)
-            tables.out_e_nop[hops] = energy
-        return energy
-
-    def _offchip_in_vec(self, tables: _ModelTables, idx: int, node: int,
-                        congestion: float):
-        """All-divisors off-chip fetch of layer ``idx`` inputs."""
-        if tables.input_ps[idx] == 0:  # zero bytes => zero at every mb
-            return None, 0.0, None
+    def _offchip_in_rows(self, tables: _ModelTables, idx: int,
+                         node: int) -> tuple[int, int, float]:
+        """Serialization row, energy row and fixed latency of layer
+        ``idx``'s off-chip input fetch (zero rows for zero bytes)."""
+        if tables.input_ps[idx] == 0:
+            return _ZERO_ROW, _ZERO_ROW, 0.0
         hops = self._io_hops[node]
-        base = tables.in_var_off[idx]
-        variable = base * congestion if congestion > 1.0 else base
-        fixed = hops * self.mcm.nop_hop_s + self.mcm.dram_latency_s
         energy = self._e_off_rows(tables.in_e_off, tables.input_sizes,
-                                  hops)
-        return variable, fixed, energy[idx]
+                                  tables, hops)
+        return (tables.in_var_off + idx, energy + idx,
+                hops * self.mcm.nop_hop_s + self.mcm.dram_latency_s)
 
-    def _offchip_out_vec(self, tables: _ModelTables, idx: int, node: int,
-                         congestion: float):
-        """All-divisors off-chip write-back of layer ``idx`` outputs."""
+    def _offchip_out_rows(self, tables: _ModelTables, idx: int,
+                          node: int) -> tuple[int, int, float]:
+        """The same for layer ``idx``'s off-chip output write-back."""
         if tables.output_ps[idx] == 0:
-            return None, 0.0, None
+            return _ZERO_ROW, _ZERO_ROW, 0.0
         hops = self._io_hops[node]
-        base = tables.out_var_off[idx]
-        variable = base * congestion if congestion > 1.0 else base
-        fixed = hops * self.mcm.nop_hop_s + self.mcm.dram_latency_s
         energy = self._e_off_rows(tables.out_e_off, tables.output_sizes,
-                                  hops)
-        return variable, fixed, energy[idx]
+                                  tables, hops)
+        return (tables.out_var_off + idx, energy + idx,
+                hops * self.mcm.nop_hop_s + self.mcm.dram_latency_s)
 
-    def _chiplet_out_vec(self, tables: _ModelTables, idx: int, src: int,
-                         dst: int, congestion: float):
-        """All-divisors NoP hand-off of layer ``idx`` outputs."""
+    def _chiplet_out_rows(self, tables: _ModelTables, idx: int, src: int,
+                          dst: int) -> tuple[int, int, float]:
+        """The same for layer ``idx``'s NoP hand-off from ``src``."""
         if src == dst or tables.output_ps[idx] == 0:
-            return None, 0.0, None
+            return _ZERO_ROW, _ZERO_ROW, 0.0
         hops = self._hops_memo.get((src, dst))
         if hops is None:
             hops = self.mcm.topology.hops(src, dst)
             self._hops_memo[(src, dst)] = hops
-        base = tables.out_var_nop[idx]
-        variable = base * congestion if congestion > 1.0 else base
-        fixed = hops * self.mcm.nop_hop_s
-        energy = self._e_nop_rows(tables, hops)
-        return variable, fixed, energy[idx]
+        return (tables.out_var_nop + idx,
+                self._e_nop_rows(tables, hops) + idx,
+                hops * self.mcm.nop_hop_s)
 
-    # -- the vectorized chain kernel --------------------------------------
+    def _plan_chain(self, chain: tuple[Segment, ...],
+                    group: _ChainGroup) -> None:
+        """Append one chain's gather rows and scalars to ``group``.
+
+        Per segment, seven rows of the model's store -- compute
+        latency, input and output serialization, compute energy, input
+        and output transfer energy, weight-energy multiplier -- and
+        three scalars: the weight re-stream latency (``0.0`` when
+        resident), the weight load energy and the fixed per-tile
+        latency, each built with the scalar path's own expression.  The
+        scalars end with the chain's resident weight pre-load.
+        """
+        tables = self._model_tables_for(chain[0].model)
+        seg_costs = [self._segment_static(seg) for seg in chain]
+        side = tables.num_layers + 1
+        square = side * side
+        rows = group.rows
+        values = group.values
+        last = len(chain) - 1
+        for pos, (segment, static) in enumerate(zip(chain, seg_costs)):
+            lat = (self._place_rows_for(segment)
+                   + segment.start * side + segment.stop)
+            # ip_com: off-chip input for the head, NoP hand-off otherwise.
+            if pos == 0:
+                in_var, in_e, fix = self._offchip_in_rows(
+                    tables, segment.start, segment.node)
+            else:
+                prev = chain[pos - 1]
+                in_var, in_e, fix = self._chiplet_out_rows(
+                    tables, prev.stop - 1, prev.node, segment.node)
+            # op_com: only the tail segment writes results off-chip.
+            out_var = out_e = _ZERO_ROW
+            if pos == last:
+                out_var, out_e, out_fix = self._offchip_out_rows(
+                    tables, segment.stop - 1, segment.node)
+                fix += out_fix
+            restream = 0.0
+            multiplier = _ONES_ROW
+            if not static.resident:
+                # Weights re-streamed every mini-batch pass.
+                restream = static.weight_load_var_s
+                fix += static.weight_load_fix_s
+                multiplier = _NUM_MB_ROW
+            rows.extend((lat, in_var, out_var, lat + square, in_e, out_e,
+                         multiplier))
+            values.extend((restream, static.weight_load_j, fix))
+        # One-time weight pre-load for resident segments: the scalar
+        # path's own expression (same float).
+        values.append(sum(s.weight_load_s for s in seg_costs if s.resident))
+
+    # -- the batched chain kernel -----------------------------------------
 
     def _chain_metrics(self, chain: tuple[Segment, ...],
                        congestion: dict[tuple, float]) -> ModelWindowMetrics:
-        """Score every (mini-batch, tile) candidate of one chain at once.
+        """Bit-identical override of the scalar
+        :meth:`~repro.core.metrics.ScheduleEvaluator._chain_metrics`:
+        a batch of one."""
+        return self._score_chains([(chain, congestion)])[0]
 
-        Bit-identical override of the scalar
-        :meth:`~repro.core.metrics.ScheduleEvaluator._chain_metrics` +
-        ``_chain_at_minibatch`` pair; every arithmetic statement below
-        mirrors a scalar statement in the same order (adding an exact
-        ``0.0`` term is the only elision, a bitwise no-op on the
-        non-negative quantities involved).
+    def _score_chains(self, recosts: Sequence[tuple[tuple[Segment, ...],
+                                                    dict[tuple, float]]]
+                      ) -> list[ModelWindowMetrics]:
+        """Score ``(chain, congestion)`` recosts, in order, as one batch.
+
+        Chains are planned in batch order (so segment statics and place
+        tables are first touched in the sequential path's order), then
+        each ``(model, K)`` group is scored by :meth:`_score_group`.
         """
-        model = chain[0].model
-        tables = self._model_tables_for(model)
-        seg_costs = [self._segment_static(seg) for seg in chain]
-        num_mb = tables.num_mb_f
-        energy = _np.zeros(len(num_mb))
-        scratch = _np.empty(len(num_mb))
-        per_tile = []
-        last = len(chain) - 1
-        mul, add = _np.multiply, _np.add
-        cget = congestion.get
-        tiles = self._tiles_f
-        for pos, (segment, static) in enumerate(zip(chain, seg_costs)):
-            place = self._place_tables_for(segment)
-            var = place.lat[:, segment.start, segment.stop]
-            mul(place.joule[:, segment.start, segment.stop],
-                num_mb, out=scratch)
-            add(energy, scratch, out=energy)
-            fix = 0.0
+        groups: dict[tuple[int, int], _ChainGroup] = {}
+        for pos, (chain, congestion) in enumerate(recosts):
+            key = (chain[0].model, len(chain))
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = _ChainGroup()
+            group.positions.append(pos)
+            self._plan_chain(chain, group)
+            group.values.extend(chain_factors(chain, congestion))
+        out: list = [None] * len(recosts)
+        for (model, length), group in groups.items():
+            self._score_group(model, length, group, out)
+        return out
 
-            # ip_com: off-chip input for the head, NoP hand-off otherwise.
-            if pos == 0:
-                v, f, e = self._offchip_in_vec(
-                    tables, segment.start, segment.node,
-                    cget((None, segment.node), 1.0))
-            else:
-                prev = chain[pos - 1]
-                v, f, e = self._chiplet_out_vec(
-                    tables, prev.stop - 1, prev.node, segment.node,
-                    cget((prev.node, segment.node), 1.0))
-            if v is not None:
-                var = var + v
-                fix = fix + f
-                mul(e, num_mb, out=scratch)
-                add(energy, scratch, out=energy)
+    def _score_group(self, model: int, length: int, group: _ChainGroup,
+                     out: list) -> None:
+        """Score one ``(model, K)`` group; write each result to ``out``.
 
-            # op_com: only the tail segment writes results off-chip.
-            if pos == last:
-                v, f, e = self._offchip_out_vec(
-                    tables, segment.stop - 1, segment.node,
-                    cget((segment.node, None), 1.0))
-                if v is not None:
-                    var = var + v
-                    fix = fix + f
-                    mul(e, num_mb, out=scratch)
-                    add(energy, scratch, out=energy)
+        Bit-identical to the scalar ``_chain_metrics`` +
+        ``_chain_at_minibatch`` pair on every chain: each statement
+        below applies one scalar statement to every (chain, segment,
+        divisor, tile) element at once, in the scalar order (see the
+        module docstring).
+        """
+        tables = self._model_tables[model]
+        count = len(group.positions)
+        k = length
+        gathered = tables.rows[_np.frombuffer(group.rows, dtype=_np.int64)
+                               .reshape(count, k, _PLAN_COLUMNS)]
+        values = _np.frombuffer(group.values).reshape(count, 4 * k + 2)
+        restream, weight_j, fix = (values[:, :3 * k].reshape(count, k, 3)
+                                   .transpose(2, 0, 1))
+        preload = values[:, 3 * k]
+        factors = _np.maximum(values[:, 3 * k + 1:], 1.0)
 
-            if static.resident:
-                add(energy, static.weight_load_j, out=energy)
-            else:
-                var = var + static.weight_load_var_s
-                fix = fix + static.weight_load_fix_s
-                mul(static.weight_load_j, num_mb, out=scratch)
-                add(energy, scratch, out=energy)
-            per_tile.append(var[:, None] / tiles + fix)
+        # Per segment: var = ((compute + in_com) + out_com) + restream.
+        var = gathered[:, :, 0] + gathered[:, :, 1] * factors[:, :k, None]
+        var += gathered[:, :, 2] * factors[:, k, None, None]
+        var += restream[:, :, None]
+        per_tile = var[:, :, :, None] / self._tiles_f
+        per_tile += fix[:, :, None, None]
 
-        # In-place accumulation over our own buffers computes the exact
-        # functional expressions (same ops, same operand order).
-        fill = per_tile[0].copy()
-        if last:
-            maxseg = per_tile[0].copy()
-            for arr in per_tile[1:]:
-                add(fill, arr, out=fill)
-                _np.maximum(maxseg, arr, out=maxseg)
-        else:
-            maxseg = per_tile[0]
-        # One-time weight pre-load for resident segments; the generator
-        # sum is the scalar path's own expression (same float), and
-        # adding an exact zero would be a bitwise no-op anyway.
-        preload = sum(s.weight_load_s for s in seg_costs if s.resident)
-        if preload:
-            add(fill, preload, out=fill)
-        latency = tables.units_m1_f * maxseg
-        add(latency, fill, out=latency)
+        # Energy: four terms per segment, summed left to right.
+        terms = gathered[:, :, 3:]
+        terms[:, :, :3] *= tables.num_mb_f
+        terms[:, :, 3] *= weight_j[:, :, None]
+        energy = _np.cumsum(terms.reshape(count, 4 * k, -1), axis=1)[:, -1]
 
-        # Winner selection.  The scalar loop only ever settles on a
-        # candidate within its 1e-15 epsilon of the global minimum, so
-        # when exactly one candidate lies in that band the first-minimum
-        # index (argmin) IS the scalar winner; only near-ties replay the
-        # scalar iteration order (divisors ascending, tiles inner) with
-        # the same improvement epsilon.
-        flat = latency.ravel()
-        best = int(flat.argmin())
-        best_lat = flat[best].item()
-        if int((flat <= best_lat + 1e-15).sum()) == 1:
-            best_d, best_t = divmod(best, len(_TILE_FACTORS))
-        else:
-            best_lat = None
-            best_d = best_t = 0
-            for d, row in enumerate(latency.tolist()):
-                for t, lat in enumerate(row):
-                    if best_lat is None or lat < best_lat - 1e-15:
-                        best_lat = lat
-                        best_d = d
-                        best_t = t
-            assert best_lat is not None
-        return ModelWindowMetrics(
-            model=model, latency_s=best_lat,
-            energy_j=energy[best_d].item(),
-            minibatch=tables.divisors[best_d],
-            tile_factor=_TILE_FACTORS[best_t],
-            segment_latencies_s=tuple(arr[best_d, best_t].item()
-                                      for arr in per_tile))
+        # Lat(SG) = fill + (units - 1) * max_k per-tile latency.
+        fill = _np.cumsum(per_tile, axis=1)[:, -1]
+        fill += preload[:, None, None]
+        latency = tables.units_m1_f * per_tile.max(axis=1)
+        latency += fill
+
+        # Winner per chain: the first minimum is the scalar winner when
+        # it is the only value within the scalar loop's 1e-15 band.
+        flat = latency.reshape(count, -1)
+        best = flat.argmin(axis=1)
+        chains = _np.arange(count)
+        best_lat = flat[chains, best]
+        ties = (flat <= (best_lat + 1e-15)[:, None]).sum(axis=1) > 1
+        if ties.any():
+            for row in _np.flatnonzero(ties).tolist():
+                best[row] = _scalar_winner(flat[row].tolist())
+            best_lat = flat[chains, best]
+        best_d, best_t = _np.divmod(best, len(_TILE_FACTORS))
+        lats = best_lat.tolist()
+        energies = energy[chains, best_d].tolist()
+        segment_lats = per_tile[chains, :, best_d, best_t].tolist()
+        minibatch = best_d.tolist()
+        tile = best_t.tolist()
+        divisors = tables.divisors
+        for i, pos in enumerate(group.positions):
+            out[pos] = ModelWindowMetrics(
+                model=model, latency_s=lats[i], energy_j=energies[i],
+                minibatch=divisors[minibatch[i]],
+                tile_factor=_TILE_FACTORS[tile[i]],
+                segment_latencies_s=tuple(segment_lats[i]))

@@ -46,6 +46,7 @@ import queue
 import threading
 import time
 from collections import OrderedDict
+from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING, Iterable
 
 from repro.api.request import ScheduleRequest, ScheduleResult
@@ -214,8 +215,10 @@ class SchedulerService:
         self.max_pending = max_pending
         self._store = store
         self._store_stats = CacheStats()  # guarded by: _lock
+        #: the current process pool; replaced when a worker death
+        #: breaks it (see :meth:`_run_pooled`).
         self._pool = self.session.process_pool(workers) \
-            if job_backend == "process" else None
+            if job_backend == "process" else None  # guarded by: _lock
         self._queue: queue.PriorityQueue = queue.PriorityQueue()
         self._lock = threading.Lock()
         #: job id -> its slot, in submission order.
@@ -431,11 +434,8 @@ class SchedulerService:
                 self._queue.put(
                     (_SHUTDOWN_PRIORITY, next(self._seq), None))
         if wait:
-            for thread in self._threads:
-                thread.join()
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-        elif first and self._pool is not None:
+            self._reap_pool()
+        elif first and self.job_backend == "process":
             # Nobody joins the workers on this path, so a reaper thread
             # shuts the pool down once they drain -- shutting it down
             # now would fail the backlog's pool submits.
@@ -443,10 +443,13 @@ class SchedulerService:
                              name="repro-service-reaper").start()
 
     def _reap_pool(self) -> None:
+        """Join the workers, then shut down whichever pool is current."""
         for thread in self._threads:
             thread.join()
-        assert self._pool is not None
-        self._pool.shutdown(wait=True)
+        with self._lock:
+            pool = self._pool
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     def __enter__(self) -> "SchedulerService":
         return self
@@ -511,15 +514,54 @@ class SchedulerService:
             if stored is not None:
                 self.session.remember(request, stored)
                 return stored
-        if self._pool is None:
+        if self.job_backend == "thread":
             result = self.session.submit(request)
         else:
-            result = self._pool.submit(run_pooled_request,
-                                       request).result()
+            result = self._run_pooled(request)
             self.session.remember(request, result, log_perf=True)
         if key is not None:
             self._store.record(result, key=key)
         return result
+
+    def _run_pooled(self, request: ScheduleRequest) -> ScheduleResult:
+        """Run one search on the process pool, surviving a worker death.
+
+        A pool whose worker dies (SIGKILL, the OOM killer) is broken
+        for good: every later submit raises ``BrokenProcessPool``.  So
+        the job that sees it replaces the pool and retries once on the
+        new one.  A job that breaks the new pool too fails, and the
+        pool is replaced again for the next job.
+        """
+        with self._lock:
+            pool = self._pool
+        assert pool is not None
+        try:
+            return pool.submit(run_pooled_request, request).result()
+        except BrokenProcessPool:
+            pool = self._replace_pool(pool)
+        try:
+            return pool.submit(run_pooled_request, request).result()
+        except BrokenProcessPool:
+            self._replace_pool(pool)
+            raise
+
+    def _replace_pool(self, broken):
+        """Swap ``broken`` for a fresh pool; return the current pool.
+
+        Only while ``broken`` is still current: the worker threads that
+        all saw one pool break rebuild it once, and each retries on the
+        replacement.
+        """
+        with self._lock:
+            if self._pool is broken:
+                self._pool = self.session.process_pool(self.workers)
+                replaced = True
+            else:
+                replaced = False
+            current = self._pool
+        if replaced:
+            broken.shutdown(wait=False)
+        return current
 
     def _finish(self, job: _Job, state: str, started: float, *,
                 result: ScheduleResult | None = None,

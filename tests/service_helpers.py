@@ -8,6 +8,8 @@ drift apart.
 
 from __future__ import annotations
 
+import os
+import signal
 import threading
 
 from repro.api import (
@@ -103,5 +105,33 @@ def failing_registry() -> SchedulerRegistry:
     def _failing(ctx):
         raise SearchError(f"no schedule for {ctx.scenario.name} "
                           "(failing test policy)")
+
+    return registry
+
+
+def killing_registry(marker=None) -> SchedulerRegistry:
+    """Every built-in policy plus 'killing', which SIGKILLs its worker.
+
+    For the process job backend only: the policy kills the pool worker
+    process it runs in, as the OOM killer or an operator would.  With a
+    ``marker`` path it kills only while the marker file is absent
+    (creating it first), so exactly one run dies and a retry completes
+    with the standalone baseline's schedule; without one, every run
+    dies.
+    """
+    registry = SchedulerRegistry()
+    for name in DEFAULT_REGISTRY.names():
+        registry.register(name, DEFAULT_REGISTRY.get(name))
+
+    @registry.register("killing")
+    def _killing(ctx):
+        if marker is None or not os.path.exists(marker):
+            if marker is not None:
+                open(marker, "w").close()
+            os.kill(os.getpid(), signal.SIGKILL)
+        outcome = StandaloneScheduler(ctx.mcm, ctx.database) \
+            .schedule(ctx.scenario)
+        return PolicyOutcome(schedule=outcome.schedule,
+                             metrics=outcome.metrics)
 
     return registry

@@ -264,6 +264,25 @@ class TestMinimalInstall:
                               env=env, cwd=REPO_ROOT)
         assert proc.returncode == 0, proc.stderr
 
+    def test_scalar_start_leaves_numpy_unloaded(self):
+        """numpy is an optional extra: the CLI, the simulator and a
+        scalar session start without importing it, even where it is
+        installed.  The vector kernel loads it on first use."""
+        script = (
+            "import sys\n"
+            "import repro.cli, repro.sim\n"
+            "from repro.api import Session\n"
+            "Session(warm_caches=True)\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH")
+            else "")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=300,
+                              env=env, cwd=REPO_ROOT)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestGenerateCLI:
     def test_writes_loadable_scenario_files(self, capsys, tmp_path):

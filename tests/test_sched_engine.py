@@ -144,6 +144,53 @@ class TestSearchWindow:
         assert a.window == b.window
 
 
+class TestShortPathMidSearch:
+    """A path too short for its cuts ends the search where the
+    candidate-by-candidate loop ended it: the candidates built before
+    it are evaluated, collected and cached, then SearchError."""
+
+    @pytest.mark.parametrize("kind", ["scalar", "vector"])
+    def test_first_candidates_are_collected_then_raises(
+            self, kind, window, tiny_scenario, het_mcm, database,
+            small_budget, monkeypatch):
+        from repro.core.evalcache import EvalCache
+        from repro.engine import CandidateEvaluator
+
+        if kind == "vector":
+            pytest.importorskip("numpy")
+            from repro.engine import TensorEvaluator as evaluator_class
+        else:
+            evaluator_class = CandidateEvaluator
+        good = [{0: (0, 3), 1: (2,)}, {0: (1, 4), 1: (6,)},
+                {0: (0, 3), 1: (2,)}, {0: (3, 6), 1: (0,)}]
+        short = {0: (5,), 1: (8,)}  # model 0 has 2 segments
+
+        def fake_placements(*args, **kwargs):
+            yield from good
+            yield short
+            yield {0: (4, 7), 1: (1,)}  # never reached
+
+        monkeypatch.setattr(sched_engine, "placements", fake_placements)
+        evaluator = evaluator_class(tiny_scenario, het_mcm, database,
+                                    cache=EvalCache())
+        collected = []
+        with pytest.raises(SearchError, match="only 1 chiplets"):
+            search_window(window, _ranked({0: [(2,)], 1: [()]}), evaluator,
+                          edp_objective(), small_budget, collect=collected)
+        windows = [build_window_schedule(window, {0: (2,), 1: ()}, p)
+                   for p in good]
+        assert [c.window for c in collected] == windows
+        reference = CandidateEvaluator(tiny_scenario, het_mcm, database,
+                                       cache=EvalCache())
+        assert [c.metrics for c in collected] \
+            == [reference.evaluate_window(w) for w in windows]
+        # The third candidate repeats the first: a window memo hit.
+        stats = evaluator.cache.snapshot()["window"]
+        assert (stats.hits, stats.misses) == (1, 3)
+        assert evaluator.cache.size("window") == 3
+        assert evaluator.stats == reference.stats
+
+
 class TestSearchMemos:
     """What a search builds, by count: each batched layer once per
     model, and per window search each chain and each scheduling-tree

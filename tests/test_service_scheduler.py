@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import signal
 import threading
 import time
 
@@ -11,6 +13,7 @@ from repro.api import ScheduleRequest, Session
 from repro.errors import (
     ConfigError,
     JobNotFoundError,
+    ReproError,
     SearchError,
     ServiceError,
     ServiceOverloadedError,
@@ -29,6 +32,7 @@ from service_helpers import (
     assert_equivalent,
     failing_registry,
     gated_registry,
+    killing_registry,
     replicated_request,
     request_for,
 )
@@ -503,6 +507,83 @@ class TestProcessJobBackend:
     def test_bad_job_backend_rejected(self):
         with pytest.raises(ConfigError, match="job_backend"):
             SchedulerService(job_backend="fibers")
+
+
+class TestBrokenPool:
+    """A killed pool worker breaks its pool; the service rebuilds it."""
+
+    def test_worker_killed_mid_job_is_retried_on_a_new_pool(
+            self, tmp_path, tiny_scenario, small_budget):
+        marker = tmp_path / "killed"
+        service = SchedulerService(Session(killing_registry(str(marker))),
+                                   workers=1, job_backend="process")
+        try:
+            quick = request_for(tiny_scenario, small_budget, "standalone")
+            assert service.submit(quick).result(timeout=300)
+            first_pool = service._pool
+            killed = service.submit(
+                request_for(tiny_scenario, small_budget, "killing"))
+            result = killed.result(timeout=300)
+            assert marker.exists()  # the first run really died
+            assert killed.record().state == DONE
+            assert result.metrics.latency_s > 0
+            assert service._pool is not first_pool
+            after = service.submit(
+                request_for(tiny_scenario, small_budget, "scar"))
+            assert_equivalent(after.result(timeout=600), Session().submit(
+                request_for(tiny_scenario, small_budget, "scar")))
+        finally:
+            service.close()
+        with pytest.raises(RuntimeError, match="shutdown"):
+            service._pool.submit(os.getpid)  # close() shut the new pool
+
+    def test_job_that_always_kills_fails_and_the_next_job_runs(
+            self, tiny_scenario, small_budget):
+        service = SchedulerService(Session(killing_registry()), workers=1,
+                                   job_backend="process")
+        try:
+            pool = service._pool
+            killer = service.submit(
+                request_for(tiny_scenario, small_budget, "killing"))
+            with pytest.raises(ReproError, match="BrokenProcessPool"):
+                killer.result(timeout=300)
+            record = killer.record()
+            assert record.state == FAILED
+            assert record.error.code == "internal_error"
+            # The retry broke the second pool too; a third serves on.
+            assert service._pool is not pool
+            quick = request_for(tiny_scenario, small_budget, "standalone")
+            assert_equivalent(service.submit(quick).result(timeout=300),
+                              Session().submit(quick))
+        finally:
+            service.close()
+
+    def test_concurrent_jobs_rebuild_a_broken_pool_once(
+            self, tiny_scenario, small_budget):
+        """Two worker threads that both see the dead pool replace it
+        once, and both jobs finish on the replacement."""
+        service = SchedulerService(workers=2, job_backend="process")
+        try:
+            pool = service._pool
+            broken = []
+            real_replace = service._replace_pool
+
+            def replace(old):
+                broken.append(old)
+                return real_replace(old)
+
+            service._replace_pool = replace
+            os.kill(pool.submit(os.getpid).result(timeout=60),
+                    signal.SIGKILL)
+            handles = service.submit_many([
+                request_for(tiny_scenario, small_budget, policy)
+                for policy in ("standalone", "nn_baton")])
+            for handle in handles:
+                assert handle.result(timeout=300).metrics.latency_s > 0
+            assert broken and set(map(id, broken)) == {id(pool)}
+            assert service._pool is not pool
+        finally:
+            service.close()
 
 
 class TestAdmissionControl:

@@ -466,6 +466,43 @@ class TestWarmSession:
         assert session._warm_cache(other_template) \
             is not session._warm_cache(request)
 
+    def test_warm_cache_serves_one_submit_at_a_time(self):
+        """A submit running while another holds the workload's warm
+        cache gets a cold one: a batch evaluation's unfinished entries
+        must never reach a second evaluator."""
+        import threading
+
+        from repro.api import DEFAULT_REGISTRY, SchedulerRegistry
+
+        inside, release = threading.Event(), threading.Event()
+        seen = []
+        registry = SchedulerRegistry()
+
+        @registry.register("scar")
+        def _held(ctx):
+            seen.append(ctx.eval_cache)
+            if len(seen) == 1:
+                inside.set()
+                assert release.wait(timeout=60)
+            return DEFAULT_REGISTRY.get("scar")(ctx)
+
+        session = Session(registry, warm_caches=True)
+        request = self.request()
+        first = threading.Thread(target=session.submit, args=(request,))
+        first.start()
+        assert inside.wait(timeout=60)
+        second = session.submit(
+            dataclasses.replace(request, objective="latency"))
+        release.set()
+        first.join(timeout=60)
+        assert not first.is_alive()
+        warm = session._warm_cache(request)
+        assert seen == [warm, None]
+        assert second.same_payload(Session().submit(
+            dataclasses.replace(request, objective="latency")))
+        session.submit(dataclasses.replace(request, objective="energy"))
+        assert seen[-1] is warm  # returned once the first submit ended
+
     def test_no_warming_without_opt_in(self):
         request = self.request()
         assert Session()._warm_cache(request) is None

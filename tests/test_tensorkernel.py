@@ -18,7 +18,7 @@ np = pytest.importorskip("numpy")
 
 from repro.api import ScheduleRequest, ScheduleResult, Session
 from repro.core import QUICK_BUDGET, SCARScheduler, objective_by_name
-from repro.core.evalcache import EvalCache
+from repro.core.evalcache import EvalCache, Pending
 from repro.engine import (
     EVAL_MODES,
     CandidateEvaluator,
@@ -123,6 +123,106 @@ class TestEvaluatorUnit:
         scalar = CandidateEvaluator(sc, mcm, cache=EvalCache())
         assert (vector.evaluate(result.schedule)
                 == scalar.evaluate(result.schedule))
+
+
+@pytest.fixture(scope="module")
+def search_windows():
+    """(scenario, mcm, windows): one real search's window-0 candidates,
+    then three of them again, so the batch holds duplicates."""
+    sc = scenario(1)
+    mcm = templates.build("het_sides_3x3", sc.use_case)
+    result = SCARScheduler(mcm, nsplits=2, budget=QUICK_BUDGET,
+                           eval_mode="scalar").schedule(sc)
+    windows = [c.window for c in result.window_candidates[0]]
+    return sc, mcm, windows + [windows[0], windows[5], windows[-1]]
+
+
+def _tables(cache: EvalCache) -> dict:
+    """Every table's entries, in LRU order."""
+    return {name: list(table.items())
+            for name, table in cache._tables.items()}
+
+
+def _unfinished(cache: EvalCache) -> list:
+    return [key for table in cache._tables.values()
+            for key, value in table.items() if isinstance(value, Pending)]
+
+
+class TestEvaluateWindowsBatch:
+    """The batch contract: evaluate_windows(ws) is evaluate_window on
+    each window in turn -- values, cache counters, LRU order and
+    segment statistics -- and leaves no unfinished entry behind."""
+
+    @pytest.mark.parametrize("delta, cache", [
+        (True, lambda: EvalCache()),
+        (False, lambda: EvalCache()),
+        (True, lambda: EvalCache(enabled=False)),
+        (True, lambda: EvalCache(max_entries=4)),
+    ], ids=["default", "delta-off", "cache-off", "evicting"])
+    def test_batch_equals_one_by_one(self, delta, cache, search_windows):
+        sc, mcm, windows = search_windows
+        batch = TensorEvaluator(sc, mcm, cache=cache(), delta=delta)
+        single = TensorEvaluator(sc, mcm, cache=cache(), delta=delta)
+        scalar = CandidateEvaluator(sc, mcm, cache=cache(), delta=delta)
+        batched = batch.evaluate_windows(windows)
+        assert batched == [single.evaluate_window(w) for w in windows]
+        assert batched == scalar.evaluate_windows(windows)
+        assert batch.cache.snapshot() == single.cache.snapshot()
+        assert batch.stats == single.stats
+        assert _tables(batch.cache) == _tables(single.cache)
+        assert _unfinished(batch.cache) == []
+        stats = batch.cache.snapshot()
+        if delta and batch.cache.enabled:
+            # Chains recur across one search's candidates with equal
+            # delta keys: later ones hit an entry the batch deferred.
+            assert stats["chain"].hits > 0
+        if batch.cache.max_entries == 4:
+            assert stats["window"].evictions > 0
+            assert stats["chain"].evictions > 0
+        if delta and batch.cache.enabled and batch.cache.max_entries > 4:
+            assert stats["window"].hits == 3  # the three duplicates
+            for first, again in ((0, -3), (5, -2), (-4, -1)):
+                assert batched[again] is batched[first]
+
+    def test_later_batches_hit_settled_entries(self, search_windows):
+        sc, mcm, windows = search_windows
+        evaluator = TensorEvaluator(sc, mcm, cache=EvalCache())
+        first = evaluator.evaluate_windows(windows[:20])
+        again = evaluator.evaluate_windows(windows[10:30])
+        assert again[:10] == first[10:]
+        assert again == CandidateEvaluator(
+            sc, mcm, cache=EvalCache()).evaluate_windows(windows[10:30])
+
+    def test_empty_batch(self, search_windows):
+        sc, mcm, _ = search_windows
+        evaluator = TensorEvaluator(sc, mcm, cache=EvalCache())
+        assert evaluator.evaluate_windows([]) == []
+
+    @pytest.mark.parametrize("failing, fail_on", [
+        ("_window_congestion", 3),  # while walking the windows
+        ("_score_chains", 1),       # after the walk, while scoring
+    ])
+    def test_exception_mid_batch_leaves_no_unfinished_entry(
+            self, failing, fail_on, monkeypatch, search_windows):
+        sc, mcm, windows = search_windows
+        evaluator = TensorEvaluator(sc, mcm, cache=EvalCache())
+        evaluator.evaluate_windows(windows[:5])
+        real = getattr(evaluator, failing)
+        calls = []
+
+        def boom(*args):
+            calls.append(args)
+            if len(calls) == fail_on:
+                raise RuntimeError("injected")
+            return real(*args)
+
+        monkeypatch.setattr(evaluator, failing, boom)
+        with pytest.raises(RuntimeError, match="injected"):
+            evaluator.evaluate_windows(windows[5:40])
+        assert _unfinished(evaluator.cache) == []
+        monkeypatch.undo()
+        assert evaluator.evaluate_windows(windows) == CandidateEvaluator(
+            sc, mcm, cache=EvalCache()).evaluate_windows(windows)
 
 
 class TestValidationAndPlumbing:
