@@ -8,8 +8,8 @@ Implements, per time window and model chain::
     Lat(Sc)   = sum_tw Lat(tw)
 
 with the three-case communication model of :mod:`repro.mcm.comm`, static
-NoP contention (``delta``) from :mod:`repro.mcm.traffic`, and energy
-aggregation over compute + NoP + DRAM.
+NoP contention (``delta``) counted as in :mod:`repro.mcm.traffic`, and
+energy aggregation over compute + NoP + DRAM.
 
 Modeling decisions (see DESIGN.md):
 
@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import accumulate
+from typing import NamedTuple, Sequence
 
 from repro.core.evalcache import EvalCache, segment_place_key, window_key
 from repro.core.schedule import Schedule, Segment, WindowSchedule
@@ -42,7 +43,6 @@ from repro.dataflow.database import LayerCostDatabase
 from repro.errors import SchedulingError
 from repro.mcm.comm import CommModel
 from repro.mcm.package import MCM
-from repro.mcm.traffic import Flow, contention_factors
 from repro.workloads.layer import Layer
 from repro.workloads.model import Scenario
 
@@ -159,6 +159,17 @@ class _SegmentCost:
         return self.weight_load_var_s + self.weight_load_fix_s
 
 
+class _ModelBytes(NamedTuple):
+    """One model's integer byte counts: weight bytes of layers ``< i``
+    (a segment's weights are an exact prefix difference) and each
+    layer's activation bytes at batch 1 (``b`` times these at batch
+    ``b``, so positive exactly when these are)."""
+
+    weight_prefix: tuple[int, ...]
+    input_ps: tuple[int, ...]
+    output_ps: tuple[int, ...]
+
+
 class ScheduleEvaluator:
     """Evaluates :class:`Schedule` instances on one (scenario, MCM) pair.
 
@@ -182,6 +193,12 @@ class ScheduleEvaluator:
         # per call, so precompute it once for the hot path.
         self._io_hops = tuple(mcm.io_hops(node)
                               for node in range(mcm.num_chiplets))
+        # The congestion pass's memos, pure functions of their keys and
+        # so kept for the evaluator's life (one request): byte counts
+        # per model, routes per (src, dst) and flow sets per chain.
+        self._bytes_memo: dict[int, _ModelBytes] = {}
+        self._route_memo: dict[tuple, tuple] = {}
+        self._entries_memo: dict[tuple, list] = {}
 
     # -- public API -------------------------------------------------------
 
@@ -291,39 +308,110 @@ class ScheduleEvaluator:
 
     # -- contention ---------------------------------------------------------
 
-    def _window_flows(self, window: WindowSchedule) -> list[Flow]:
-        """All logical transfers active in a window (full-batch sizes)."""
-        flows: list[Flow] = []
-        for chain in window.chains:
-            batch = self.scenario[chain[0].model].batch
-            for pos, segment in enumerate(chain):
-                weight_bytes = self._segment_weight_bytes(segment)
-                if weight_bytes:
-                    flows.append(Flow(src=None, dst=segment.node,
-                                      size_bytes=weight_bytes))
-                first_layer = self._layer(segment.model, segment.start, batch)
-                if pos == 0:
-                    flows.append(Flow(src=None, dst=segment.node,
-                                      size_bytes=float(first_layer.input_bytes)))
-                else:
-                    prev = chain[pos - 1]
-                    prev_out = self._layer(prev.model, prev.stop - 1, batch)
-                    flows.append(Flow(src=prev.node, dst=segment.node,
-                                      size_bytes=float(prev_out.output_bytes)))
-            last = chain[-1]
-            last_out = self._layer(last.model, last.stop - 1, batch)
-            flows.append(Flow(src=last.node, dst=None,
-                              size_bytes=float(last_out.output_bytes)))
-        return flows
+    def _model_bytes(self, model: int) -> _ModelBytes:
+        """The model's integer byte counts (built once per evaluator)."""
+        counts = self._bytes_memo.get(model)
+        if counts is None:
+            layers = self.scenario[model].model
+            per_sample = layers.at_batch(1)
+            counts = _ModelBytes(
+                weight_prefix=(0, *accumulate(
+                    layer.weight_bytes for layer in layers)),
+                input_ps=tuple(layer.input_bytes for layer in per_sample),
+                output_ps=tuple(layer.output_bytes for layer in per_sample))
+            self._bytes_memo[model] = counts
+        return counts
+
+    def _route_for(self, src: int | None, dst: int | None):
+        """Memoized directed route of a flow (``traffic._route_of``)."""
+        key = (src, dst)
+        route = self._route_memo.get(key)
+        if route is None:
+            topology = self.mcm.topology
+            if src is None:
+                route = topology.route(self.mcm.nearest_io(dst), dst)
+            elif dst is None:
+                route = topology.route(src, self.mcm.nearest_io(src))
+            else:
+                route = topology.route(src, dst)
+            self._route_memo[key] = route
+        return route
+
+    def _chain_entries(self, chain) -> list[tuple[tuple, tuple, bool]]:
+        """One chain's positive-size flows as ``(key, route, offchip)``.
+
+        The transfers are those the chain cost model pays at full batch:
+        each segment's weight fetch, the head's off-chip input, each
+        hand-off between chiplets and the tail's off-chip write-back.
+        Memoized on the chain tuple itself (segments are frozen value
+        objects): the same chains recur across the thousands of window
+        placements a search scores, and their flow sets are pure
+        functions of the chain.
+        """
+        entries = self._entries_memo.get(chain)
+        if entries is not None:
+            return entries
+        entries = []
+        prefix, input_ps, output_ps = self._model_bytes(chain[0].model)
+        for pos, segment in enumerate(chain):
+            node = segment.node
+            if node is None:
+                raise SchedulingError(f"segment {segment} is unplaced")
+            fetch = ((None, node), self._route_for(None, node), True)
+            if prefix[segment.stop] - prefix[segment.start]:
+                entries.append(fetch)
+            if pos == 0:
+                if input_ps[segment.start]:
+                    entries.append(fetch)
+            else:
+                prev = chain[pos - 1]
+                if prev.node != node and output_ps[prev.stop - 1]:
+                    entries.append(((prev.node, node),
+                                    self._route_for(prev.node, node),
+                                    False))
+        last = chain[-1]
+        if output_ps[last.stop - 1]:
+            entries.append(((last.node, None),
+                            self._route_for(last.node, None), True))
+        self._entries_memo[chain] = entries
+        return entries
 
     def _window_congestion(self, window: WindowSchedule) -> dict[tuple, float]:
-        """Map (src, dst) endpoint pairs to their delta congestion factor."""
-        flows = self._window_flows(window)
-        factors = contention_factors(self.mcm, flows)
+        """Map (src, dst) endpoint pairs to their delta congestion factor.
+
+        The factors of :func:`~repro.mcm.traffic.contention_factors` over
+        the window's full-batch flows -- same integer link loads, same
+        off-chip count, same float conversions -- counted off the
+        chains' memoized flow sets, without building
+        :class:`~repro.mcm.traffic.Flow` objects or batched layers.
+        Zero-size and same-chiplet flows are left out: the flow analysis
+        gives them factor ``1.0``, which every congestion read
+        (``dict.get(key, 1.0)``) already defaults to, so the factors
+        read the same.
+        """
+        per_chain = [self._chain_entries(chain) for chain in window.chains]
+        link_load: dict[tuple[int, int], int] = {}
+        num_offchip = 0
+        for entries in per_chain:
+            for _, route, offchip in entries:
+                if offchip:
+                    num_offchip += 1
+                for link in route:
+                    link_load[link] = link_load.get(link, 0) + 1
+        offchip_f = float(num_offchip)
         congestion: dict[tuple, float] = {}
-        for flow, factor in zip(flows, factors):
-            key = (flow.src, flow.dst)
-            congestion[key] = max(congestion.get(key, 1.0), factor)
+        for entries in per_chain:
+            for key, route, offchip in entries:
+                heaviest = 0
+                for link in route:
+                    load = link_load[link]
+                    if load > heaviest:
+                        heaviest = load
+                factor = float(heaviest) if route else 1.0
+                if offchip and offchip_f > factor:
+                    factor = offchip_f
+                current = congestion.get(key, 1.0)
+                congestion[key] = factor if factor > current else current
         return congestion
 
     # -- chain (model-in-window) evaluation ----------------------------------

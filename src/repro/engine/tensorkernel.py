@@ -99,6 +99,7 @@ from repro.core.metrics import (
     ModelWindowMetrics,
     WindowMetrics,
     _divisors,
+    _ModelBytes,
     _window_metrics,
 )
 from repro.core.schedule import Segment, WindowSchedule
@@ -202,32 +203,26 @@ class _ModelTables:
     ``out_e_off`` / ``out_e_nop`` map a hop count to its energy block.
 
     ``input_sizes`` / ``output_sizes`` are the ``(L, D)`` exact byte
-    tables the energy blocks are built from; ``input_ps`` /
-    ``output_ps`` / ``weight_prefix`` keep the integer per-sample and
-    prefix-summed weight bytes for the full-batch flow analysis (integer
-    arithmetic, so prefix *differences* are exact).  ``num_mb_f`` and
-    ``units_m1_f`` pre-convert the integer pipelining axes to float64
-    (exact for these magnitudes).
+    tables the energy blocks are built from (the integer per-sample
+    counts they scale are the evaluator's
+    :meth:`~repro.core.metrics.ScheduleEvaluator._model_bytes`).
+    ``num_mb_f`` and ``units_m1_f`` pre-convert the integer pipelining
+    axes to float64 (exact for these magnitudes).
     """
 
     __slots__ = ("divisors", "num_layers", "num_mb_f", "units_m1_f",
-                 "input_sizes", "output_sizes", "input_ps", "output_ps",
-                 "weight_prefix", "rows", "num_rows", "in_var_off",
-                 "out_var_off", "out_var_nop", "in_e_off", "out_e_off",
-                 "out_e_nop")
+                 "input_sizes", "output_sizes", "rows", "num_rows",
+                 "in_var_off", "out_var_off", "out_var_nop", "in_e_off",
+                 "out_e_off", "out_e_nop")
 
     def __init__(self, divisors, num_mb_f, units_m1_f, input_sizes,
-                 output_sizes, input_ps, output_ps, weight_prefix,
-                 offchip_denom, nop_denom, capacity):
+                 output_sizes, offchip_denom, nop_denom, capacity):
         self.divisors = divisors
-        self.num_layers = len(input_ps)
+        self.num_layers = len(input_sizes)
         self.num_mb_f = num_mb_f
         self.units_m1_f = units_m1_f
         self.input_sizes = input_sizes
         self.output_sizes = output_sizes
-        self.input_ps = input_ps
-        self.output_ps = output_ps
-        self.weight_prefix = weight_prefix
         self.rows = _np.frombuffer(mmap.mmap(
             -1, capacity * len(divisors) * 8, flags=mmap.MAP_PRIVATE)
         ).reshape(capacity, len(divisors))
@@ -281,8 +276,9 @@ class TensorEvaluator(CandidateEvaluator):
     -- caches, stats, the ``delta`` knob -- behaves exactly like the
     scalar :class:`~repro.engine.evaluator.CandidateEvaluator`.  The
     row stores are memoized per evaluator instance (pure functions of
-    their block keys), as are the routes, segment statics, per-chain
-    flow sets the kernel reads on every recost.
+    their block keys), as are the segment statics the kernel reads on
+    every recost; the congestion pass and its memos are the base
+    evaluator's, shared with the scalar kernel.
     Batched layers are not memoized here: :meth:`_layer` reads the
     model's own :meth:`~repro.workloads.model.Model.at_batch` tuples,
     which outlive the evaluator.
@@ -298,9 +294,7 @@ class TensorEvaluator(CandidateEvaluator):
         self._place_tables: dict[tuple, int] = {}
         self._place_by_node: dict[tuple[int, int], int] = {}
         self._hops_memo: dict[tuple[int, int], int] = {}
-        self._route_memo: dict[tuple, tuple] = {}
         self._static_memo: dict[tuple, object] = {}
-        self._entries_memo: dict[tuple, list] = {}
         self._tiles_f = _np.array(_TILE_FACTORS, dtype=_np.float64)
         # Row store sizing: one compute block pair per placement class;
         # one energy block per off-chip hop count (input and output) and
@@ -390,26 +384,18 @@ class TensorEvaluator(CandidateEvaluator):
         mb = _np.array(divisors, dtype=_np.int64)
         num_mb = instance.batch // mb
         tiles = _np.array(_TILE_FACTORS, dtype=_np.int64)
-        per_sample = instance.model.at_batch(1)
-        input_ps = [layer.input_bytes for layer in per_sample]
-        output_ps = [layer.output_bytes for layer in per_sample]
-        weight_prefix = [0]
-        for i in range(num_layers):
-            weight_prefix.append(weight_prefix[-1]
-                                 + instance.model[i].weight_bytes)
+        counts = self._model_bytes(model)
         # Integer products (exact, < 2**53) cast to float64 exactly --
         # the same value the scalar path gets from float(layer.*_bytes).
-        input_sizes = (_np.array(input_ps, dtype=_np.int64)[:, None]
+        input_sizes = (_np.array(counts.input_ps, dtype=_np.int64)[:, None]
                        * mb[None, :]).astype(_np.float64)
-        output_sizes = (_np.array(output_ps, dtype=_np.int64)[:, None]
-                        * mb[None, :]).astype(_np.float64)
+        output_sizes = (_np.array(counts.output_ps, dtype=_np.int64)
+                        [:, None] * mb[None, :]).astype(_np.float64)
         return _ModelTables(
             divisors=divisors, num_mb_f=num_mb.astype(_np.float64),
             units_m1_f=(num_mb[:, None] * tiles[None, :] - 1)
             .astype(_np.float64),
             input_sizes=input_sizes, output_sizes=output_sizes,
-            input_ps=input_ps, output_ps=output_ps,
-            weight_prefix=weight_prefix,
             offchip_denom=self._offchip_denom, nop_denom=self._nop_denom,
             capacity=(3 + num_layers * (3 + self._hop_blocks)
                       + self._num_place_classes * 2 * (num_layers + 1) ** 2))
@@ -527,7 +513,7 @@ class TensorEvaluator(CandidateEvaluator):
 
     def _segment_weight_bytes(self, segment: Segment) -> float:
         # Integer prefix difference == the scalar integer sum, exactly.
-        prefix = self._model_tables_for(segment.model).weight_prefix
+        prefix = self._model_bytes(segment.model).weight_prefix
         return float(prefix[segment.stop] - prefix[segment.start])
 
     def _segment_static(self, segment: Segment):
@@ -541,105 +527,13 @@ class TensorEvaluator(CandidateEvaluator):
             self._static_memo[key] = static
         return static
 
-    def _route_for(self, src: int | None, dst: int | None):
-        """Memoized directed route of a flow (``traffic._route_of``)."""
-        key = (src, dst)
-        route = self._route_memo.get(key)
-        if route is None:
-            if src is None:
-                assert dst is not None
-                route = self.mcm.topology.route(self.mcm.nearest_io(dst),
-                                                dst)
-            elif dst is None:
-                route = self.mcm.topology.route(src,
-                                                self.mcm.nearest_io(src))
-            else:
-                route = self.mcm.topology.route(src, dst)
-            self._route_memo[key] = route
-        return route
-
-    def _chain_entries(self, chain) -> list[tuple[tuple, tuple, bool]]:
-        """One chain's positive-size flows as ``(key, route, offchip)``.
-
-        Memoized on the chain tuple itself (segments are frozen value
-        objects): the same chains recur across the thousands of window
-        placements a search scores, and their flow sets are pure
-        functions of the chain.
-        """
-        entries = self._entries_memo.get(chain)
-        if entries is not None:
-            return entries
-        entries = []
-        tables = self._model_tables_for(chain[0].model)
-        prefix = tables.weight_prefix
-        for pos, segment in enumerate(chain):
-            node = segment.node
-            if prefix[segment.stop] - prefix[segment.start]:
-                entries.append(((None, node),
-                                self._route_for(None, node), True))
-            if pos == 0:
-                if tables.input_ps[segment.start]:
-                    entries.append(((None, node),
-                                    self._route_for(None, node), True))
-            else:
-                prev = chain[pos - 1]
-                if (prev.node != node
-                        and tables.output_ps[prev.stop - 1]):
-                    entries.append(((prev.node, node),
-                                    self._route_for(prev.node, node),
-                                    False))
-        last = chain[-1]
-        if tables.output_ps[last.stop - 1]:
-            entries.append(((last.node, None),
-                            self._route_for(last.node, None), True))
-        self._entries_memo[chain] = entries
-        return entries
-
-    def _window_congestion(self, window) -> dict[tuple, float]:
-        """Fused flow enumeration + contention analysis off the tables.
-
-        Computes the exact factor map of the base
-        :meth:`ScheduleEvaluator._window_congestion` /
-        :func:`~repro.mcm.traffic.contention_factors` pair -- same
-        integer link loads, same off-chip count, same float conversions
-        -- without materializing :class:`~repro.mcm.traffic.Flow`
-        objects or batched layers.  Zero-size and same-node flows are
-        dropped up front: the scalar path assigns them factor ``1.0``,
-        which every congestion read (``dict.get(key, 1.0)``) already
-        defaults to, so the resulting factors are read-identical.
-        """
-        per_chain = [self._chain_entries(chain) for chain in window.chains]
-        link_load: dict[tuple[int, int], int] = {}
-        num_offchip = 0
-        for entries in per_chain:
-            for _, route, offchip in entries:
-                if offchip:
-                    num_offchip += 1
-                for link in route:
-                    link_load[link] = link_load.get(link, 0) + 1
-        offchip_f = float(num_offchip)
-        congestion: dict[tuple, float] = {}
-        for entries in per_chain:
-            for key, route, offchip in entries:
-                heaviest = 0
-                for link in route:
-                    load = link_load[link]
-                    if load > heaviest:
-                        heaviest = load
-                factor = float(heaviest) if route else 1.0
-                if offchip and offchip_f > factor:
-                    factor = offchip_f
-                current = congestion.get(key, 1.0)
-                congestion[key] = factor if factor > current else current
-        return congestion
-
     # -- chain plans ------------------------------------------------------
 
-    def _offchip_in_rows(self, tables: _ModelTables, idx: int,
-                         node: int) -> tuple[int, int, float]:
+    def _offchip_in_rows(self, tables: _ModelTables, counts: _ModelBytes,
+                         idx: int, node: int) -> tuple[int, int, float]:
         """Serialization row, energy row and fixed latency of layer
         ``idx``'s off-chip input fetch (zero rows for zero bytes)."""
-        if tables.input_ps[idx] == 0:
+        if counts.input_ps[idx] == 0:
             return _ZERO_ROW, _ZERO_ROW, 0.0
         hops = self._io_hops[node]
         energy = self._e_off_rows(tables.in_e_off, tables.input_sizes,
@@ -647,10 +541,10 @@ class TensorEvaluator(CandidateEvaluator):
         return (tables.in_var_off + idx, energy + idx,
                 hops * self.mcm.nop_hop_s + self.mcm.dram_latency_s)
 
-    def _offchip_out_rows(self, tables: _ModelTables, idx: int,
-                          node: int) -> tuple[int, int, float]:
+    def _offchip_out_rows(self, tables: _ModelTables, counts: _ModelBytes,
+                          idx: int, node: int) -> tuple[int, int, float]:
         """The same for layer ``idx``'s off-chip output write-back."""
-        if tables.output_ps[idx] == 0:
+        if counts.output_ps[idx] == 0:
             return _ZERO_ROW, _ZERO_ROW, 0.0
         hops = self._io_hops[node]
         energy = self._e_off_rows(tables.out_e_off, tables.output_sizes,
@@ -658,10 +552,11 @@ class TensorEvaluator(CandidateEvaluator):
         return (tables.out_var_off + idx, energy + idx,
                 hops * self.mcm.nop_hop_s + self.mcm.dram_latency_s)
 
-    def _chiplet_out_rows(self, tables: _ModelTables, idx: int, src: int,
-                          dst: int) -> tuple[int, int, float]:
+    def _chiplet_out_rows(self, tables: _ModelTables, counts: _ModelBytes,
+                          idx: int, src: int, dst: int
+                          ) -> tuple[int, int, float]:
         """The same for layer ``idx``'s NoP hand-off from ``src``."""
-        if src == dst or tables.output_ps[idx] == 0:
+        if src == dst or counts.output_ps[idx] == 0:
             return _ZERO_ROW, _ZERO_ROW, 0.0
         hops = self._hops_memo.get((src, dst))
         if hops is None:
@@ -684,6 +579,7 @@ class TensorEvaluator(CandidateEvaluator):
         scalars end with the chain's resident weight pre-load.
         """
         tables = self._model_tables_for(chain[0].model)
+        counts = self._model_bytes(chain[0].model)
         seg_costs = [self._segment_static(seg) for seg in chain]
         side = tables.num_layers + 1
         square = side * side
@@ -696,16 +592,16 @@ class TensorEvaluator(CandidateEvaluator):
             # ip_com: off-chip input for the head, NoP hand-off otherwise.
             if pos == 0:
                 in_var, in_e, fix = self._offchip_in_rows(
-                    tables, segment.start, segment.node)
+                    tables, counts, segment.start, segment.node)
             else:
                 prev = chain[pos - 1]
                 in_var, in_e, fix = self._chiplet_out_rows(
-                    tables, prev.stop - 1, prev.node, segment.node)
+                    tables, counts, prev.stop - 1, prev.node, segment.node)
             # op_com: only the tail segment writes results off-chip.
             out_var = out_e = _ZERO_ROW
             if pos == last:
                 out_var, out_e, out_fix = self._offchip_out_rows(
-                    tables, segment.stop - 1, segment.node)
+                    tables, counts, segment.stop - 1, segment.node)
                 fix += out_fix
             restream = 0.0
             multiplier = _ONES_ROW

@@ -9,6 +9,11 @@ the number of concurrent off-chip flows.
 This is a static (schedule-time) approximation of dynamic contention, which
 is what an analytical scheduler can see; the paper's delta plays the same
 role.
+
+:func:`contention_factors` is the reference: the evaluator's congestion
+pass (``ScheduleEvaluator._window_congestion``, both kernels) counts the
+same loads off per-chain flow sets without building :class:`Flow`
+objects, and ``tests/test_congestion.py`` holds it to these factors.
 """
 
 from __future__ import annotations

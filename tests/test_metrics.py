@@ -66,7 +66,17 @@ class TestEvaluation:
         # but window-level evaluation works standalone
         evaluator.evaluate_window(partial.windows[0])
 
-    def test_unplaced_segment_rejected(self, evaluator):
+    @pytest.mark.parametrize("kernel", ["scalar", "vector"])
+    def test_unplaced_segment_rejected(self, kernel, tiny_scenario,
+                                       het_mcm, database):
+        """Both kernels reject an unplaced segment with a typed error,
+        not an ``AssertionError`` or ``TypeError`` from routing it."""
+        if kernel == "vector":
+            pytest.importorskip("numpy")
+            from repro.engine.tensorkernel import TensorEvaluator
+            evaluator = TensorEvaluator(tiny_scenario, het_mcm, database)
+        else:
+            evaluator = ScheduleEvaluator(tiny_scenario, het_mcm, database)
         schedule = _single_window(
             (Segment(0, 0, 4),),
             (Segment(1, 0, 3, node=2),),
