@@ -21,7 +21,7 @@ with the schema::
       "data":   { ... }              # bench-specific payload; perf-stats
     }                                #   entries use PerfReport.to_dict():
                                      #   wall_s, num_evaluated,
-                                     #   num_windows, jobs, evals_per_s,
+                                     #   num_windows, evals_per_s,
                                      #   cache[table] -> hits/misses/
                                      #   hit_rate
 

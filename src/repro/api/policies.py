@@ -49,7 +49,6 @@ def _run_scar(ctx: PolicyContext, seg_search: str) -> PolicyOutcome:
         max_nodes_per_model=request.max_nodes_per_model,
         seg_search=seg_search,
         prov_limit=request.prov_limit,
-        jobs=ctx.jobs,
         beam=request.beam,
         cache=ctx.eval_cache,
         eval_mode=ctx.eval_mode,

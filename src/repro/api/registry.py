@@ -38,11 +38,10 @@ if TYPE_CHECKING:  # pragma: no cover
 class PolicyContext:
     """Everything a policy needs to run one request.
 
-    ``jobs`` (worker processes for the window search) and ``eval_mode``
-    (the candidate-costing kernel, ``"scalar"`` / ``"vector"``) are the
-    session's execution settings.  Results are bit-identical across
-    both, so they only change throughput; policies that do not search
-    (the baselines) ignore them.
+    ``eval_mode`` (the candidate-costing kernel, ``"scalar"`` /
+    ``"vector"``) is the session's execution setting.  Results are
+    bit-identical across kernels, so it only changes throughput;
+    policies that do not search (the baselines) ignore it.
 
     ``eval_cache`` is an optional caller-owned
     :class:`~repro.core.evalcache.EvalCache` to run warm.  The session
@@ -57,7 +56,6 @@ class PolicyContext:
     scenario: Scenario
     mcm: MCM
     database: LayerCostDatabase
-    jobs: int = 1
     eval_cache: "EvalCache | None" = None
     eval_mode: str = "scalar"
 

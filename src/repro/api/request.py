@@ -12,8 +12,8 @@ processes, files on disk and the HTTP front-end.
 ``ScheduleRequest.cache_key()`` is the canonical wire form and doubles as
 the :class:`~repro.api.session.Session` memo key, so any two requests
 that serialize identically share one result.  A request names the
-problem only; how it runs (worker processes, costing kernel) belongs to
-the session that executes it.
+problem only; how it runs (the costing kernel) belongs to the session
+that executes it.
 """
 
 from __future__ import annotations
@@ -106,8 +106,8 @@ class ScheduleRequest:
     (default) is the paper's exhaustive search.
 
     Every field can change the result, and every field is part of
-    :meth:`cache_key`.  Settings that cannot -- worker processes and the
-    costing kernel -- are :class:`~repro.api.session.Session` options.
+    :meth:`cache_key`.  Settings that cannot, such as the costing
+    kernel, are :class:`~repro.api.session.Session` options.
     Bad values raise :class:`ConfigError` here, at construction,
     including a ``scenario_id`` outside Table III and an unknown
     ``template``.  Which policies exist depends on the registry of the

@@ -14,13 +14,13 @@ next; it holds at most :data:`repro.dataflow.database._MAX_ENTRIES`
 costs.
 
 Results are memoized on :meth:`ScheduleRequest.cache_key`.  The request
-names the problem only; the session owns execution (``jobs``,
-``eval_mode``), and since results are bit-identical across those
-settings, one memo entry serves them all.  The memo holds wire-level
-:class:`ScheduleResult` values only, never a search's candidate
-population.  It is unbounded by default; long-running front-ends (the
-job service) pass ``max_memo=N`` to cap it with LRU eviction -- evicted
-entries simply recompute bit-identically on the next submit.
+names the problem only; the session owns execution (``eval_mode``),
+and since results are bit-identical across kernels, one memo entry
+serves them both.  The memo holds wire-level :class:`ScheduleResult`
+values only, never a search's candidate population.  It is unbounded
+by default; long-running front-ends (the job service) pass
+``max_memo=N`` to cap it with LRU eviction -- evicted entries simply
+recompute bit-identically on the next submit.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from repro.api.registry import (
 from repro.api.request import ScheduleRequest, ScheduleResult
 from repro.api.wire import CandidatePoint
 from repro.core.evalcache import EvalCache
-from repro.core.scar import check_jobs
 from repro.dataflow.database import LayerCostDatabase
 from repro.engine.tensorkernel import check_eval_mode
 from repro.errors import ConfigError
@@ -75,13 +74,11 @@ class Session:
     worker threads are safe; two threads racing on the same cache key at
     worst compute the same bit-identical result twice.
 
-    ``jobs`` is the number of worker processes each SCAR-family run
-    fans its window search over (1 = in-process) and ``eval_mode`` the
-    candidate-costing kernel (``"scalar"``, the default, or
-    ``"vector"``, see :mod:`repro.engine.tensorkernel`).  Both are
-    deployment concerns -- how this host wants to spend cores -- so
-    they live on the session, not in the request.  Results are
-    bit-identical across both, so memo and store entries stay valid
+    ``eval_mode`` is the candidate-costing kernel (``"scalar"``, the
+    default, or ``"vector"``, see :mod:`repro.engine.tensorkernel`).
+    It is a deployment concern -- what this host has installed -- so it
+    lives on the session, not in the request.  Results are
+    bit-identical across kernels, so memo and store entries stay valid
     whichever session computed them; ``"vector"`` fails fast at session
     construction when numpy is missing.
 
@@ -102,7 +99,6 @@ class Session:
 
     def __init__(self, registry: SchedulerRegistry | None = None, *,
                  max_memo: int | None = None,
-                 jobs: int = 1,
                  eval_mode: str | None = None,
                  warm_caches: bool = False) -> None:
         if max_memo is not None and max_memo < 0:
@@ -111,7 +107,6 @@ class Session:
         self.registry = registry if registry is not None \
             else DEFAULT_REGISTRY
         self.max_memo = max_memo
-        self.jobs = check_jobs(jobs)
         self.eval_mode = check_eval_mode(eval_mode)
         self.warm_caches = warm_caches
         self._memo: OrderedDict[str, ScheduleResult] = \
@@ -262,7 +257,7 @@ class Session:
             ctx = PolicyContext(request=request, scenario=scenario,
                                 mcm=mcm,
                                 database=self._database(mcm.clock_hz),
-                                jobs=self.jobs, eval_cache=eval_cache,
+                                eval_cache=eval_cache,
                                 eval_mode=self.eval_mode)
             outcome = self.registry.run(ctx)
         finally:
@@ -281,7 +276,7 @@ class Session:
         """A worker-process pool that mirrors this session.
 
         Each worker process builds a fresh session with the same
-        registry, ``jobs`` and ``eval_mode``; submit requests to it with
+        registry and ``eval_mode``; submit requests to it with
         :func:`run_pooled_request`.  The service's process job backend
         runs on it.  A non-default registry must be picklable
         (module-level policy functions) to cross into spawned workers;
@@ -295,7 +290,7 @@ class Session:
             else self.registry
         return ProcessPoolExecutor(
             max_workers=max_workers, initializer=_pool_worker_init,
-            initargs=(registry, self.jobs, self.eval_mode))
+            initargs=(registry, self.eval_mode))
 
     # -- reporting ---------------------------------------------------------
 
@@ -338,10 +333,10 @@ class Session:
 _WORKER_SESSION: Session | None = None
 
 
-def _pool_worker_init(registry: SchedulerRegistry | None, jobs: int,
+def _pool_worker_init(registry: SchedulerRegistry | None,
                       eval_mode: str) -> None:
     global _WORKER_SESSION
-    _WORKER_SESSION = Session(registry, jobs=jobs, eval_mode=eval_mode)
+    _WORKER_SESSION = Session(registry, eval_mode=eval_mode)
 
 
 def run_pooled_request(request: ScheduleRequest) -> ScheduleResult:

@@ -168,13 +168,16 @@ def perf_to_dict(perf: PerfReport) -> dict[str, Any]:
 
 
 def perf_from_dict(data: dict[str, Any]) -> PerfReport:
-    """Rebuild a :class:`PerfReport`; derived rate fields are ignored."""
+    """Rebuild a :class:`PerfReport`; derived rate fields are ignored.
+
+    Reports written before the window search lost its worker pool carry
+    a ``jobs`` key; it parses, and is not read.
+    """
     try:
         return PerfReport(
             wall_s=data["wall_s"],
             num_evaluated=data["num_evaluated"],
             num_windows=data["num_windows"],
-            jobs=data["jobs"],
             cache={table: CacheStats(hits=entry["hits"],
                                      misses=entry["misses"],
                                      evictions=entry.get("evictions", 0))

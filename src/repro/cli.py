@@ -38,13 +38,12 @@ DESIGN.md "The repro.service layer") until interrupted.
 
 ``--fast`` uses the CI budget (seconds-to-minutes); the default budget
 matches the paper's settings and can take several minutes per experiment.
-``--jobs N`` fans the window search over N worker processes and
-``--eval-mode vector`` picks the numpy costing kernel; both only change
-speed (results are bit-identical).  ``--beam K`` narrows the window
-search to the K best segmentation combos (default: exhaustive, the
-paper's exact behaviour -- see DESIGN.md, "The search engine layer").
-``--perf-stats`` prints evaluation-throughput, delta-evaluation and
-cache-hit statistics after the run.
+``--eval-mode vector`` picks the numpy costing kernel, which only
+changes speed (results are bit-identical).  ``--beam K`` narrows the
+window search to the K best segmentation combos (default: exhaustive,
+the paper's exact behaviour -- see DESIGN.md, "The search engine
+layer").  ``--perf-stats`` prints evaluation-throughput,
+delta-evaluation and cache-hit statistics after the run.
 """
 
 from __future__ import annotations
@@ -126,8 +125,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
             workload, template=args.template,
             policy=args.policy, objective=args.objective,
             nsplits=config.nsplits, budget=config.budget, beam=args.beam)
-        result = Session(jobs=args.jobs,
-                         eval_mode=args.eval_mode).submit(request)
+        result = Session(eval_mode=args.eval_mode).submit(request)
     except ReproError as exc:
         return _report_error(exc, args.format)
     if args.output:
@@ -217,8 +215,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.spec:
             # The spec document carries the whole grid; reject every
             # flag it replaces rather than silently ignoring it.  The
-            # execution flags (--jobs, --eval-mode) configure the
-            # session, not the grid, so they combine with --spec.
+            # execution flag --eval-mode configures the session, not
+            # the grid, so it combines with --spec.
             overridden = [flag for flag, value in (
                 ("--scenarios", args.scenarios),
                 ("--scenario-file", args.scenario_file),
@@ -269,8 +267,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 print(status.render())
             return 0
         outcome = run_sweep(spec, store=store, workers=args.workers,
-                            session=Session(jobs=args.jobs,
-                                            eval_mode=args.eval_mode))
+                            session=Session(eval_mode=args.eval_mode))
     except ReproError as exc:
         return _report_error(exc, args.format)
     report = sweep_report(outcome)
@@ -322,7 +319,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             trace, mode=args.mode, template=args.template,
             policy=args.policy, objective=args.objective,
             nsplits=config.nsplits, budget=config.budget, beam=args.beam,
-            eval_mode=args.eval_mode, jobs=args.jobs, client=client)
+            eval_mode=args.eval_mode, client=client)
         report = build_report(trace, args.mode, outcomes)
     except ReproError as exc:
         return _report_error(exc, args.format)
@@ -750,10 +747,6 @@ def _add_eval_mode_option(parser: argparse.ArgumentParser) -> None:
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fast", action="store_true",
                         help="use the reduced search budget")
-    parser.add_argument("--jobs", type=_positive_int, default=1,
-                        metavar="N",
-                        help="worker processes for the window search "
-                        "(results are bit-identical to serial)")
     parser.add_argument("--perf-stats", action="store_true",
                         help="print evaluation throughput and cache-hit "
                         "statistics after the run")
@@ -776,8 +769,7 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_lint(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    config = ExperimentConfig.fast(jobs=args.jobs) if args.fast \
-        else ExperimentConfig(jobs=args.jobs)
+    config = ExperimentConfig.fast() if args.fast else ExperimentConfig()
     perf_before = process_total()
     _, runner = _EXPERIMENTS[args.command]
     print(runner(config))

@@ -170,7 +170,7 @@ class EvalCache:
         return len(self._tables.get(table, ()))
 
     def snapshot(self) -> dict[str, CacheStats]:
-        """Copy of the per-table counters (for cross-process merging)."""
+        """Copy of the per-table counters (a report keeps it as a value)."""
         return {table: CacheStats(hits=s.hits, misses=s.misses,
                                   evictions=s.evictions)
                 for table, s in self.stats.items()}

@@ -43,10 +43,13 @@ class ChipletLike(Protocol):
 #: functions of their keys, so a reset never changes a result.
 _MAX_ENTRIES = 16_384
 
-#: Serializes misses.  Module-level rather than per instance, so a
-#: database pickles as plain data into spawned window-search workers.
-#: A forking thread holds it across the fork, so a forked worker never
-#: inherits it held by a thread that does not exist in the child.
+#: Serializes misses.  Module-level rather than per instance, so one
+#: fork hook covers every database and a database pickles as plain
+#: data.  The service's process backend forks pool workers as jobs
+#: arrive, and again whenever it replaces a broken pool, while another
+#: worker thread may be costing a miss.  The forking thread holds the
+#: lock across the fork, so a forked worker never inherits it held by a
+#: thread that does not exist in the child.
 _MISS_LOCK = threading.Lock()
 if hasattr(os, "register_at_fork"):  # POSIX
     os.register_at_fork(before=_MISS_LOCK.acquire,

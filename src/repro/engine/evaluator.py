@@ -15,8 +15,8 @@ concerns the searches used to hand-roll individually:
   path on or off; only the amount of recomputation changes.
 * **Per-evaluator statistics.**  :class:`EvaluatorStats` counts how many
   segment costings the searches asked for versus how many were actually
-  recomputed; :class:`~repro.core.scar.SCARScheduler` merges these
-  across workers into :class:`repro.perf.PerfReport` (``num_segments``,
+  recomputed; :class:`~repro.core.scar.SCARScheduler` copies them into
+  its :class:`repro.perf.PerfReport` (``num_segments``,
   ``num_segments_recosted``), which is what the ``BENCH_engine.json``
   trajectory artifact gates on.
 
@@ -52,30 +52,6 @@ class EvaluatorStats:
 
     num_segments: int = 0
     num_segments_recosted: int = 0
-
-    @property
-    def reuse_rate(self) -> float:
-        """Fraction of segment costings served without recomputation."""
-        if not self.num_segments:
-            return 0.0
-        return 1.0 - self.num_segments_recosted / self.num_segments
-
-    def snapshot(self) -> "EvaluatorStats":
-        return EvaluatorStats(
-            num_segments=self.num_segments,
-            num_segments_recosted=self.num_segments_recosted)
-
-    def delta(self, before: "EvaluatorStats") -> "EvaluatorStats":
-        """Counters accumulated since the ``before`` snapshot."""
-        return EvaluatorStats(
-            num_segments=self.num_segments - before.num_segments,
-            num_segments_recosted=(self.num_segments_recosted
-                                   - before.num_segments_recosted))
-
-    def merge(self, other: "EvaluatorStats") -> None:
-        """Fold another evaluator's counters in (parallel workers)."""
-        self.num_segments += other.num_segments
-        self.num_segments_recosted += other.num_segments_recosted
 
 
 def chain_delta_key(chain: tuple[Segment, ...],

@@ -52,7 +52,7 @@ def run_nsplits_ablation(config: ExperimentConfig | None = None,
                          ) -> NsplitsResult:
     """Sweep nsplits and record the EDP-search result."""
     config = config or ExperimentConfig()
-    session = Session(jobs=config.jobs)
+    session = Session()
     edps = {}
     for nsplits in values:
         request = _request(strategy, scenario_id, config, nsplits=nsplits)
@@ -87,7 +87,7 @@ def run_prov_ablation(config: ExperimentConfig | None = None,
                       prov_limit: int = 32) -> ProvAblationResult:
     """Compare Eq. 2's uniform rule against exhaustive compositions."""
     config = config or ExperimentConfig()
-    session = Session(jobs=config.jobs)
+    session = Session()
     uniform: dict[tuple[str, int], float] = {}
     exhaustive: dict[tuple[str, int], float] = {}
     for scenario_id in scenario_ids:
@@ -139,7 +139,7 @@ def run_packing_ablation(config: ExperimentConfig | None = None,
                          ) -> PackingAblationResult:
     """Algorithm 1 vs uniform layer distribution (Sec. V-E)."""
     config = config or ExperimentConfig()
-    session = Session(jobs=config.jobs)
+    session = Session()
     greedy = session.submit(_request(strategy, scenario_id, config,
                                      packing="greedy")).metrics
     uniform = session.submit(_request(strategy, scenario_id, config,

@@ -64,7 +64,7 @@ def run_arvr(config: ExperimentConfig | None = None,
              strategies: tuple[str, ...] = CORE_STRATEGIES) -> ArvrResult:
     """Run the AR/VR suite under the EDP search (Table V / Fig. 10)."""
     config = config or ExperimentConfig()
-    session = Session(jobs=config.jobs)
+    session = Session()
     runs: dict[tuple[str, int], ScheduleResult] = {}
     for scenario_id in scenario_ids:
         for strategy in strategies:

@@ -92,7 +92,7 @@ def run_datacenter(config: ExperimentConfig | None = None,
                    ) -> DatacenterResult:
     """Run the datacenter suite (Table IV rows + Fig. 7 grid inputs)."""
     config = config or ExperimentConfig()
-    session = Session(jobs=config.jobs)
+    session = Session()
     runs: dict[tuple[str, int, str], ScheduleResult] = {}
     for scenario_id in scenario_ids:
         for search in searches:

@@ -97,7 +97,7 @@ def run_pareto(scenario_ids: tuple[int, ...],
     requests = [strategy_request(scenario_id, strategy, search, config)
                 for scenario_id, strategy, search in cells]
     outcome = run_requests(requests, store=store, workers=workers,
-                           session=Session(jobs=config.jobs))
+                           session=Session())
     points: dict[tuple[int, str], tuple[Point, ...]] = {
         (scenario_id, strategy): ()
         for scenario_id in scenario_ids for strategy in strategies}

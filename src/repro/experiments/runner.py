@@ -6,7 +6,7 @@ A *strategy* is the paper's (MCM template x scheduler policy) pair, e.g.
 (scenario, strategy, objective) triples into
 :class:`~repro.api.request.ScheduleRequest` values via
 :func:`strategy_request` and submit them to a shared
-``Session(jobs=config.jobs)``, which memoizes results so that e.g.
+``Session``, which memoizes results so that e.g.
 Table IV and Fig. 7 share work inside one process.
 """
 
@@ -50,24 +50,20 @@ class ExperimentConfig:
     """Runtime knobs shared by every experiment driver.
 
     ``fast`` presets keep CI benches to seconds/minutes; ``full`` uses the
-    paper's defaults (nsplits=4, generous budget).  ``jobs`` is the
-    drivers' ``Session(jobs=...)``: the SCAR window search fans out over
-    that many worker processes (results are bit-identical to serial
-    runs, see :meth:`repro.core.scar.SCARScheduler.schedule`).
+    paper's defaults (nsplits=4, generous budget).
     """
 
     budget: SearchBudget = field(default_factory=SearchBudget)
     nsplits: int = 4
     seg_search: str = "enumerative"
-    jobs: int = 1
 
     @classmethod
-    def fast(cls, jobs: int = 1) -> "ExperimentConfig":
-        return cls(budget=QUICK_BUDGET, nsplits=2, jobs=jobs)
+    def fast(cls) -> "ExperimentConfig":
+        return cls(budget=QUICK_BUDGET, nsplits=2)
 
     @classmethod
-    def full(cls, jobs: int = 1) -> "ExperimentConfig":
-        return cls(jobs=jobs)
+    def full(cls) -> "ExperimentConfig":
+        return cls()
 
     def with_nsplits(self, nsplits: int) -> "ExperimentConfig":
         return replace(self, nsplits=nsplits)

@@ -60,7 +60,7 @@ def run_fig13(config: ExperimentConfig | None = None,
               nsplit_values: tuple[int, ...] = (2, 3)) -> Scale6x6Result:
     """Run the 6x6 evolutionary-search experiment (Fig. 13)."""
     base = config or ExperimentConfig()
-    session = Session(jobs=base.jobs)
+    session = Session()
     runs: dict[tuple[str, int], ScheduleResult] = {}
     for nsplits in nsplit_values:
         for strategy in STRATEGIES_6X6:

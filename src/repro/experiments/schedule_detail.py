@@ -67,7 +67,7 @@ def run_breakdown(scenario_id: int = 4, strategy: str = "het_sides",
                   objective: str = "edp") -> BreakdownResult:
     """Run the EDP search and extract the Fig. 9 / Table VI breakdown."""
     config = config or ExperimentConfig()
-    session = Session(jobs=config.jobs)
+    session = Session()
     sc = scenario(scenario_id)
     run = session.submit(
         strategy_request(scenario_id, strategy, objective, config))

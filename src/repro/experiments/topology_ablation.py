@@ -62,7 +62,7 @@ def run_fig12(config: ExperimentConfig | None = None,
     requests = [strategy_request(scenario_id, strategy, "edp", config)
                 for strategy, scenario_id in cells]
     outcome = run_requests(requests, store=store, workers=workers,
-                           session=Session(jobs=config.jobs))
+                           session=Session())
     runs = {cell: outcome.result_at(i)  # failed cells raise their error
             for i, cell in enumerate(cells)}
     return TopologyResult(runs=runs, scenario_ids=scenario_ids,

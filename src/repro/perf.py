@@ -11,12 +11,10 @@ acceleration") surfaces its effect through two small value types:
   form printed by ``scar ... --perf-stats``; ``to_dict()`` is the
   machine-readable form written into ``benchmarks/BENCH_*.json``.
 
-Both types merge associatively, so parallel workers can ship their local
-counters back to the parent for a deterministic aggregate, and a long
-run of scheduling calls keeps one running total rather than a log:
-:func:`log_report` folds every run into the process total, and a reader
-that wants "the work since X" diffs two snapshots with
-:func:`diff_reports`.
+Both types merge associatively, so a long run of scheduling calls keeps
+one running total rather than a log: :func:`log_report` folds every run
+into the process total, and a reader that wants "the work since X"
+diffs two snapshots with :func:`diff_reports`.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ class CacheStats:
 
 
 def merge_stats(*stat_maps: dict[str, CacheStats]) -> dict[str, CacheStats]:
-    """Merge per-table stat maps (parallel workers -> one aggregate)."""
+    """Merge per-table stat maps (many runs' counters -> one aggregate)."""
     merged: dict[str, CacheStats] = {}
     for stats in stat_maps:
         for table, entry in stats.items():
@@ -91,9 +89,7 @@ class PerfReport:
 
     ``num_evaluated``          fully evaluated window candidates.
     ``num_windows``            time windows searched.
-    ``jobs``                   worker processes used (1 = serial).
-    ``cache``                  per-table cache counters, merged across
-                               workers.
+    ``cache``                  per-table cache counters.
     ``num_segments``           segment costings the evaluator was asked
                                for (chain segments of every window that
                                missed the window memo).
@@ -106,7 +102,6 @@ class PerfReport:
     wall_s: float = 0.0
     num_evaluated: int = 0
     num_windows: int = 0
-    jobs: int = 1
     cache: dict[str, CacheStats] = field(default_factory=dict)
     num_segments: int = 0
     num_segments_recosted: int = 0
@@ -136,8 +131,7 @@ class PerfReport:
     def render(self) -> str:
         """Human-readable block for ``--perf-stats``."""
         lines = [
-            f"wall time      {self.wall_s * 1e3:.1f} ms "
-            f"({self.jobs} job{'s' if self.jobs != 1 else ''})",
+            f"wall time      {self.wall_s * 1e3:.1f} ms",
             f"evaluations    {self.num_evaluated} window candidates over "
             f"{self.num_windows} windows ({self.evals_per_s:.0f} evals/s)",
         ]
@@ -159,7 +153,6 @@ class PerfReport:
             "wall_s": self.wall_s,
             "num_evaluated": self.num_evaluated,
             "num_windows": self.num_windows,
-            "jobs": self.jobs,
             "evals_per_s": self.evals_per_s,
             "num_segments": self.num_segments,
             "num_segments_recosted": self.num_segments_recosted,
@@ -206,14 +199,12 @@ class TimingSummary:
 def aggregate_reports(reports: list[PerfReport]) -> PerfReport:
     """Merge perf reports of many runs into one summary.
 
-    ``jobs`` is the largest worker count any report used.  The result
-    shares no counters with its inputs, so it stays a value.
+    The result shares no counters with its inputs, so it stays a value.
     """
     return PerfReport(
         wall_s=sum(p.wall_s for p in reports),
         num_evaluated=sum(p.num_evaluated for p in reports),
         num_windows=sum(p.num_windows for p in reports),
-        jobs=max((p.jobs for p in reports), default=1),
         cache=merge_stats(*(p.cache for p in reports)),
         num_segments=sum(p.num_segments for p in reports),
         num_segments_recosted=sum(p.num_segments_recosted
@@ -227,15 +218,13 @@ def diff_reports(after: PerfReport, before: PerfReport) -> PerfReport:
     ``after`` and ``before`` are snapshots of one running total (see
     :func:`process_total` and ``Session.perf_summary()``); the result
     counts exactly the reports logged in between.  Cache tables that saw
-    no lookups in the span are left out, and ``jobs`` is ``after``'s:
-    the largest worker count the total has seen.
+    no lookups in the span are left out.
     """
     cache = diff_stats(after.cache, before.cache)
     return PerfReport(
         wall_s=after.wall_s - before.wall_s,
         num_evaluated=after.num_evaluated - before.num_evaluated,
         num_windows=after.num_windows - before.num_windows,
-        jobs=after.jobs,
         cache={table: stats for table, stats in cache.items()
                if stats.lookups or stats.evictions},
         num_segments=after.num_segments - before.num_segments,

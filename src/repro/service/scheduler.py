@@ -17,8 +17,8 @@ as a context manager.
 Three knobs make the service scale past a single box's GIL:
 
 ``job_backend="process"``  workers dispatch each search to a process
-                           pool mirroring the session (same registry,
-                           ``jobs`` and ``eval_mode``), so concurrent
+                           pool mirroring the session (same registry
+                           and ``eval_mode``), so concurrent
                            CPU-bound jobs actually overlap; results are
                            adopted back into the session memo and are
                            bit-identical to in-process ``submit``.
@@ -163,11 +163,11 @@ class JobHandle:
 class SchedulerService:
     """Asynchronous job front-end over one :class:`Session`.
 
-    ``workers`` bounds concurrency.  The throughput win of ``workers >
-    1`` comes from overlapping requests whose session ``jobs=N`` fans
-    work out to processes (the GIL is released while waiting on the
-    pool) and from overlapping queue/IO handling; the determinism
-    contract is unconditional either way.
+    ``workers`` bounds concurrency.  On the default thread backend,
+    ``workers > 1`` overlaps queue and IO handling, while the searches
+    themselves take turns on the GIL; the process backend (below) is
+    what overlaps CPU-bound searches.  The determinism contract is
+    unconditional either way.
 
     Each job lives in one slot (``_jobs``, id -> :class:`_Job`) that
     its :class:`JobHandle` shares.  ``retain`` bounds memory like

@@ -137,20 +137,19 @@ def replay(trace: Trace, *, mode: str = "warm",
            objective: str = "edp", nsplits: int = 4,
            budget: SearchBudget | None = None, beam: int | None = None,
            eval_mode: str | None = None,
-           jobs: int = 1, client=None) -> list[EventOutcome]:
+           client=None) -> list[EventOutcome]:
     """Replay ``trace``, re-scheduling after every event.
 
     Returns one :class:`EventOutcome` per trace event, in order.  The
     outcomes' results are deterministic (mode- and client-independent,
-    the parity contract); the perf fields are not.  ``eval_mode`` and
-    ``jobs`` configure the local sessions.  ``client`` switches
+    the parity contract); the perf fields are not.  ``eval_mode``
+    configures the local sessions.  ``client`` switches
     submission to a live service replica (``mode`` then only labels the
     report -- warmth and execution settings are the replica's).
     """
     if mode not in MODES:
         raise ConfigError(f"unknown replay mode {mode!r}; known: {MODES}")
-    warm_session = Session(eval_mode=eval_mode, jobs=jobs,
-                           warm_caches=True) \
+    warm_session = Session(eval_mode=eval_mode, warm_caches=True) \
         if client is None and mode == "warm" else None
 
     active = _ActiveSet(trace)
@@ -174,7 +173,7 @@ def replay(trace: Trace, *, mode: str = "warm",
             memo_hit = False
         else:
             session = warm_session if warm_session is not None \
-                else Session(eval_mode=eval_mode, jobs=jobs)
+                else Session(eval_mode=eval_mode)
             memo_hit = session.cached(request) is not None
             result = session.submit(request)
         wall = time.perf_counter() - wall_start

@@ -9,7 +9,7 @@ cells in a deterministic order; each cell's
 :meth:`~repro.api.request.ScheduleRequest.cache_key` is its identity in
 the JSONL result store (:mod:`repro.sweep.store`), which is what makes
 campaigns resumable.  Every axis is part of the problem; how the cells
-run (worker processes, costing kernel) is the executing
+run (the costing kernel) is the executing
 :class:`~repro.api.session.Session`'s business.
 
 The spec itself round-trips through JSON (``kind: "sweep_spec"``), so

@@ -61,7 +61,7 @@ def _legacy_run(sc, strategy, objective, config, databases):
     scheduler = SCARScheduler(
         mcm, objective=objective_by_name(objective),
         nsplits=config.nsplits, budget=config.budget, database=database,
-        seg_search=seg_search, jobs=config.jobs)
+        seg_search=seg_search)
     result = scheduler.schedule(sc)
     return result.metrics, result.schedule
 

@@ -18,7 +18,6 @@ from repro.api import (
     CandidatePoint,
     ScheduleRequest,
     ScheduleResult,
-    Session,
     metrics_from_dict,
     metrics_to_dict,
     perf_from_dict,
@@ -151,13 +150,8 @@ class TestRequestValidation:
             ScheduleRequest(scenario_id=1,
                             scenario_spec={"name": "x", "models": []})
 
-    def test_bad_jobs(self):
-        """jobs is a Session setting: a bad value fails there, and a
-        request document's jobs key is never read."""
-        with pytest.raises(ConfigError, match="jobs"):
-            Session(jobs=0)
-        with pytest.raises(ConfigError, match="jobs"):
-            Session(jobs=True)
+    def test_legacy_jobs_key_is_never_read(self):
+        """A request document's jobs key, even a bad one, is ignored."""
         data = {**ScheduleRequest(scenario_id=1).to_dict(), "jobs": 0}
         assert ScheduleRequest.from_dict(data) == \
             ScheduleRequest(scenario_id=1)
@@ -207,9 +201,24 @@ class TestAuxRoundTrips:
 
     def test_perf_report(self):
         perf = PerfReport(wall_s=1.25, num_evaluated=100, num_windows=3,
-                          jobs=2,
                           cache={"window": CacheStats(hits=5, misses=7)})
         assert perf_from_dict(perf_to_dict(perf)) == perf
+        assert "jobs" not in perf_to_dict(perf)
+
+    def test_perf_report_legacy_jobs_key_ignored(self):
+        """Reports written while the window search had a worker pool
+        carry ``jobs``; it parses, and is not read."""
+        perf = PerfReport(wall_s=1.25, num_evaluated=100, num_windows=3,
+                          cache={"window": CacheStats(hits=5, misses=7)})
+        document = {**perf_to_dict(perf), "jobs": 2}
+        assert perf_from_dict(document) == perf
+
+    def test_perf_report_without_jobs_key_parses(self):
+        document = {"wall_s": 0.5, "num_evaluated": 4, "num_windows": 2,
+                    "cache": {"chain": {"hits": 1, "misses": 3}}}
+        assert perf_from_dict(document) == PerfReport(
+            wall_s=0.5, num_evaluated=4, num_windows=2,
+            cache={"chain": CacheStats(hits=1, misses=3)})
 
     def test_metrics_round_trip_from_real_run(self, tiny_scenario,
                                               nvd_mcm):

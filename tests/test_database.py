@@ -67,7 +67,7 @@ class TestCap:
                 energy=db.energy)
 
     def test_pickles_with_its_entries(self, db):
-        """Spawned window-search workers receive the database pickled."""
+        """A database pickles as plain data, entries included."""
         layer = conv("c", c=8, k=8, y=8, x=8)
         cost = db.cost(layer, NVD)
         clone = pickle.loads(pickle.dumps(db))

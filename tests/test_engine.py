@@ -1,9 +1,8 @@
 """Unit tests for the unified search-engine layer (:mod:`repro.engine`).
 
 Covers the engine pieces the schedulers share: the delta-costing
-:class:`CandidateEvaluator`, the window search's beam knob, the two
-execution paths ``jobs`` selects (in-process and the worker pool) and
-the provisioning/candidate plumbing -- plus the LRU bound on
+:class:`CandidateEvaluator`, the window search's beam knob and the
+provisioning/candidate plumbing -- plus the LRU bound on
 :class:`EvalCache` and the request/session threading of the knobs.
 """
 
@@ -16,14 +15,12 @@ from repro.core.evalcache import EvalCache
 from repro.core.metrics import ScheduleEvaluator
 from repro.core.packing import WindowAssignment
 from repro.core.provisioner import uniform_allocation
-from repro.core.scar import SCARScheduler
 from repro.core.schedule import Segment, WindowSchedule
 from repro.core.scoring import edp_objective
 from repro.core.sched_engine import search_window
 from repro.core.segmentation import RankedSegmentation
 from repro.engine import (
     CandidateEvaluator,
-    EvaluatorStats,
     assemble_candidate_points,
     chain_delta_key,
     window_allocations,
@@ -112,20 +109,6 @@ class TestCandidateEvaluator:
         ws = _window_schedule((1, 2), (0, 3, 6), 2)
         assert cached.evaluate_window(ws) == uncached.evaluate_window(ws)
 
-    def test_stats_delta_and_merge(self):
-        stats = EvaluatorStats(num_segments=10, num_segments_recosted=4)
-        before = stats.snapshot()
-        stats.num_segments += 5
-        stats.num_segments_recosted += 1
-        delta = stats.delta(before)
-        assert delta == EvaluatorStats(5, 1)
-        merged = EvaluatorStats()
-        merged.merge(delta)
-        merged.merge(delta)
-        assert merged == EvaluatorStats(10, 2)
-        assert stats.reuse_rate == pytest.approx(1 - 5 / 15)
-        assert EvaluatorStats().reuse_rate == 0.0
-
 
 class TestChainDeltaKey:
     def test_distinguishes_placement_and_cuts(self):
@@ -182,49 +165,6 @@ class TestWindowSearch:
             search_window(None, {}, None, None, None, beam=0)
         with pytest.raises(SearchError):
             search_window(None, {}, None, None, None, beam=-1)
-
-
-class TestBackends:
-    """The two execution paths ``jobs`` selects: in-process and a pool."""
-
-    def test_resolution_infers_from_jobs(self, monkeypatch, tiny_scenario,
-                                         het_mcm, small_budget):
-        """jobs=1, or a single task, runs in-process; anything else
-        builds a pool of min(jobs, tasks) workers."""
-        import repro.core.scar as scar
-
-        pools: list[int] = []
-        real_pool = scar.ProcessPoolExecutor
-
-        def spy(**kwargs):
-            pools.append(kwargs["max_workers"])
-            return real_pool(**kwargs)
-
-        monkeypatch.setattr(scar, "ProcessPoolExecutor", spy)
-        SCARScheduler(het_mcm, nsplits=1,
-                      budget=small_budget).schedule(tiny_scenario)
-        SCARScheduler(het_mcm, nsplits=0, budget=small_budget,
-                      jobs=4).schedule(tiny_scenario)  # one task
-        assert pools == []
-        SCARScheduler(het_mcm, nsplits=1, budget=small_budget,
-                      jobs=4).schedule(tiny_scenario)  # two tasks
-        assert pools == [2]
-
-    def test_process_backend_bit_identical_to_serial(
-            self, tiny_scenario, het_mcm, small_budget):
-        serial = SCARScheduler(het_mcm, nsplits=1,
-                               budget=small_budget).schedule(tiny_scenario)
-        pooled = SCARScheduler(het_mcm, nsplits=1, budget=small_budget,
-                               jobs=2).schedule(tiny_scenario)
-        assert pooled.metrics == serial.metrics
-        assert pooled.schedule == serial.schedule
-        assert pooled.num_evaluated == serial.num_evaluated
-        # Worker delta counters merged back (perf is informational and,
-        # like cache hit counts, not bit-pinned across backends: the
-        # parent re-evaluates the winning windows itself in pooled mode).
-        assert pooled.perf.num_segments > 0
-        assert 0 < pooled.perf.num_segments_recosted \
-            <= pooled.perf.num_segments
 
 
 class TestProvisioningPlumbing:
@@ -340,8 +280,6 @@ class TestRequestThreading:
     def test_validation(self):
         with pytest.raises(ConfigError, match="beam"):
             ScheduleRequest(scenario_id=4, beam=0)
-        with pytest.raises(ConfigError, match="jobs"):
-            Session(jobs=0)
         with pytest.raises(ConfigError, match="eval_mode"):
             Session(eval_mode="quantum")
 
@@ -349,15 +287,3 @@ class TestRequestThreading:
         base = ScheduleRequest(scenario_id=4)
         assert base.cache_key() \
             != base.replace(beam=2).cache_key()
-
-    def test_session_backend_bit_identical_to_serial(
-            self, tiny_scenario, small_budget):
-        """Session(jobs=2) fans the window search over a worker pool
-        and changes no result bit."""
-        request = ScheduleRequest.for_scenario(
-            tiny_scenario, nsplits=1, budget=small_budget)
-        serial = Session().submit(request)
-        pooled = Session(jobs=2).submit(request)
-        assert pooled.same_payload(serial)
-        assert pooled.perf.jobs == 2 and serial.perf.jobs == 1
-        assert pooled.window_candidates == serial.window_candidates

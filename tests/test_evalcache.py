@@ -67,13 +67,12 @@ class TestStats:
 
     def test_report_render_and_dict(self):
         report = PerfReport(wall_s=2.0, num_evaluated=100, num_windows=2,
-                            jobs=2, cache={"compute": CacheStats(75, 25)})
+                            cache={"compute": CacheStats(75, 25)})
         assert report.evals_per_s == pytest.approx(50.0)
         assert "compute" in report.render()
         payload = report.to_dict()
         assert payload["cache"]["compute"]["hit_rate"] \
             == pytest.approx(0.75)
-        assert payload["jobs"] == 2
 
     def test_merge_stats_sums_evictions(self):
         merged = merge_stats({"a": CacheStats(1, 2, evictions=3)},

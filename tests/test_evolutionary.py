@@ -104,17 +104,16 @@ class TestGA:
 
 
 class TestSchedulerReproducibility:
-    """Same SearchBudget.seed => identical search outcome, even parallel."""
+    """Same SearchBudget.seed => identical search outcome."""
 
-    def _schedule(self, scenario, mcm, seed, jobs=1):
+    def _schedule(self, scenario, mcm, seed):
         from repro.core.scar import SCARScheduler
         budget = SearchBudget(top_k_segmentations=2,
                               max_segment_candidates=16,
                               max_root_combos=4, max_paths_per_model=4,
                               max_candidates_per_window=40, seed=seed)
         return SCARScheduler(mcm, nsplits=1, budget=budget,
-                             seg_search="evolutionary",
-                             jobs=jobs).schedule(scenario)
+                             seg_search="evolutionary").schedule(scenario)
 
     def test_same_seed_identical_runs(self, tiny_scenario, het_mcm):
         a = self._schedule(tiny_scenario, het_mcm, seed=3)
@@ -122,13 +121,6 @@ class TestSchedulerReproducibility:
         assert a.num_evaluated == b.num_evaluated
         assert a.schedule == b.schedule
         assert a.metrics == b.metrics
-
-    def test_same_seed_identical_under_jobs(self, tiny_scenario, het_mcm):
-        serial = self._schedule(tiny_scenario, het_mcm, seed=3)
-        parallel = self._schedule(tiny_scenario, het_mcm, seed=3, jobs=2)
-        assert serial.num_evaluated == parallel.num_evaluated
-        assert serial.schedule == parallel.schedule
-        assert serial.metrics == parallel.metrics
 
     def test_different_seed_may_differ_but_is_valid(self, tiny_scenario,
                                                     het_mcm):

@@ -3,7 +3,7 @@
 These pin the end-to-end numeric behaviour of the full search pipeline on
 ``tiny_scenario`` for the four engine-mode combinations (packing x
 provisioning x seg_search), so that refactors of the evaluation hot path
--- the segment-cost cache, the parallel window search -- provably change
+-- the segment-cost cache, chain-level delta evaluation -- provably change
 nothing numerically.  If an intentional model change shifts these values,
 regenerate them with the snippet in each failure message and review the
 diff in the PR.
@@ -51,29 +51,11 @@ def test_golden_snapshot(tiny_scenario, het_mcm, packing, provisioning,
     assert result.metrics.edp == pytest.approx(edp, abs=1e-9, rel=1e-9)
 
 
-@pytest.mark.parametrize("packing,provisioning,seg_search",
-                         sorted(GOLDEN))
-def test_golden_snapshot_parallel(tiny_scenario, het_mcm, packing,
-                                  provisioning, seg_search):
-    """jobs=2 must reproduce the committed goldens bit-for-bit too."""
-    result = SCARScheduler(het_mcm, nsplits=1, budget=GOLDEN_BUDGET,
-                           packing=packing, provisioning=provisioning,
-                           seg_search=seg_search,
-                           jobs=2).schedule(tiny_scenario)
-    latency, energy, edp = GOLDEN[(packing, provisioning, seg_search)]
-    assert result.metrics.latency_s == pytest.approx(latency, abs=1e-9,
-                                                     rel=1e-9)
-    assert result.metrics.energy_j == pytest.approx(energy, abs=1e-9,
-                                                    rel=1e-9)
-    assert result.metrics.edp == pytest.approx(edp, abs=1e-9, rel=1e-9)
-
-
 class TestGeneratedReplicatedParity:
     """The multi-tenant extension of the determinism contract: a seeded
     generated scenario running the *same* zoo model twice (``model#k``
     instance names) schedules bit-identically end to end -- through the
-    wire file form, serially, with the parallel window search, and on
-    the pooled job service."""
+    wire file form, serially, and on the pooled job service."""
 
     def _request(self, tmp_path):
         from repro.api import ScheduleRequest
@@ -94,7 +76,7 @@ class TestGeneratedReplicatedParity:
             loaded, template="het_sides_3x3", nsplits=1,
             budget=GOLDEN_BUDGET)
 
-    def test_serial_vs_parallel_vs_pooled_service(self, tmp_path):
+    def test_serial_vs_pooled_service(self, tmp_path):
         from repro.api import Session
         from repro.service import SchedulerService
 
@@ -103,12 +85,6 @@ class TestGeneratedReplicatedParity:
         # The duplicated-tenant schedule is a valid layer partition.
         serial.schedule.validate(loaded)
         assert serial.request.resolve_scenario() == loaded
-
-        # Session(jobs=2) fans the window search over worker processes;
-        # the request (and cache key) is the same, so the whole payload
-        # matches.
-        parallel = Session(jobs=2).submit(request)
-        assert parallel.same_payload(serial)
 
         with SchedulerService(Session(), workers=2) as service:
             pooled = service.submit(request).result()

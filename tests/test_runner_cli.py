@@ -216,6 +216,19 @@ class TestCLI:
         assert err.startswith("error: cannot bind")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["schedule", "--scenario", "4", "--fast"],
+        ["sweep", "--scenarios", "1", "--fast"],
+        ["simulate", "--family", "uunifast", "--seed", "7", "--fast"],
+        ["fig2", "--fast"],
+    ], ids=["schedule", "sweep", "simulate", "fig2"])
+    def test_removed_jobs_flag_is_a_usage_error(self, argv, capsys):
+        """No scheduling or experiment command takes --jobs."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
 
 class TestPerfStatsCLI:
     @staticmethod
@@ -468,9 +481,9 @@ class TestPositiveInt:
     def test_argparse_error_message_is_clear(self, capsys):
         parser = build_parser()
         with pytest.raises(SystemExit):
-            parser.parse_args(["schedule", "--jobs", "0"])
+            parser.parse_args(["schedule", "--beam", "0"])
         err = capsys.readouterr().err
-        assert "--jobs" in err and "positive integer" in err
+        assert "--beam" in err and "positive integer" in err
 
 
 class TestSimulateCommand:
@@ -640,8 +653,8 @@ class TestEvalModeFlags:
         assert "--eval-modes" in capsys.readouterr().err
 
     def test_spec_combines_with_execution_flags(self, capsys, tmp_path):
-        """--jobs and --eval-mode configure the session, not the grid,
-        so they are allowed alongside --spec."""
+        """--eval-mode configures the session, not the grid, so it is
+        allowed alongside --spec."""
         pytest.importorskip("numpy")
         from repro.core.budget import QUICK_BUDGET
         from repro.sweep import SweepSpec
@@ -649,7 +662,7 @@ class TestEvalModeFlags:
         path = tmp_path / "spec.json"
         path.write_text(SweepSpec(scenarios=(1,), nsplits=(1,),
                                   budget=QUICK_BUDGET).to_json())
-        assert main(["sweep", "--spec", str(path), "--jobs", "2",
+        assert main(["sweep", "--spec", str(path),
                      "--eval-mode", "vector", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["cells"] == 1 and doc["computed"] == 1

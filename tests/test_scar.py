@@ -5,7 +5,7 @@ import pytest
 from repro.core.budget import SearchBudget
 from repro.core.scar import SCARScheduler
 from repro.core.scoring import edp_objective, latency_objective
-from repro.errors import ConfigError, SearchError
+from repro.errors import SearchError
 
 
 @pytest.fixture
@@ -38,6 +38,17 @@ class TestSchedulerBasics:
                           budget=budget).schedule(tiny_scenario)
         assert a.metrics.edp == pytest.approx(b.metrics.edp)
         assert a.schedule == b.schedule
+
+    def test_perf_report_attached(self, tiny_scenario, het_mcm, budget):
+        result = SCARScheduler(het_mcm, nsplits=1,
+                               budget=budget).schedule(tiny_scenario)
+        assert result.perf is not None
+        assert result.perf.num_evaluated == result.num_evaluated
+        assert result.perf.wall_s > 0
+        compute = result.perf.cache_table("compute")
+        assert compute.lookups > 0
+        # The whole point of the cache: repeated sub-chains hit.
+        assert compute.hit_rate > 0.5
 
     def test_nsplits_zero_single_window(self, tiny_scenario, het_mcm,
                                         budget):
@@ -96,49 +107,6 @@ class TestSchedulerModes:
             ga_config=GAConfig(population_size=4, generations=1)) \
             .schedule(tiny_scenario)
         result.schedule.validate(tiny_scenario)
-
-
-class TestParallelSearch:
-    """jobs>1 must be bit-identical to the serial path."""
-
-    def test_invalid_jobs_rejected(self, het_mcm):
-        with pytest.raises(ConfigError, match="jobs"):
-            SCARScheduler(het_mcm, jobs=0)
-        with pytest.raises(ConfigError, match="jobs"):
-            SCARScheduler(het_mcm, jobs=1.5)
-
-    def test_jobs2_bit_identical(self, tiny_scenario, het_mcm, budget):
-        serial = SCARScheduler(het_mcm, nsplits=1, budget=budget) \
-            .schedule(tiny_scenario)
-        parallel = SCARScheduler(het_mcm, nsplits=1, budget=budget,
-                                 jobs=2).schedule(tiny_scenario)
-        assert parallel.metrics == serial.metrics
-        assert parallel.schedule == serial.schedule
-        assert parallel.num_evaluated == serial.num_evaluated
-        assert parallel.window_candidates == serial.window_candidates
-
-    def test_jobs2_exhaustive_prov_bit_identical(self, tiny_scenario,
-                                                 het_mcm, budget):
-        kwargs = dict(nsplits=1, budget=budget,
-                      provisioning="exhaustive", prov_limit=12)
-        serial = SCARScheduler(het_mcm, **kwargs).schedule(tiny_scenario)
-        parallel = SCARScheduler(het_mcm, jobs=3, **kwargs) \
-            .schedule(tiny_scenario)
-        assert parallel.metrics == serial.metrics
-        assert parallel.schedule == serial.schedule
-        assert parallel.num_evaluated == serial.num_evaluated
-
-    def test_perf_report_attached(self, tiny_scenario, het_mcm, budget):
-        result = SCARScheduler(het_mcm, nsplits=1, budget=budget,
-                               jobs=2).schedule(tiny_scenario)
-        assert result.perf is not None
-        assert result.perf.jobs == 2
-        assert result.perf.num_evaluated == result.num_evaluated
-        assert result.perf.wall_s > 0
-        compute = result.perf.cache_table("compute")
-        assert compute.lookups > 0
-        # The whole point of the cache: repeated sub-chains hit.
-        assert compute.hit_rate > 0.5
 
 
 class TestHeterogeneityExploitation:

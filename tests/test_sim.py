@@ -533,8 +533,8 @@ class TestPerfTotals:
 
     @staticmethod
     def counters(report):
-        """Everything but the float wall time and the worker count."""
-        return dataclasses.replace(report, wall_s=0.0, jobs=1)
+        """Everything but the float wall time."""
+        return dataclasses.replace(report, wall_s=0.0)
 
     def test_session_total_is_exact_past_the_old_cap(self):
         # More runs than a 4096-entry log held; none may go uncounted.

@@ -168,6 +168,25 @@ class TestResultStore:
         again = run_sweep(tiny_spec, store=ResultStore(path))
         assert again.computed == 0 and again.skipped == 4
 
+    def test_legacy_perf_jobs_key_is_served(self, tmp_path, tiny_spec):
+        """Results stored while the window search had a worker pool
+        carry ``perf.jobs``; they are served, not counted corrupt."""
+        path = tmp_path / "s.jsonl"
+        run_sweep(tiny_spec, store=ResultStore(path))
+        docs = [json.loads(line) for line in path.read_text().splitlines()]
+        legacy = next(doc for doc in docs
+                      if doc["result"].get("perf") is not None)
+        assert "jobs" not in legacy["result"]["perf"]
+        legacy["result"]["perf"]["jobs"] = 1
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        store = ResultStore(path)
+        served = store.get(legacy["key"])
+        assert served is not None and served.perf is not None
+        assert store.corrupt_lines == 0
+        again = run_sweep(tiny_spec, store=store)
+        assert again.computed == 0 and again.skipped == 4
+        assert store.corrupt_lines == 0
+
     def test_record_is_idempotent(self, tmp_path, tiny_spec):
         path = tmp_path / "s.jsonl"
         store = ResultStore(path)
