@@ -102,6 +102,8 @@ class SCARScheduler:
                              request computes serve every later one.
     ``packing``              ``"greedy"`` (Algorithm 1) or ``"uniform"``.
     ``provisioning``         ``"uniform"`` (Eq. 2) or ``"exhaustive"``.
+    ``prov_limit``           most allocations ``"exhaustive"`` searches
+                             per window (``>= 1``).
     ``max_nodes_per_model``  Heuristic-2 node-allocation constraint.
     ``seg_search``           ``"enumerative"`` or ``"evolutionary"``.
     ``beam``                 window-search beam width (see
@@ -150,6 +152,8 @@ class SCARScheduler:
             raise SearchError(f"unknown provisioning mode {provisioning!r}")
         if seg_search not in SEG_SEARCH_MODES:
             raise SearchError(f"unknown seg_search mode {seg_search!r}")
+        if prov_limit < 1:  # a window must have an allocation to search
+            raise SearchError(f"prov_limit must be >= 1, got {prov_limit}")
         self.eval_mode = check_eval_mode(eval_mode)
         self.mcm = mcm
         self.objective = objective or edp_objective()

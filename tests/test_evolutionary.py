@@ -106,13 +106,15 @@ class TestGA:
 class TestSchedulerReproducibility:
     """Same SearchBudget.seed => identical search outcome."""
 
+    def _budget(self, seed):
+        return SearchBudget(top_k_segmentations=2,
+                            max_segment_candidates=16,
+                            max_root_combos=4, max_paths_per_model=4,
+                            max_candidates_per_window=40, seed=seed)
+
     def _schedule(self, scenario, mcm, seed):
         from repro.core.scar import SCARScheduler
-        budget = SearchBudget(top_k_segmentations=2,
-                              max_segment_candidates=16,
-                              max_root_combos=4, max_paths_per_model=4,
-                              max_candidates_per_window=40, seed=seed)
-        return SCARScheduler(mcm, nsplits=1, budget=budget,
+        return SCARScheduler(mcm, nsplits=1, budget=self._budget(seed),
                              seg_search="evolutionary").schedule(scenario)
 
     def test_same_seed_identical_runs(self, tiny_scenario, het_mcm):
@@ -121,6 +123,21 @@ class TestSchedulerReproducibility:
         assert a.num_evaluated == b.num_evaluated
         assert a.schedule == b.schedule
         assert a.metrics == b.metrics
+
+    def test_same_seed_identical_in_a_pool_worker(self, tiny_scenario):
+        """The GA draws from its seed alone, so the search a service's
+        process worker runs matches the in-process one."""
+        from repro.api import ScheduleRequest, Session
+        from repro.service import SchedulerService
+        request = ScheduleRequest.for_scenario(
+            tiny_scenario, policy="evolutionary", template="het_sides_3x3",
+            nsplits=1, budget=self._budget(seed=3))
+        in_process = Session().submit(request)
+        with SchedulerService(workers=1,
+                              job_backend="process") as service:
+            pooled = service.submit(request).result(timeout=600)
+        assert pooled.window_candidates == in_process.window_candidates
+        assert pooled.same_payload(in_process)
 
     def test_different_seed_may_differ_but_is_valid(self, tiny_scenario,
                                                     het_mcm):

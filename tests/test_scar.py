@@ -1,8 +1,12 @@
 """Integration tests for the SCAR scheduler facade."""
 
+import dataclasses
+import itertools
+
 import pytest
 
 from repro.core.budget import SearchBudget
+from repro.core.provisioner import exhaustive_allocations
 from repro.core.scar import SCARScheduler
 from repro.core.scoring import edp_objective, latency_objective
 from repro.errors import SearchError
@@ -30,6 +34,15 @@ class TestSchedulerBasics:
             SCARScheduler(het_mcm, provisioning="magic")
         with pytest.raises(SearchError):
             SCARScheduler(het_mcm, seg_search="magic")
+
+    @pytest.mark.parametrize("prov_limit", [0, -1])
+    def test_prov_limit_below_one_rejected(self, tiny_scenario, het_mcm,
+                                           prov_limit):
+        """A limit that leaves a window no allocation to search fails at
+        construction, not with an untyped error mid-search."""
+        with pytest.raises(SearchError, match="prov_limit"):
+            SCARScheduler(het_mcm, nsplits=1, provisioning="exhaustive",
+                          prov_limit=prov_limit).schedule(tiny_scenario)
 
     def test_deterministic(self, tiny_scenario, het_mcm, budget):
         a = SCARScheduler(het_mcm, nsplits=1,
@@ -107,6 +120,76 @@ class TestSchedulerModes:
             ga_config=GAConfig(population_size=4, generations=1)) \
             .schedule(tiny_scenario)
         result.schedule.validate(tiny_scenario)
+
+
+class TestAllocationOrder:
+    """Each window searches its PROV allocations in index order: its
+    candidates are collected in that order, and a later allocation
+    replaces the window's winner only on a strictly lower score."""
+
+    def _run(self, monkeypatch, scenario, mcm, budget, score=None):
+        """Run exhaustive provisioning, recording per window the
+        ``(allocation, added candidates, returned candidate)`` of each
+        search in order; ``score`` overrides the returned candidates'."""
+        searched: list[list[tuple]] = []
+        real = SCARScheduler._search_one_alloc
+
+        def spy(self, scenario, window, alloc, expected_lat, evaluator,
+                collected):
+            start = len(collected)
+            candidate = real(self, scenario, window, alloc, expected_lat,
+                             evaluator, collected)
+            if score is not None:
+                candidate = dataclasses.replace(candidate, score=score)
+            if not searched or searched[-1][0][0] is not window:
+                searched.append([])
+            searched[-1].append((window, dict(alloc),
+                                 tuple(collected[start:]), candidate))
+            return candidate
+
+        monkeypatch.setattr(SCARScheduler, "_search_one_alloc", spy)
+        result = SCARScheduler(mcm, nsplits=1, budget=budget,
+                               provisioning="exhaustive",
+                               prov_limit=12).schedule(scenario)
+        assert len(searched) == result.schedule.num_windows
+        for calls in searched:
+            window = calls[0][0]
+            assert [alloc for _, alloc, _, _ in calls] == list(
+                exhaustive_allocations(window, mcm.num_chiplets,
+                                       limit=12))
+            assert len(calls) > 1
+        return result, [[call[2:] for call in calls] for calls in searched]
+
+    def test_candidates_collected_in_window_allocation_order(
+            self, monkeypatch, tiny_scenario, het_mcm, budget):
+        result, searched = self._run(monkeypatch, tiny_scenario, het_mcm,
+                                     budget)
+        assert result.window_candidates == tuple(
+            tuple(itertools.chain.from_iterable(
+                added for added, _ in calls))
+            for calls in searched)
+        assert result.num_evaluated == sum(
+            len(added) for calls in searched for added, _ in calls)
+
+    def test_winner_is_the_first_lowest_scoring_allocation(
+            self, monkeypatch, tiny_scenario, het_mcm, budget):
+        result, searched = self._run(monkeypatch, tiny_scenario, het_mcm,
+                                     budget)
+        for window, calls in zip(result.schedule.windows, searched):
+            scores = [candidate.score for _, candidate in calls]
+            assert window == calls[scores.index(min(scores))][1].window
+
+    def test_tied_scores_keep_the_lower_allocation_index(
+            self, monkeypatch, tiny_scenario, het_mcm, budget):
+        result, searched = self._run(monkeypatch, tiny_scenario, het_mcm,
+                                     budget, score=1.0)
+        firsts = [calls[0][1].window for calls in searched]
+        # Some later allocation found a different window, so keeping
+        # the last tied one would change the schedule.
+        assert any(candidate.window != first
+                   for first, calls in zip(firsts, searched)
+                   for _, candidate in calls[1:])
+        assert result.schedule.windows == tuple(firsts)
 
 
 class TestHeterogeneityExploitation:
