@@ -1,22 +1,28 @@
-"""Bench: delta-evaluation guard rail for the unified engine layer.
+"""Bench: delta-evaluation guard rail for the evaluator's chain memo.
 
 Runs the evolutionary (GA) segmentation search -- the workload whose
-mutation moves the delta-costing fast path targets -- with the fast
-budget, once with delta evaluation on (the default everywhere) and once
-with it off, then
+mutation moves the chain memo targets -- with the fast budget, once
+memoized (the default everywhere) and once with every memo off
+(``EvalCache(enabled=False)``), then
 
 * asserts the two runs are **bit-identical** (schedule, metrics,
-  evaluation counts -- delta costing is a pure memoization),
-* asserts delta evaluation cuts the number of actually re-costed
-  segments by at least :data:`MIN_SEGMENT_REDUCTION` (the engine-layer
-  acceptance gate: a key regression that stops chains from being reused
-  fails here before it silently slows the 6x6 experiments down), and
+  evaluation counts -- the memos are pure memoization) and that the
+  unmemoized run re-costs every segment it asks for,
+* asserts the chain memo serves at least :data:`MIN_SEGMENT_REDUCTION`
+  of the memoized run's segment costings (a key regression that stops
+  chains from being reused fails here before it silently slows the 6x6
+  experiments down), and
 * records the counters into ``benchmarks/BENCH_engine.json``.
+
+The gate reads ``segment_reuse_rate`` of the memoized run: without the
+chain memo, a run re-costs exactly the segments the memoized run asks
+for, so that rate is the share of re-costings the memo saves.
 """
 
 from __future__ import annotations
 
 from repro.core import SCARScheduler, objective_by_name
+from repro.core.evalcache import EvalCache
 from repro.mcm import templates
 from repro.workloads import scenario
 
@@ -28,58 +34,56 @@ MIN_SEGMENT_REDUCTION = 0.3
 GA_SCENARIO = 4
 
 
-def _run(config, use_delta: bool):
+def _run(config, cache: EvalCache | None = None):
     sc = scenario(GA_SCENARIO)
     mcm = templates.build("het_sides_3x3", sc.use_case)
     scheduler = SCARScheduler(mcm, objective=objective_by_name("edp"),
                               nsplits=config.nsplits,
                               budget=config.budget,
-                              seg_search="evolutionary",
-                              use_delta=use_delta)
+                              seg_search="evolutionary", cache=cache)
     return scheduler.schedule(sc)
 
 
 def test_engine_delta_evaluation(benchmark, config, bench_artifact):
     results = {}
 
-    def run_delta_on():
-        results["on"] = _run(config, use_delta=True)
-        return results["on"]
+    def run_memoized():
+        results["memoized"] = _run(config)
+        return results["memoized"]
 
-    benchmark.pedantic(run_delta_on, rounds=1, iterations=1)
-    delta_on = results["on"]
-    delta_off = _run(config, use_delta=False)
+    benchmark.pedantic(run_memoized, rounds=1, iterations=1)
+    memoized = results["memoized"]
+    uncached = _run(config, cache=EvalCache(enabled=False))
 
-    # Delta costing is pure memoization: not a single result bit moves.
-    assert delta_on.metrics == delta_off.metrics
-    assert delta_on.schedule == delta_off.schedule
-    assert delta_on.num_evaluated == delta_off.num_evaluated
+    # The memos are pure memoization: not a single result bit moves.
+    assert memoized.metrics == uncached.metrics
+    assert memoized.schedule == uncached.schedule
+    assert memoized.num_evaluated == uncached.num_evaluated
 
-    # Without the fast path every segment re-costs.
-    off_perf = delta_off.perf
+    # Without the memos every segment re-costs.
+    off_perf = uncached.perf
     assert off_perf.num_segments_recosted == off_perf.num_segments > 0
 
-    on_perf = delta_on.perf
-    reduction = 1 - (on_perf.num_segments_recosted
-                     / off_perf.num_segments_recosted)
+    perf = memoized.perf
+    reduction = perf.segment_reuse_rate
     assert reduction >= MIN_SEGMENT_REDUCTION, (
         f"delta evaluation saved only {reduction:.1%} of segment "
         f"re-costings (gate: {MIN_SEGMENT_REDUCTION:.0%})")
 
-    chain = on_perf.cache_table("chain")
+    chain = perf.cache_table("chain")
     data = {
         "scenario": GA_SCENARIO,
-        "delta_on": on_perf.to_dict(),
-        "delta_off": off_perf.to_dict(),
-        "segment_reduction": reduction,
+        "memoized": perf.to_dict(),
+        "uncached": off_perf.to_dict(),
+        "segment_reuse_rate": reduction,
         "chain_hit_rate": chain.hit_rate,
         "bit_identical": True,
     }
     print(f"\nGA workload (scenario {GA_SCENARIO}): "
-          f"{on_perf.num_segments_recosted}/{off_perf.num_segments_recosted}"
-          f" segments re-costed with delta on/off "
-          f"({reduction:.1%} saved, chain hit rate {chain.hit_rate:.1%})")
-    print(on_perf.render())
+          f"{perf.num_segments_recosted}/{perf.num_segments} segments "
+          f"re-costed ({reduction:.1%} saved, chain hit rate "
+          f"{chain.hit_rate:.1%})")
+    print(perf.render())
 
     path = bench_artifact("engine", data)
     print(f"\nwrote {path}")

@@ -39,7 +39,7 @@ np = pytest.importorskip("numpy")
 from repro.core import SCARScheduler, objective_by_name
 from repro.core.evalcache import EvalCache
 from repro.core.evolutionary import GAConfig
-from repro.engine.evaluator import CandidateEvaluator
+from repro.core.metrics import ScheduleEvaluator
 from repro.engine.tensorkernel import TensorEvaluator
 from repro.mcm import templates
 from repro.workloads import scenario
@@ -109,7 +109,7 @@ def _replay(cls, sc, mcm, database, workload) -> tuple[float, list]:
     best = None
     outputs = None
     for _ in range(REPLAY_ROUNDS):
-        evaluator = cls(sc, mcm, database, cache=EvalCache(), delta=True)
+        evaluator = cls(sc, mcm, database, cache=EvalCache())
         start = time.perf_counter()
         outputs = [evaluator._chain_metrics(chain, congestion)
                    for chain, congestion in workload]
@@ -124,8 +124,7 @@ def _replay_batched(sc, mcm, database, batches) -> tuple[float, list]:
     best = None
     outputs = None
     for _ in range(REPLAY_ROUNDS):
-        evaluator = TensorEvaluator(sc, mcm, database, cache=EvalCache(),
-                                    delta=True)
+        evaluator = TensorEvaluator(sc, mcm, database, cache=EvalCache())
         start = time.perf_counter()
         outputs = [metrics for batch in batches
                    for metrics in evaluator._score_chains(batch)]
@@ -170,7 +169,7 @@ def test_kernel_vector_parity_and_throughput(benchmark, config,
     # kernels from cold caches (the shared database stays warm -- both
     # kernels read the same memoized per-layer costs).
     database = sched_vector.database
-    scalar_wall, scalar_out = _replay(CandidateEvaluator, sc, mcm,
+    scalar_wall, scalar_out = _replay(ScheduleEvaluator, sc, mcm,
                                       database, recorded)
     vector_wall, vector_out = _replay(TensorEvaluator, sc, mcm,
                                       database, recorded)

@@ -9,7 +9,7 @@ Run:  python examples/arvr_wearable.py
 """
 
 from repro import mcm, workloads
-from repro.core import QUICK_BUDGET, SCARScheduler, ScheduleEvaluator
+from repro.core import QUICK_BUDGET, SCARScheduler
 from repro.dataflow import LayerCostDatabase
 
 

@@ -727,13 +727,6 @@ class ProgramModel:
                 yield (f"{module}:{qualname}", module, cls,
                        summary.functions[qualname])
 
-    def function_facts(self, func_id: str) -> dict[str, Any] | None:
-        module, _, qualname = func_id.partition(":")
-        summary = self.summaries.get(module)
-        if summary is None:
-            return None
-        return summary.functions.get(qualname)
-
     # -- lock closure ------------------------------------------------------
 
     def lock_id(self, module: str, cls: str, attr: str) -> str:

@@ -3,7 +3,7 @@
 The vectorized cost kernel (PR 9) exists because per-candidate python
 allocations dominated scheduling time; this checker keeps them from
 creeping back.  A module opts in with a ``# scar: hot`` comment
-pragma (the three kernels: ``engine/evaluator.py``,
+pragma (the three kernels: ``core/metrics.py``,
 ``engine/tensorkernel.py``, ``core/evalcache.py``) and the checker
 then flags, **inside innermost loops only** (a loop containing no
 other loop -- the iteration hot spot):

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.metrics import ScheduleMetrics
+from repro.core.metrics import ScheduleEvaluator, ScheduleMetrics
 from repro.core.schedule import Schedule, Segment, WindowSchedule
 from repro.dataflow.database import LayerCostDatabase
-from repro.engine.evaluator import CandidateEvaluator
 from repro.errors import SchedulingError
 from repro.mcm.package import MCM
 from repro.workloads.model import Scenario
@@ -59,7 +58,7 @@ class StandaloneScheduler:
             chains.append((segment,))
         schedule = Schedule(windows=(
             WindowSchedule(index=0, chains=tuple(chains)),))
-        evaluator = CandidateEvaluator(scenario, self.mcm, self.database)
+        evaluator = ScheduleEvaluator(scenario, self.mcm, self.database)
         return BaselineResult(schedule=schedule,
                               metrics=evaluator.evaluate(schedule))
 
@@ -88,6 +87,6 @@ class NNBatonScheduler:
             windows.append(WindowSchedule(index=model,
                                           chains=((segment,),)))
         schedule = Schedule(windows=tuple(windows))
-        evaluator = CandidateEvaluator(scenario, self.mcm, self.database)
+        evaluator = ScheduleEvaluator(scenario, self.mcm, self.database)
         return BaselineResult(schedule=schedule,
                               metrics=evaluator.evaluate(schedule))

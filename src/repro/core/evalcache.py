@@ -24,23 +24,23 @@ Four memo tables live here (hit/miss counters per table, surfaced via
 ``static``    (model, start, stop, place_key) -> weight/residency terms.
 ``chain``     (chain structure, relevant congestion factors) -> one
               model's :class:`~repro.core.metrics.ModelWindowMetrics`;
-              the delta-evaluation fast path of
-              :class:`repro.engine.CandidateEvaluator` serves chains
-              whose cut boundaries did not move from here.
+              the delta evaluation of
+              :class:`~repro.core.metrics.ScheduleEvaluator` serves
+              chains whose cut boundaries did not move from here.
 ``window``    canonical window structure -> :class:`WindowMetrics`;
               serves duplicate placements and the final re-evaluation of
               the winning schedule.
 
-Every table is **LRU-bounded** (``max_entries`` per table, default
-:data:`DEFAULT_MAX_ENTRIES`); long service sessions therefore hold cache
-memory constant, and evicted entries simply recompute bit-identically on
-the next lookup.  Eviction counts ride along in the per-table
-:class:`~repro.perf.CacheStats` and surface through :meth:`snapshot`.
+Every table is **LRU-bounded** at :data:`MAX_ENTRIES` entries; long
+service sessions therefore hold cache memory constant, and evicted
+entries simply recompute bit-identically on the next lookup.  Eviction
+counts ride along in the per-table :class:`~repro.perf.CacheStats` and
+surface through :meth:`snapshot`.
 
 A cache instance is only valid for one (scenario, MCM) pair -- keys do
-not include workload or package identity.  ``EvalCache(enabled=False)``
-degrades every lookup to a recomputation (used by the property tests to
-prove cached == uncached).
+not include workload or package identity.  ``EvalCache(enabled=False)``,
+the one switch, degrades every lookup to a recomputation: the no-memo
+reference the parity tests compare cached runs against.
 
 A batch evaluator that scores many entries in one pass (the vector
 kernel's :meth:`~repro.engine.tensorkernel.TensorEvaluator.evaluate_windows`)
@@ -62,10 +62,10 @@ from repro.perf import CacheStats
 SegmentKey = tuple
 """(model, start, stop, chiplet class_key, io_hops)."""
 
-#: Default per-table LRU cap.  Generous enough that single paper-scale
-#: runs effectively never evict, small enough that a long-running job
-#: service cannot grow per-run caches without bound.
-DEFAULT_MAX_ENTRIES = 65536
+#: Per-table LRU cap.  Generous enough that single paper-scale runs
+#: effectively never evict, small enough that a long-running job service
+#: cannot grow per-run caches without bound.
+MAX_ENTRIES = 65536
 
 #: Internal sentinel distinguishing "absent" from a cached ``None``.
 _MISSING = object()
@@ -93,19 +93,13 @@ class EvalCache:
     table on first use, so auxiliary memos (e.g. the GA fitness cache)
     can report through the same stats channel via :meth:`record`.
 
-    ``max_entries`` bounds every table with least-recently-used
-    eviction; ``None`` restores the unbounded legacy behaviour.
-    Eviction never changes results -- entries are pure functions of
-    their keys -- it only trades recomputation for memory.
+    :data:`MAX_ENTRIES` bounds every table with least-recently-used
+    eviction.  Eviction never changes results -- entries are pure
+    functions of their keys -- it only trades recomputation for memory.
     """
 
-    def __init__(self, *, enabled: bool = True,
-                 max_entries: int | None = DEFAULT_MAX_ENTRIES) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(
-                f"max_entries must be None or >= 1, got {max_entries}")
+    def __init__(self, *, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.max_entries = max_entries
         self._tables: dict[str, OrderedDict[Any, Any]] = {}
         self.stats: dict[str, CacheStats] = {}
         #: ``(table, key, placeholder)`` of every stored :class:`Pending`
@@ -139,10 +133,9 @@ class EvalCache:
         store[key] = value
         if value.__class__ is Pending:
             self._pending.append((store, key, value))
-        if self.max_entries is not None:
-            while len(store) > self.max_entries:
-                store.popitem(last=False)
-                stats.evictions += 1
+        while len(store) > MAX_ENTRIES:
+            store.popitem(last=False)
+            stats.evictions += 1
         return value
 
     def settle(self) -> None:

@@ -28,14 +28,38 @@ Modeling decisions (see DESIGN.md):
 * Inter-segment activation transfers are attributed to the receiving
   segment (``ip_com``); the final segment pays the off-chip write-back
   (``op_com``).
+
+:class:`ScheduleEvaluator` is the one scalar evaluator every policy
+scores with (the vector kernel,
+:class:`~repro.engine.tensorkernel.TensorEvaluator`, subclasses it).
+Besides the segment and window memos of
+:class:`~repro.core.evalcache.EvalCache` it runs two engine-layer
+concerns:
+
+* **Delta evaluation.**  Search moves -- a GA cut mutation, the next
+  placement in an enumeration -- typically change *one* model's chain
+  and leave the sibling chains untouched.  A chain's metrics are a pure
+  function of (chain structure, the congestion factors on the chain's
+  own links), so the evaluator memoizes per-chain results in the
+  ``chain`` table and re-costs only the chains whose cut boundaries,
+  placement or relevant congestion actually moved.  Results are
+  bit-identical with the memo on or off (``EvalCache(enabled=False)``);
+  only the amount of recomputation changes.
+* **Per-evaluator statistics.**  :class:`EvaluatorStats` counts how many
+  segment costings the searches asked for versus how many were actually
+  recomputed; :class:`~repro.core.scar.SCARScheduler` copies them into
+  its :class:`repro.perf.PerfReport` (``num_segments``,
+  ``num_segments_recosted``), which is what the ``BENCH_engine.json``
+  trajectory artifact gates on.
 """
 
+# scar: hot -- allocation-linted kernel module (SCAR010)
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.core.evalcache import EvalCache, segment_place_key, window_key
 from repro.core.schedule import Schedule, Segment, WindowSchedule
@@ -170,12 +194,70 @@ class _ModelBytes(NamedTuple):
     output_ps: tuple[int, ...]
 
 
+@dataclass
+class EvaluatorStats:
+    """Segment-costing counters of one :class:`ScheduleEvaluator`.
+
+    ``num_segments`` counts every segment of every chain the evaluator
+    was asked to cost (windows served whole from the ``window`` memo are
+    not asked again); ``num_segments_recosted`` counts the subset that
+    actually ran the chain cost model.  The difference is the work the
+    ``chain`` memo avoided.
+    """
+
+    num_segments: int = 0
+    num_segments_recosted: int = 0
+
+
+def _unplaced(segment: Segment) -> SchedulingError:
+    """The error for a segment that names no chiplet."""
+    return SchedulingError(f"segment {segment} is unplaced")
+
+
+def chain_delta_key(chain: tuple[Segment, ...],
+                    congestion: dict[tuple, float],
+                    structure: tuple | None = None) -> tuple:
+    """Exact memo key of one chain's metrics inside a window.
+
+    The chain cost model reads, besides the chain itself, only the
+    congestion factors of the chain's own transfers: the off-chip input
+    of the head segment, each chiplet-to-chiplet hand-off, and the
+    off-chip write-back of the tail.  Two windows whose remaining chains
+    differ share this chain's metrics iff these factors coincide, so the
+    key is (chain structure, those factors in chain order).  Callers
+    that already hold the chain's structure tuple (the evaluator
+    memoizes it per chain) can pass it to skip rebuilding it.
+    """
+    if structure is None:
+        structure = tuple((seg.model, seg.start, seg.stop, seg.node)
+                          for seg in chain)
+    return (structure, chain_factors(chain, congestion))
+
+
+def chain_factors(chain: tuple[Segment, ...],
+                  congestion: dict[tuple, float]) -> tuple[float, ...]:
+    """The congestion factors one chain reads, in chain order.
+
+    One per segment for its incoming transfer (the head's off-chip
+    input, then each hand-off), then one for the tail's off-chip
+    write-back; an absent flow reads ``1.0``.
+    """
+    factors = [congestion.get((None, chain[0].node), 1.0)]
+    for pos in range(1, len(chain)):
+        factors.append(congestion.get(
+            (chain[pos - 1].node, chain[pos].node), 1.0))
+    factors.append(congestion.get((chain[-1].node, None), 1.0))
+    return tuple(factors)
+
+
 class ScheduleEvaluator:
     """Evaluates :class:`Schedule` instances on one (scenario, MCM) pair.
 
-    One evaluator is created per experiment and shared across the search;
-    all per-layer costs come from the memoized
-    :class:`~repro.dataflow.database.LayerCostDatabase`.
+    One evaluator is created per scheduling run and shared across the
+    run's window searches; all per-layer costs come from the memoized
+    :class:`~repro.dataflow.database.LayerCostDatabase`.  Every chain is
+    costed through the ``chain`` memo (delta evaluation, see the module
+    docstring) and counted in :attr:`stats`.
     """
 
     def __init__(self, scenario: Scenario, mcm: MCM,
@@ -199,6 +281,11 @@ class ScheduleEvaluator:
         self._bytes_memo: dict[int, _ModelBytes] = {}
         self._route_memo: dict[tuple, tuple] = {}
         self._entries_memo: dict[tuple, list] = {}
+        self.stats = EvaluatorStats()
+        # Chains (tuples of frozen segments) recur across thousands of
+        # window placements; memoize their structure tuples so the delta
+        # key build does one dict probe instead of a tuple rebuild.
+        self._chain_structures: dict[tuple, tuple] = {}
 
     # -- public API -------------------------------------------------------
 
@@ -239,21 +326,38 @@ class ScheduleEvaluator:
         congestion = self._window_congestion(window)
         per_model = []
         for chain in window.chains:
-            per_model.append(self._chain_metrics_cached(chain, congestion))
+            per_model.append(self._lookup_chain(chain, congestion,
+                                                self._chain_metrics))
         return _window_metrics(window.index, per_model)
 
-    def _chain_metrics_cached(self, chain: tuple[Segment, ...],
-                              congestion: dict[tuple, float]
-                              ) -> ModelWindowMetrics:
-        """Chain-costing hook: the base evaluator always recomputes.
+    def _lookup_chain(self, chain: tuple[Segment, ...],
+                      congestion: dict[tuple, float],
+                      score: Callable[[tuple[Segment, ...],
+                                       dict[tuple, float]], Any]) -> Any:
+        """One chain's metrics through the ``chain`` memo.
 
-        :class:`repro.engine.CandidateEvaluator` overrides this with the
-        delta-evaluation fast path (memoize by chain structure + the
-        congestion factors the chain actually reads), which is
-        bit-identical because :meth:`_chain_metrics` is a pure function
-        of exactly those inputs.
+        Counts the chain's segments; on a ``chain`` table miss (on every
+        call with the cache disabled) counts them as recosted too and
+        returns ``score(chain, congestion)``.  The sequential path
+        scores with :meth:`_chain_metrics`, a pure function of exactly
+        the key's inputs, so a hit is bit-identical to a recost; the
+        vector kernel's batch passes a scorer that defers the recost
+        (see
+        :meth:`~repro.engine.tensorkernel.TensorEvaluator.evaluate_windows`).
         """
-        return self._chain_metrics(chain, congestion)
+        self.stats.num_segments += len(chain)
+
+        def recost():
+            self.stats.num_segments_recosted += len(chain)
+            return score(chain, congestion)
+
+        structure = self._chain_structures.get(chain)
+        if structure is None:
+            structure = tuple((seg.model, seg.start, seg.stop, seg.node)
+                              for seg in chain)
+            self._chain_structures[chain] = structure
+        return self.cache.lookup(
+            "chain", chain_delta_key(chain, congestion, structure), recost)
 
     # -- layers and costs ---------------------------------------------------
 
@@ -265,7 +369,7 @@ class ScheduleEvaluator:
 
     def _chiplet_of(self, segment: Segment):
         if segment.node is None:
-            raise SchedulingError(f"segment {segment} is unplaced")
+            raise _unplaced(segment)
         return self.mcm.chiplet(segment.node)
 
     def _segment_compute(self, segment: Segment,
@@ -356,7 +460,7 @@ class ScheduleEvaluator:
         for pos, segment in enumerate(chain):
             node = segment.node
             if node is None:
-                raise SchedulingError(f"segment {segment} is unplaced")
+                raise _unplaced(segment)
             fetch = ((None, node), self._route_for(None, node), True)
             if prefix[segment.stop] - prefix[segment.start]:
                 entries.append(fetch)

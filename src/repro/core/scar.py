@@ -11,7 +11,7 @@
    the optional Heuristic-2 node-allocation constraint.
 4. **SCHED** -- scheduling-tree placement search with full cost-model
    evaluation (or the evolutionary variant for large MCMs): one
-   :class:`~repro.engine.CandidateEvaluator` (delta costing + stats)
+   :class:`~repro.core.metrics.ScheduleEvaluator` (chain memo + stats)
    scores the candidates of
    :func:`~repro.core.sched_engine.search_window` (``beam=None`` = the
    paper's exhaustive search).
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from repro.core.budget import SearchBudget
 from repro.core.evalcache import EvalCache
 from repro.core.evolutionary import EvolutionarySegSearch, GAConfig
-from repro.core.metrics import ScheduleMetrics
+from repro.core.metrics import ScheduleEvaluator, ScheduleMetrics
 from repro.core.packing import (
     PACKING_MODES,
     PackingPlan,
@@ -44,7 +44,6 @@ from repro.core.sched_engine import WindowCandidate, search_window
 from repro.core.segmentation import RankedSegmentation, rank_segmentations
 from repro.dataflow.database import LayerCostDatabase
 from repro.engine.candidates import assemble_candidate_points
-from repro.engine.evaluator import CandidateEvaluator
 from repro.engine.provisioning import (
     PROVISIONING_MODES,
     window_allocations,
@@ -104,15 +103,13 @@ class SCARScheduler:
     ``provisioning``         ``"uniform"`` (Eq. 2) or ``"exhaustive"``.
     ``prov_limit``           most allocations ``"exhaustive"`` searches
                              per window (``>= 1``).
-    ``max_nodes_per_model``  Heuristic-2 node-allocation constraint.
+    ``max_nodes_per_model``  Heuristic-2 node-allocation constraint
+                             (``>= 1``; ``None`` = no cap).
     ``seg_search``           ``"enumerative"`` or ``"evolutionary"``.
     ``beam``                 window-search beam width (see
                              :func:`~repro.core.sched_engine.search_window`);
                              ``None`` (default, used by every paper
                              figure) = exhaustive search.
-    ``use_delta``            enable the chain-level delta-evaluation fast
-                             path (bit-identical on or off; off is only
-                             useful for measuring what it saves).
     ``eval_mode``            candidate-costing kernel: ``"scalar"`` (the
                              pure-Python Sec. III-E reference, default)
                              or ``"vector"`` (the numpy tensor kernel of
@@ -143,7 +140,7 @@ class SCARScheduler:
                  seg_search: str = "enumerative",
                  ga_config: GAConfig | None = None,
                  prov_limit: int = 64,
-                 beam: int | None = None, use_delta: bool = True,
+                 beam: int | None = None,
                  cache: EvalCache | None = None,
                  eval_mode: str = "scalar") -> None:
         if packing not in PACKING_MODES:
@@ -154,6 +151,9 @@ class SCARScheduler:
             raise SearchError(f"unknown seg_search mode {seg_search!r}")
         if prov_limit < 1:  # a window must have an allocation to search
             raise SearchError(f"prov_limit must be >= 1, got {prov_limit}")
+        if max_nodes_per_model is not None and max_nodes_per_model < 1:
+            raise SearchError("max_nodes_per_model must be >= 1 or None, "
+                              f"got {max_nodes_per_model}")
         self.eval_mode = check_eval_mode(eval_mode)
         self.mcm = mcm
         self.objective = objective or edp_objective()
@@ -168,24 +168,21 @@ class SCARScheduler:
         self.ga_config = ga_config
         self.prov_limit = prov_limit
         self.beam = beam
-        self.use_delta = use_delta
         self.cache = cache
 
     # -- public API ------------------------------------------------------------
 
     def make_evaluator(self, scenario: Scenario,
-                       cache: EvalCache | None = None) -> CandidateEvaluator:
+                       cache: EvalCache | None = None) -> ScheduleEvaluator:
         """Build the candidate evaluator this scheduler is configured for.
 
         Chooses the scalar reference kernel or the numpy tensor kernel
-        per ``eval_mode``; both honour ``use_delta`` and share the same
-        cache/stat channels.
+        per ``eval_mode``; both share the same cache/stat channels.
         """
         cls = TensorEvaluator if self.eval_mode == "vector" \
-            else CandidateEvaluator
+            else ScheduleEvaluator
         return cls(scenario, self.mcm, self.database,
-                   cache=cache if cache is not None else EvalCache(),
-                   delta=self.use_delta)
+                   cache=cache if cache is not None else EvalCache())
 
     def schedule(self, scenario: Scenario) -> SCARResult:
         """Run the full SCAR search on ``scenario``.
@@ -269,7 +266,7 @@ class SCARScheduler:
     def _search_one_alloc(self, scenario: Scenario,
                           window: WindowAssignment, alloc: dict[int, int],
                           expected_lat: list[list[float]],
-                          evaluator: CandidateEvaluator,
+                          evaluator: ScheduleEvaluator,
                           collected: list[WindowCandidate]
                           ) -> WindowCandidate:
         """SEG + SCHED search of one window under one node allocation."""

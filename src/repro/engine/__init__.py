@@ -1,12 +1,12 @@
-"""The unified search-engine layer: one evaluation kernel for every policy.
+"""The search-engine layer: what every scheduler shares around the evaluator.
 
-This package is the single place scheduling candidates are *costed*:
+Every policy costs its candidates with the one scalar evaluator,
+:class:`~repro.core.metrics.ScheduleEvaluator` (segment -> chain ->
+window -> schedule, with the ``chain`` memo that re-costs only chains
+whose cut boundaries or congestion moved, and per-evaluator statistics
+feeding :mod:`repro.perf`).  This package holds the machinery around
+it that the schedulers share:
 
-* :class:`CandidateEvaluator` -- the costing kernel every policy routes
-  through (segment -> chain -> window -> schedule), with a
-  delta-evaluation fast path that re-costs only chains whose cut
-  boundaries or congestion moved, and per-evaluator statistics feeding
-  :mod:`repro.perf`.
 * :mod:`~repro.engine.provisioning` -- the PROV step as engine plumbing
   (expected shares + allocation enumeration) shared by every scheduler.
 * :mod:`~repro.engine.candidates` -- the one candidate-point assembly
@@ -21,11 +21,6 @@ evaluated.
 """
 
 from repro.engine.candidates import assemble_candidate_points
-from repro.engine.evaluator import (
-    CandidateEvaluator,
-    EvaluatorStats,
-    chain_delta_key,
-)
 from repro.engine.provisioning import window_allocations, window_shares
 from repro.engine.tensorkernel import (
     EVAL_MODES,
@@ -35,12 +30,9 @@ from repro.engine.tensorkernel import (
 )
 
 __all__ = [
-    "CandidateEvaluator",
     "EVAL_MODES",
-    "EvaluatorStats",
     "TensorEvaluator",
     "assemble_candidate_points",
-    "chain_delta_key",
     "have_numpy",
     "require_numpy",
     "window_allocations",

@@ -1,7 +1,7 @@
 """Vectorized cost kernel: numpy tensor scoring of the Sec. III-E model.
 
 :class:`TensorEvaluator` is a drop-in
-:class:`~repro.engine.evaluator.CandidateEvaluator` whose chain costing
+:class:`~repro.core.metrics.ScheduleEvaluator` whose chain costing
 (:meth:`~repro.core.metrics.ScheduleEvaluator._chain_metrics`, the ~90%
 hot path of every search) scores every chain of a batch at every
 mini-batch divisor x tile factor in one fixed sequence of numpy passes
@@ -9,10 +9,9 @@ instead of the scalar evaluator's nested Python loops.  A window
 search hands its whole candidate list to :meth:`evaluate_windows`,
 which walks the windows through the same window and chain memos as the
 sequential path and scores the chains that missed them together.
-Delta costing, statistics, the memos and the search strategies behave
-exactly as in the scalar kernel, so ``num_evaluated`` /
-``num_segments`` / ``num_segments_recosted`` report identically in
-either mode.
+The memos, statistics and the search strategies behave exactly as in
+the scalar kernel, so ``num_evaluated`` / ``num_segments`` /
+``num_segments_recosted`` report identically in either mode.
 
 Tensor layout
 -------------
@@ -97,14 +96,15 @@ from repro.core.evalcache import EvalCache, Pending, window_key
 from repro.core.metrics import (
     _TILE_FACTORS,
     ModelWindowMetrics,
+    ScheduleEvaluator,
     WindowMetrics,
     _divisors,
     _ModelBytes,
     _window_metrics,
+    chain_factors,
 )
 from repro.core.schedule import Segment, WindowSchedule
 from repro.dataflow.database import LayerCostDatabase
-from repro.engine.evaluator import CandidateEvaluator, chain_factors
 from repro.errors import ConfigError
 from repro.mcm.package import MCM
 from repro.workloads.layer import Layer
@@ -269,12 +269,12 @@ class _ChainGroup:
         self.values = array("d")
 
 
-class TensorEvaluator(CandidateEvaluator):
-    """Delta-costing evaluator with the vectorized chain cost kernel.
+class TensorEvaluator(ScheduleEvaluator):
+    """The schedule evaluator with the vectorized chain cost kernel.
 
     Construction requires numpy (:func:`require_numpy`); everything else
-    -- caches, stats, the ``delta`` knob -- behaves exactly like the
-    scalar :class:`~repro.engine.evaluator.CandidateEvaluator`.  The
+    -- caches, the chain memo, stats -- behaves exactly like the scalar
+    :class:`~repro.core.metrics.ScheduleEvaluator`.  The
     row stores are memoized per evaluator instance (pure functions of
     their block keys), as are the segment statics the kernel reads on
     every recost; the congestion pass and its memos are the base
@@ -286,10 +286,9 @@ class TensorEvaluator(CandidateEvaluator):
 
     def __init__(self, scenario: Scenario, mcm: MCM,
                  database: LayerCostDatabase | None = None,
-                 cache: EvalCache | None = None, *,
-                 delta: bool = True) -> None:
+                 cache: EvalCache | None = None) -> None:
         require_numpy()
-        super().__init__(scenario, mcm, database, cache=cache, delta=delta)
+        super().__init__(scenario, mcm, database, cache=cache)
         self._model_tables: dict[int, _ModelTables] = {}
         self._place_tables: dict[tuple, int] = {}
         self._place_by_node: dict[tuple[int, int], int] = {}
@@ -318,7 +317,7 @@ class TensorEvaluator(CandidateEvaluator):
 
         Walks the windows exactly like repeated :meth:`evaluate_window`
         calls -- the same ``window`` and ``chain`` lookups in the same
-        order, the same :class:`~repro.engine.evaluator.EvaluatorStats`
+        order, the same :class:`~repro.core.metrics.EvaluatorStats`
         counts -- but each miss stores a
         :class:`~repro.core.evalcache.Pending` placeholder instead of
         computing.  A later duplicate in the batch hits the placeholder

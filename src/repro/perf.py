@@ -94,9 +94,9 @@ class PerfReport:
                                for (chain segments of every window that
                                missed the window memo).
     ``num_segments_recosted``  segment costings actually recomputed; the
-                               difference is what the engine's
-                               delta-evaluation fast path saved (see
-                               :class:`repro.engine.CandidateEvaluator`).
+                               difference is what the evaluator's
+                               ``chain`` memo saved (see
+                               :class:`repro.core.metrics.ScheduleEvaluator`).
     """
 
     wall_s: float = 0.0

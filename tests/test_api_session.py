@@ -26,10 +26,11 @@ from repro.api.policies import scar_policy
 from repro.core.baselines import NNBatonScheduler, StandaloneScheduler
 from repro.core.budget import QUICK_BUDGET
 from repro.core.evalcache import EvalCache
+from repro.core.metrics import ScheduleEvaluator
 from repro.core.scar import SCARScheduler
 from repro.core.scoring import objective_by_name
 from repro.dataflow.database import LayerCostDatabase
-from repro.engine import CandidateEvaluator, TensorEvaluator, have_numpy
+from repro.engine import TensorEvaluator, have_numpy
 from repro.errors import ConfigError
 from repro.experiments.runner import (
     CORE_STRATEGIES,
@@ -231,7 +232,7 @@ class TestSharedDatabase:
         database = LayerCostDatabase(clock_hz=mcm.clock_hz)
         assert len(database) == 0  # empty, and so falsy
         holders = [SCARScheduler(mcm, database=database),
-                   CandidateEvaluator(tiny_scenario, mcm, database),
+                   ScheduleEvaluator(tiny_scenario, mcm, database),
                    StandaloneScheduler(mcm, database),
                    NNBatonScheduler(mcm, database=database)]
         if have_numpy():

@@ -1,7 +1,7 @@
 """Unit tests for the unified search-engine layer (:mod:`repro.engine`).
 
-Covers the engine pieces the schedulers share: the delta-costing
-:class:`CandidateEvaluator`, the window search's beam knob and the
+Covers the engine pieces the schedulers share: the evaluator's chain
+memo (delta evaluation), the window search's beam knob and the
 provisioning/candidate plumbing -- plus the LRU bound on
 :class:`EvalCache` and the request/session threading of the knobs.
 """
@@ -11,8 +11,9 @@ from __future__ import annotations
 import pytest
 
 from repro.api import ScheduleRequest, Session
+from repro.core import QUICK_BUDGET, SCARScheduler, evalcache
 from repro.core.evalcache import EvalCache
-from repro.core.metrics import ScheduleEvaluator
+from repro.core.metrics import ScheduleEvaluator, chain_delta_key
 from repro.core.packing import WindowAssignment
 from repro.core.provisioner import uniform_allocation
 from repro.core.schedule import Segment, WindowSchedule
@@ -20,13 +21,13 @@ from repro.core.scoring import edp_objective
 from repro.core.sched_engine import search_window
 from repro.core.segmentation import RankedSegmentation
 from repro.engine import (
-    CandidateEvaluator,
     assemble_candidate_points,
-    chain_delta_key,
     window_allocations,
     window_shares,
 )
 from repro.errors import ConfigError, SearchError
+from repro.mcm import templates
+from repro.workloads import scenario
 
 
 @pytest.fixture
@@ -51,26 +52,25 @@ def _window_schedule(cuts0, nodes0, node1):
         chain0, (Segment(model=1, start=0, stop=3, node=node1),)))
 
 
-class TestCandidateEvaluator:
-    def test_is_a_schedule_evaluator(self, tiny_scenario, het_mcm,
-                                     database):
-        evaluator = CandidateEvaluator(tiny_scenario, het_mcm, database)
-        assert isinstance(evaluator, ScheduleEvaluator)
-
-    def test_matches_plain_evaluator_bit_for_bit(self, tiny_scenario,
-                                                 het_mcm, database):
-        plain = ScheduleEvaluator(tiny_scenario, het_mcm, database)
-        delta = CandidateEvaluator(tiny_scenario, het_mcm, database)
+class TestChainMemo:
+    def test_matches_uncached_evaluator_bit_for_bit(self, tiny_scenario,
+                                                    het_mcm, database):
+        uncached = ScheduleEvaluator(tiny_scenario, het_mcm, database,
+                                     cache=EvalCache(enabled=False))
+        memoized = ScheduleEvaluator(tiny_scenario, het_mcm, database)
         for cuts, nodes in (((), (0,)),
                             ((2,), (0, 3)), ((1,), (3, 6)),
                             ((1, 2), (0, 3, 6))):
             ws = _window_schedule(cuts, nodes, 2)
-            assert delta.evaluate_window(ws) == plain.evaluate_window(ws)
+            assert memoized.evaluate_window(ws) \
+                == uncached.evaluate_window(ws)
+        # Model 1's chain never moved: the memo served it.
+        assert memoized.cache.stats["chain"].hits > 0
 
     def test_unchanged_chain_is_not_recosted(self, tiny_scenario,
                                              het_mcm, database):
         """Moving model 0's cut must not re-cost model 1's chain."""
-        evaluator = CandidateEvaluator(tiny_scenario, het_mcm, database)
+        evaluator = ScheduleEvaluator(tiny_scenario, het_mcm, database)
         evaluator.evaluate_window(_window_schedule((2,), (0, 3), 2))
         first = evaluator.stats.num_segments_recosted
         assert first == evaluator.stats.num_segments == 3
@@ -84,30 +84,22 @@ class TestCandidateEvaluator:
 
     def test_window_memo_hits_do_not_count_segments(self, tiny_scenario,
                                                     het_mcm, database):
-        evaluator = CandidateEvaluator(tiny_scenario, het_mcm, database)
+        evaluator = ScheduleEvaluator(tiny_scenario, het_mcm, database)
         ws = _window_schedule((2,), (0, 3), 2)
         evaluator.evaluate_window(ws)
         seen = evaluator.stats.num_segments
         evaluator.evaluate_window(ws)  # whole-window memo hit
         assert evaluator.stats.num_segments == seen
 
-    def test_delta_off_recosts_everything(self, tiny_scenario, het_mcm,
-                                          database):
-        evaluator = CandidateEvaluator(tiny_scenario, het_mcm, database,
-                                       delta=False)
+    def test_disabled_cache_recosts_everything(self, tiny_scenario,
+                                               het_mcm, database):
+        evaluator = ScheduleEvaluator(tiny_scenario, het_mcm, database,
+                                      cache=EvalCache(enabled=False))
         evaluator.evaluate_window(_window_schedule((2,), (0, 3), 2))
         evaluator.evaluate_window(_window_schedule((1,), (0, 3), 2))
         assert evaluator.stats.num_segments_recosted \
             == evaluator.stats.num_segments == 6
-        assert "chain" not in evaluator.cache.stats
-
-    def test_disabled_cache_still_bit_identical(self, tiny_scenario,
-                                                het_mcm, database):
-        cached = CandidateEvaluator(tiny_scenario, het_mcm, database)
-        uncached = CandidateEvaluator(tiny_scenario, het_mcm, database,
-                                      cache=EvalCache(enabled=False))
-        ws = _window_schedule((1, 2), (0, 3, 6), 2)
-        assert cached.evaluate_window(ws) == uncached.evaluate_window(ws)
+        assert evaluator.cache.stats["chain"].hits == 0
 
 
 class TestChainDeltaKey:
@@ -135,7 +127,7 @@ class TestWindowSearch:
             self, window, tiny_scenario, het_mcm, database, small_budget):
         """A beam as wide as the 4 segmentation combos prunes nothing:
         bit-identical to the default exhaustive search."""
-        evaluator = CandidateEvaluator(tiny_scenario, het_mcm, database)
+        evaluator = ScheduleEvaluator(tiny_scenario, het_mcm, database)
         ranked = _ranked({0: [(), (2,)], 1: [(), (1,)]})
         collected_a: list = []
         collected_b: list = []
@@ -148,7 +140,7 @@ class TestWindowSearch:
 
     def test_beam_prunes_segmentation_combos(
             self, window, tiny_scenario, het_mcm, database, small_budget):
-        evaluator = CandidateEvaluator(tiny_scenario, het_mcm, database)
+        evaluator = ScheduleEvaluator(tiny_scenario, het_mcm, database)
         ranked = _ranked({0: [(), (2,)], 1: [(), (1,)]})
         collected: list = []
         best = search_window(window, ranked, evaluator, edp_objective(),
@@ -218,9 +210,59 @@ class TestCandidatePoints:
             == [(2.0, 3.0), (4.0, 5.0)]
 
 
+#: What the memos serve on one quick run: ``SCARScheduler(nsplits=2,
+#: budget=QUICK_BUDGET)`` on scenario 4 and ``het_sides_3x3``.  Per
+#: ``seg_search`` mode: (num_evaluated, num_segments,
+#: num_segments_recosted), the (hits, misses) of the tables both kernels
+#: share, then the tables only one kernel reads.  The vector kernel
+#: scores compute rows from its own tables, so it has no ``compute``
+#: table.  A change that moves any of them changes what the search
+#: asks for or what a memo serves, and has to update them on purpose.
+_PINNED_COUNTS = {
+    "enumerative": {
+        "counts": (270, 2286, 1088),
+        "both": {"chain": (431, 223), "window": (3, 270),
+                 "affinity": (0, 3)},
+        "scalar": {"compute": (39882, 578), "static": (1006, 82)},
+        "vector": {"static": (169, 82)},
+    },
+    "evolutionary": {
+        "counts": (284, 2000, 1198),
+        "both": {"chain": (341, 271), "window": (3, 284),
+                 "affinity": (68, 3), "fitness": (79, 71)},
+        "scalar": {"compute": (42214, 1866), "static": (927, 271)},
+        "vector": {"static": (168, 271)},
+    },
+}
+
+
+class TestMemoCounts:
+    @pytest.mark.parametrize("kernel", ["scalar", "vector"])
+    @pytest.mark.parametrize("seg_search", sorted(_PINNED_COUNTS))
+    def test_counters_are_pinned(self, seg_search, kernel):
+        if kernel == "vector":
+            pytest.importorskip("numpy")
+        sc = scenario(4)
+        mcm = templates.build("het_sides_3x3", sc.use_case)
+        perf = SCARScheduler(mcm, nsplits=2, budget=QUICK_BUDGET,
+                             seg_search=seg_search,
+                             eval_mode=kernel).schedule(sc).perf
+        pinned = _PINNED_COUNTS[seg_search]
+        assert (perf.num_evaluated, perf.num_segments,
+                perf.num_segments_recosted) == pinned["counts"]
+        assert {table: (stats.hits, stats.misses)
+                for table, stats in perf.cache.items()} \
+            == {**pinned["both"], **pinned[kernel]}
+        assert not any(stats.evictions for stats in perf.cache.values())
+
+
 class TestEvalCacheLRU:
-    def test_eviction_at_cap(self):
-        cache = EvalCache(max_entries=2)
+    """The per-table cap, shrunk for the test (``MAX_ENTRIES`` is a
+    module constant)."""
+
+    def test_eviction_at_cap(self, monkeypatch):
+        monkeypatch.setattr(evalcache, "MAX_ENTRIES", 2)
+        cache = EvalCache()
         for key in ("a", "b", "c"):
             cache.lookup("t", key, lambda: key)
         assert cache.size("t") == 2
@@ -233,8 +275,9 @@ class TestEvalCacheLRU:
         assert cache.stats["t"].evictions == 2
         cache.lookup("t", "c", lambda: pytest.fail("c was evicted"))
 
-    def test_lru_touch_on_hit(self):
-        cache = EvalCache(max_entries=2)
+    def test_lru_touch_on_hit(self, monkeypatch):
+        monkeypatch.setattr(evalcache, "MAX_ENTRIES", 2)
+        cache = EvalCache()
         cache.lookup("t", "a", lambda: 1)
         cache.lookup("t", "b", lambda: 2)
         cache.lookup("t", "a", lambda: 1)  # touch: "b" is now oldest
@@ -242,25 +285,15 @@ class TestEvalCacheLRU:
         cache.lookup("t", "a", lambda: pytest.fail("a was evicted"))
         assert cache.stats["t"].evictions == 1
 
-    def test_snapshot_carries_evictions(self):
-        cache = EvalCache(max_entries=1)
+    def test_snapshot_carries_evictions(self, monkeypatch):
+        monkeypatch.setattr(evalcache, "MAX_ENTRIES", 1)
+        cache = EvalCache()
         cache.lookup("t", "a", lambda: 1)
         cache.lookup("t", "b", lambda: 2)
         snap = cache.snapshot()
         assert snap["t"].evictions == 1
         snap["t"].evictions = 99
         assert cache.stats["t"].evictions == 1  # it is a copy
-
-    def test_invalid_cap_rejected(self):
-        with pytest.raises(ValueError):
-            EvalCache(max_entries=0)
-
-    def test_unbounded_mode(self):
-        cache = EvalCache(max_entries=None)
-        for i in range(100):
-            cache.lookup("t", i, lambda: i)
-        assert cache.size("t") == 100
-        assert cache.stats["t"].evictions == 0
 
 
 class TestRequestThreading:

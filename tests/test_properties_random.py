@@ -9,9 +9,9 @@ deterministic under the fixed seeds):
 * ``segments_from_cuts`` partitions ``[start, stop)`` exactly;
 * a cached and an uncached evaluator agree bit-for-bit on hundreds of
   randomized window schedules (the evalcache correctness property);
-* the delta-costing :class:`repro.engine.CandidateEvaluator` agrees
-  bit-for-bit with full re-evaluation over long randomized cut-mutation
-  walks (the delta-evaluation correctness property).
+* the evaluator's chain memo (delta evaluation) agrees bit-for-bit
+  with full re-evaluation over long randomized cut-mutation walks (the
+  delta-evaluation correctness property).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.core.metrics import ScheduleEvaluator
 from repro.core.packing import greedy_pack, uniform_pack
 from repro.core.schedule import Segment, WindowSchedule
 from repro.core.segmentation import segments_from_cuts
-from repro.engine import CandidateEvaluator
 from repro.workloads.layer import conv
 from repro.workloads.model import Model, ModelInstance, Scenario
 
@@ -171,10 +170,9 @@ class TestDeltaEvaluationParity:
 
     def test_mutation_walk_agrees_bit_for_bit(self, tiny_scenario,
                                               het_mcm, database):
-        delta = CandidateEvaluator(tiny_scenario, het_mcm, database)
-        full = CandidateEvaluator(tiny_scenario, het_mcm, database,
-                                  cache=EvalCache(enabled=False),
-                                  delta=False)
+        delta = ScheduleEvaluator(tiny_scenario, het_mcm, database)
+        full = ScheduleEvaluator(tiny_scenario, het_mcm, database,
+                                 cache=EvalCache(enabled=False))
         rng = random.Random(31337)
         window = TestCachedVsUncached()._random_window(
             rng, tiny_scenario, het_mcm.num_chiplets)

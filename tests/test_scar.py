@@ -44,6 +44,14 @@ class TestSchedulerBasics:
             SCARScheduler(het_mcm, nsplits=1, provisioning="exhaustive",
                           prov_limit=prov_limit).schedule(tiny_scenario)
 
+    @pytest.mark.parametrize("max_nodes", [0, -2])
+    def test_max_nodes_per_model_below_one_rejected(self, het_mcm,
+                                                    max_nodes):
+        """A cap below one node fails at construction instead of being
+        read as a cap of one."""
+        with pytest.raises(SearchError, match="max_nodes_per_model"):
+            SCARScheduler(het_mcm, max_nodes_per_model=max_nodes)
+
     def test_deterministic(self, tiny_scenario, het_mcm, budget):
         a = SCARScheduler(het_mcm, nsplits=1,
                           budget=budget).schedule(tiny_scenario)

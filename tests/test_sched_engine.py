@@ -154,13 +154,12 @@ class TestShortPathMidSearch:
             self, kind, window, tiny_scenario, het_mcm, database,
             small_budget, monkeypatch):
         from repro.core.evalcache import EvalCache
-        from repro.engine import CandidateEvaluator
 
         if kind == "vector":
             pytest.importorskip("numpy")
             from repro.engine import TensorEvaluator as evaluator_class
         else:
-            evaluator_class = CandidateEvaluator
+            evaluator_class = ScheduleEvaluator
         good = [{0: (0, 3), 1: (2,)}, {0: (1, 4), 1: (6,)},
                 {0: (0, 3), 1: (2,)}, {0: (3, 6), 1: (0,)}]
         short = {0: (5,), 1: (8,)}  # model 0 has 2 segments
@@ -180,8 +179,8 @@ class TestShortPathMidSearch:
         windows = [build_window_schedule(window, {0: (2,), 1: ()}, p)
                    for p in good]
         assert [c.window for c in collected] == windows
-        reference = CandidateEvaluator(tiny_scenario, het_mcm, database,
-                                       cache=EvalCache())
+        reference = ScheduleEvaluator(tiny_scenario, het_mcm, database,
+                                      cache=EvalCache())
         assert [c.metrics for c in collected] \
             == [reference.evaluate_window(w) for w in windows]
         # The third candidate repeats the first: a window memo hit.

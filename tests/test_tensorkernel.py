@@ -18,13 +18,10 @@ np = pytest.importorskip("numpy")
 
 from repro.api import ScheduleRequest, ScheduleResult, Session
 from repro.core import QUICK_BUDGET, SCARScheduler, objective_by_name
+from repro.core import evalcache
 from repro.core.evalcache import EvalCache, Pending
-from repro.engine import (
-    EVAL_MODES,
-    CandidateEvaluator,
-    TensorEvaluator,
-    have_numpy,
-)
+from repro.core.metrics import ScheduleEvaluator
+from repro.engine import EVAL_MODES, TensorEvaluator, have_numpy
 from repro.engine.tensorkernel import require_numpy
 from repro.errors import ConfigError
 from repro.mcm import templates
@@ -78,7 +75,7 @@ class TestBitIdentity:
         assert vector.same_payload(scalar)
 
     def test_perf_accounting_parity(self):
-        """The delta-evaluation counters ride through PerfReport
+        """The chain memo's segment counters ride through PerfReport
         unchanged: the tensor kernel plugs in below the accounting."""
         scalar, vector = _results(_quick_request(1))
         assert vector.perf.num_evaluated == scalar.perf.num_evaluated
@@ -87,32 +84,34 @@ class TestBitIdentity:
                 == scalar.perf.num_segments_recosted)
         assert vector.perf.num_segments_recosted > 0
 
-    def test_delta_off_parity(self):
-        """use_delta=False recomputes every chain through the tensor
-        kernel; results still match the scalar reference."""
+    def test_cache_off_parity(self):
+        """With every memo off, each chain recomputes through the
+        tensor kernel; results still match the scalar reference."""
         sc = scenario(1)
         mcm = templates.build("het_sides_3x3", sc.use_case)
 
         def run(eval_mode):
             return SCARScheduler(
                 mcm, objective=objective_by_name("edp"), nsplits=2,
-                budget=QUICK_BUDGET, use_delta=False,
+                budget=QUICK_BUDGET, cache=EvalCache(enabled=False),
                 eval_mode=eval_mode).schedule(sc)
 
         scalar, vector = run("scalar"), run("vector")
         assert vector.metrics == scalar.metrics
         assert vector.schedule == scalar.schedule
         assert vector.num_evaluated == scalar.num_evaluated
+        assert (vector.perf.num_segments_recosted
+                == vector.perf.num_segments > 0)
 
 
 class TestEvaluatorUnit:
-    """TensorEvaluator as a drop-in CandidateEvaluator."""
+    """TensorEvaluator as a drop-in ScheduleEvaluator."""
 
-    def test_is_candidate_evaluator(self):
+    def test_is_schedule_evaluator(self):
         sc = scenario(1)
         mcm = templates.build("het_sides_3x3", sc.use_case)
         evaluator = TensorEvaluator(sc, mcm, cache=EvalCache())
-        assert isinstance(evaluator, CandidateEvaluator)
+        assert isinstance(evaluator, ScheduleEvaluator)
 
     def test_schedule_evaluate_matches_scalar(self):
         sc = scenario(1)
@@ -120,7 +119,7 @@ class TestEvaluatorUnit:
         result = SCARScheduler(mcm, nsplits=2, budget=QUICK_BUDGET,
                                eval_mode="scalar").schedule(sc)
         vector = TensorEvaluator(sc, mcm, cache=EvalCache())
-        scalar = CandidateEvaluator(sc, mcm, cache=EvalCache())
+        scalar = ScheduleEvaluator(sc, mcm, cache=EvalCache())
         assert (vector.evaluate(result.schedule)
                 == scalar.evaluate(result.schedule))
 
@@ -153,17 +152,20 @@ class TestEvaluateWindowsBatch:
     each window in turn -- values, cache counters, LRU order and
     segment statistics -- and leaves no unfinished entry behind."""
 
-    @pytest.mark.parametrize("delta, cache", [
-        (True, lambda: EvalCache()),
-        (False, lambda: EvalCache()),
-        (True, lambda: EvalCache(enabled=False)),
-        (True, lambda: EvalCache(max_entries=4)),
-    ], ids=["default", "delta-off", "cache-off", "evicting"])
-    def test_batch_equals_one_by_one(self, delta, cache, search_windows):
+    @pytest.mark.parametrize("enabled, cap", [
+        (True, None),
+        (False, None),
+        (True, 4),
+    ], ids=["default", "cache-off", "evicting"])
+    def test_batch_equals_one_by_one(self, enabled, cap, monkeypatch,
+                                     search_windows):
+        if cap is not None:
+            monkeypatch.setattr(evalcache, "MAX_ENTRIES", cap)
         sc, mcm, windows = search_windows
-        batch = TensorEvaluator(sc, mcm, cache=cache(), delta=delta)
-        single = TensorEvaluator(sc, mcm, cache=cache(), delta=delta)
-        scalar = CandidateEvaluator(sc, mcm, cache=cache(), delta=delta)
+        batch = TensorEvaluator(sc, mcm, cache=EvalCache(enabled=enabled))
+        single = TensorEvaluator(sc, mcm, cache=EvalCache(enabled=enabled))
+        scalar = ScheduleEvaluator(sc, mcm,
+                                   cache=EvalCache(enabled=enabled))
         batched = batch.evaluate_windows(windows)
         assert batched == [single.evaluate_window(w) for w in windows]
         assert batched == scalar.evaluate_windows(windows)
@@ -172,14 +174,14 @@ class TestEvaluateWindowsBatch:
         assert _tables(batch.cache) == _tables(single.cache)
         assert _unfinished(batch.cache) == []
         stats = batch.cache.snapshot()
-        if delta and batch.cache.enabled:
+        if enabled:
             # Chains recur across one search's candidates with equal
             # delta keys: later ones hit an entry the batch deferred.
             assert stats["chain"].hits > 0
-        if batch.cache.max_entries == 4:
+        if cap is not None:
             assert stats["window"].evictions > 0
             assert stats["chain"].evictions > 0
-        if delta and batch.cache.enabled and batch.cache.max_entries > 4:
+        elif enabled:
             assert stats["window"].hits == 3  # the three duplicates
             for first, again in ((0, -3), (5, -2), (-4, -1)):
                 assert batched[again] is batched[first]
@@ -190,7 +192,7 @@ class TestEvaluateWindowsBatch:
         first = evaluator.evaluate_windows(windows[:20])
         again = evaluator.evaluate_windows(windows[10:30])
         assert again[:10] == first[10:]
-        assert again == CandidateEvaluator(
+        assert again == ScheduleEvaluator(
             sc, mcm, cache=EvalCache()).evaluate_windows(windows[10:30])
 
     def test_empty_batch(self, search_windows):
@@ -221,7 +223,7 @@ class TestEvaluateWindowsBatch:
             evaluator.evaluate_windows(windows[5:40])
         assert _unfinished(evaluator.cache) == []
         monkeypatch.undo()
-        assert evaluator.evaluate_windows(windows) == CandidateEvaluator(
+        assert evaluator.evaluate_windows(windows) == ScheduleEvaluator(
             sc, mcm, cache=EvalCache()).evaluate_windows(windows)
 
 
@@ -248,9 +250,8 @@ class TestValidationAndPlumbing:
         scalar = SCARScheduler(mcm).make_evaluator(sc)
         vector = SCARScheduler(mcm,
                                eval_mode="vector").make_evaluator(sc)
-        assert type(scalar) is CandidateEvaluator
+        assert type(scalar) is ScheduleEvaluator
         assert type(vector) is TensorEvaluator
-        assert scalar.delta and vector.delta
 
     def test_wire_round_trip(self):
         """A vector-kernel result round-trips; its echoed request
