@@ -20,10 +20,10 @@ __version__ = "1.0.0"
 from repro import api, core, dataflow, engine, mcm, perf, workloads
 from repro.errors import ReproError
 
-# repro.sweep is importable as a submodule (`from repro.sweep import
-# run_sweep`) but deliberately NOT imported eagerly here: it pulls in
-# the service worker-pool machinery, which the root import keeps out of
-# plain `import repro` just as the CLI lazy-imports the service layer.
+# repro.sweep and repro.service are importable as submodules (`from
+# repro.sweep import run_sweep`) but not imported here: plain `import
+# repro` needs neither, just as the CLI imports them only in the
+# commands that use them.
 
 __all__ = ["ReproError", "api", "core", "dataflow", "engine", "mcm",
            "perf", "workloads", "__version__"]

@@ -9,7 +9,7 @@ Regenerates any paper table/figure from the terminal::
     scar schedule --scenario-file mix.json --fast     # generated workload
     scar generate --kind random-mix --seed 7 --count 4 --output-dir work/
     scar sweep --scenarios 1,2 --policies scar,standalone \
-        --store campaign.jsonl --workers 4 --fast     # resumable campaign
+        --store campaign.jsonl --fast                 # resumable campaign
     scar sweep --scenarios 1,2 --store campaign.jsonl --status
     scar simulate --family uunifast --seed 7 --fast   # dynamic tenants
     scar serve --port 8787 --workers 2                # HTTP job service
@@ -25,9 +25,10 @@ written by ``scar generate``) as an inline-spec request.  Failures on
 the JSON path print a structured error document (``kind: "error"``)
 instead of a traceback.  The ``generate`` and ``sweep`` commands drive
 :mod:`repro.workloads.generator` and :mod:`repro.sweep` (seeded
-scenario families; resumable grid campaigns -- see DESIGN.md "Scenario
-generation and sweeps"); ``sweep --status`` reports a campaign's
-finished/pending cells against its store without running anything.
+scenario families; resumable grid campaigns, run one cell at a time
+in this process -- see DESIGN.md "Scenario generation and sweeps");
+``sweep --status`` reports a campaign's finished/pending cells against
+its store without running anything.
 The ``simulate`` command replays a dynamic tenant arrival/departure
 trace through :mod:`repro.sim` -- re-scheduling the active tenant set
 at every event and reporting deadline misses, SLA slack and schedule
@@ -266,7 +267,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             else:
                 print(status.render())
             return 0
-        outcome = run_sweep(spec, store=store, workers=args.workers,
+        outcome = run_sweep(spec, store=store,
                             session=Session(eval_mode=args.eval_mode))
     except ReproError as exc:
         return _report_error(exc, args.format)
@@ -553,10 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--status", action="store_true",
                        help="report campaign progress (finished/pending "
                        "cells against --store) without running anything")
-    sweep.add_argument("--workers", type=_positive_int, default=1,
-                       metavar="N",
-                       help="service worker threads (default: 1; results "
-                       "are bit-identical across worker counts)")
     sweep.add_argument("--format", default="text",
                        choices=("text", "json"),
                        help="report format (json: the sweep_report "

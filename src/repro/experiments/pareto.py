@@ -5,12 +5,6 @@ Every SCAR run carries its evaluated candidate population
 baselines contribute single points.  The experiment reports the
 (latency, energy) scatter and the non-dominated front per strategy,
 normalized to the standalone NVDLA point as in the paper's figures.
-
-Execution goes through the sweep layer
-(:func:`repro.sweep.run_requests`): the (scenario, strategy, search)
-grid is expanded to requests up front, optionally fanned over service
-workers and resumable from a JSONL result store -- the figures are
-just campaigns with a fixed grid.
 """
 
 from __future__ import annotations
@@ -29,7 +23,6 @@ from repro.experiments.runner import (
     ExperimentConfig,
     strategy_request,
 )
-from repro.sweep import ResultStore, run_requests
 
 #: Scenario sets used by the two Pareto figures.
 FIG8_SCENARIOS: tuple[int, ...] = (3, 4)
@@ -80,45 +73,29 @@ class ParetoResult:
 def run_pareto(scenario_ids: tuple[int, ...],
                config: ExperimentConfig | None = None,
                strategies: tuple[str, ...] = CORE_STRATEGIES,
-               searches: tuple[str, ...] = ("latency", "energy", "edp"),
-               *, store: ResultStore | None = None,
-               workers: int = 1) -> ParetoResult:
-    """Collect candidate populations across search targets (Fig. 8 / 11).
-
-    ``workers`` fans the grid over service worker threads (results are
-    bit-identical to serial); ``store`` makes the campaign resumable --
-    rerunning with the same store skips every finished cell.
-    """
-    cells = [(scenario_id, strategy, search)
-             for scenario_id in scenario_ids
-             for strategy in strategies
-             for search in searches]
+               searches: tuple[str, ...] = ("latency", "energy", "edp")
+               ) -> ParetoResult:
+    """Collect candidate populations across search targets (Fig. 8 / 11)."""
     config = config or ExperimentConfig()
-    requests = [strategy_request(scenario_id, strategy, search, config)
-                for scenario_id, strategy, search in cells]
-    outcome = run_requests(requests, store=store, workers=workers,
-                           session=Session())
-    points: dict[tuple[int, str], tuple[Point, ...]] = {
-        (scenario_id, strategy): ()
-        for scenario_id in scenario_ids for strategy in strategies}
-    for i, (scenario_id, strategy, _) in enumerate(cells):
-        run = outcome.result_at(i)  # failed cells raise their error
-        points[(scenario_id, strategy)] += tuple(run.candidate_points())
+    session = Session()
+    points: dict[tuple[int, str], tuple[Point, ...]] = {}
+    for scenario_id in scenario_ids:
+        for strategy in strategies:
+            cell_points: list[Point] = []
+            for search in searches:
+                run = session.submit(strategy_request(
+                    scenario_id, strategy, search, config))
+                cell_points.extend(run.candidate_points())
+            points[(scenario_id, strategy)] = tuple(cell_points)
     return ParetoResult(points=points, scenario_ids=scenario_ids,
                         strategies=strategies, searches=searches)
 
 
-def run_fig8(config: ExperimentConfig | None = None, *,
-             store: ResultStore | None = None,
-             workers: int = 1) -> ParetoResult:
+def run_fig8(config: ExperimentConfig | None = None) -> ParetoResult:
     """Fig. 8: datacenter scenarios 3 and 4 across all search targets."""
-    return run_pareto(FIG8_SCENARIOS, config, store=store,
-                      workers=workers)
+    return run_pareto(FIG8_SCENARIOS, config)
 
 
-def run_fig11(config: ExperimentConfig | None = None, *,
-              store: ResultStore | None = None,
-              workers: int = 1) -> ParetoResult:
+def run_fig11(config: ExperimentConfig | None = None) -> ParetoResult:
     """Fig. 11: AR/VR scenarios 6, 7, 8 and 10 under the EDP search."""
-    return run_pareto(FIG11_SCENARIOS, config, searches=("edp",),
-                      store=store, workers=workers)
+    return run_pareto(FIG11_SCENARIOS, config, searches=("edp",))

@@ -4,10 +4,6 @@ SCAR generalizes to non-mesh NoPs because it only relies on adjacency;
 this experiment repeats the EDP search for scenarios 3 and 4 on the
 triangular 3x3 templates (Simba-T Shi / Simba-T NVD / Het-T), normalized
 by the standalone NVDLA baseline, as in Fig. 12.
-
-Like the Pareto figures, execution goes through the sweep layer
-(:func:`repro.sweep.run_requests`), so the grid can fan over service
-workers and resume from a JSONL result store.
 """
 
 from __future__ import annotations
@@ -17,7 +13,6 @@ from dataclasses import dataclass
 from repro.api import ScheduleResult, Session
 from repro.experiments.reporting import format_table, normalize
 from repro.experiments.runner import ExperimentConfig, strategy_request
-from repro.sweep import ResultStore, run_requests
 
 TRIANGULAR_STRATEGIES: tuple[str, ...] = ("simba_t_shi", "simba_t_nvd",
                                           "het_t")
@@ -51,19 +46,15 @@ class TopologyResult:
 
 
 def run_fig12(config: ExperimentConfig | None = None,
-              scenario_ids: tuple[int, ...] = FIG12_SCENARIOS,
-              *, store: ResultStore | None = None,
-              workers: int = 1) -> TopologyResult:
+              scenario_ids: tuple[int, ...] = FIG12_SCENARIOS
+              ) -> TopologyResult:
     """Run the triangular-NoP EDP search (Fig. 12)."""
-    cells = [(strategy, scenario_id)
-             for scenario_id in scenario_ids
-             for strategy in (*TRIANGULAR_STRATEGIES, "stand_nvd")]
     config = config or ExperimentConfig()
-    requests = [strategy_request(scenario_id, strategy, "edp", config)
-                for strategy, scenario_id in cells]
-    outcome = run_requests(requests, store=store, workers=workers,
-                           session=Session())
-    runs = {cell: outcome.result_at(i)  # failed cells raise their error
-            for i, cell in enumerate(cells)}
+    session = Session()
+    runs: dict[tuple[str, int], ScheduleResult] = {}
+    for scenario_id in scenario_ids:
+        for strategy in (*TRIANGULAR_STRATEGIES, "stand_nvd"):
+            runs[(strategy, scenario_id)] = session.submit(
+                strategy_request(scenario_id, strategy, "edp", config))
     return TopologyResult(runs=runs, scenario_ids=scenario_ids,
                           strategies=TRIANGULAR_STRATEGIES)

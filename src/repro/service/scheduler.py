@@ -47,7 +47,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures.process import BrokenProcessPool
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from repro.api.request import ScheduleRequest, ScheduleResult
 from repro.api.session import Session, run_pooled_request
@@ -61,9 +61,7 @@ from repro.errors import (
 from repro.perf import CacheStats, TimingSummary
 from repro.service import jobs as jobstate
 from repro.service.jobs import JobRecord
-
-if TYPE_CHECKING:  # import cycle: sweep.runner drives this service
-    from repro.sweep.store import ResultStore
+from repro.sweep.store import ResultStore
 
 #: Job execution backends: in the worker thread, or fanned out to a
 #: process pool built by :meth:`Session.process_pool`.
@@ -196,7 +194,7 @@ class SchedulerService:
                  workers: int = 1, retain: int | None = None,
                  job_backend: str = "thread",
                  max_pending: int | None = None,
-                 store: "ResultStore | None" = None) -> None:
+                 store: ResultStore | None = None) -> None:
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
         if retain is not None and retain < 1:

@@ -1,22 +1,21 @@
-"""Sweep orchestration: declarative scheduling campaigns at scale.
+"""Sweep orchestration: declarative, resumable scheduling campaigns.
 
-The layer between workloads and the service: a declarative
-:class:`SweepSpec` grid (scenarios x templates x policies x engine
-knobs) expands into :class:`~repro.api.request.ScheduleRequest` cells,
-runs through the :class:`~repro.service.SchedulerService` worker pool,
-and lands in a resumable JSONL :class:`ResultStore` keyed by each
-cell's ``cache_key``::
+A declarative :class:`SweepSpec` grid (scenarios x templates x
+policies x objectives x ``nsplits`` x ``beam``) expands into
+:class:`~repro.api.request.ScheduleRequest` cells, runs them one after
+another on one :class:`~repro.api.Session`, and records each in a
+resumable JSONL :class:`ResultStore` keyed by the cell's
+``cache_key``::
 
     from repro.sweep import ResultStore, SweepSpec, run_sweep, sweep_report
 
     spec = SweepSpec(scenarios=(1, 2), policies=("scar", "standalone"))
     store = ResultStore("campaign.jsonl")
-    outcome = run_sweep(spec, store=store, workers=4)
+    outcome = run_sweep(spec, store=store)
     print(sweep_report(outcome).render())   # rerun: all cells skipped
 
-Experiment drivers reuse the same execution layer through
-:func:`run_requests` with explicit request lists.  See DESIGN.md
-("Scenario generation and sweeps").
+:func:`run_requests` runs an explicit request list the same way.  See
+DESIGN.md ("Scenario generation and sweeps").
 """
 
 from repro.sweep.report import SweepReport, sweep_report

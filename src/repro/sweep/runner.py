@@ -1,15 +1,14 @@
-"""Sweep execution: the grid, through the service worker pool.
+"""Sweep execution: the grid, one cell at a time.
 
-:func:`run_requests` is the execution layer every campaign shares --
-the experiment drivers (Figs. 8/11/12) hand it explicit request lists,
+:func:`run_requests` is the execution layer of every campaign;
 ``scar sweep`` hands it a :class:`~repro.sweep.spec.SweepSpec` via
 :func:`run_sweep`.  Cells already present in the
 :class:`~repro.sweep.store.ResultStore` are *skipped* (their stored
-results are returned bit-identically); the rest run as jobs on a
-:class:`~repro.service.SchedulerService` worker pool over one
-:class:`~repro.api.Session`, so a sweep's per-cell results are
-bit-identical to serial ``Session.submit`` calls -- the service
-determinism contract.
+results are returned bit-identically); the rest run in grid order
+through ``Session.submit`` in the caller's thread, and each is recorded
+to the store as soon as it finishes.  So an interrupted campaign
+(Ctrl-C, SIGTERM) stops at once and loses only the cell it was
+running, and a rerun resumes from the store.
 
 A failing cell does not abort the campaign: its error document is
 collected in :attr:`SweepOutcome.failures` and *nothing* is stored, so
@@ -28,9 +27,7 @@ from typing import Iterable
 from repro.api.request import ScheduleRequest, ScheduleResult
 from repro.api.session import Session
 from repro.api.wire import ErrorDocument
-from repro.errors import ReproError
 from repro.perf import PerfReport, diff_reports
-from repro.service.scheduler import SchedulerService
 from repro.sweep.spec import SweepSpec
 from repro.sweep.store import ResultStore
 
@@ -68,18 +65,6 @@ class SweepOutcome:
         """The cell's result, or ``None`` if it failed this run."""
         return self.results.get(request.cache_key())
 
-    def result_at(self, index: int) -> ScheduleResult:
-        """Cell ``index``'s result; a failed cell re-raises its typed
-        error -- the strict accessor the experiment drivers use."""
-        key = self.keys[index]
-        result = self.results.get(key)
-        if result is not None:
-            return result
-        error = self.failures.get(key)
-        if error is not None:
-            raise error.exception()
-        raise ReproError(f"sweep cell {index} has no result")
-
     def ordered_results(self) -> list[ScheduleResult | None]:
         """Results in request order (``None`` for failed cells)."""
         return [self.results.get(key) for key in self.keys]
@@ -87,16 +72,15 @@ class SweepOutcome:
 
 def run_requests(requests: Iterable[ScheduleRequest], *,
                  store: ResultStore | None = None,
-                 workers: int = 1,
                  session: Session | None = None) -> SweepOutcome:
-    """Run a list of cells, skipping any already in ``store``.
+    """Run a list of cells in order, skipping any already in ``store``.
 
-    ``workers`` sizes the service worker pool (results are
-    bit-identical to ``workers=1``); ``session`` lets callers share a
-    memo across campaigns.  Returns a :class:`SweepOutcome`; failed
-    cells are collected, not raised.  A cell naming a policy the
-    session's registry lacks raises :class:`~repro.errors.ConfigError`
-    before any cell is queued.
+    ``session`` lets callers share a memo across campaigns.  Returns a
+    :class:`SweepOutcome`; a cell that raises is collected as its error
+    document, not raised.  A cell naming a policy the session's
+    registry lacks raises :class:`~repro.errors.ConfigError` before any
+    cell runs.  ``KeyboardInterrupt`` propagates at once; every cell
+    finished before it is already in ``store``.
     """
     requests = tuple(requests)
     session = session if session is not None else Session()
@@ -120,20 +104,17 @@ def run_requests(requests: Iterable[ScheduleRequest], *,
             pending_keys.add(key)
             pending.append((key, request))
 
-    if pending:
-        with SchedulerService(session, workers=workers) as service:
-            handles = service.submit_many(
-                [request for _, request in pending])
-            for (key, request), handle in zip(pending, handles):
-                try:
-                    result = handle.result()
-                except ReproError as exc:
-                    outcome.failures[key] = \
-                        ErrorDocument.from_exception(exc)
-                    continue
-                outcome.results[key] = result
-                if store is not None:
-                    store.record(result, key=key)
+    for _, request in pending:
+        session.registry.get(request.policy)  # unknown: ConfigError
+    for key, request in pending:
+        try:
+            result = session.submit(request)
+        except Exception as exc:  # one bad cell never aborts a campaign
+            outcome.failures[key] = ErrorDocument.from_exception(exc)
+            continue
+        outcome.results[key] = result
+        if store is not None:
+            store.record(result, key=key)
     # Cells whose key was computed (not failed) this run, in grid terms:
     outcome.computed = sum(
         1 for key in outcome.keys
@@ -144,9 +125,7 @@ def run_requests(requests: Iterable[ScheduleRequest], *,
 
 def run_sweep(spec: SweepSpec, *,
               store: ResultStore | None = None,
-              workers: int = 1,
               session: Session | None = None) -> SweepOutcome:
     """Expand a :class:`SweepSpec` grid and run it (see
     :func:`run_requests`)."""
-    return run_requests(spec.requests(), store=store, workers=workers,
-                        session=session)
+    return run_requests(spec.requests(), store=store, session=session)

@@ -22,7 +22,8 @@ pending and re-examined on the next refresh instead of being consumed.
 Complete lines that do not parse are counted in
 :attr:`ResultStore.corrupt_lines` rather than aborting the campaign.
 Appends flush per line, so at most the line being written when a
-process died is lost.
+process died is lost: the next append starts on a fresh line, and the
+torn bytes end as one corrupt line.
 """
 
 from __future__ import annotations
@@ -55,6 +56,9 @@ class ResultStore:
         self._lock = threading.RLock()
         self._documents: dict[str, dict[str, Any]] = {}
         self._offset = 0
+        #: bytes after the last newline at the last refresh: a torn
+        #: line, or another replica's append still in flight.
+        self._tail_pending = False
         self.corrupt_lines = 0
         self.refresh()
 
@@ -74,8 +78,10 @@ class ResultStore:
                     handle.seek(self._offset)
                     data = handle.read()
             except FileNotFoundError:
+                self._tail_pending = False
                 return 0
             end = data.rfind(b"\n")
+            self._tail_pending = end + 1 < len(data)
             if end < 0:
                 return 0
             loaded = 0
@@ -154,6 +160,14 @@ class ResultStore:
             line = json.dumps({"kind": CELL_KIND, "version": WIRE_VERSION,
                                "key": key, "result": document},
                               sort_keys=True, separators=(",", ":"))
+            if self._tail_pending:
+                # Start on a fresh line, so torn bytes from a run killed
+                # mid-append end as one corrupt line instead of
+                # swallowing this one.  If the tail is instead another
+                # replica's append still in flight, that append lands
+                # whole before ours, and the extra newline only leaves
+                # a blank line, which refresh() skips.
+                line = "\n" + line
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("a", encoding="utf-8") as handle:
                 handle.write(line + "\n")

@@ -180,8 +180,9 @@ class TestCLI:
 
     def test_serve_scaling_flags(self):
         args = build_parser().parse_args(
-            ["serve", "--job-backend", "thread", "--max-pending", "64",
-             "--store", "cache.jsonl"])
+            ["serve", "--workers", "3", "--job-backend", "thread",
+             "--max-pending", "64", "--store", "cache.jsonl"])
+        assert args.workers == 3
         assert args.job_backend == "thread"
         assert args.max_pending == 64
         assert args.store == "cache.jsonl"
@@ -190,6 +191,13 @@ class TestCLI:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--workers", "0"])
         assert "positive integer" in capsys.readouterr().err
+
+    def test_removed_sweep_workers_flag_is_a_usage_error(self, capsys):
+        """A sweep runs its cells one at a time in this process."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--scenarios", "1", "--fast", "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_serve_rejects_bad_max_pending(self, capsys):
         with pytest.raises(SystemExit):
@@ -268,6 +276,25 @@ class TestMinimalInstall:
             "assert main(['schedule', '--scenario', '4', '--template',"
             " 'het_t', '--fast']) == 0\n"
             "assert main(['lint', 'src/repro/perf.py']) == 0\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH")
+            else "")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=300,
+                              env=env, cwd=REPO_ROOT)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_cli_import_leaves_sweep_and_service_unloaded(self):
+        """Only the commands that use them import the sweep and the
+        service layers (and, through the service, ``http.server``)."""
+        script = (
+            "import sys\n"
+            "import repro.cli\n"
+            "loaded = sorted(name for name in sys.modules\n"
+            "                if name.startswith(('repro.sweep',"
+            " 'repro.service')))\n"
+            "assert not loaded, loaded\n")
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH")
@@ -393,7 +420,7 @@ class TestSweepCLI:
         store = tmp_path / "campaign.jsonl"
         argv = ["sweep", "--scenario-file", str(scenario), "--policies",
                 "scar,standalone", "--nsplits", "1", "--fast", "--store",
-                str(store), "--workers", "2", "--format", "json"]
+                str(store), "--format", "json"]
         capsys.readouterr()  # drop the generate output
         assert main(argv) == 0
         first = json.loads(capsys.readouterr().out)

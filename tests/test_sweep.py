@@ -4,9 +4,17 @@ import json
 
 import pytest
 
-from repro.api import ScheduleRequest, Session, scenario_spec
+from repro.api import (
+    DEFAULT_REGISTRY,
+    PolicyOutcome,
+    ScheduleRequest,
+    SchedulerRegistry,
+    Session,
+    scenario_spec,
+)
+from repro.core.baselines import StandaloneScheduler
 from repro.core.budget import SearchBudget
-from repro.errors import ConfigError, SearchError
+from repro.errors import ConfigError
 from repro.sweep import (
     ResultStore,
     SweepSpec,
@@ -16,6 +24,48 @@ from repro.sweep import (
     sweep_status,
 )
 from service_helpers import failing_registry
+
+
+def counting_registry():
+    """Every built-in policy plus 'counting', 'crashing' and
+    'interrupting'.
+
+    Returns ``(registry, runs)``: 'counting' appends each request it
+    runs to ``runs`` and returns the standalone baseline's schedule;
+    'crashing' raises a ``TypeError``, as a bug deep in a policy
+    would; 'interrupting' raises ``KeyboardInterrupt``, as Ctrl-C
+    during a search would.
+    """
+    runs: list[ScheduleRequest] = []
+    registry = SchedulerRegistry()
+    for name in DEFAULT_REGISTRY.names():
+        registry.register(name, DEFAULT_REGISTRY.get(name))
+
+    @registry.register("counting")
+    def _counting(ctx):
+        runs.append(ctx.request)
+        outcome = StandaloneScheduler(ctx.mcm, ctx.database) \
+            .schedule(ctx.scenario)
+        return PolicyOutcome(schedule=outcome.schedule,
+                             metrics=outcome.metrics)
+
+    @registry.register("crashing")
+    def _crashing(ctx):
+        raise TypeError("unsupported operand")
+
+    @registry.register("interrupting")
+    def _interrupting(ctx):
+        raise KeyboardInterrupt
+
+    return registry, runs
+
+
+class InterruptingStore(ResultStore):
+    """A store that is interrupted (Ctrl-C) just after each append."""
+
+    def record(self, result, *, key=None):
+        super().record(result, key=key)
+        raise KeyboardInterrupt
 
 
 @pytest.fixture
@@ -117,6 +167,23 @@ class TestResultStore:
         assert reloaded.refresh() == 0
         assert len(reloaded) == 4
         assert reloaded.corrupt_lines == 1
+
+    def test_append_after_a_torn_line_stays_whole(self, tmp_path,
+                                                  tiny_spec):
+        """A run killed mid-append leaves half a line; the resumed run
+        recomputes that cell, and its append starts on a fresh line
+        instead of continuing the torn one."""
+        path = tmp_path / "s.jsonl"
+        run_sweep(tiny_spec, store=ResultStore(path))
+        data = path.read_bytes()
+        last = data.rindex(b"\n", 0, len(data) - 1) + 1
+        path.write_bytes(data[:(last + len(data)) // 2])
+        resumed = run_sweep(tiny_spec, store=ResultStore(path))
+        assert resumed.computed == 1 and resumed.skipped == 3
+        store = ResultStore(path)
+        again = run_sweep(tiny_spec, store=store)
+        assert again.computed == 0 and again.skipped == 4
+        assert store.corrupt_lines == 1  # the torn half, now terminated
 
     def test_refresh_sees_other_replicas_appends(self, tmp_path,
                                                  tiny_spec):
@@ -226,13 +293,6 @@ class TestRunSweep:
         outcome = run_sweep(tiny_spec, store=ResultStore(path))
         assert outcome.skipped == 2 and outcome.computed == 2
 
-    def test_workers_are_bit_identical_to_serial(self, tiny_spec):
-        serial = run_sweep(tiny_spec)
-        pooled = run_sweep(tiny_spec, workers=3)
-        for a, b in zip(serial.ordered_results(),
-                        pooled.ordered_results()):
-            assert a.same_payload(b)
-
     def test_no_store_recomputes(self, tiny_spec):
         outcome = run_sweep(tiny_spec)
         assert outcome.computed == 4 and outcome.skipped == 0
@@ -296,17 +356,56 @@ class TestRunSweep:
         assert session.perf_summary().num_segments \
             == first.perf.num_segments
 
-    def test_result_at_raises_the_cell_error(self, tiny_scenario,
-                                             small_budget):
+    def test_crashing_cell_is_an_internal_error(self, tiny_scenario,
+                                                small_budget):
+        """A policy bug is collected with the code the CLI and the HTTP
+        service report for the same crash, and the campaign goes on."""
+        registry, _ = counting_registry()
         good = ScheduleRequest(scenario_spec=scenario_spec(tiny_scenario),
                                nsplits=1, budget=small_budget)
-        bad = good.replace(policy="failing")
-        outcome = run_requests([good, bad],
-                               session=Session(failing_registry()))
-        assert outcome.result_at(0).same_payload(
-            outcome.ordered_results()[0])
-        with pytest.raises(SearchError, match="failing test policy"):
-            outcome.result_at(1)
+        bad = good.replace(policy="crashing")
+        outcome = run_requests([bad, good], session=Session(registry))
+        assert outcome.failed == 1 and outcome.computed == 1
+        error = outcome.failures[bad.cache_key()]
+        assert error.code == "internal_error"
+        assert error.message == "TypeError: unsupported operand"
+
+    def test_cells_run_in_grid_order(self, tiny_scenario, small_budget):
+        registry, runs = counting_registry()
+        base = ScheduleRequest(scenario_spec=scenario_spec(tiny_scenario),
+                               budget=small_budget, policy="counting")
+        requests = [base.replace(nsplits=n) for n in (3, 1, 2, 1)]
+        run_requests(requests, session=Session(registry))
+        assert [request.nsplits for request in runs] == [3, 1, 2]
+
+    def test_interrupt_stops_the_campaign(self, tmp_path, tiny_scenario,
+                                          small_budget):
+        """Ctrl-C after the first cell is stored runs no further cell,
+        and a rerun resumes after it."""
+        registry, runs = counting_registry()
+        base = ScheduleRequest(scenario_spec=scenario_spec(tiny_scenario),
+                               budget=small_budget, policy="counting")
+        requests = [base.replace(nsplits=n) for n in (1, 2, 3, 4)]
+        path = tmp_path / "s.jsonl"
+        with pytest.raises(KeyboardInterrupt):
+            run_requests(requests, store=InterruptingStore(path),
+                         session=Session(registry))
+        assert len(runs) == 1
+        resumed = run_requests(requests, store=ResultStore(path),
+                               session=Session(registry))
+        assert resumed.skipped == 1 and resumed.computed == 3
+        assert len(runs) == 4
+
+    def test_interrupt_inside_a_cell_is_not_a_failed_cell(
+            self, tiny_scenario, small_budget):
+        registry, runs = counting_registry()
+        good = ScheduleRequest(scenario_spec=scenario_spec(tiny_scenario),
+                               nsplits=1, budget=small_budget,
+                               policy="counting")
+        with pytest.raises(KeyboardInterrupt):
+            run_requests([good.replace(policy="interrupting"), good],
+                         session=Session(registry))
+        assert runs == []
 
 
 class TestSweepReport:
