@@ -36,9 +36,10 @@ _CLI_MODULE = "repro.cli"
 
 def _is_test_module(summary: Any) -> bool:
     parts = summary.path.replace("\\", "/").split("/")
-    return ("tests" in parts
-            or summary.module.startswith("test_")
-            or summary.module == "conftest")
+    # a path-qualified name (benchmarks.conftest) ends in the stem
+    stem = summary.module.rpartition(".")[2]
+    return "tests" in parts or stem.startswith("test_") \
+        or stem == "conftest"
 
 
 def _used_symbols(program: Any) -> set[tuple[str, str | None]]:

@@ -523,10 +523,11 @@ class ProgramModel:
     were distilled from (``sources[i]`` is the file ``summaries[i]``
     summarizes): ``program.source(module)`` is the parsed file
     (SCAR004 reads three modules' ASTs), ``program.text(module)`` its
-    raw text (registry-name greps).  When two files share a module
-    name (sibling ``conftest.py`` files), the first one keeps both its
-    summary and its source, so a module's text is always the text of
-    its summary's file.
+    raw text (registry-name greps).  A lint run gives files that
+    share a module name (sibling ``conftest.py`` files) path-qualified
+    names first; should two summaries still share one, the first keeps
+    both its summary and its source, so a module's text is always the
+    text of its summary's file.
     """
 
     def __init__(self, summaries: Sequence[FileSummary], root: Path,

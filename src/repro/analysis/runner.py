@@ -19,6 +19,7 @@
 from __future__ import annotations
 
 import time
+from collections import Counter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -77,6 +78,27 @@ def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
 # -- the engine --------------------------------------------------------------
 
 
+def _qualify_shared_modules(sources: Sequence[SourceFile],
+                            root: Path) -> None:
+    """Give files that share a module name distinct identities.
+
+    Outside a ``repro`` tree a file's module is its stem, so
+    ``tests/conftest.py`` and ``benchmarks/conftest.py`` would both be
+    ``conftest`` and the program model would see only one of them.
+    Each file whose name collides is named after its path under
+    ``root`` instead (``tests.conftest``, ``benchmarks.conftest``).
+    """
+    counts = Counter(source.module for source in sources)
+    for source in sources:
+        if counts[source.module] > 1:
+            path = Path(source.path).resolve().with_suffix("")
+            try:
+                parts = path.relative_to(root.resolve()).parts
+            except ValueError:
+                parts = path.parts[1:]
+            source.module = ".".join(parts)
+
+
 def _fold_report(sources: Sequence[SourceFile],
                  raw: list[Finding],
                  enabled: Sequence[str],
@@ -125,6 +147,7 @@ def run_checkers(sources: Sequence[SourceFile], *,
         timings[code] = timings.get(code, 0.0) \
             + (time.perf_counter() - started)
 
+    _qualify_shared_modules(sources, root_path)
     per_file = [c for c in checkers if type(c).is_per_file()]
     summaries: list[FileSummary] = []
     for source in sources:

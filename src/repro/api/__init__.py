@@ -32,6 +32,7 @@ from repro.api.request import (
 from repro.api.session import Session
 from repro.api.wire import (
     WIRE_VERSION,
+    CandidateColumns,
     CandidatePoint,
     ErrorDocument,
     is_error_document,
@@ -42,9 +43,9 @@ from repro.api.wire import (
 )
 
 __all__ = [
-    "CandidatePoint", "DEFAULT_REGISTRY", "ErrorDocument", "PolicyContext",
-    "PolicyOutcome", "ScheduleRequest", "ScheduleResult",
-    "SchedulerRegistry", "Session", "WIRE_VERSION", "is_error_document",
-    "metrics_from_dict", "metrics_to_dict", "perf_from_dict",
-    "perf_to_dict", "register_policy", "scenario_spec",
+    "CandidateColumns", "CandidatePoint", "DEFAULT_REGISTRY",
+    "ErrorDocument", "PolicyContext", "PolicyOutcome", "ScheduleRequest",
+    "ScheduleResult", "SchedulerRegistry", "Session", "WIRE_VERSION",
+    "is_error_document", "metrics_from_dict", "metrics_to_dict",
+    "perf_from_dict", "perf_to_dict", "register_policy", "scenario_spec",
 ]

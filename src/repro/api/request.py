@@ -19,14 +19,14 @@ that executes it.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from typing import Any
 
 from repro.api.wire import (
     WIRE_VERSION,
-    CandidatePoint,
+    CandidateColumns,
     check_envelope,
     loads_document,
     metrics_from_dict,
@@ -148,10 +148,11 @@ class ScheduleRequest:
                 raise ConfigError(
                     f"{name} must be {expected}, got {value!r}")
         bound = self.latency_bound_s
+        # A JSON integer can exceed every double: compare, never convert.
         if bound is not None and (
                 not isinstance(bound, (int, float))
                 or isinstance(bound, bool)
-                or not math.isfinite(bound) or bound <= 0):
+                or not 0 < bound <= sys.float_info.max):
             raise ConfigError(
                 "latency_bound_s must be None or a positive finite "
                 f"number, got {bound!r}")
@@ -290,12 +291,13 @@ class ScheduleResult:
     """Everything one :class:`ScheduleRequest` produced.
 
     ``window_candidates`` summarizes the evaluated population per time
-    window (rank 0 after sorting by score = the chosen candidate); the
-    Pareto figures consume it via :meth:`candidate_points`.  A result
-    holds only what the wire carries, so a memoized one pins no search
-    state; callers that need the full in-process population (window
-    candidates, packing plan) run
-    :class:`~repro.core.scar.SCARScheduler` themselves.
+    window, one :class:`~repro.api.wire.CandidateColumns` each (rank 0
+    after sorting by score = the chosen candidate); the Pareto figures
+    consume it via :meth:`candidate_points`.  A result holds only what
+    the wire carries, so a memoized one pins no search state; callers
+    that need the full in-process population (window candidates,
+    packing plan) run :class:`~repro.core.scar.SCARScheduler`
+    themselves.
 
     :attr:`wire_bytes` is the canonical encoding, computed on first read
     and kept on the instance (not a field), so it is not part of
@@ -306,7 +308,7 @@ class ScheduleResult:
     request: ScheduleRequest
     schedule: Schedule
     metrics: ScheduleMetrics
-    window_candidates: tuple[tuple[CandidatePoint, ...], ...] = ()
+    window_candidates: tuple[CandidateColumns, ...] = ()
     num_evaluated: int = 0
     perf: PerfReport | None = None
 
@@ -358,7 +360,7 @@ class ScheduleResult:
         population contribute their single schedule point.
         """
         return assemble_candidate_points(
-            self.window_candidates,
+            [window.columns for window in self.window_candidates],
             fallback=(self.metrics.latency_s, self.metrics.energy_j))
 
     # -- wire format -------------------------------------------------------
@@ -371,10 +373,8 @@ class ScheduleResult:
             "request": self.request.to_dict(),
             "schedule": schedule_to_dict(self.schedule),
             "metrics": metrics_to_dict(self.metrics),
-            "window_candidates": [
-                [point.to_dict() for point in window]
-                for window in self.window_candidates
-            ],
+            "window_candidates": [window.to_dicts()
+                                  for window in self.window_candidates],
             "num_evaluated": self.num_evaluated,
             "perf": None if self.perf is None else perf_to_dict(self.perf),
         }
@@ -389,12 +389,8 @@ class ScheduleResult:
                 schedule=schedule_from_dict(data["schedule"]),
                 metrics=metrics_from_dict(data["metrics"]),
                 window_candidates=tuple(
-                    tuple(CandidatePoint(score=point["score"],
-                                         latency_s=point["latency_s"],
-                                         energy_j=point["energy_j"])
-                          for point in window)
-                    for window in data["window_candidates"]
-                ),
+                    CandidateColumns.from_dicts(window)
+                    for window in data["window_candidates"]),
                 num_evaluated=data["num_evaluated"],
                 perf=None if data.get("perf") is None
                 else perf_from_dict(data["perf"]),

@@ -17,7 +17,10 @@ Results are memoized on :meth:`ScheduleRequest.cache_key`.  The request
 names the problem only; the session owns execution (``eval_mode``),
 and since results are bit-identical across kernels, one memo entry
 serves them both.  The memo holds wire-level :class:`ScheduleResult`
-values only, never a search's candidate population.  It is unbounded
+values only, never a search's candidate population: each window's
+candidate summaries are three float columns
+(:class:`~repro.api.wire.CandidateColumns`), 24 bytes per candidate
+and no garbage-collected object per candidate.  It is unbounded
 by default; long-running front-ends (the job service) pass
 ``max_memo=N`` to cap it with LRU eviction -- evicted entries simply
 recompute bit-identically on the next submit.
@@ -37,9 +40,10 @@ from repro.api.registry import (
     SchedulerRegistry,
 )
 from repro.api.request import ScheduleRequest, ScheduleResult
-from repro.api.wire import CandidatePoint
+from repro.api.wire import CandidateColumns
 from repro.core.evalcache import EvalCache
 from repro.dataflow.database import LayerCostDatabase
+from repro.engine.candidates import window_columns
 from repro.engine.tensorkernel import check_eval_mode
 from repro.errors import ConfigError
 from repro.mcm import templates
@@ -318,10 +322,7 @@ class Session:
             schedule=outcome.schedule,
             metrics=outcome.metrics,
             window_candidates=tuple(
-                tuple(CandidatePoint(score=c.score,
-                                     latency_s=c.metrics.latency_s,
-                                     energy_j=c.metrics.energy_j)
-                      for c in window)
+                CandidateColumns(*window_columns(window))
                 for window in scar_result.window_candidates),
             num_evaluated=scar_result.num_evaluated,
             perf=scar_result.perf,

@@ -14,8 +14,10 @@ so they can never drift from the primary fields.
 from __future__ import annotations
 
 import json
+import operator
+from array import array
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from repro.core.metrics import (
     ModelWindowMetrics,
@@ -77,9 +79,10 @@ class CandidatePoint:
     ``score`` is the candidate's objective score inside its window (lower
     is better); latency/energy are the window metrics the Pareto figures
     consume.  A :class:`~repro.api.ScheduleResult` keeps only these
-    summaries; full :class:`~repro.core.sched_engine.WindowCandidate`
-    objects live in the :class:`~repro.core.scar.SCARResult` of a
-    direct :class:`~repro.core.scar.SCARScheduler` run.
+    summaries, as :class:`CandidateColumns`; full
+    :class:`~repro.core.sched_engine.WindowCandidate` objects live in
+    the :class:`~repro.core.scar.SCARResult` of a direct
+    :class:`~repro.core.scar.SCARScheduler` run.
     """
 
     score: float
@@ -96,6 +99,102 @@ class CandidatePoint:
             return cls(score=data["score"], latency_s=data["latency_s"],
                        energy_j=data["energy_j"])
         except (KeyError, TypeError) as exc:
+            raise ConfigError(f"malformed candidate point: {exc}") from exc
+
+
+#: Bytes per packed double in a :class:`CandidateColumns` column.
+_DOUBLE = array("d").itemsize
+
+
+class CandidateColumns:
+    """One window's evaluated candidates as three float columns.
+
+    The ``score``, ``latency_s`` and ``energy_j`` of every candidate,
+    in collection order, each column one ``bytes`` of packed doubles:
+    8 bytes per value, immutable and not tracked by the garbage
+    collector (an ``array('d')`` is a tracked object on CPython 3.11),
+    where one frozen :class:`CandidatePoint` per candidate is a tracked
+    object of its own.  Iterating or indexing yields
+    :class:`CandidatePoint` values, and ``==``, ``hash``, ``repr`` and
+    pickling go by value, so the type reads like the tuple of points it
+    stores.  A memoized result shares its windows with every caller:
+    :attr:`columns` are read-only views.
+    """
+
+    __slots__ = ("_score", "_latency_s", "_energy_j")
+
+    def __init__(self, score: Iterable[float] = (),
+                 latency_s: Iterable[float] = (),
+                 energy_j: Iterable[float] = ()) -> None:
+        self._score = array("d", score).tobytes()
+        self._latency_s = array("d", latency_s).tobytes()
+        self._energy_j = array("d", energy_j).tobytes()
+        if not len(self._score) == len(self._latency_s) \
+                == len(self._energy_j):
+            raise ConfigError(
+                "candidate columns differ in length: "
+                f"{len(self._score) // _DOUBLE} scores, "
+                f"{len(self._latency_s) // _DOUBLE} latencies, "
+                f"{len(self._energy_j) // _DOUBLE} energies")
+
+    @property
+    def columns(self) -> tuple[memoryview, memoryview, memoryview]:
+        """Read-only ``(score, latency_s, energy_j)`` float views."""
+        return (memoryview(self._score).cast("d"),
+                memoryview(self._latency_s).cast("d"),
+                memoryview(self._energy_j).cast("d"))
+
+    def __len__(self) -> int:
+        return len(self._score) // _DOUBLE
+
+    def __iter__(self) -> Iterator[CandidatePoint]:
+        return map(CandidatePoint, *self.columns)
+
+    def __getitem__(self, index: int) -> CandidatePoint:
+        index = operator.index(index)
+        return CandidatePoint(*(column[index] for column in self.columns))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CandidateColumns):
+            return NotImplemented
+        return self.columns == other.columns
+
+    def __hash__(self) -> int:
+        return hash(tuple(tuple(column) for column in self.columns))
+
+    def __repr__(self) -> str:
+        score, latency_s, energy_j = (column.tolist()
+                                      for column in self.columns)
+        return (f"CandidateColumns(score={score!r}, "
+                f"latency_s={latency_s!r}, energy_j={energy_j!r})")
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # array('d', <bytes>) reads packed doubles (frombytes), so the
+        # columns pickle as their bytes and rebuild without a per-value
+        # step.
+        return (CandidateColumns,
+                (self._score, self._latency_s, self._energy_j))
+
+    def to_dicts(self) -> list[dict[str, float]]:
+        """The window's wire form: one :meth:`CandidatePoint.to_dict`
+        object per candidate, built without the points."""
+        return [{"score": score, "latency_s": latency_s,
+                 "energy_j": energy_j}
+                for score, latency_s, energy_j in zip(*self.columns)]
+
+    @classmethod
+    def from_dicts(cls, points: Any) -> "CandidateColumns":
+        """Rebuild a window from its wire form (:meth:`to_dicts`).
+
+        The columns take only real numbers that fit a double, so a
+        missing key, a non-object point, a non-number value or an
+        integer too large for a float is a :class:`ConfigError`.
+        """
+        try:
+            return cls([point["score"] for point in points],
+                       [point["latency_s"] for point in points],
+                       [point["energy_j"] for point in points])
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ConfigError(f"malformed candidate point: {exc}") from exc
 
 
@@ -185,7 +284,7 @@ def perf_from_dict(data: dict[str, Any]) -> PerfReport:
             num_segments=data.get("num_segments", 0),
             num_segments_recosted=data.get("num_segments_recosted", 0),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ConfigError(f"malformed perf report: {exc}") from exc
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.schedule import Schedule, Segment, WindowSchedule
-from repro.errors import ConfigError, WorkloadError
+from repro.errors import ConfigError, SchedulingError, WorkloadError
 from repro.mcm.chiplet import Chiplet
 from repro.mcm.package import MCM
 from repro.mcm.topology import Topology
@@ -164,7 +164,13 @@ def schedule_to_dict(schedule: Schedule) -> dict[str, Any]:
 
 
 def schedule_from_dict(data: dict[str, Any]) -> Schedule:
-    """Rebuild a schedule from its serialized form."""
+    """Rebuild a schedule from its serialized form.
+
+    A document that parses but names an invalid schedule (a negative
+    segment bound, a non-contiguous chain) fails the
+    :class:`Schedule` checks; that is a :class:`ConfigError` here, like
+    any other malformed document.
+    """
     try:
         windows = []
         for wdata in data["windows"]:
@@ -174,7 +180,7 @@ def schedule_from_dict(data: dict[str, Any]) -> Schedule:
             windows.append(WindowSchedule(index=wdata["index"],
                                           chains=chains))
         return Schedule(windows=tuple(windows))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, SchedulingError) as exc:
         raise ConfigError(f"malformed schedule config: {exc}") from exc
 
 

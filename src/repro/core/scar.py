@@ -43,7 +43,10 @@ from repro.core.scoring import Objective, edp_objective
 from repro.core.sched_engine import WindowCandidate, search_window
 from repro.core.segmentation import RankedSegmentation, rank_segmentations
 from repro.dataflow.database import LayerCostDatabase
-from repro.engine.candidates import assemble_candidate_points
+from repro.engine.candidates import (
+    assemble_candidate_points,
+    window_columns,
+)
 from repro.engine.provisioning import (
     PROVISIONING_MODES,
     window_allocations,
@@ -81,7 +84,7 @@ class SCARResult:
         ``ScheduleResult``).
         """
         return assemble_candidate_points(
-            self.window_candidates,
+            [window_columns(window) for window in self.window_candidates],
             fallback=(self.metrics.latency_s, self.metrics.energy_j))
 
 

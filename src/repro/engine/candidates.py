@@ -5,8 +5,8 @@ window candidates combined across windows.  Both the in-process
 :class:`~repro.core.scar.SCARResult` (full
 :class:`~repro.core.sched_engine.WindowCandidate` objects) and the
 wire-side :class:`~repro.api.request.ScheduleResult`
-(:class:`~repro.api.wire.CandidatePoint` summaries) build their Pareto
-points here, so the construction -- including the single-schedule
+(:class:`~repro.api.wire.CandidateColumns`) hand their population here
+as columns, so the construction -- including the single-schedule
 fallback for policies that collect no population -- cannot diverge
 between the two.
 """
@@ -18,41 +18,39 @@ from typing import Any, Sequence
 Point = tuple[float, float]
 """(latency_s, energy_j) of one candidate."""
 
-
-def candidate_point(candidate: Any) -> Point:
-    """(latency_s, energy_j) of one window candidate, either flavour.
-
-    Accepts full :class:`~repro.core.sched_engine.WindowCandidate`
-    objects (metrics nested under ``.metrics``) and wire-side
-    :class:`~repro.api.wire.CandidatePoint` summaries (flat fields).
-    """
-    metrics = getattr(candidate, "metrics", None)
-    if metrics is not None:
-        return (metrics.latency_s, metrics.energy_j)
-    return (candidate.latency_s, candidate.energy_j)
+Columns = tuple[Sequence[float], Sequence[float], Sequence[float]]
+"""(score, latency_s, energy_j) of one window's candidates, in
+collection order."""
 
 
-def assemble_candidate_points(
-        window_candidates: Sequence[Sequence[Any]], *,
-        fallback: Point) -> list[Point]:
+def window_columns(window: Sequence[Any]) -> Columns:
+    """Columns of one window of full
+    :class:`~repro.core.sched_engine.WindowCandidate` objects."""
+    return ([c.score for c in window],
+            [c.metrics.latency_s for c in window],
+            [c.metrics.energy_j for c in window])
+
+
+def assemble_candidate_points(windows: Sequence[Columns], *,
+                              fallback: Point) -> list[Point]:
     """(latency_s, energy_j) of assembled candidate schedules.
 
     Candidate schedules are formed by combining same-rank window
     candidates across windows after ranking each window by score (rank 0
-    = the chosen schedule).  ``fallback`` is the single schedule point
-    used when no population was collected (baseline policies, results
-    rebuilt from a wire document without candidates).
+    = the chosen schedule; the sort is stable, so tied scores keep their
+    collection order).  A rank's latency and energy are ``sum``s over
+    the windows, left to right.  ``fallback`` is the single schedule
+    point used when no population was collected (baseline policies,
+    results rebuilt from a wire document without candidates).
     """
-    if not window_candidates:
+    if not windows:
         return [fallback]
-    ranked_per_window = [sorted(cands, key=lambda c: c.score)
-                         for cands in window_candidates]
-    depth = min(len(r) for r in ranked_per_window)
-    points: list[Point] = []
-    for rank in range(depth):
-        latency = sum(candidate_point(r[rank])[0]
-                      for r in ranked_per_window)
-        energy = sum(candidate_point(r[rank])[1]
-                     for r in ranked_per_window)
-        points.append((latency, energy))
-    return points
+    ranked_latencies: list[list[float]] = []
+    ranked_energies: list[list[float]] = []
+    for scores, latencies, energies in windows:
+        order = sorted(range(len(scores)), key=scores.__getitem__)
+        ranked_latencies.append([latencies[i] for i in order])
+        ranked_energies.append([energies[i] for i in order])
+    # zip stops at the shallowest window: ranks every window reaches.
+    return [(sum(latency), sum(energy)) for latency, energy
+            in zip(zip(*ranked_latencies), zip(*ranked_energies))]

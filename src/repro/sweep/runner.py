@@ -8,7 +8,11 @@ results are returned bit-identically); the rest run in grid order
 through ``Session.submit`` in the caller's thread, and each is recorded
 to the store as soon as it finishes.  So an interrupted campaign
 (Ctrl-C, SIGTERM) stops at once and loses only the cell it was
-running, and a rerun resumes from the store.
+running, and a rerun resumes from the store.  The store is refreshed
+before each pending cell, so a cell that another process sharing the
+store finished in the meantime is skipped too, not recomputed; two
+campaigns that reach the same cell at the same moment still both
+compute it (cells are not claimed).
 
 A failing cell does not abort the campaign: its error document is
 collected in :attr:`SweepOutcome.failures` and *nothing* is stored, so
@@ -89,36 +93,43 @@ def run_requests(requests: Iterable[ScheduleRequest], *,
     perf_before = session.perf_summary()
     outcome = SweepOutcome(requests=requests)
 
-    pending: list[tuple[str, ScheduleRequest]] = []
-    pending_keys: set[str] = set()
+    pending: dict[str, ScheduleRequest] = {}
     for key, request in zip(outcome.keys, requests):
-        stored = None
-        if store is not None:
-            # get() parses the stored payload; a cell whose document no
-            # longer loads reports absent and is recomputed below.
-            stored = outcome.results.get(key) or store.get(key)
+        if key in outcome.results or key in pending:
+            continue
+        # get() parses the stored payload; a cell whose document no
+        # longer loads reports absent and is recomputed below.
+        stored = store.get(key) if store is not None else None
         if stored is not None:
             outcome.results[key] = stored
-            outcome.skipped += 1
-        elif key not in pending_keys:
-            pending_keys.add(key)
-            pending.append((key, request))
+        else:
+            pending[key] = request
 
-    for _, request in pending:
+    for request in pending.values():
         session.registry.get(request.policy)  # unknown: ConfigError
-    for key, request in pending:
+    computed: set[str] = set()
+    for key, request in pending.items():
+        if store is not None:
+            # Another process sharing the store may have finished this
+            # cell since the campaign started.
+            store.refresh()
+            stored = store.get(key)
+            if stored is not None:
+                outcome.results[key] = stored
+                continue
         try:
             result = session.submit(request)
         except Exception as exc:  # one bad cell never aborts a campaign
             outcome.failures[key] = ErrorDocument.from_exception(exc)
             continue
         outcome.results[key] = result
+        computed.add(key)
         if store is not None:
             store.record(result, key=key)
-    # Cells whose key was computed (not failed) this run, in grid terms:
-    outcome.computed = sum(
-        1 for key in outcome.keys
-        if key in pending_keys and key in outcome.results)
+    # Counted per grid occurrence: a duplicated cell counts each time.
+    outcome.computed = sum(1 for key in outcome.keys if key in computed)
+    outcome.skipped = sum(1 for key in outcome.keys
+                          if key in outcome.results and key not in computed)
     outcome.perf = diff_reports(session.perf_summary(), perf_before)
     return outcome
 

@@ -25,7 +25,7 @@ from repro.analysis import (
     run_checkers,
     strip_nonidentity,
 )
-from repro.analysis import runner
+from repro.analysis import deadsyms, runner
 from repro.analysis.runner import iter_python_files
 from repro.cli import main
 
@@ -641,9 +641,14 @@ class TestLintPathsDeterminism:
         monkeypatch.setattr(runner, "ProgramModel", Recorded)
         lint_paths([tmp_path], root=tmp_path)
         program = built[0]
-        summary = program.summaries["conftest"]
-        assert program.text("conftest") == \
-            Path(summary.path).read_text(encoding="utf-8")
+        assert "conftest" not in program.summaries
+        for sibling in ("benchmarks", "tests"):
+            module = f"{sibling}.conftest"
+            summary = program.summaries[module]
+            assert Path(summary.path).parent.name == sibling
+            assert program.text(module) == \
+                Path(summary.path).read_text(encoding="utf-8")
+            assert deadsyms._is_test_module(summary)
 
     def test_report_v2_round_trips(self, tmp_path):
         root = _write_tree(tmp_path)

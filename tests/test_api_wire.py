@@ -7,17 +7,22 @@ form), and malformed documents must fail loudly with ``ConfigError``.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import gc
 import json
 import pickle
 import random
+import sys
 
 import pytest
 
 from repro.api import (
+    CandidateColumns,
     CandidatePoint,
     ScheduleRequest,
     ScheduleResult,
+    Session,
     metrics_from_dict,
     metrics_to_dict,
     perf_from_dict,
@@ -234,16 +239,18 @@ class TestAuxRoundTrips:
             json.loads(json.dumps(metrics_to_dict(metrics)))) == metrics
 
 
+def _quick_request(tiny_scenario) -> ScheduleRequest:
+    return ScheduleRequest.for_scenario(
+        tiny_scenario, template="het_sides_3x3", policy="scar",
+        budget=QUICK_BUDGET, nsplits=1)
+
+
+@pytest.fixture
+def result(tiny_scenario):
+    return Session().submit(_quick_request(tiny_scenario))
+
+
 class TestResultRoundTrip:
-    @pytest.fixture
-    def result(self, tiny_scenario):
-        from repro.api import Session
-
-        request = ScheduleRequest.for_scenario(
-            tiny_scenario, template="het_sides_3x3", policy="scar",
-            budget=QUICK_BUDGET, nsplits=1)
-        return Session().submit(request)
-
     def test_dict_round_trip(self, result):
         clone = ScheduleResult.from_dict(result.to_dict())
         assert clone == result
@@ -287,12 +294,38 @@ class TestResultRoundTrip:
         {"score": 1.0, "latency_s": 0.01},
         [1.0, 0.01, 0.002],
         None,
-    ], ids=["missing-energy", "list", "null"])
+        {"score": "x", "latency_s": 0.01, "energy_j": 0.002},
+        {"score": 1.0, "latency_s": None, "energy_j": 0.002},
+        {"score": 1.0, "latency_s": 0.01, "energy_j": [1]},
+        {"score": 1.0, "latency_s": 0.01, "energy_j": {"j": 1}},
+        {"score": 10**400, "latency_s": 0.01, "energy_j": 0.002},
+    ], ids=["missing-energy", "list", "null", "string-score",
+            "null-latency", "list-energy", "object-energy",
+            "int-beyond-double"])
     def test_malformed_window_candidate_is_config_error(self, result,
                                                         point):
+        """Rejected while the columns fill, not later as a TypeError
+        inside candidate_points()."""
         document = result.to_dict()
         document["window_candidates"][0][0] = point
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="candidate point"):
+            ScheduleResult.from_dict(document)
+
+    @pytest.mark.parametrize("breakage", ["negative-start",
+                                          "non-contiguous-chain"])
+    def test_invalid_schedule_is_config_error(self, result, breakage):
+        """A schedule that parses but fails the Schedule checks
+        (SchedulingError, ValidationError) is a ConfigError, the one
+        error ResultStore.get drops a stored line on."""
+        document = result.to_dict()
+        chains = document["schedule"]["windows"][0]["chains"]
+        first = chains[0][0]
+        if breakage == "negative-start":
+            first["start"] = -1
+        else:
+            chains[0] = [first, {**first, "start": first["stop"] + 1,
+                                 "stop": first["stop"] + 2}]
+        with pytest.raises(ConfigError, match="malformed schedule"):
             ScheduleResult.from_dict(document)
 
     def test_wire_bytes_is_the_compact_sorted_encoding(self, result):
@@ -319,6 +352,182 @@ class TestResultRoundTrip:
         clone = pickle.loads(pickle.dumps(read))
         assert clone == unread and repr(clone) == repr(unread)
         assert clone.wire_bytes == encoded
+
+
+def _paths(document, prefix=()):
+    """Every key and list position of a wire document (the first three
+    items of each list), parents before children."""
+    items = document.items() if isinstance(document, dict) \
+        else enumerate(document[:3]) if isinstance(document, list) \
+        else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+#: Values a mutation writes in place of a field.
+_MUTANT_VALUES = (None, "x", -1, 0, 2.5, True, [], {}, [1], {"a": 1},
+                  10**400, float("nan"), float("inf"))
+
+
+class TestResultParseBoundary:
+    """Seeded mutations of a real schedule_result document: every field
+    at every depth dropped or replaced by a value of another type or
+    range.  The document either parses or is a ConfigError -- never a
+    SchedulingError, TypeError, AttributeError or OverflowError."""
+
+    @pytest.fixture(scope="class")
+    def document(self):
+        from repro.workloads import scenario
+
+        request = ScheduleRequest.for_scenario(
+            scenario(4), template="het_sides_3x3", budget=QUICK_BUDGET,
+            nsplits=1)
+        return Session().submit(request).to_dict()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_mutant_parses_or_is_a_config_error(self, document, seed):
+        rng = random.Random(seed)
+        paths = list(_paths(document))
+        for _ in range(60):
+            mutant = copy.deepcopy(document)
+            path = rng.choice(paths)
+            parent = mutant
+            for key in path[:-1]:
+                parent = parent[key]
+            if isinstance(parent, dict) and rng.random() < 0.2:
+                del parent[path[-1]]
+                change = "dropped"
+            else:
+                parent[path[-1]] = rng.choice(_MUTANT_VALUES)
+                change = f"= {parent[path[-1]]!r:.40}"
+            try:
+                ScheduleResult.from_dict(mutant)
+            except ConfigError:
+                pass
+            except Exception as exc:  # any other error fails the test
+                pytest.fail(f"{'/'.join(map(str, path))} {change}: "
+                            f"{type(exc).__name__}: {exc}")
+
+
+def _column_storage(window) -> list[bytes]:
+    """The storage a window holds, found the way the collector walks it."""
+    return [obj for obj in gc.get_referents(window)
+            if not isinstance(obj, type)]
+
+
+def _tracked_reachable(root) -> int:
+    """GC-tracked objects reachable from ``root`` (classes excluded:
+    every instance shares its own)."""
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type) \
+                or not gc.is_tracked(obj):
+            continue
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+    return len(seen)
+
+
+class TestCandidateColumns:
+    """The per-window population type behind
+    ScheduleResult.window_candidates."""
+
+    @pytest.fixture
+    def windows(self, result):
+        """A memoized result's windows and the same windows after a
+        JSON round trip (the client-side parse)."""
+        clone = ScheduleResult.from_json(result.to_json())
+        return result.window_candidates + clone.window_candidates
+
+    def test_column_storage_is_not_tracked_by_the_collector(self,
+                                                            windows):
+        assert windows
+        for window in windows:
+            storage = _column_storage(window)
+            assert len(storage) == 3
+            assert not any(gc.is_tracked(column) for column in storage)
+
+    def test_a_window_holds_at_most_32_bytes_per_point(self, windows):
+        large = CandidateColumns.from_dicts(
+            [{"score": float(i), "latency_s": 1.0, "energy_j": 2.0}
+             for i in range(1000)])
+        for window in windows + (large,):
+            held = sys.getsizeof(window) + sum(
+                sys.getsizeof(column) for column in _column_storage(window))
+            assert held <= 32 * len(window), (held, len(window))
+
+    def test_memo_tracks_objects_per_window_not_per_point(
+            self, tiny_scenario):
+        session = Session()
+        request = _quick_request(tiny_scenario)
+        session.submit(request)
+        windows = session.cached(request).window_candidates
+        points = sum(len(window) for window in windows)
+        assert points > 10 * len(windows)
+        # the tuple, and one object per window
+        assert _tracked_reachable(windows) == 1 + len(windows)
+
+    def test_reads_as_a_sequence_of_points(self):
+        window = CandidateColumns([2.0, 1.0], [0.5, 0.25], [4.0, 3.0])
+        assert len(window) == 2
+        assert list(window) == [CandidatePoint(2.0, 0.5, 4.0),
+                                CandidatePoint(1.0, 0.25, 3.0)]
+        assert window[1] == window[-1] == CandidatePoint(1.0, 0.25, 3.0)
+        with pytest.raises(IndexError):
+            window[2]
+        with pytest.raises(TypeError):
+            window[0:1]
+        assert window.to_dicts() == [point.to_dict() for point in window]
+        assert CandidateColumns.from_dicts(window.to_dicts()) == window
+
+    def test_columns_are_read_only(self, result):
+        window = result.window_candidates[0]
+        scores, latencies, energies = window.columns
+        assert list(scores) == [point.score for point in window]
+        for column in (scores, latencies, energies):
+            assert column.readonly
+            with pytest.raises(TypeError):
+                column[0] = 0.0
+        with pytest.raises(TypeError):
+            window[0] = CandidatePoint(0.0, 0.0, 0.0)
+        with pytest.raises(AttributeError):
+            window.extra = 1
+
+    def test_equal_values_compare_and_hash_equal(self):
+        columns = ([3.0, 1.0, 2.0], [0.1, 0.2, 0.3], [5.0, 6.0, 7.0])
+        a = CandidateColumns(*columns)
+        b = CandidateColumns(*(list(column) for column in columns))
+        assert a == b and hash(a) == hash(b)
+        assert CandidateColumns([0.0], [1.0], [2.0]) \
+            == CandidateColumns([-0.0], [1.0], [2.0])
+        assert hash(CandidateColumns([0.0], [1.0], [2.0])) \
+            == hash(CandidateColumns([-0.0], [1.0], [2.0]))
+        for c, column in enumerate(columns):
+            for i in range(len(column)):
+                changed = [list(col) for col in columns]
+                changed[c][i] += 1.0
+                assert CandidateColumns(*changed) != a
+        assert CandidateColumns([1.0], [2.0], [3.0]) \
+            != (CandidatePoint(1.0, 2.0, 3.0),)
+
+    def test_repr_and_pickle_round_trip_by_value(self):
+        window = CandidateColumns([1.5e-8, 2.0], [0.01, 0.02],
+                                  [0.002, 0.003])
+        assert repr(window) == ("CandidateColumns(score=[1.5e-08, 2.0], "
+                                "latency_s=[0.01, 0.02], "
+                                "energy_j=[0.002, 0.003])")
+        assert eval(repr(window),
+                    {"CandidateColumns": CandidateColumns}) == window
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(window, protocol))
+            assert clone == window and repr(clone) == repr(window)
+
+    def test_columns_of_unequal_length_are_rejected(self):
+        with pytest.raises(ConfigError, match="length"):
+            CandidateColumns([1.0, 2.0], [1.0], [1.0, 2.0])
 
 
 class TestLintReportRoundTrip:

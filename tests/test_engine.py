@@ -8,9 +8,11 @@ provisioning/candidate plumbing -- plus the LRU bound on
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.api import ScheduleRequest, Session
+from repro.api import CandidateColumns, ScheduleRequest, Session
 from repro.core import QUICK_BUDGET, SCARScheduler, evalcache
 from repro.core.evalcache import EvalCache
 from repro.core.metrics import ScheduleEvaluator, chain_delta_key
@@ -25,6 +27,7 @@ from repro.engine import (
     window_allocations,
     window_shares,
 )
+from repro.engine.candidates import window_columns
 from repro.errors import ConfigError, SearchError
 from repro.mcm import templates
 from repro.workloads import scenario
@@ -186,28 +189,60 @@ class TestProvisioningPlumbing:
         assert all(s != float("inf") for s in shares.values())
 
 
+class _Metrics:
+    def __init__(self, lat, en):
+        self.latency_s, self.energy_j = lat, en
+
+
+class _Full:
+    """Stand-in for a WindowCandidate: metrics nested under .metrics."""
+
+    def __init__(self, score, lat, en):
+        self.score, self.metrics = score, _Metrics(lat, en)
+
+
+def _per_point_reference(population):
+    """Pareto points as built per candidate object: a stable sort of
+    each window by score, then sums over windows, rank by rank."""
+    ranked = [sorted(window, key=lambda c: c.score)
+              for window in population]
+    depth = min(len(window) for window in ranked)
+    return [(sum(window[rank].metrics.latency_s for window in ranked),
+             sum(window[rank].metrics.energy_j for window in ranked))
+            for rank in range(depth)]
+
+
 class TestCandidatePoints:
     def test_fallback_when_no_population(self):
         assert assemble_candidate_points((), fallback=(1.0, 2.0)) \
             == [(1.0, 2.0)]
 
     def test_wire_and_core_flavours_agree(self):
-        from repro.api.wire import CandidatePoint
-
-        class _Metrics:
-            def __init__(self, lat, en):
-                self.latency_s, self.energy_j = lat, en
-
-        class _Full:
-            def __init__(self, score, lat, en):
-                self.score, self.metrics = score, _Metrics(lat, en)
-
+        """Full WindowCandidates (SCARResult) and wire-side columns
+        (ScheduleResult) reach the helper as the same columns."""
         full = [[_Full(2.0, 4.0, 5.0), _Full(1.0, 2.0, 3.0)]]
-        flat = [[CandidatePoint(score=2.0, latency_s=4.0, energy_j=5.0),
-                 CandidatePoint(score=1.0, latency_s=2.0, energy_j=3.0)]]
-        assert assemble_candidate_points(full, fallback=(0.0, 0.0)) \
-            == assemble_candidate_points(flat, fallback=(0.0, 0.0)) \
+        flat = [CandidateColumns([2.0, 1.0], [4.0, 2.0], [5.0, 3.0])]
+        assert assemble_candidate_points(
+            [window_columns(window) for window in full],
+            fallback=(0.0, 0.0)) \
+            == assemble_candidate_points(
+                [window.columns for window in flat], fallback=(0.0, 0.0)) \
             == [(2.0, 3.0), (4.0, 5.0)]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_columns_match_the_per_point_reference(self, seed):
+        """Seeded populations with tied scores and uneven window sizes:
+        ranking and summing on columns gives the same floats, bit for
+        bit, as sorting full candidates by score and summing per rank."""
+        rng = random.Random(seed)
+        population = [
+            [_Full(float(rng.randint(0, 3)), rng.uniform(1e-4, 1.0),
+                   rng.uniform(1e-3, 10.0))
+             for _ in range(rng.randint(1, 40))]
+            for _ in range(rng.randint(1, 6))]
+        assert assemble_candidate_points(
+            [window_columns(window) for window in population],
+            fallback=(0.0, 0.0)) == _per_point_reference(population)
 
 
 #: What the memos serve on one quick run: ``SCARScheduler(nsplits=2,

@@ -231,6 +231,9 @@ _BAD_REQUEST_VALUES = [
     ("beam", 2.5), ("beam", 0),
     ("latency_bound_s", "1"), ("latency_bound_s", 0.0),
     ("latency_bound_s", float("inf")),
+    # a JSON integer no double can hold (it used to raise OverflowError)
+    pytest.param("latency_bound_s", 10**400,
+                 id="latency_bound_s-int-beyond-double"),
     ("scenario_id", "1"), ("scenario_id", 1.0), ("scenario_id", 11),
     ("template", "nope"),
     ("prov_limit", -1), ("prov_limit", 0),

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from repro.api import ScheduleRequest, Session
+from repro.api import CandidateColumns, ScheduleRequest, Session
 from repro.errors import (
     ConfigError,
     JobNotFoundError,
@@ -483,6 +483,10 @@ class TestProcessJobBackend:
             assert service.perf_summary()["job_backend"] == "process"
         for got, want in zip(results, reference):
             assert_equivalent(got, want)
+        # The scar population crossed the process boundary as columns.
+        pooled = results[1].window_candidates
+        assert pooled and all(isinstance(window, CandidateColumns)
+                              and len(window) for window in pooled)
 
     def test_pooled_results_adopt_the_session_memo(self, tiny_scenario,
                                                    small_budget):

@@ -214,18 +214,26 @@ class TestResultStore:
         assert path.read_text() == before
         assert len(mine) == 4
 
+    @pytest.mark.parametrize("breakage", ["future-version",
+                                          "negative-segment-start"])
     def test_unparsable_stored_result_is_recomputed(self, tmp_path,
-                                                    tiny_spec):
+                                                    tiny_spec, breakage):
         """A cell whose stored payload no longer parses (wire-version
         bump, mangled mid-file) is recomputed and re-recorded, not a
-        campaign abort."""
+        campaign abort.  That includes a schedule that decodes but
+        fails the Schedule checks, which used to escape as a
+        SchedulingError and abort the sweep."""
         path = tmp_path / "s.jsonl"
         run_sweep(tiny_spec, store=ResultStore(path))
         key = tiny_spec.requests()[0].cache_key()
         lines = path.read_text().splitlines()
         doc = json.loads(lines[0])
         assert doc["key"] == key
-        doc["result"]["version"] = 999  # future wire version
+        if breakage == "future-version":
+            doc["result"]["version"] = 999
+        else:
+            windows = doc["result"]["schedule"]["windows"]
+            windows[0]["chains"][0][0]["start"] = -1
         path.write_text("\n".join([json.dumps(doc)] + lines[1:]) + "\n")
         store = ResultStore(path)
         outcome = run_sweep(tiny_spec, store=store)
@@ -369,6 +377,47 @@ class TestRunSweep:
         error = outcome.failures[bad.cache_key()]
         assert error.code == "internal_error"
         assert error.message == "TypeError: unsupported operand"
+
+    def test_cell_another_process_stored_meanwhile_is_skipped(
+            self, tmp_path, tiny_scenario, small_budget):
+        """While cell 1 runs, a second ResultStore on the same file
+        records cell 2, as a concurrent ``scar sweep`` would.  The
+        sweep re-reads its store before cell 2 and takes it from there:
+        one search, not two."""
+        registry, runs = counting_registry()
+        path = tmp_path / "s.jsonl"
+        base = ScheduleRequest(scenario_spec=scenario_spec(tiny_scenario),
+                               budget=small_budget, policy="recording")
+        first, second = base.replace(nsplits=1), base.replace(nsplits=2)
+        counting = registry.get("counting")
+
+        @registry.register("recording")
+        def _recording(ctx):
+            if ctx.request == first:
+                ResultStore(path).record(elsewhere)
+            return counting(ctx)
+
+        elsewhere = Session(registry).submit(second)
+        runs.clear()
+        store = ResultStore(path)
+        outcome = run_requests([first, second], store=store,
+                               session=Session(registry))
+        assert outcome.computed == 1 and outcome.skipped == 1
+        assert runs == [first]
+        assert outcome.result_for(second).same_payload(elsewhere)
+        assert len(path.read_text().splitlines()) == 2
+
+    def test_store_is_refreshed_before_a_cell(self, tmp_path, tiny_spec):
+        """A store object opened before another process appended a cell
+        still serves that cell: the runner re-reads the file first."""
+        path = tmp_path / "s.jsonl"
+        store = ResultStore(path)
+        request = tiny_spec.requests()[0]
+        elsewhere = Session().submit(request)
+        ResultStore(path).record(elsewhere)
+        outcome = run_requests([request], store=store)
+        assert outcome.computed == 0 and outcome.skipped == 1
+        assert outcome.result_for(request).same_payload(elsewhere)
 
     def test_cells_run_in_grid_order(self, tiny_scenario, small_budget):
         registry, runs = counting_registry()
