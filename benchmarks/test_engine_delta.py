@@ -64,7 +64,10 @@ def test_engine_delta_evaluation(benchmark, config, bench_artifact):
     off_perf = uncached.perf
     assert off_perf.num_segments_recosted == off_perf.num_segments > 0
 
+    # The gate's premise: with the memos off, a run asks for exactly
+    # the segments the memoized run asks for.
     perf = memoized.perf
+    assert off_perf.num_segments == perf.num_segments
     reduction = perf.segment_reuse_rate
     assert reduction >= MIN_SEGMENT_REDUCTION, (
         f"delta evaluation saved only {reduction:.1%} of segment "

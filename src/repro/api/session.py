@@ -3,8 +3,8 @@
 A :class:`Session` owns everything a scheduling run needs besides the
 request itself -- MCM construction, the memoized
 :class:`~repro.dataflow.database.LayerCostDatabase` per clock domain,
-resolved scenarios, the result memo and a running perf total -- and
-runs one :class:`ScheduleRequest` per :meth:`Session.submit` call.
+the result memo and a running perf total -- and runs one
+:class:`ScheduleRequest` per :meth:`Session.submit` call.
 Overlapping many requests is the job service's concern
 (:class:`~repro.service.SchedulerService`).
 
@@ -48,12 +48,6 @@ from repro.engine.tensorkernel import check_eval_mode
 from repro.errors import ConfigError
 from repro.mcm import templates
 from repro.perf import PerfReport, aggregate_reports
-from repro.workloads.model import Scenario
-
-#: LRU cap on resolved scenarios: inline ``scenario_spec`` requests are
-#: each a distinct key, so the cache must not grow per unique spec.
-#: Evicted scenarios re-resolve deterministically on the next submit.
-_SCENARIO_CACHE_CAP = 1024
 
 #: LRU cap on warm evaluator caches (``warm_caches=True`` sessions).
 #: One cache per (scenario, template) pair; the simulation replay
@@ -89,7 +83,7 @@ class Session:
     ``warm_caches=True`` keeps one long-lived
     :class:`~repro.core.evalcache.EvalCache` per (scenario, template)
     pair and injects it into every SCAR-family run, so repeated requests
-    against the same workload start with their segment/window memo
+    against the same workload start with their segment and chain memo
     tables warm.  Caches are keyed on the scenario identity because
     EvalCache keys carry scenario-relative model *indices* -- sharing
     one cache across different tenant sets would alias.  Entries are
@@ -117,8 +111,6 @@ class Session:
             OrderedDict()  # guarded by: _mutex
         self._databases: dict[float, LayerCostDatabase] = \
             {}  # guarded by: _mutex
-        self._scenarios: OrderedDict[str, Scenario] = \
-            OrderedDict()  # guarded by: _mutex
         self._eval_caches: OrderedDict[str, EvalCache] = \
             OrderedDict()  # guarded by: _mutex
         #: warm caches a running submit holds
@@ -139,32 +131,14 @@ class Session:
     def _scenario_key(request: ScheduleRequest) -> str:
         """Identity of the workload a request resolves to.
 
-        Shared by the scenario cache and the warm evaluator caches: two
-        requests with the same key schedule the same tenant set.
+        The warm evaluator caches are keyed on it: two requests with the
+        same key schedule the same tenant set.
         """
         if request.scenario_id is not None:
             return f"id:{request.scenario_id}"
         return "spec:" + json.dumps(request.scenario_spec,
                                     sort_keys=True,
                                     separators=(",", ":"))
-
-    def _scenario(self, request: ScheduleRequest) -> Scenario:
-        key = self._scenario_key(request)
-        with self._mutex:
-            cached = self._scenarios.get(key)
-            if cached is not None:
-                self._scenarios.move_to_end(key)
-                return cached
-        # Resolve outside the lock: model building can be slow, and
-        # holding the session mutex would stall every concurrent submit
-        # (two racing resolutions build the same scenario; last wins).
-        scenario = request.resolve_scenario()
-        with self._mutex:
-            self._scenarios[key] = scenario
-            self._scenarios.move_to_end(key)
-            while len(self._scenarios) > _SCENARIO_CACHE_CAP:
-                self._scenarios.popitem(last=False)
-            return scenario
 
     def _warm_cache(self, request: ScheduleRequest) -> EvalCache | None:
         """The long-lived evaluator cache for ``request``'s workload.
@@ -254,7 +228,7 @@ class Session:
         if memoized is not None:
             return memoized
 
-        scenario = self._scenario(request)
+        scenario = request.resolve_scenario()
         mcm = templates.build(request.template, scenario.use_case)
         eval_cache = self._lend_warm_cache(request)
         try:

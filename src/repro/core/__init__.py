@@ -13,7 +13,7 @@ from repro.core.baselines import (
     StandaloneScheduler,
 )
 from repro.core.budget import QUICK_BUDGET, SearchBudget
-from repro.core.evalcache import EvalCache, segment_place_key, window_key
+from repro.core.evalcache import EvalCache, segment_place_key
 from repro.core.evolutionary import EvolutionarySegSearch, GAConfig
 from repro.core.metrics import (
     ModelWindowMetrics,
@@ -67,5 +67,5 @@ __all__ = [
     "latency_objective", "objective_by_name", "placements",
     "rank_segmentations", "search_window", "segment_place_key",
     "segments_from_cuts", "simple_paths", "uniform_allocation",
-    "uniform_pack", "window_key",
+    "uniform_pack",
 ]

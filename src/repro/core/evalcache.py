@@ -13,7 +13,7 @@ weight streaming).  Two segments with equal place keys are bit-identical
 in cost, so the cache can serve a segment evaluated on node 3 when the
 search later tries node 5 of the same class.
 
-Four memo tables live here (hit/miss counters per table, surfaced via
+Three memo tables live here (hit/miss counters per table, surfaced via
 :mod:`repro.perf`):
 
 ``compute``   (model, start, stop, place_key, minibatch) -> (lat_s, j)
@@ -27,9 +27,6 @@ Four memo tables live here (hit/miss counters per table, surfaced via
               the delta evaluation of
               :class:`~repro.core.metrics.ScheduleEvaluator` serves
               chains whose cut boundaries did not move from here.
-``window``    canonical window structure -> :class:`WindowMetrics`;
-              serves duplicate placements and the final re-evaluation of
-              the winning schedule.
 
 Every table is **LRU-bounded** at :data:`MAX_ENTRIES` entries; long
 service sessions therefore hold cache memory constant, and evicted
@@ -174,9 +171,3 @@ def segment_place_key(segment, chiplet, io_hops: int) -> SegmentKey:
     return (segment.model, segment.start, segment.stop,
             chiplet.class_key, io_hops)
 
-
-def window_key(window) -> tuple:
-    """Canonical, hashable identity of a window schedule's structure."""
-    return (window.index, tuple(
-        tuple((seg.model, seg.start, seg.stop, seg.node) for seg in chain)
-        for chain in window.chains))

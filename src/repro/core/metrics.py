@@ -32,9 +32,8 @@ Modeling decisions (see DESIGN.md):
 :class:`ScheduleEvaluator` is the one scalar evaluator every policy
 scores with (the vector kernel,
 :class:`~repro.engine.tensorkernel.TensorEvaluator`, subclasses it).
-Besides the segment and window memos of
-:class:`~repro.core.evalcache.EvalCache` it runs two engine-layer
-concerns:
+Besides the segment memos of :class:`~repro.core.evalcache.EvalCache`
+it runs two engine-layer concerns:
 
 * **Delta evaluation.**  Search moves -- a GA cut mutation, the next
   placement in an enumeration -- typically change *one* model's chain
@@ -61,7 +60,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Any, Callable, NamedTuple, Sequence
 
-from repro.core.evalcache import EvalCache, segment_place_key, window_key
+from repro.core.evalcache import EvalCache, segment_place_key
 from repro.core.schedule import Schedule, Segment, WindowSchedule
 from repro.dataflow.database import LayerCostDatabase
 from repro.errors import SchedulingError
@@ -147,6 +146,18 @@ class ScheduleMetrics:
     energy_j: float
     windows: tuple[WindowMetrics, ...]
 
+    @classmethod
+    def from_windows(cls, windows: Sequence[WindowMetrics]
+                     ) -> ScheduleMetrics:
+        """A schedule's metrics from its windows' metrics, in order.
+
+        ``Lat(Sc) = sum_tw Lat(tw)``; energy sums over the windows.
+        """
+        ordered = tuple(windows)
+        return cls(latency_s=sum(w.latency_s for w in ordered),
+                   energy_j=sum(w.energy_j for w in ordered),
+                   windows=ordered)
+
     @property
     def edp(self) -> float:
         """Energy-delay product in J*s."""
@@ -199,10 +210,10 @@ class EvaluatorStats:
     """Segment-costing counters of one :class:`ScheduleEvaluator`.
 
     ``num_segments`` counts every segment of every chain the evaluator
-    was asked to cost (windows served whole from the ``window`` memo are
-    not asked again); ``num_segments_recosted`` counts the subset that
-    actually ran the chain cost model.  The difference is the work the
-    ``chain`` memo avoided.
+    was asked to cost, a repeated window's chains included;
+    ``num_segments_recosted`` counts the subset that actually ran the
+    chain cost model.  The difference is the work the ``chain`` memo
+    avoided.
     """
 
     num_segments: int = 0
@@ -268,8 +279,8 @@ class ScheduleEvaluator:
         self.database = database if database is not None \
             else LayerCostDatabase(clock_hz=mcm.clock_hz)
         self.comm = CommModel(mcm)
-        #: Memoized segment/window costs; valid for this (scenario, mcm)
-        #: pair only.
+        #: Memoized segment and chain costs; valid for this (scenario,
+        #: mcm) pair only.
         self.cache = cache if cache is not None else EvalCache()
         # io_hops enters every cache key; MCM.io_hops rescans the package
         # per call, so precompute it once for the hot path.
@@ -294,22 +305,17 @@ class ScheduleEvaluator:
         """Evaluate a complete schedule (validates Theorems 1/2 first)."""
         if validate:
             schedule.validate(self.scenario)
-        windows = tuple(self.evaluate_window(w) for w in schedule.windows)
-        return ScheduleMetrics(
-            latency_s=sum(w.latency_s for w in windows),
-            energy_j=sum(w.energy_j for w in windows),
-            windows=windows,
-        )
+        return ScheduleMetrics.from_windows(
+            [self.evaluate_window(w) for w in schedule.windows])
 
     def evaluate_window(self, window: WindowSchedule) -> WindowMetrics:
         """Evaluate one time window (``Lat(tw) = max_m Lat(SG_m)``).
 
-        Results are memoized on the window's structure, so duplicate
-        placements produced by the search (and the final re-evaluation of
-        the winning schedule) are free.
+        Each chain is costed through the ``chain`` memo: a repeated
+        window counts its segments again but re-costs none of them.
         """
-        return self.cache.lookup("window", window_key(window),
-                                 lambda: self._evaluate_window(window))
+        return _window_metrics(window.index, self._lookup_chains(
+            window, self._chain_metrics))
 
     def evaluate_windows(self, windows: Sequence[WindowSchedule]
                          ) -> list[WindowMetrics]:
@@ -322,13 +328,17 @@ class ScheduleEvaluator:
         """
         return [self.evaluate_window(window) for window in windows]
 
-    def _evaluate_window(self, window: WindowSchedule) -> WindowMetrics:
+    def _lookup_chains(self, window: WindowSchedule,
+                       score: Callable[[tuple[Segment, ...],
+                                        dict[tuple, float]], Any]
+                       ) -> list[Any]:
+        """:meth:`_lookup_chain` on each of the window's chains, in
+        order, under the window's congestion."""
         congestion = self._window_congestion(window)
         per_model = []
         for chain in window.chains:
-            per_model.append(self._lookup_chain(chain, congestion,
-                                                self._chain_metrics))
-        return _window_metrics(window.index, per_model)
+            per_model.append(self._lookup_chain(chain, congestion, score))
+        return per_model
 
     def _lookup_chain(self, chain: tuple[Segment, ...],
                       congestion: dict[tuple, float],

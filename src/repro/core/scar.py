@@ -193,7 +193,9 @@ class SCARScheduler:
         Each time window is searched under each of its PROV allocations
         in index order, and keeps the lowest-scoring candidate; a tie
         keeps the lower allocation index.  Every search is deterministic
-        (seeded by its window index), so the result is too.
+        (seeded by its window index), so the result is too.  The
+        schedule's metrics are assembled from the winners' window
+        metrics, so no winner is costed twice.
         """
         wall_start = time.perf_counter()
         cache = self.cache if self.cache is not None else EvalCache()
@@ -234,7 +236,9 @@ class SCARScheduler:
 
         schedule = Schedule(windows=tuple(
             candidate.window for candidate in best_by_window))
-        metrics = evaluator.evaluate(schedule)
+        schedule.validate(scenario)
+        metrics = ScheduleMetrics.from_windows(
+            [candidate.metrics for candidate in best_by_window])
         perf = PerfReport(
             wall_s=time.perf_counter() - wall_start,
             num_evaluated=num_evaluated,

@@ -7,8 +7,8 @@ hot path of every search) scores every chain of a batch at every
 mini-batch divisor x tile factor in one fixed sequence of numpy passes
 instead of the scalar evaluator's nested Python loops.  A window
 search hands its whole candidate list to :meth:`evaluate_windows`,
-which walks the windows through the same window and chain memos as the
-sequential path and scores the chains that missed them together.
+which walks the windows through the same chain memo as the sequential
+path and scores the chains that missed it together.
 The memos, statistics and the search strategies behave exactly as in
 the scalar kernel, so ``num_evaluated`` / ``num_segments`` /
 ``num_segments_recosted`` report identically in either mode.
@@ -92,7 +92,7 @@ import mmap
 from array import array
 from typing import Sequence
 
-from repro.core.evalcache import EvalCache, Pending, window_key
+from repro.core.evalcache import EvalCache, Pending
 from repro.core.metrics import (
     _TILE_FACTORS,
     ModelWindowMetrics,
@@ -316,19 +316,18 @@ class TensorEvaluator(ScheduleEvaluator):
         """Evaluate windows in order, scoring their recosts as one batch.
 
         Walks the windows exactly like repeated :meth:`evaluate_window`
-        calls -- the same ``window`` and ``chain`` lookups in the same
-        order, the same :class:`~repro.core.metrics.EvaluatorStats`
-        counts -- but each miss stores a
-        :class:`~repro.core.evalcache.Pending` placeholder instead of
-        computing.  A later duplicate in the batch hits the placeholder
-        as it would have hit the value.  The deferred chain recosts are
-        then scored by :meth:`_score_chains`, the windows assembled, and
+        calls -- the same ``chain`` lookups in the same order, the same
+        :class:`~repro.core.metrics.EvaluatorStats` counts -- but each
+        chain miss stores a :class:`~repro.core.evalcache.Pending`
+        placeholder instead of computing.  A later duplicate chain in
+        the batch hits the placeholder as it would have hit the value.
+        The deferred chain recosts are then scored by
+        :meth:`_score_chains`, the windows assembled, and
         :meth:`EvalCache.settle` fills every stored placeholder in place
         (or drops it, if this call raises).
         """
         recosts: list[tuple[tuple[Segment, ...], dict]] = []
         chain_slots: list[Pending] = []
-        window_slots: list[tuple[Pending, int, list]] = []
 
         def defer_chain(chain, congestion) -> Pending:
             recosts.append((chain, congestion))
@@ -336,35 +335,22 @@ class TensorEvaluator(ScheduleEvaluator):
             chain_slots.append(slot)
             return slot
 
-        def defer_window(window: WindowSchedule) -> Pending:
-            congestion = self._window_congestion(window)
-            parts = [self._lookup_chain(chain, congestion, defer_chain)
-                     for chain in window.chains]
-            slot = Pending()
-            window_slots.append((slot, window.index, parts))
-            return slot
-
-        lookup = self.cache.lookup
-        results: list = []
+        parts_by_window: list[list] = []
         try:
             for window in windows:
-                # The factory runs inside this iteration's lookup, so
-                # the closure reads the current window.
-                results.append(lookup("window", window_key(window),
-                                      lambda: defer_window(window)))
+                parts_by_window.append(
+                    self._lookup_chains(window, defer_chain))
             for slot, metrics in zip(chain_slots,
                                      self._score_chains(recosts)):
                 slot.value = metrics
-            for slot, index, parts in window_slots:
-                for pos, part in enumerate(parts):
-                    if part.__class__ is Pending:
-                        parts[pos] = part.value
-                slot.value = _window_metrics(index, parts)
         finally:
             self.cache.settle()
-        for pos, result in enumerate(results):
-            if result.__class__ is Pending:
-                results[pos] = result.value
+        results: list[WindowMetrics] = []
+        for window, parts in zip(windows, parts_by_window):
+            for pos, part in enumerate(parts):
+                if part.__class__ is Pending:
+                    parts[pos] = part.value
+            results.append(_window_metrics(window.index, parts))
         return results
 
     # -- row store --------------------------------------------------------

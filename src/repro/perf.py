@@ -91,8 +91,8 @@ class PerfReport:
     ``num_windows``            time windows searched.
     ``cache``                  per-table cache counters.
     ``num_segments``           segment costings the evaluator was asked
-                               for (chain segments of every window that
-                               missed the window memo).
+                               for (every chain segment of every window
+                               the search scored).
     ``num_segments_recosted``  segment costings actually recomputed; the
                                difference is what the evaluator's
                                ``chain`` memo saved (see

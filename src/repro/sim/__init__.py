@@ -37,6 +37,7 @@ from repro.sim.metrics import (
 from repro.sim.replay import MODES, EventOutcome, replay, replay_parity
 from repro.sim.trace import (
     EVENT_KINDS,
+    MAX_TENANTS,
     TRACE_KIND,
     TRACE_SPEC_KIND,
     TenantEvent,
@@ -46,7 +47,8 @@ from repro.sim.trace import (
 )
 
 __all__ = [
-    "EVENT_KINDS", "EventOutcome", "MODES", "SIM_REPORT_KIND",
+    "EVENT_KINDS", "EventOutcome", "MAX_TENANTS", "MODES",
+    "SIM_REPORT_KIND",
     "SimReport", "TRACE_KIND", "TRACE_SPEC_KIND", "TenantEvent",
     "TenantReport", "Trace", "TraceSpec", "build_report",
     "generate_trace", "replay", "replay_parity", "strip_nonidentity",

@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -51,6 +52,16 @@ TRACE_SPEC_KIND = "trace_spec"
 EVENT_KINDS = ("depart", "arrive")
 
 _FAMILIES = ("arrivals", "uunifast")
+
+#: Most tenants one :class:`TraceSpec` may generate.  Each tenant is one
+#: model of the scenario a replay schedules, so a spec far beyond this
+#: could never be replayed, and generating it would not end.
+MAX_TENANTS = 1024
+
+
+def _is_a(value: Any, kinds: type | tuple[type, ...]) -> bool:
+    """``isinstance(value, kinds)``, except that a bool is no number."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -244,6 +255,10 @@ class TraceSpec:
 
     Deadlines are drawn log-uniformly from ``deadline_range`` (seconds);
     ``None`` generates best-effort tenants.
+
+    Counts, pools and ranges are checked here, so a malformed one fails
+    in :meth:`from_dict` with :class:`ConfigError`, not as an untyped
+    error in :func:`generate_trace`.
     """
 
     family: str
@@ -262,32 +277,50 @@ class TraceSpec:
             raise ConfigError(
                 f"unknown trace family {self.family!r}; "
                 f"known: {_FAMILIES}")
-        if self.tenants < 1:
+        if not _is_a(self.tenants, int) \
+                or not 1 <= self.tenants <= MAX_TENANTS:
             raise ConfigError(
-                f"tenants must be >= 1, got {self.tenants}")
-        if self.horizon < 2:
+                f"tenants must be an integer in [1, {MAX_TENANTS}], "
+                f"got {self.tenants!r}")
+        if not _is_a(self.horizon, int) or self.horizon < 2:
             raise ConfigError(
-                f"horizon must be >= 2 ticks, got {self.horizon}")
-        if not 0.0 < self.utilization <= 1.0:
+                f"horizon must be an integer >= 2 ticks, "
+                f"got {self.horizon!r}")
+        if not _is_a(self.utilization, (int, float)) \
+                or not 0.0 < self.utilization <= 1.0:
             raise ConfigError(
-                f"utilization must be in (0, 1], got {self.utilization}")
+                f"utilization must be in (0, 1], got {self.utilization!r}")
         if self.models is not None:
+            if not isinstance(self.models, (list, tuple)) or not self.models \
+                    or not all(isinstance(m, str) for m in self.models):
+                raise ConfigError(
+                    f"models must be None or a non-empty list of model "
+                    f"names, got {self.models!r}")
             object.__setattr__(self, "models", tuple(self.models))
         if self.batches is not None:
-            batches = tuple(self.batches)
-            if not batches or any(b < 1 for b in batches):
+            if not isinstance(self.batches, (list, tuple)) \
+                    or not self.batches or not all(
+                        _is_a(b, int) and b >= 1 for b in self.batches):
                 raise ConfigError(
                     f"batches must be a non-empty pool of ints >= 1, "
                     f"got {self.batches!r}")
-            object.__setattr__(self, "batches", batches)
+            object.__setattr__(self, "batches", tuple(self.batches))
         if self.deadline_range is not None:
-            low, high = self.deadline_range
-            if not 0 < low <= high:
+            bounds = self.deadline_range
+            # A JSON integer can exceed every double: compare, never
+            # convert, until the bounds are known to fit.
+            if not isinstance(bounds, (list, tuple)) or len(bounds) != 2 \
+                    or not all(_is_a(b, (int, float)) for b in bounds) \
+                    or not 0 < bounds[0] <= bounds[1] <= sys.float_info.max:
                 raise ConfigError(
-                    f"deadline_range must satisfy 0 < low <= high, "
-                    f"got {self.deadline_range!r}")
+                    f"deadline_range must be None or two numbers with "
+                    f"0 < low <= high and high a finite double, "
+                    f"got {bounds!r}")
             object.__setattr__(self, "deadline_range",
-                               (float(low), float(high)))
+                               (float(bounds[0]), float(bounds[1])))
+        if self.name is not None and not isinstance(self.name, str):
+            raise ConfigError(
+                f"name must be None or a string, got {self.name!r}")
 
     def trace_name(self) -> str:
         return self.name or (f"sim:{self.family}:{self.use_case}:"
@@ -323,14 +356,10 @@ class TraceSpec:
                 tenants=data.get("tenants", 4),
                 horizon=data.get("horizon", 16),
                 use_case=data.get("use_case", "datacenter"),
-                models=None if data.get("models") is None
-                else tuple(data["models"]),
-                batches=None if data.get("batches") is None
-                else tuple(data["batches"]),
+                models=data.get("models"),
+                batches=data.get("batches"),
                 utilization=data.get("utilization", 0.5),
-                deadline_range=None
-                if data.get("deadline_range") is None
-                else tuple(data["deadline_range"]),
+                deadline_range=data.get("deadline_range"),
                 name=data.get("name"),
             )
         except (KeyError, TypeError) as exc:

@@ -30,7 +30,7 @@ from repro.api import (
     scenario_spec,
 )
 from repro.core.budget import QUICK_BUDGET, SearchBudget
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.perf import CacheStats, PerfReport
 
 
@@ -370,6 +370,27 @@ _MUTANT_VALUES = (None, "x", -1, 0, 2.5, True, [], {}, [1], {"a": 1},
                   10**400, float("nan"), float("inf"))
 
 
+def _mutants(document, seed, count=60):
+    """``count`` seeded mutants of ``document``: one field at any depth
+    dropped or replaced by one of :data:`_MUTANT_VALUES`.  Yields
+    ``(description, mutant)``."""
+    rng = random.Random(seed)
+    paths = list(_paths(document))
+    for _ in range(count):
+        mutant = copy.deepcopy(document)
+        path = rng.choice(paths)
+        parent = mutant
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and rng.random() < 0.2:
+            del parent[path[-1]]
+            change = "dropped"
+        else:
+            parent[path[-1]] = rng.choice(_MUTANT_VALUES)
+            change = f"= {parent[path[-1]]!r:.40}"
+        yield f"{'/'.join(map(str, path))} {change}", mutant
+
+
 class TestResultParseBoundary:
     """Seeded mutations of a real schedule_result document: every field
     at every depth dropped or replaced by a value of another type or
@@ -387,26 +408,48 @@ class TestResultParseBoundary:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_mutant_parses_or_is_a_config_error(self, document, seed):
-        rng = random.Random(seed)
-        paths = list(_paths(document))
-        for _ in range(60):
-            mutant = copy.deepcopy(document)
-            path = rng.choice(paths)
-            parent = mutant
-            for key in path[:-1]:
-                parent = parent[key]
-            if isinstance(parent, dict) and rng.random() < 0.2:
-                del parent[path[-1]]
-                change = "dropped"
-            else:
-                parent[path[-1]] = rng.choice(_MUTANT_VALUES)
-                change = f"= {parent[path[-1]]!r:.40}"
+        for change, mutant in _mutants(document, seed):
             try:
                 ScheduleResult.from_dict(mutant)
             except ConfigError:
                 pass
             except Exception as exc:  # any other error fails the test
-                pytest.fail(f"{'/'.join(map(str, path))} {change}: "
+                pytest.fail(f"{change}: {type(exc).__name__}: {exc}")
+
+
+class TestTraceSpecParseBoundary:
+    """The same seeded mutations of a trace_spec document with every
+    field set: each mutant parses or is a ConfigError, and a parsed
+    spec's trace generates or fails with a ReproError."""
+
+    @pytest.fixture(scope="class")
+    def document(self):
+        from repro.sim import TraceSpec
+
+        return TraceSpec(
+            family="uunifast", seed=7, tenants=3, horizon=8,
+            use_case="arvr", models=("eyecod", "hand_sp"),
+            batches=(1, 2, 4), utilization=0.75,
+            deadline_range=(0.05, 0.5), name="mutated").to_dict()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_mutant_parses_and_generates_or_fails_typed(self, document,
+                                                        seed):
+        from repro.sim import TraceSpec, generate_trace
+
+        for change, mutant in _mutants(document, seed):
+            try:
+                spec = TraceSpec.from_dict(mutant)
+            except ConfigError:
+                continue
+            except Exception as exc:  # any other error fails the test
+                pytest.fail(f"{change}: {type(exc).__name__}: {exc}")
+            try:
+                generate_trace(spec)
+            except ReproError:
+                pass
+            except Exception as exc:
+                pytest.fail(f"{change}: generate_trace raised "
                             f"{type(exc).__name__}: {exc}")
 
 

@@ -85,14 +85,21 @@ class TestChainMemo:
         assert evaluator.stats.num_segments_recosted == first + 2
         assert evaluator.cache.stats["chain"].hits == 1
 
-    def test_window_memo_hits_do_not_count_segments(self, tiny_scenario,
-                                                    het_mcm, database):
+    def test_repeated_window_counts_segments_but_recosts_none(
+            self, tiny_scenario, het_mcm, database):
         evaluator = ScheduleEvaluator(tiny_scenario, het_mcm, database)
         ws = _window_schedule((2,), (0, 3), 2)
-        evaluator.evaluate_window(ws)
-        seen = evaluator.stats.num_segments
-        evaluator.evaluate_window(ws)  # whole-window memo hit
-        assert evaluator.stats.num_segments == seen
+        first = evaluator.evaluate_window(ws)
+        assert evaluator.stats.num_segments == 3
+        recosted = evaluator.stats.num_segments_recosted
+        again = evaluator.evaluate_window(ws)
+        assert again == first
+        # Both chains again, every one served by the chain memo.
+        assert evaluator.stats.num_segments == 6
+        assert evaluator.stats.num_segments_recosted == recosted
+        stats = evaluator.cache.stats["chain"]
+        assert (stats.hits, stats.misses) == (2, 2)
+        assert "window" not in evaluator.cache.stats
 
     def test_disabled_cache_recosts_everything(self, tiny_scenario,
                                                het_mcm, database):
@@ -256,15 +263,14 @@ class TestCandidatePoints:
 _PINNED_COUNTS = {
     "enumerative": {
         "counts": (270, 2286, 1088),
-        "both": {"chain": (431, 223), "window": (3, 270),
-                 "affinity": (0, 3)},
+        "both": {"chain": (431, 223), "affinity": (0, 3)},
         "scalar": {"compute": (39882, 578), "static": (1006, 82)},
         "vector": {"static": (169, 82)},
     },
     "evolutionary": {
         "counts": (284, 2000, 1198),
-        "both": {"chain": (341, 271), "window": (3, 284),
-                 "affinity": (68, 3), "fitness": (79, 71)},
+        "both": {"chain": (341, 271), "affinity": (68, 3),
+                 "fitness": (79, 71)},
         "scalar": {"compute": (42214, 1866), "static": (927, 271)},
         "vector": {"static": (168, 271)},
     },

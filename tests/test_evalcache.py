@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.evalcache import EvalCache, segment_place_key, window_key
+from repro.core.evalcache import EvalCache, segment_place_key
 from repro.core.metrics import ScheduleEvaluator
-from repro.core.schedule import Segment, WindowSchedule
+from repro.core.schedule import Segment
 from repro.perf import (
     CacheStats,
     PerfReport,
@@ -118,23 +118,3 @@ class TestKeys:
         a = segment_place_key(Segment(0, 0, 2, node=0), chiplet, 0)
         b = segment_place_key(Segment(0, 0, 2, node=6), chiplet, 0)
         assert a == b
-
-    def test_window_key_distinguishes_placements(self):
-        w1 = WindowSchedule(index=0,
-                            chains=((Segment(0, 0, 2, node=0),),))
-        w2 = WindowSchedule(index=0,
-                            chains=((Segment(0, 0, 2, node=1),),))
-        assert window_key(w1) != window_key(w2)
-        assert window_key(w1) == window_key(
-            WindowSchedule(index=0, chains=((Segment(0, 0, 2, node=0),),)))
-
-    def test_evaluate_window_memoized(self, tiny_scenario, het_mcm):
-        evaluator = ScheduleEvaluator(tiny_scenario, het_mcm)
-        window = WindowSchedule(index=0, chains=(
-            (Segment(0, 0, 4, node=0),),
-            (Segment(1, 0, 3, node=2),),
-        ))
-        first = evaluator.evaluate_window(window)
-        second = evaluator.evaluate_window(window)
-        assert first == second
-        assert evaluator.cache.stats["window"].hits == 1

@@ -570,6 +570,19 @@ class TestSimulateCommand:
         assert main(["simulate", "--spec", str(path), "--fast"]) == 0
         assert spec.trace_name() in capsys.readouterr().out
 
+    def test_malformed_spec_is_a_config_error(self, capsys, tmp_path):
+        from repro.api import ErrorDocument
+
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "kind": "trace_spec", "version": 1, "family": "uunifast",
+            "deadline_range": [0.05]}))
+        assert main(["simulate", "--spec", str(path), "--fast",
+                     "--format", "json"]) == 1
+        doc = ErrorDocument.from_json(capsys.readouterr().out)
+        assert doc.code == "config_error"
+        assert "deadline_range" in doc.message
+
     def test_trace_and_spec_are_exclusive(self, capsys, trace_file):
         assert main(["simulate", "--trace", str(trace_file),
                      "--spec", str(trace_file)]) == 1

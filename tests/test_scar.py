@@ -6,6 +6,9 @@ import itertools
 import pytest
 
 from repro.core.budget import SearchBudget
+from repro.core.evalcache import EvalCache
+from repro.core.evolutionary import GAConfig
+from repro.core.metrics import ScheduleEvaluator
 from repro.core.provisioner import exhaustive_allocations
 from repro.core.scar import SCARScheduler
 from repro.core.scoring import edp_objective, latency_objective
@@ -198,6 +201,34 @@ class TestAllocationOrder:
                    for first, calls in zip(firsts, searched)
                    for _, candidate in calls[1:])
         assert result.schedule.windows == tuple(firsts)
+
+
+class TestWinnerMetrics:
+    """The schedule's metrics are assembled from its winners' own
+    window metrics: they equal an uncached evaluation of the schedule,
+    and each window's is the best its searches scored."""
+
+    @pytest.mark.parametrize("eval_mode", ["scalar", "vector"])
+    @pytest.mark.parametrize("options", [
+        {},
+        {"seg_search": "evolutionary",
+         "ga_config": GAConfig(population_size=4, generations=2)},
+        {"provisioning": "exhaustive", "prov_limit": 6},
+    ], ids=["enumerative", "evolutionary", "exhaustive-prov"])
+    def test_metrics_are_the_winners(self, tiny_scenario, het_mcm,
+                                     budget, eval_mode, options):
+        if eval_mode == "vector":
+            pytest.importorskip("numpy")
+        scheduler = SCARScheduler(het_mcm, nsplits=1, budget=budget,
+                                  eval_mode=eval_mode, **options)
+        result = scheduler.schedule(tiny_scenario)
+        fresh = ScheduleEvaluator(tiny_scenario, het_mcm,
+                                  cache=EvalCache(enabled=False))
+        assert result.metrics == fresh.evaluate(result.schedule)
+        for window, candidates in zip(result.metrics.windows,
+                                      result.window_candidates):
+            assert scheduler.objective.score_window(window) \
+                == min(candidate.score for candidate in candidates)
 
 
 class TestHeterogeneityExploitation:

@@ -183,10 +183,11 @@ class TestShortPathMidSearch:
                                       cache=EvalCache())
         assert [c.metrics for c in collected] \
             == [reference.evaluate_window(w) for w in windows]
-        # The third candidate repeats the first: a window memo hit.
-        stats = evaluator.cache.snapshot()["window"]
-        assert (stats.hits, stats.misses) == (1, 3)
-        assert evaluator.cache.size("window") == 3
+        # The third candidate repeats the first: its two chains hit the
+        # chain memo.
+        stats = evaluator.cache.snapshot()["chain"]
+        assert (stats.hits, stats.misses) == (2, 6)
+        assert evaluator.cache.size("chain") == 6
         assert evaluator.stats == reference.stats
 
 

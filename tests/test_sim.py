@@ -11,6 +11,7 @@ from repro.core.budget import SearchBudget
 from repro.errors import ConfigError
 from repro.sim import (
     EVENT_KINDS,
+    MAX_TENANTS,
     MODES,
     TenantEvent,
     Trace,
@@ -157,10 +158,39 @@ class TestTraceSpec:
          "deadline_range"),
         (dict(family="arrivals", deadline_range=(2.0, 1.0)),
          "deadline_range"),
+        (dict(family="arrivals", tenants=2.5), "tenants"),
+        (dict(family="arrivals", tenants=True), "tenants"),
+        (dict(family="arrivals", tenants=MAX_TENANTS + 1), "tenants"),
+        (dict(family="arrivals", horizon=2.5), "horizon"),
+        (dict(family="arrivals", utilization=True), "utilization"),
+        (dict(family="arrivals", models=()), "models"),
+        (dict(family="arrivals", models="eyecod"), "models"),
+        (dict(family="arrivals", models=("eyecod", 1)), "models"),
+        (dict(family="arrivals", batches=(2.5,)), "batches"),
+        (dict(family="arrivals", batches=(True,)), "batches"),
+        (dict(family="arrivals", deadline_range=(0.05,)),
+         "deadline_range"),
+        (dict(family="arrivals", deadline_range=(0.05, 0.1, 0.2)),
+         "deadline_range"),
+        (dict(family="arrivals", deadline_range="ab"), "deadline_range"),
+        (dict(family="arrivals", deadline_range=(True, 2)),
+         "deadline_range"),
+        (dict(family="arrivals", deadline_range=(0.05, 10**400)),
+         "deadline_range"),
+        (dict(family="arrivals", deadline_range=(0.05, float("inf"))),
+         "deadline_range"),
+        (dict(family="arrivals", deadline_range=(float("nan"), 1.0)),
+         "deadline_range"),
+        (dict(family="arrivals", name=5), "name"),
     ])
     def test_validation(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):
             TraceSpec(**kwargs)
+
+    def test_integer_deadline_bounds_read_as_seconds(self):
+        spec = TraceSpec(family="arrivals", deadline_range=[1, 2])
+        assert spec.deadline_range == (1.0, 2.0)
+        assert TraceSpec.from_json(spec.to_json()) == spec
 
 
 class TestGenerateTrace:
@@ -442,13 +472,15 @@ class TestWarmSession:
         assert second.perf.num_segments_recosted == 0  # fully warm
         assert first.perf.num_segments_recosted > 0
         # injected-cache perf stats are per-run deltas, not cumulative:
-        # the rerun issued the same number of window lookups, all hits
-        # this time (so the inner chain/segment tables went untouched).
-        window_first = first.perf.cache["window"]
-        window_second = second.perf.cache["window"]
-        assert window_second.hits + window_second.misses \
-            == window_first.hits + window_first.misses
-        assert window_second.misses == 0 and window_second.hits > 0
+        # the rerun issued the same number of chain lookups, all hits
+        # this time (so the segment tables went untouched).
+        chain_first = first.perf.cache["chain"]
+        chain_second = second.perf.cache["chain"]
+        assert chain_second.lookups == chain_first.lookups
+        assert chain_second.misses == 0 and chain_second.hits > 0
+        for table in ("compute", "static"):
+            assert first.perf.cache_table(table).lookups > 0
+            assert second.perf.cache_table(table).lookups == 0
 
     def test_cold_session_matches_warm_payload(self):
         request = self.request()

@@ -179,12 +179,22 @@ class TestEvaluateWindowsBatch:
             # delta keys: later ones hit an entry the batch deferred.
             assert stats["chain"].hits > 0
         if cap is not None:
-            assert stats["window"].evictions > 0
             assert stats["chain"].evictions > 0
         elif enabled:
-            assert stats["window"].hits == 3  # the three duplicates
+            # The three duplicate windows ask for their chains again,
+            # and the chain memo serves every one of them.
+            unique = TensorEvaluator(sc, mcm, cache=EvalCache())
+            unique.evaluate_windows(windows[:-3])
+            before = unique.cache.snapshot()["chain"]
+            repeats = sum(len(window.chains) for window in windows[-3:])
+            assert (stats["chain"].hits, stats["chain"].misses) \
+                == (before.hits + repeats, before.misses)
             for first, again in ((0, -3), (5, -2), (-4, -1)):
-                assert batched[again] is batched[first]
+                assert batched[again] == batched[first]
+                assert all(
+                    part is served for part, served in zip(
+                        batched[again].per_model,
+                        batched[first].per_model))
 
     def test_later_batches_hit_settled_entries(self, search_windows):
         sc, mcm, windows = search_windows
