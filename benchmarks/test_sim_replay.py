@@ -2,8 +2,8 @@
 
 Replays a periodic AR/VR tenant trace (two resident tenants plus two
 recurring bursty ones -- recurring active sets are exactly the workload
-the warm session's result memo and per-scenario evaluator caches
-target), once warm and once cold, then
+the warm session's result memo answers without a search), once warm
+and once cold, then
 
 * asserts every event's warm result is **bit-identical** to its cold
   counterpart (:meth:`ScheduleResult.same_payload` -- the sim layer's

@@ -50,7 +50,6 @@ def _run_scar(ctx: PolicyContext, seg_search: str) -> PolicyOutcome:
         seg_search=seg_search,
         prov_limit=request.prov_limit,
         beam=request.beam,
-        cache=ctx.eval_cache,
         eval_mode=ctx.eval_mode,
     )
     result = scheduler.schedule(ctx.scenario)

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.core.evalcache import EvalCache
 from repro.core.metrics import ScheduleMetrics
 from repro.core.scar import SCARResult
 from repro.core.schedule import Schedule
@@ -43,20 +42,15 @@ class PolicyContext:
     bit-identical across kernels, so it only changes throughput;
     policies that do not search (the baselines) ignore it.
 
-    ``eval_cache`` is an optional caller-owned
-    :class:`~repro.core.evalcache.EvalCache` to run warm.  The session
-    populates it (per scenario + template) when constructed with
-    ``warm_caches=True`` so repeated requests against the same workload
-    — the simulation replay's event loop, see :mod:`repro.sim` — skip
-    re-costing unchanged segments.  Policies that do not search ignore
-    it.
+    A searching policy builds its evaluator caches per request (see
+    :class:`~repro.core.scar.SCARScheduler`); of what the context
+    carries, only the session's ``database`` serves later requests.
     """
 
     request: "ScheduleRequest"
     scenario: Scenario
     mcm: MCM
     database: LayerCostDatabase
-    eval_cache: "EvalCache | None" = None
     eval_mode: str = "scalar"
 
 

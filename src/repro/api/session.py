@@ -28,7 +28,6 @@ recompute bit-identically on the next submit.
 
 from __future__ import annotations
 
-import json
 import threading
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
@@ -41,19 +40,12 @@ from repro.api.registry import (
 )
 from repro.api.request import ScheduleRequest, ScheduleResult
 from repro.api.wire import CandidateColumns
-from repro.core.evalcache import EvalCache
 from repro.dataflow.database import LayerCostDatabase
 from repro.engine.candidates import window_columns
 from repro.engine.tensorkernel import check_eval_mode
 from repro.errors import ConfigError
 from repro.mcm import templates
 from repro.perf import PerfReport, aggregate_reports
-
-#: LRU cap on warm evaluator caches (``warm_caches=True`` sessions).
-#: One cache per (scenario, template) pair; the simulation replay
-#: revisits a handful of tenant sets, so a small cap suffices and an
-#: evicted cache merely re-warms on the next submit.
-_EVAL_CACHE_CAP = 32
 
 
 class Session:
@@ -80,19 +72,13 @@ class Session:
     whichever session computed them; ``"vector"`` fails fast at session
     construction when numpy is missing.
 
-    ``warm_caches=True`` keeps one long-lived
-    :class:`~repro.core.evalcache.EvalCache` per (scenario, template)
-    pair and injects it into every SCAR-family run, so repeated requests
-    against the same workload start with their segment and chain memo
-    tables warm.  Caches are keyed on the scenario identity because
-    EvalCache keys carry scenario-relative model *indices* -- sharing
-    one cache across different tenant sets would alias.  Entries are
-    pure functions of their keys, so warm results stay bit-identical to
-    cold ones (the simulation replay's parity contract, see
-    :mod:`repro.sim.replay`).  A warm cache serves one submit at a
-    time: a concurrent submit on the same workload runs with a cold
-    cache instead (same results), because a batch evaluation keeps
-    unfinished placeholder entries in its cache until it returns.
+    Each SCAR-family run builds its own
+    :class:`~repro.core.evalcache.EvalCache`, which goes when the run
+    ends; what a session keeps across requests is its databases and its
+    result memo.  ``warm_caches`` is accepted, for callers written when
+    a session could keep evaluator caches across requests, and ignored:
+    a request that recurs is answered by the memo before any search
+    starts, so a cache kept for it would never be read.
     """
 
     def __init__(self, registry: SchedulerRegistry | None = None, *,
@@ -106,15 +92,10 @@ class Session:
             else DEFAULT_REGISTRY
         self.max_memo = max_memo
         self.eval_mode = check_eval_mode(eval_mode)
-        self.warm_caches = warm_caches
         self._memo: OrderedDict[str, ScheduleResult] = \
             OrderedDict()  # guarded by: _mutex
         self._databases: dict[float, LayerCostDatabase] = \
             {}  # guarded by: _mutex
-        self._eval_caches: OrderedDict[str, EvalCache] = \
-            OrderedDict()  # guarded by: _mutex
-        #: warm caches a running submit holds
-        self._lent_caches: set[EvalCache] = set()  # guarded by: _mutex
         self._perf_total = PerfReport()  # guarded by: _mutex
         self._mutex = threading.RLock()
 
@@ -126,57 +107,6 @@ class Session:
                 self._databases[clock_hz] = \
                     LayerCostDatabase(clock_hz=clock_hz)
             return self._databases[clock_hz]
-
-    @staticmethod
-    def _scenario_key(request: ScheduleRequest) -> str:
-        """Identity of the workload a request resolves to.
-
-        The warm evaluator caches are keyed on it: two requests with the
-        same key schedule the same tenant set.
-        """
-        if request.scenario_id is not None:
-            return f"id:{request.scenario_id}"
-        return "spec:" + json.dumps(request.scenario_spec,
-                                    sort_keys=True,
-                                    separators=(",", ":"))
-
-    def _warm_cache(self, request: ScheduleRequest) -> EvalCache | None:
-        """The long-lived evaluator cache for ``request``'s workload.
-
-        ``None`` unless this is a ``warm_caches`` session.  Keyed per
-        (scenario, template): EvalCache keys carry scenario-relative
-        model indices, so a cache is only valid for the exact tenant set
-        it was warmed on.
-        """
-        if not self.warm_caches:
-            return None
-        key = self._scenario_key(request) + "|tpl:" + request.template
-        with self._mutex:
-            cache = self._eval_caches.get(key)
-            if cache is None:
-                cache = EvalCache(enabled=True)
-                self._eval_caches[key] = cache
-            self._eval_caches.move_to_end(key)
-            while len(self._eval_caches) > _EVAL_CACHE_CAP:
-                self._eval_caches.popitem(last=False)
-            return cache
-
-    def _lend_warm_cache(self, request: ScheduleRequest) -> EvalCache | None:
-        """:meth:`_warm_cache`, unless another submit holds it (``None``).
-
-        Return it with :meth:`_return_warm_cache`.
-        """
-        cache = self._warm_cache(request)
-        with self._mutex:
-            if cache is None or cache in self._lent_caches:
-                return None
-            self._lent_caches.add(cache)
-            return cache
-
-    def _return_warm_cache(self, cache: EvalCache | None) -> None:
-        if cache is not None:
-            with self._mutex:
-                self._lent_caches.discard(cache)
 
     # -- result memo -------------------------------------------------------
 
@@ -230,16 +160,10 @@ class Session:
 
         scenario = request.resolve_scenario()
         mcm = templates.build(request.template, scenario.use_case)
-        eval_cache = self._lend_warm_cache(request)
-        try:
-            ctx = PolicyContext(request=request, scenario=scenario,
-                                mcm=mcm,
-                                database=self._database(mcm.clock_hz),
-                                eval_cache=eval_cache,
-                                eval_mode=self.eval_mode)
-            outcome = self.registry.run(ctx)
-        finally:
-            self._return_warm_cache(eval_cache)
+        outcome = self.registry.run(PolicyContext(
+            request=request, scenario=scenario, mcm=mcm,
+            database=self._database(mcm.clock_hz),
+            eval_mode=self.eval_mode))
         result = self._wrap(request, outcome)
         if result.perf is not None:
             self._log_perf(result.perf)

@@ -270,7 +270,9 @@ def perf_from_dict(data: dict[str, Any]) -> PerfReport:
     """Rebuild a :class:`PerfReport`; derived rate fields are ignored.
 
     Reports written before the window search lost its worker pool carry
-    a ``jobs`` key; it parses, and is not read.
+    a ``jobs`` key, and those written before evaluator caches lived for
+    one request carry a per-table ``evictions`` count; both parse, and
+    neither is read.
     """
     try:
         return PerfReport(
@@ -278,8 +280,7 @@ def perf_from_dict(data: dict[str, Any]) -> PerfReport:
             num_evaluated=data["num_evaluated"],
             num_windows=data["num_windows"],
             cache={table: CacheStats(hits=entry["hits"],
-                                     misses=entry["misses"],
-                                     evictions=entry.get("evictions", 0))
+                                     misses=entry["misses"])
                    for table, entry in data.get("cache", {}).items()},
             num_segments=data.get("num_segments", 0),
             num_segments_recosted=data.get("num_segments_recosted", 0),

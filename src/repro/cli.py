@@ -69,6 +69,7 @@ from repro.experiments import (
     run_prov_ablation,
 )
 from repro.perf import diff_reports, process_total
+from repro.workloads.scenarios import USE_CASES
 
 _EXPERIMENTS: dict[str, tuple[str, Callable[[ExperimentConfig], str]]] = {
     "fig2": ("Fig. 2 motivational 2x2 study",
@@ -499,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="N",
                           help="tenants per scenario (default: 3)")
     generate.add_argument("--use-case", default="datacenter",
-                          choices=("datacenter", "arvr"),
+                          choices=USE_CASES,
                           help="constrains the model/batch pools to the "
                           "Table III families (default: datacenter)")
     generate.add_argument("--model", default=None,
@@ -584,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="T",
                           help="trace length in ticks (default: 16)")
     simulate.add_argument("--use-case", default="datacenter",
-                          choices=("datacenter", "arvr"),
+                          choices=USE_CASES,
                           help="constrains the model/batch pools "
                           "(default: datacenter)")
     simulate.add_argument("--utilization", type=float, default=0.5,
@@ -600,10 +601,11 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=("latency", "energy", "edp"))
     simulate.add_argument("--mode", default="warm",
                           choices=("warm", "cold"),
-                          help="warm: one session re-used across events "
-                          "(memo + evaluator caches); cold: from "
-                          "scratch per event.  Results are bit-"
-                          "identical either way (default: warm)")
+                          help="warm: one session re-used across events, "
+                          "whose result memo answers a recurring tenant "
+                          "set; cold: a fresh session per event.  "
+                          "Results are bit-identical either way "
+                          "(default: warm)")
     simulate.add_argument("--service", default=None, metavar="URL",
                           help="submit each event's request to a live "
                           "'scar serve' replica instead of scheduling "

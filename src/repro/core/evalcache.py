@@ -28,11 +28,10 @@ Three memo tables live here (hit/miss counters per table, surfaced via
               :class:`~repro.core.metrics.ScheduleEvaluator` serves
               chains whose cut boundaries did not move from here.
 
-Every table is **LRU-bounded** at :data:`MAX_ENTRIES` entries; long
-service sessions therefore hold cache memory constant, and evicted
-entries simply recompute bit-identically on the next lookup.  Eviction
-counts ride along in the per-table :class:`~repro.perf.CacheStats` and
-surface through :meth:`snapshot`.
+A cache lives for one :meth:`~repro.core.scar.SCARScheduler.schedule`
+call (or as long as a caller who injects one keeps it), so its tables
+are plain dicts: the largest one a paper-scale request builds holds a
+few thousand entries, and the whole cache goes when the run ends.
 
 A cache instance is only valid for one (scenario, MCM) pair -- keys do
 not include workload or package identity.  ``EvalCache(enabled=False)``,
@@ -44,25 +43,19 @@ kernel's :meth:`~repro.engine.tensorkernel.TensorEvaluator.evaluate_windows`)
 lets a factory return a :class:`Pending` placeholder.  Later lookups in
 the batch hit the placeholder exactly as they would hit the value, and
 :meth:`EvalCache.settle` then swaps each stored placeholder for its
-value in place, leaving LRU order and counters as a sequential run
+value in place, leaving table order and counters as a sequential run
 would have left them.
 """
 
 # scar: hot -- allocation-linted kernel module (SCAR010)
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Callable
 
 from repro.perf import CacheStats
 
 SegmentKey = tuple
 """(model, start, stop, chiplet class_key, io_hops)."""
-
-#: Per-table LRU cap.  Generous enough that single paper-scale runs
-#: effectively never evict, small enough that a long-running job service
-#: cannot grow per-run caches without bound.
-MAX_ENTRIES = 65536
 
 #: Internal sentinel distinguishing "absent" from a cached ``None``.
 _MISSING = object()
@@ -73,7 +66,8 @@ class Pending:
 
     ``value`` stays unset until the evaluator computes it; whoever holds
     the placeholder (a later hit, the batch itself) reads ``value`` once
-    the batch is scored.
+    the batch is scored, and :meth:`EvalCache.settle` then stores
+    ``value`` in its place.
     """
 
     __slots__ = ("value",)
@@ -83,25 +77,24 @@ class Pending:
 
 
 class EvalCache:
-    """Hit-counting, LRU-bounded memo tables shared by one evaluator.
+    """Hit-counting memo tables shared by one evaluator for one run.
 
     ``lookup(table, key, factory)`` returns the cached value or computes,
     stores and returns ``factory()``.  Unknown table names create a new
     table on first use, so auxiliary memos (e.g. the GA fitness cache)
     can report through the same stats channel via :meth:`record`.
 
-    :data:`MAX_ENTRIES` bounds every table with least-recently-used
-    eviction.  Eviction never changes results -- entries are pure
-    functions of their keys -- it only trades recomputation for memory.
+    Entries are pure functions of their keys, and nothing evicts them:
+    a cache is built for one scheduling run and goes with it.
     """
 
     def __init__(self, *, enabled: bool = True) -> None:
         self.enabled = enabled
-        self._tables: dict[str, OrderedDict[Any, Any]] = {}
+        self._tables: dict[str, dict[Any, Any]] = {}
         self.stats: dict[str, CacheStats] = {}
         #: ``(table, key, placeholder)`` of every stored :class:`Pending`
         #: not yet settled.
-        self._pending: list[tuple[OrderedDict, Any, Pending]] = []
+        self._pending: list[tuple[dict, Any, Pending]] = []
 
     def _stats(self, table: str) -> CacheStats:
         if table not in self.stats:
@@ -119,37 +112,31 @@ class EvalCache:
             return factory()
         store = self._tables.get(table)
         if store is None:
-            store = self._tables.setdefault(table, OrderedDict())
+            store = self._tables.setdefault(table, {})
         value = store.get(key, _MISSING)
         if value is not _MISSING:
             stats.record(hit=True)
-            store.move_to_end(key)  # LRU touch
             return value
         stats.record(hit=False)
         value = factory()
         store[key] = value
         if value.__class__ is Pending:
             self._pending.append((store, key, value))
-        while len(store) > MAX_ENTRIES:
-            store.popitem(last=False)
-            stats.evictions += 1
         return value
 
     def settle(self) -> None:
         """Replace every stored :class:`Pending` by its value, in place.
 
-        A filled placeholder keeps its LRU position (assigning to an
+        A filled placeholder keeps its table position (assigning to an
         existing key does not move it) and no counter moves; one that
         was never filled (its batch raised) is dropped, so no unfinished
-        entry stays readable.  A placeholder evicted meanwhile, or
-        replaced by a later miss on the same key, is skipped.
+        entry stays readable.
         """
         for store, key, pending in self._pending:
-            if store.get(key) is pending:
-                if pending.value is _MISSING:
-                    del store[key]
-                else:
-                    store[key] = pending.value
+            if pending.value is _MISSING:
+                del store[key]
+            else:
+                store[key] = pending.value
         self._pending.clear()
 
     def record(self, table: str, hit: bool) -> None:
@@ -161,8 +148,7 @@ class EvalCache:
 
     def snapshot(self) -> dict[str, CacheStats]:
         """Copy of the per-table counters (a report keeps it as a value)."""
-        return {table: CacheStats(hits=s.hits, misses=s.misses,
-                                  evictions=s.evictions)
+        return {table: CacheStats(hits=s.hits, misses=s.misses)
                 for table, s in self.stats.items()}
 
 

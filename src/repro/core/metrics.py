@@ -300,11 +300,9 @@ class ScheduleEvaluator:
 
     # -- public API -------------------------------------------------------
 
-    def evaluate(self, schedule: Schedule, *,
-                 validate: bool = True) -> ScheduleMetrics:
+    def evaluate(self, schedule: Schedule) -> ScheduleMetrics:
         """Evaluate a complete schedule (validates Theorems 1/2 first)."""
-        if validate:
-            schedule.validate(self.scenario)
+        schedule.validate(self.scenario)
         return ScheduleMetrics.from_windows(
             [self.evaluate_window(w) for w in schedule.windows])
 

@@ -55,7 +55,7 @@ from repro.engine.provisioning import (
 from repro.engine.tensorkernel import TensorEvaluator, check_eval_mode
 from repro.errors import SearchError
 from repro.mcm.package import MCM
-from repro.perf import PerfReport, diff_stats, log_report
+from repro.perf import PerfReport, log_report
 from repro.workloads.model import Scenario
 
 __all__ = ["SCARResult", "SCARScheduler", "SEG_SEARCH_MODES",
@@ -122,17 +122,12 @@ class SCARScheduler:
     ``cache``                inject a caller-owned :class:`EvalCache`
                              instead of building a fresh one per
                              :meth:`schedule` call
-                             (``EvalCache(enabled=False)`` runs uncached;
-                             results are bit-identical either way).  A
-                             long-lived front-end (the warm simulation
-                             replay, see :mod:`repro.sim`) shares one
-                             cache across runs *of the same scenario +
-                             MCM*, so repeated searches start warm;
-                             entries are pure functions of their keys,
-                             so results stay bit-identical.  The per-run
-                             perf report still counts only this run's
-                             lookups (the scheduler snapshots the cache
-                             counters around the run).
+                             (``EvalCache(enabled=False)`` runs uncached,
+                             the no-memo reference; results are
+                             bit-identical either way).  Pass one cache
+                             per run: the run's perf report is the
+                             cache's counters, so a cache that served an
+                             earlier run reports that run's lookups too.
     """
 
     def __init__(self, mcm: MCM, *, objective: Objective | None = None,
@@ -199,9 +194,6 @@ class SCARScheduler:
         """
         wall_start = time.perf_counter()
         cache = self.cache if self.cache is not None else EvalCache()
-        # An injected cache outlives this run; snapshot its counters so
-        # the perf report covers this run's lookups only.
-        cache_before = cache.snapshot() if self.cache is not None else None
         evaluator = self.make_evaluator(scenario, cache=cache)
         expected_lat = expected_layer_latencies(scenario, self.mcm,
                                                 self.database)
@@ -243,8 +235,7 @@ class SCARScheduler:
             wall_s=time.perf_counter() - wall_start,
             num_evaluated=num_evaluated,
             num_windows=plan.num_windows,
-            cache=cache.snapshot() if cache_before is None
-            else diff_stats(cache.snapshot(), cache_before),
+            cache=cache.snapshot(),
             num_segments=evaluator.stats.num_segments,
             num_segments_recosted=evaluator.stats.num_segments_recosted,
         )

@@ -55,7 +55,6 @@ class ExperimentConfig:
 
     budget: SearchBudget = field(default_factory=SearchBudget)
     nsplits: int = 4
-    seg_search: str = "enumerative"
 
     @classmethod
     def fast(cls) -> "ExperimentConfig":
@@ -77,8 +76,8 @@ def strategy_request(scenario: int | Scenario, strategy: str,
 
     ``scenario`` is a Table III id (compact request) or an in-memory
     :class:`~repro.workloads.model.Scenario` (inlined into the request
-    spec).  6x6 templates force the evolutionary SEG search, as the paper
-    pairs them.
+    spec).  6x6 templates run the evolutionary SEG search, as the paper
+    pairs them; every other template runs the enumerative one.
     """
     config = config or ExperimentConfig()
     if strategy not in STRATEGIES:
@@ -86,9 +85,8 @@ def strategy_request(scenario: int | Scenario, strategy: str,
             f"unknown strategy {strategy!r}; known: "
             f"{sorted(STRATEGIES)}")
     template, policy = STRATEGIES[strategy]
-    seg_search = config.seg_search
-    if template.endswith("6x6"):
-        seg_search = "evolutionary"
+    seg_search = "evolutionary" if template.endswith("6x6") \
+        else "enumerative"
     return ScheduleRequest.for_scenario(
         scenario, template=template, policy=policy, objective=objective,
         nsplits=config.nsplits, budget=config.budget,

@@ -25,11 +25,10 @@ from dataclasses import dataclass, field
 
 @dataclass
 class CacheStats:
-    """Hit/miss/eviction counters of one memo table."""
+    """Hit/miss counters of one memo table."""
 
     hits: int = 0
     misses: int = 0
-    evictions: int = 0
 
     @property
     def lookups(self) -> int:
@@ -48,7 +47,7 @@ class CacheStats:
 
     def to_dict(self) -> dict:
         return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions, "hit_rate": self.hit_rate}
+                "hit_rate": self.hit_rate}
 
 
 def merge_stats(*stat_maps: dict[str, CacheStats]) -> dict[str, CacheStats]:
@@ -59,7 +58,6 @@ def merge_stats(*stat_maps: dict[str, CacheStats]) -> dict[str, CacheStats]:
             base = merged.setdefault(table, CacheStats())
             base.hits += entry.hits
             base.misses += entry.misses
-            base.evictions += entry.evictions
     return merged
 
 
@@ -67,19 +65,16 @@ def diff_stats(after: dict[str, CacheStats],
                before: dict[str, CacheStats]) -> dict[str, CacheStats]:
     """Per-table counter delta ``after - before``.
 
-    A long-lived :class:`repro.core.evalcache.EvalCache` (the warm
-    simulation replay injects one, see :mod:`repro.sim`) accumulates
-    counters across runs; the scheduler snapshots them before a run and
-    diffs afterwards so each :class:`PerfReport` covers that run only.
-    Tables absent from ``before`` count from zero; negative deltas never
-    occur because counters are monotone.
+    ``after`` and ``before`` are two snapshots of one running total
+    (see :func:`diff_reports`).  Tables absent from ``before`` count
+    from zero; negative deltas never occur because counters are
+    monotone.
     """
     delta: dict[str, CacheStats] = {}
     for table, entry in after.items():
         base = before.get(table, CacheStats())
         delta[table] = CacheStats(hits=entry.hits - base.hits,
-                                  misses=entry.misses - base.misses,
-                                  evictions=entry.evictions - base.evictions)
+                                  misses=entry.misses - base.misses)
     return delta
 
 
@@ -226,7 +221,7 @@ def diff_reports(after: PerfReport, before: PerfReport) -> PerfReport:
         num_evaluated=after.num_evaluated - before.num_evaluated,
         num_windows=after.num_windows - before.num_windows,
         cache={table: stats for table, stats in cache.items()
-               if stats.lookups or stats.evictions},
+               if stats.lookups},
         num_segments=after.num_segments - before.num_segments,
         num_segments_recosted=after.num_segments_recosted
         - before.num_segments_recosted,

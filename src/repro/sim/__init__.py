@@ -15,8 +15,9 @@ Three modules, one contract:
 * :mod:`repro.sim.trace` -- seeded, deterministic event traces
   (``kind:"trace"`` / ``kind:"trace_spec"`` wire documents);
 * :mod:`repro.sim.replay` -- the event loop, re-scheduling the active
-  set through one warm :class:`~repro.api.session.Session` (or cold
-  from scratch, or a live service replica);
+  set through one long-lived :class:`~repro.api.session.Session` whose
+  result memo serves recurring sets (or cold from scratch, or a live
+  service replica);
 * :mod:`repro.sim.metrics` -- deadline-miss rate, per-tenant SLA slack,
   schedule churn and reschedule cost (``kind:"sim_report"``).
 

@@ -12,7 +12,8 @@ document.  The headline quantities:
   previous and current schedule whose placement signature (window,
   layer span, chiplet node) changed: how much the re-schedule moved;
 * **reschedule cost** -- wall time and segment (re-)costings per event,
-  the quantities the warm replay's caches are there to shrink.
+  the quantities the warm replay's session memo shrinks (an event it
+  answers costs no segment at all).
 
 Like every perf report in the repo, wall-time fields are documented as
 non-identity: two replays of the same trace produce identical metrics

@@ -8,17 +8,17 @@ re-schedules after each event through the public API.
 
 Two local modes share the loop:
 
-* ``"warm"`` -- one long-lived :class:`~repro.api.session.Session` with
-  ``warm_caches=True``: recurring tenant sets hit the session's result
-  memo, and re-visited (scenario, template) pairs start with their
-  evaluator caches warm.
+* ``"warm"`` -- one long-lived :class:`~repro.api.session.Session`:
+  a recurring tenant set makes an identical request, which the
+  session's result memo answers without a search, and every search
+  reads and fills the session's layer-cost databases.
 * ``"cold"`` -- a fresh session per event: every event pays the full
   from-scratch search.
 
 The parity contract -- THE property the sim layer is built around --
 is that warm replay is *bit-identical* per event to cold replay
-(:meth:`ScheduleResult.same_payload`), just cheaper: memo entries and
-evaluator-cache entries are pure functions of their keys.
+(:meth:`ScheduleResult.same_payload`), just cheaper: memo and database
+entries are pure functions of their keys.
 :func:`replay_parity` checks it event by event; the ``BENCH_sim`` gate
 additionally requires the warm mode to re-cost >= 40% fewer segments.
 
@@ -149,7 +149,7 @@ def replay(trace: Trace, *, mode: str = "warm",
     """
     if mode not in MODES:
         raise ConfigError(f"unknown replay mode {mode!r}; known: {MODES}")
-    warm_session = Session(eval_mode=eval_mode, warm_caches=True) \
+    warm_session = Session(eval_mode=eval_mode) \
         if client is None and mode == "warm" else None
 
     active = _ActiveSet(trace)

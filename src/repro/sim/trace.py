@@ -42,7 +42,12 @@ from typing import Any, Sequence
 from repro.api.wire import WIRE_VERSION, check_envelope, loads_document
 from repro.errors import ConfigError
 from repro.workloads import zoo
-from repro.workloads.scenarios import use_case_batches, use_case_models
+from repro.workloads.model import MAX_BATCH
+from repro.workloads.scenarios import (
+    USE_CASES,
+    use_case_batches,
+    use_case_models,
+)
 
 TRACE_KIND = "trace"
 TRACE_SPEC_KIND = "trace_spec"
@@ -64,13 +69,30 @@ def _is_a(value: Any, kinds: type | tuple[type, ...]) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
+def _is_deadline(value: Any) -> bool:
+    """A positive number that fits a double.
+
+    A JSON integer can exceed every double: compare, never convert.
+    """
+    return _is_a(value, (int, float)) \
+        and 0 < value <= sys.float_info.max
+
+
+def _check_use_case(owner: str, use_case: Any) -> None:
+    if use_case not in USE_CASES:
+        raise ConfigError(
+            f"{owner}: use_case must be one of {USE_CASES}, "
+            f"got {use_case!r}")
+
+
 @dataclass(frozen=True)
 class TenantEvent:
     """One tenant lifecycle edge.
 
     ``arrive`` events carry the tenant's workload (``model`` from the
-    zoo, ``batch``) and its SLA (``deadline_s``: the end-to-end latency
-    bound the tenant expects per scheduling round; ``None`` = best
+    zoo, ``batch`` in ``[1, MAX_BATCH]``) and its SLA (``deadline_s``:
+    the end-to-end latency bound the tenant expects per scheduling
+    round, a positive number that fits a double; ``None`` = best
     effort).  ``depart`` events carry only the tenant id -- workload
     fields on a departure are rejected rather than ignored, mirroring
     the generator's kind-irrelevant-field policy.
@@ -100,14 +122,21 @@ class TenantEvent:
                 raise ConfigError(
                     f"arrive event for {self.tenant!r} needs model and "
                     f"batch")
-            if self.batch < 1:
+            if self.model not in zoo.model_names():
+                raise ConfigError(
+                    f"arrive event for {self.tenant!r}: model must be "
+                    f"one of {zoo.model_names()}, got {self.model!r}")
+            if not _is_a(self.batch, int) \
+                    or not 1 <= self.batch <= MAX_BATCH:
                 raise ConfigError(
                     f"arrive event for {self.tenant!r}: batch must be "
-                    f">= 1, got {self.batch}")
-            if self.deadline_s is not None and self.deadline_s <= 0:
+                    f"an integer in [1, {MAX_BATCH}], got {self.batch!r}")
+            if self.deadline_s is not None \
+                    and not _is_deadline(self.deadline_s):
                 raise ConfigError(
                     f"arrive event for {self.tenant!r}: deadline_s must "
-                    f"be positive, got {self.deadline_s}")
+                    f"be None or a positive number that fits a double, "
+                    f"got {self.deadline_s!r}")
         else:  # depart
             if self.model is not None or self.batch is not None \
                     or self.deadline_s is not None:
@@ -143,12 +172,14 @@ class TenantEvent:
 class Trace:
     """An ordered tenant event sequence over one use case.
 
-    Validation enforces the replayable invariants up front: events in
-    canonical order, every arrival introduces a not-currently-active
-    tenant, every departure names an active one, and a re-arriving
-    tenant carries the same workload each time (tenant identity means
-    workload identity, so scenario construction is a pure function of
-    the active set).
+    Validation enforces the replayable invariants up front: a Table III
+    use case, events in canonical order, every arrival introduces a
+    not-currently-active tenant, every departure names an active one,
+    and a re-arriving tenant carries the same workload each time (tenant
+    identity means workload identity, so scenario construction is a pure
+    function of the active set).  With :class:`TenantEvent`'s own
+    checks, a malformed document fails in :meth:`from_dict` with
+    :class:`ConfigError`, never at the first replayed event.
     """
 
     name: str
@@ -156,8 +187,10 @@ class Trace:
     use_case: str = "datacenter"
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigError("trace needs a non-empty name")
+        if not self.name or not isinstance(self.name, str):
+            raise ConfigError(
+                f"trace needs a non-empty string name, got {self.name!r}")
+        _check_use_case(f"trace {self.name!r}", self.use_case)
         object.__setattr__(self, "events", tuple(self.events))
         active: set[str] = set()
         seen: dict[str, tuple] = {}
@@ -256,9 +289,10 @@ class TraceSpec:
     Deadlines are drawn log-uniformly from ``deadline_range`` (seconds);
     ``None`` generates best-effort tenants.
 
-    Counts, pools and ranges are checked here, so a malformed one fails
-    in :meth:`from_dict` with :class:`ConfigError`, not as an untyped
-    error in :func:`generate_trace`.
+    Counts, pools, ranges, the seed and the use case are checked here,
+    so a malformed one fails in :meth:`from_dict` with
+    :class:`ConfigError`, not as an untyped error in
+    :func:`generate_trace` or at the first replayed event.
     """
 
     family: str
@@ -277,6 +311,10 @@ class TraceSpec:
             raise ConfigError(
                 f"unknown trace family {self.family!r}; "
                 f"known: {_FAMILIES}")
+        if not _is_a(self.seed, int):
+            raise ConfigError(
+                f"seed must be an integer, got {self.seed!r}")
+        _check_use_case("trace spec", self.use_case)
         if not _is_a(self.tenants, int) \
                 or not 1 <= self.tenants <= MAX_TENANTS:
             raise ConfigError(
@@ -300,18 +338,17 @@ class TraceSpec:
         if self.batches is not None:
             if not isinstance(self.batches, (list, tuple)) \
                     or not self.batches or not all(
-                        _is_a(b, int) and b >= 1 for b in self.batches):
+                        _is_a(b, int) and 1 <= b <= MAX_BATCH
+                        for b in self.batches):
                 raise ConfigError(
-                    f"batches must be a non-empty pool of ints >= 1, "
-                    f"got {self.batches!r}")
+                    f"batches must be a non-empty pool of ints in "
+                    f"[1, {MAX_BATCH}], got {self.batches!r}")
             object.__setattr__(self, "batches", tuple(self.batches))
         if self.deadline_range is not None:
             bounds = self.deadline_range
-            # A JSON integer can exceed every double: compare, never
-            # convert, until the bounds are known to fit.
             if not isinstance(bounds, (list, tuple)) or len(bounds) != 2 \
-                    or not all(_is_a(b, (int, float)) for b in bounds) \
-                    or not 0 < bounds[0] <= bounds[1] <= sys.float_info.max:
+                    or not all(_is_deadline(b) for b in bounds) \
+                    or not bounds[0] <= bounds[1]:
                 raise ConfigError(
                     f"deadline_range must be None or two numbers with "
                     f"0 < low <= high and high a finite double, "

@@ -102,6 +102,14 @@ class Model:
         )
 
 
+#: Largest batch a :class:`ModelInstance` may run at.  Far above any
+#: batch the paper runs (Table III tops out at 60), and small enough
+#: that the cost model's per-batch work stays trivial: it enumerates the
+#: batch's divisors in O(sqrt(batch)), which for a 21-digit batch alone
+#: takes longer than a whole Table III search.
+MAX_BATCH = 1 << 16
+
+
 @dataclass(frozen=True)
 class ModelInstance:
     """A model bound to the batch size a scenario executes it with.
@@ -127,9 +135,10 @@ class ModelInstance:
                 f"instance of {self.model.name!r}: batch must be an int, "
                 f"got {self.batch!r} ({type(self.batch).__name__})"
             )
-        if self.batch < 1:
+        if not 1 <= self.batch <= MAX_BATCH:
             raise WorkloadError(
-                f"instance of {self.model.name!r}: batch must be >= 1"
+                f"instance of {self.model.name!r}: batch must be in "
+                f"[1, {MAX_BATCH}], got {self.batch}"
             )
         if self.instance_name is not None:
             if not isinstance(self.instance_name, str) \

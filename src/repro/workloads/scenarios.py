@@ -39,6 +39,11 @@ _SPECS: dict[int, tuple[str, str, tuple[tuple[str, int], ...]]] = {
          (("eyecod", 60), ("hand_sp", 45))),
 }
 
+#: The Table III use cases (sorted): the chiplet operating points a
+#: scenario can run on.
+USE_CASES: tuple[str, ...] = tuple(sorted(
+    {case for _, case, _ in _SPECS.values()}))
+
 DATACENTER_IDS: tuple[int, ...] = (1, 2, 3, 4, 5)
 ARVR_IDS: tuple[int, ...] = (6, 7, 8, 9, 10)
 
@@ -74,9 +79,8 @@ def use_case_models(use_case: str) -> tuple[str, ...]:
              for _, case, models in _SPECS.values() if case == use_case
              for name, _ in models}
     if not names:
-        cases = sorted({case for _, case, _ in _SPECS.values()})
         raise WorkloadError(
-            f"unknown use case {use_case!r}; known: {cases}")
+            f"unknown use case {use_case!r}; known: {USE_CASES}")
     return tuple(sorted(names))
 
 
@@ -86,9 +90,8 @@ def use_case_batches(use_case: str) -> tuple[int, ...]:
                for _, case, models in _SPECS.values() if case == use_case
                for _, batch in models}
     if not batches:
-        cases = sorted({case for _, case, _ in _SPECS.values()})
         raise WorkloadError(
-            f"unknown use case {use_case!r}; known: {cases}")
+            f"unknown use case {use_case!r}; known: {USE_CASES}")
     return tuple(sorted(batches))
 
 

@@ -56,9 +56,8 @@ def _legacy_run(sc, strategy, objective, config, databases):
     if policy == "nn_baton":
         outcome = NNBatonScheduler(mcm, database=database).schedule(sc)
         return outcome.metrics, outcome.schedule
-    seg_search = config.seg_search
-    if template.endswith("6x6"):
-        seg_search = "evolutionary"
+    seg_search = "evolutionary" if template.endswith("6x6") \
+        else "enumerative"
     scheduler = SCARScheduler(
         mcm, objective=objective_by_name(objective),
         nsplits=config.nsplits, budget=config.budget, database=database,

@@ -210,13 +210,17 @@ class TestAuxRoundTrips:
         assert perf_from_dict(perf_to_dict(perf)) == perf
         assert "jobs" not in perf_to_dict(perf)
 
-    def test_perf_report_legacy_jobs_key_ignored(self):
+    def test_perf_report_legacy_keys_ignored(self):
         """Reports written while the window search had a worker pool
-        carry ``jobs``; it parses, and is not read."""
+        carry ``jobs``, and those written while evaluator caches could
+        evict carry a per-table ``evictions`` count; both parse, and
+        neither is read."""
         perf = PerfReport(wall_s=1.25, num_evaluated=100, num_windows=3,
                           cache={"window": CacheStats(hits=5, misses=7)})
         document = {**perf_to_dict(perf), "jobs": 2}
+        document["cache"]["window"]["evictions"] = 3
         assert perf_from_dict(document) == perf
+        assert "evictions" not in perf_to_dict(perf)["cache"]["window"]
 
     def test_perf_report_without_jobs_key_parses(self):
         document = {"wall_s": 0.5, "num_evaluated": 4, "num_windows": 2,
@@ -451,6 +455,56 @@ class TestTraceSpecParseBoundary:
             except Exception as exc:
                 pytest.fail(f"{change}: generate_trace raised "
                             f"{type(exc).__name__}: {exc}")
+
+
+class TestTraceParseBoundary:
+    """The same seeded mutations of a one-tenant trace document: each
+    mutant parses or is a ConfigError, and a parsed trace replays to a
+    sim_report that is strict JSON, or fails with a ReproError."""
+
+    #: Distinct parsed mutants replayed per seed (a replay takes about
+    #: a tenth of a second).
+    REPLAYS = 4
+
+    @pytest.fixture(scope="class")
+    def document(self):
+        from repro.sim import TenantEvent, Trace
+
+        return Trace(name="mutated", use_case="arvr", events=(
+            TenantEvent(tick=0, kind="arrive", tenant="a",
+                        model="eyecod", batch=2, deadline_s=0.05),
+            TenantEvent(tick=2, kind="depart", tenant="a"))).to_dict()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_mutant_parses_and_replays_or_fails_typed(self, document,
+                                                      seed):
+        from repro.sim import Trace, build_report, replay
+
+        replayed: set[str] = set()
+        for change, mutant in _mutants(document, seed):
+            try:
+                trace = Trace.from_dict(mutant)
+            except ConfigError:
+                continue
+            except Exception as exc:  # any other error fails the test
+                pytest.fail(f"{change}: {type(exc).__name__}: {exc}")
+            if len(replayed) == self.REPLAYS \
+                    or trace.to_json() in replayed:
+                continue
+            replayed.add(trace.to_json())
+            try:
+                report = build_report(trace, "warm", replay(
+                    trace, nsplits=1, budget=QUICK_BUDGET))
+            except ReproError:
+                continue
+            except Exception as exc:
+                pytest.fail(f"{change}: replay raised "
+                            f"{type(exc).__name__}: {exc}")
+            try:
+                json.dumps(report.to_dict(), allow_nan=False)
+            except ValueError as exc:
+                pytest.fail(f"{change}: the sim_report is not JSON: "
+                            f"{exc}")
 
 
 def _column_storage(window) -> list[bytes]:

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro.api import CandidateColumns, ScheduleRequest, Session
-from repro.core import QUICK_BUDGET, SCARScheduler, evalcache
+from repro.core import QUICK_BUDGET, SCARScheduler
 from repro.core.evalcache import EvalCache
 from repro.core.metrics import ScheduleEvaluator, chain_delta_key
 from repro.core.packing import WindowAssignment
@@ -294,47 +294,19 @@ class TestMemoCounts:
         assert {table: (stats.hits, stats.misses)
                 for table, stats in perf.cache.items()} \
             == {**pinned["both"], **pinned[kernel]}
-        assert not any(stats.evictions for stats in perf.cache.values())
 
-
-class TestEvalCacheLRU:
-    """The per-table cap, shrunk for the test (``MAX_ENTRIES`` is a
-    module constant)."""
-
-    def test_eviction_at_cap(self, monkeypatch):
-        monkeypatch.setattr(evalcache, "MAX_ENTRIES", 2)
-        cache = EvalCache()
-        for key in ("a", "b", "c"):
-            cache.lookup("t", key, lambda: key)
-        assert cache.size("t") == 2
-        assert cache.stats["t"].evictions == 1
-        # "a" was evicted: looking it up again recomputes (a miss) ...
-        calls = []
-        cache.lookup("t", "a", lambda: calls.append(1))
-        assert calls
-        # ... which in turn evicts "b" (LRU order).
-        assert cache.stats["t"].evictions == 2
-        cache.lookup("t", "c", lambda: pytest.fail("c was evicted"))
-
-    def test_lru_touch_on_hit(self, monkeypatch):
-        monkeypatch.setattr(evalcache, "MAX_ENTRIES", 2)
-        cache = EvalCache()
-        cache.lookup("t", "a", lambda: 1)
-        cache.lookup("t", "b", lambda: 2)
-        cache.lookup("t", "a", lambda: 1)  # touch: "b" is now oldest
-        cache.lookup("t", "c", lambda: 3)
-        cache.lookup("t", "a", lambda: pytest.fail("a was evicted"))
-        assert cache.stats["t"].evictions == 1
-
-    def test_snapshot_carries_evictions(self, monkeypatch):
-        monkeypatch.setattr(evalcache, "MAX_ENTRIES", 1)
-        cache = EvalCache()
-        cache.lookup("t", "a", lambda: 1)
-        cache.lookup("t", "b", lambda: 2)
-        snap = cache.snapshot()
-        assert snap["t"].evictions == 1
-        snap["t"].evictions = 99
-        assert cache.stats["t"].evictions == 1  # it is a copy
+    def test_every_run_starts_cold(self):
+        """A scheduler builds a fresh cache per schedule() call, so a
+        second run on the same scenario reports the first run's
+        counters, not their sum and not a warm run's."""
+        sc = scenario(4)
+        mcm = templates.build("het_sides_3x3", sc.use_case)
+        scheduler = SCARScheduler(mcm, nsplits=2, budget=QUICK_BUDGET)
+        first = scheduler.schedule(sc).perf
+        second = scheduler.schedule(sc).perf
+        assert second.cache == first.cache
+        assert (second.num_segments, second.num_segments_recosted) \
+            == (first.num_segments, first.num_segments_recosted)
 
 
 class TestRequestThreading:

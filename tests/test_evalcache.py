@@ -74,11 +74,6 @@ class TestStats:
         assert payload["cache"]["compute"]["hit_rate"] \
             == pytest.approx(0.75)
 
-    def test_merge_stats_sums_evictions(self):
-        merged = merge_stats({"a": CacheStats(1, 2, evictions=3)},
-                             {"a": CacheStats(0, 0, evictions=4)})
-        assert merged["a"].evictions == 7
-
     def test_segment_counters_render_aggregate_and_serialize(self):
         report = PerfReport(num_segments=100, num_segments_recosted=60)
         assert report.segment_reuse_rate == pytest.approx(0.4)

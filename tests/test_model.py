@@ -14,6 +14,7 @@ from repro.errors import WorkloadError
 from repro.workloads import zoo
 from repro.workloads.layer import conv
 from repro.workloads.model import (
+    MAX_BATCH,
     Model,
     ModelInstance,
     Scenario,
@@ -147,6 +148,14 @@ class TestModelInstance:
     def test_zero_batch_rejected(self):
         with pytest.raises(WorkloadError):
             ModelInstance(_model(), batch=0)
+
+    def test_batch_is_capped(self):
+        """A batch whose divisors alone take minutes to enumerate is a
+        WorkloadError, not a search that never ends."""
+        assert ModelInstance(_model(), MAX_BATCH).batch == MAX_BATCH
+        for batch in (MAX_BATCH + 1, 10**20):
+            with pytest.raises(WorkloadError, match="batch must be in"):
+                ModelInstance(_model(), batch=batch)
 
     @pytest.mark.parametrize("batch", [True, False, 2.5, 1.0, "3", None])
     def test_non_int_batch_rejected(self, batch):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sys
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.sim import (
     strip_nonidentity,
 )
 from repro.sim.metrics import SimReport
+from repro.workloads.model import MAX_BATCH
 from repro.workloads.scenarios import use_case_batches, use_case_models
 
 
@@ -64,6 +66,35 @@ class TestTenantEvent:
         with pytest.raises(ConfigError, match="deadline_s"):
             arrive(0, "a", "eyecod", 1, deadline_s=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("model", 5), ("model", "x"), ("model", ["eyecod"]),
+        ("batch", 2.5), ("batch", True), ("batch", "1"),
+        ("batch", MAX_BATCH + 1), ("batch", 10**400),
+        ("deadline_s", float("nan")), ("deadline_s", float("inf")),
+        ("deadline_s", 10**400), ("deadline_s", True),
+        ("deadline_s", -1), ("deadline_s", "0.1"),
+    ], ids=["model-int", "model-unknown", "model-list", "batch-float",
+            "batch-bool", "batch-str", "batch-over-cap",
+            "batch-401-digits", "deadline-nan", "deadline-inf",
+            "deadline-401-digits", "deadline-bool", "deadline-negative",
+            "deadline-str"])
+    def test_arrive_rejects_malformed_workload(self, field, value):
+        """Each of these used to parse and then fail at the first
+        replayed event, overflow in build_report, or print NaN or
+        Infinity into the sim_report."""
+        workload = {"model": "eyecod", "batch": 1, "deadline_s": 0.1,
+                    field: value}
+        with pytest.raises(ConfigError, match=field):
+            TenantEvent(tick=0, kind="arrive", tenant="a", **workload)
+
+    def test_arrive_bounds_are_inclusive_and_unconverted(self):
+        largest = int(sys.float_info.max)
+        event = arrive(0, "a", "eyecod", MAX_BATCH, deadline_s=largest)
+        assert event.batch == MAX_BATCH
+        assert event.deadline_s == largest
+        assert isinstance(event.deadline_s, int)
+        assert TenantEvent.from_dict(event.to_dict()) == event
+
     def test_depart_rejects_workload_fields(self):
         with pytest.raises(ConfigError, match="must not carry"):
             TenantEvent(tick=0, kind="depart", tenant="a", batch=2)
@@ -85,6 +116,14 @@ class TestTrace:
     def test_empty_name_rejected(self):
         with pytest.raises(ConfigError, match="name"):
             Trace(name="", events=())
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(name=5), "name"), (dict(name=float("nan")), "name"),
+        (dict(use_case="x"), "use_case"), (dict(use_case=None), "use_case"),
+    ])
+    def test_validation(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            Trace(**{"name": "t", "events": (), **fields})
 
     def test_out_of_order_rejected(self):
         with pytest.raises(ConfigError, match="canonical order"):
@@ -182,6 +221,13 @@ class TestTraceSpec:
         (dict(family="arrivals", deadline_range=(float("nan"), 1.0)),
          "deadline_range"),
         (dict(family="arrivals", name=5), "name"),
+        (dict(family="arrivals", batches=(MAX_BATCH + 1,)), "batches"),
+        (dict(family="arrivals", use_case="x"), "use_case"),
+        (dict(family="arrivals", use_case="x", models=("eyecod",),
+              batches=(1,)), "use_case"),
+        (dict(family="arrivals", seed="7"), "seed"),
+        (dict(family="arrivals", seed=True), "seed"),
+        (dict(family="arrivals", seed=1.5), "seed"),
     ])
     def test_validation(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):
@@ -462,25 +508,21 @@ class TestWarmSession:
             active.scenario(), template="het_sides_3x3", nsplits=2,
             budget=TINY_BUDGET, **kwargs)
 
-    def test_warm_rerun_is_bit_identical_and_cheaper(self):
+    def test_rerun_recomputes_bit_identically_from_cold(self):
+        """Every run builds its own evaluator caches: a max_memo=0
+        rerun on one session searches again from cold, with the same
+        result and the same cache and segment counters."""
         request = self.request()
-        session = Session(warm_caches=True, max_memo=0)
+        session = Session(max_memo=0)
         first = session.submit(request)
         second = session.submit(request)
         assert first is not second  # max_memo=0: both really ran
         assert first.same_payload(second)
-        assert second.perf.num_segments_recosted == 0  # fully warm
         assert first.perf.num_segments_recosted > 0
-        # injected-cache perf stats are per-run deltas, not cumulative:
-        # the rerun issued the same number of chain lookups, all hits
-        # this time (so the segment tables went untouched).
-        chain_first = first.perf.cache["chain"]
-        chain_second = second.perf.cache["chain"]
-        assert chain_second.lookups == chain_first.lookups
-        assert chain_second.misses == 0 and chain_second.hits > 0
-        for table in ("compute", "static"):
-            assert first.perf.cache_table(table).lookups > 0
-            assert second.perf.cache_table(table).lookups == 0
+        assert second.perf.cache == first.perf.cache
+        assert (second.perf.num_segments,
+                second.perf.num_segments_recosted) \
+            == (first.perf.num_segments, first.perf.num_segments_recosted)
 
     def test_cold_session_matches_warm_payload(self):
         request = self.request()
@@ -488,69 +530,19 @@ class TestWarmSession:
         cold = Session().submit(request)
         assert warm.same_payload(cold)
 
-    def test_warm_cache_keyed_per_scenario_and_template(self):
-        session = Session(warm_caches=True)
+    def test_warm_caches_keyword_changes_nothing(self):
+        """warm_caches is accepted and ignored: such a session submits,
+        memoizes and counts exactly like a plain one."""
         request = self.request()
-        assert session._warm_cache(request) \
-            is session._warm_cache(request)
-        other_template = dataclasses.replace(request,
-                                             template="het_2x2")
-        assert session._warm_cache(other_template) \
-            is not session._warm_cache(request)
-
-    def test_warm_cache_serves_one_submit_at_a_time(self):
-        """A submit running while another holds the workload's warm
-        cache gets a cold one: a batch evaluation's unfinished entries
-        must never reach a second evaluator."""
-        import threading
-
-        from repro.api import DEFAULT_REGISTRY, SchedulerRegistry
-
-        inside, release = threading.Event(), threading.Event()
-        seen = []
-        registry = SchedulerRegistry()
-
-        @registry.register("scar")
-        def _held(ctx):
-            seen.append(ctx.eval_cache)
-            if len(seen) == 1:
-                inside.set()
-                assert release.wait(timeout=60)
-            return DEFAULT_REGISTRY.get("scar")(ctx)
-
-        session = Session(registry, warm_caches=True)
-        request = self.request()
-        first = threading.Thread(target=session.submit, args=(request,))
-        first.start()
-        assert inside.wait(timeout=60)
-        second = session.submit(
-            dataclasses.replace(request, objective="latency"))
-        release.set()
-        first.join(timeout=60)
-        assert not first.is_alive()
-        warm = session._warm_cache(request)
-        assert seen == [warm, None]
-        assert second.same_payload(Session().submit(
-            dataclasses.replace(request, objective="latency")))
-        session.submit(dataclasses.replace(request, objective="energy"))
-        assert seen[-1] is warm  # returned once the first submit ended
-
-    def test_no_warming_without_opt_in(self):
-        request = self.request()
-        assert Session()._warm_cache(request) is None
-        assert Session(warm_caches=True)._warm_cache(request) is not None
-
-    def test_warm_cache_lru_cap(self, monkeypatch):
-        import repro.api.session as session_module
-        monkeypatch.setattr(session_module, "_EVAL_CACHE_CAP", 2)
-        session = Session(warm_caches=True)
-        request = self.request()
-        first = session._warm_cache(request)
-        for template in ("het_2x2", "het_cb_3x3"):
-            session._warm_cache(
-                dataclasses.replace(request, template=template))
-        assert len(session._eval_caches) == 2
-        assert session._warm_cache(request) is not first  # evicted
+        plain, warm = Session(), Session(warm_caches=True)
+        assert vars(warm).keys() == vars(plain).keys()
+        for session in (plain, warm):
+            assert session.cached(request) is None
+            assert session.submit(request) is session.submit(request)
+        ran_plain, ran_warm = plain.cached(request), warm.cached(request)
+        assert ran_warm.same_payload(ran_plain)
+        assert dataclasses.replace(ran_warm.perf, wall_s=0.0) \
+            == dataclasses.replace(ran_plain.perf, wall_s=0.0)
 
 
 class TestPerfTotals:

@@ -18,7 +18,6 @@ np = pytest.importorskip("numpy")
 
 from repro.api import ScheduleRequest, ScheduleResult, Session
 from repro.core import QUICK_BUDGET, SCARScheduler, objective_by_name
-from repro.core import evalcache
 from repro.core.evalcache import EvalCache, Pending
 from repro.core.metrics import ScheduleEvaluator
 from repro.engine import EVAL_MODES, TensorEvaluator, have_numpy
@@ -137,7 +136,7 @@ def search_windows():
 
 
 def _tables(cache: EvalCache) -> dict:
-    """Every table's entries, in LRU order."""
+    """Every table's entries, in insertion order."""
     return {name: list(table.items())
             for name, table in cache._tables.items()}
 
@@ -149,18 +148,12 @@ def _unfinished(cache: EvalCache) -> list:
 
 class TestEvaluateWindowsBatch:
     """The batch contract: evaluate_windows(ws) is evaluate_window on
-    each window in turn -- values, cache counters, LRU order and
+    each window in turn -- values, cache counters, table order and
     segment statistics -- and leaves no unfinished entry behind."""
 
-    @pytest.mark.parametrize("enabled, cap", [
-        (True, None),
-        (False, None),
-        (True, 4),
-    ], ids=["default", "cache-off", "evicting"])
-    def test_batch_equals_one_by_one(self, enabled, cap, monkeypatch,
-                                     search_windows):
-        if cap is not None:
-            monkeypatch.setattr(evalcache, "MAX_ENTRIES", cap)
+    @pytest.mark.parametrize("enabled", [True, False],
+                             ids=["default", "cache-off"])
+    def test_batch_equals_one_by_one(self, enabled, search_windows):
         sc, mcm, windows = search_windows
         batch = TensorEvaluator(sc, mcm, cache=EvalCache(enabled=enabled))
         single = TensorEvaluator(sc, mcm, cache=EvalCache(enabled=enabled))
@@ -178,9 +171,6 @@ class TestEvaluateWindowsBatch:
             # Chains recur across one search's candidates with equal
             # delta keys: later ones hit an entry the batch deferred.
             assert stats["chain"].hits > 0
-        if cap is not None:
-            assert stats["chain"].evictions > 0
-        elif enabled:
             # The three duplicate windows ask for their chains again,
             # and the chain memo serves every one of them.
             unique = TensorEvaluator(sc, mcm, cache=EvalCache())
