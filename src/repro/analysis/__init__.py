@@ -16,8 +16,9 @@ SCAR002   determinism: no process-wide RNG, wall-clock reads or bare-set
 SCAR003   wire envelope: document classes parse through
           ``wire.loads_document``/``check_envelope`` and emit ``kind``
           (:mod:`repro.analysis.envelope`)
-SCAR004   error codes: the repro.errors / _ERROR_CODES / http mapping
-          stays closed and ordered (:mod:`repro.analysis.errormap`)
+SCAR004   error codes: each repro.errors class declares its own
+          unique wire code, and every code http.py sends resolves
+          (:mod:`repro.analysis.errormap`)
 SCAR005   registry drift: registered policy names stay CLI-
           reachable and documented (:mod:`repro.analysis.registries`)
 SCAR006   lock-order deadlocks: the inter-procedural lock-acquisition

@@ -1,27 +1,24 @@
-"""SCAR004: the exception/wire-code/HTTP mapping stays closed.
+"""SCAR004: every wire error code has one owner and resolves.
 
-Every exception class in :mod:`repro.errors` must be mappable to a
-stable wire code (the ``_ERROR_CODES`` table in
-:mod:`repro.api.wire`) and every wire-facing code must resolve back to
-a real exception class -- otherwise a service boundary either leaks
-``internal_error`` for a typed failure or rebuilds the wrong exception
-on the client.  Concretely, over the three modules:
+Each exception class in :mod:`repro.errors` declares its own wire code
+(a ``code`` class attribute) and the transports read it from there, so
+a class without one would inherit its base's code and a client would
+rebuild the base class.  Concretely:
 
-* every :class:`~repro.errors.ReproError` subclass (and the base) has
-  an ``_ERROR_CODES`` entry, and every entry names a class that exists;
-* ``_ERROR_CODES`` is ordered most-derived first (the MRO walk in
-  ``ErrorDocument.from_exception`` takes the first match, so an entry
-  after its own subclass would shadow it);
-* every class named in ``_CODE_TO_EXCEPTION`` and in
-  ``service/http.py``'s ``_status_for`` isinstance chain exists in
+* :class:`~repro.errors.ReproError` and every subclass declare ``code``
+  as a string literal in their own class body;
+* no two classes share a code, and no service condition (the
+  ``_SERVICE_CONDITIONS`` table of :mod:`repro.api.wire`: wire codes
+  without a class of their own) reuses one;
+* every service condition names an exception class of
   :mod:`repro.errors`;
-* every literal code ``http.py`` puts on the wire via
-  ``_send_error_doc`` is resolvable by clients through
-  ``_CODE_TO_EXCEPTION``.
+* every literal code ``service/http.py`` puts on the wire via
+  ``_send_error_doc`` is a class's code or a service condition, so a
+  client can rebuild a typed exception from it.
 
-This checker runs once per lint as a whole-program pass, and only
-when the errors/wire modules are both in the checked set; it reads
-the three modules' parsed sources from the program model.
+This checker runs once per lint as a whole-program pass over the
+parsed sources of the three modules, when :mod:`repro.errors` is in
+the checked set; the wire and HTTP checks need their modules too.
 """
 
 from __future__ import annotations
@@ -43,10 +40,11 @@ _HTTP_MODULE = "repro.service.http"
 _BASE_EXCEPTION = "ReproError"
 
 
-def _assign_value(tree: ast.Module, name: str) \
+def _assign_value(body: list[ast.stmt], name: str) \
         -> tuple[ast.expr, int] | None:
-    """Module-level ``name = value`` (or annotated) value + line."""
-    for node in tree.body:
+    """The ``name = value`` (or annotated) statement in ``body``:
+    value + line."""
+    for node in body:
         if isinstance(node, ast.Assign):
             targets = node.targets
         elif isinstance(node, ast.AnnAssign) and node.value is not None:
@@ -61,163 +59,98 @@ def _assign_value(tree: ast.Module, name: str) \
     return None
 
 
-def _exception_classes(tree: ast.Module) -> dict[str, list[str]]:
-    """``{class name: base names}`` for ReproError's hierarchy."""
-    bases: dict[str, list[str]] = {}
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef):
-            bases[node.name] = [base.id for base in node.bases
-                                if isinstance(base, ast.Name)]
-    reachable = {_BASE_EXCEPTION} if _BASE_EXCEPTION in bases else set()
+def _exception_classes(tree: ast.Module) -> dict[str, ast.ClassDef]:
+    """ReproError's hierarchy in ``tree``, in source order."""
+    classes = {node.name: node for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    reachable = {_BASE_EXCEPTION} if _BASE_EXCEPTION in classes else set()
     changed = True
     while changed:
         changed = False
-        for name, parents in bases.items():
-            if name not in reachable \
-                    and any(parent in reachable for parent in parents):
+        for name, node in classes.items():
+            if name not in reachable and any(
+                    isinstance(base, ast.Name) and base.id in reachable
+                    for base in node.bases):
                 reachable.add(name)
                 changed = True
-    return {name: parents for name, parents in bases.items()
+    return {name: node for name, node in classes.items()
             if name in reachable}
-
-
-def _ancestors(name: str, bases: dict[str, list[str]]) -> set[str]:
-    seen: set[str] = set()
-    frontier = list(bases.get(name, ()))
-    while frontier:
-        parent = frontier.pop()
-        if parent in seen:
-            continue
-        seen.add(parent)
-        frontier.extend(bases.get(parent, ()))
-    return seen
-
-
-def _codes_table(value: ast.expr) -> list[tuple[str, str, int]]:
-    """``_ERROR_CODES`` entries as ``(class name, code, line)``."""
-    entries = []
-    if isinstance(value, (ast.Tuple, ast.List)):
-        for item in value.elts:
-            if isinstance(item, (ast.Tuple, ast.List)) \
-                    and len(item.elts) == 2 \
-                    and isinstance(item.elts[0], ast.Name) \
-                    and isinstance(item.elts[1], ast.Constant):
-                entries.append((item.elts[0].id,
-                                str(item.elts[1].value), item.lineno))
-    return entries
-
-
-def _dict_literal_entries(value: ast.expr) \
-        -> list[tuple[str, ast.expr, int]]:
-    """Literal ``{code: Class}`` entries (``**`` unpacks are skipped)."""
-    entries = []
-    if isinstance(value, ast.Dict):
-        for key, val in zip(value.keys, value.values):
-            if key is not None and isinstance(key, ast.Constant):
-                entries.append((str(key.value), val, val.lineno))
-    return entries
 
 
 @register_checker
 class ErrorCodeChecker(Checker):
     code = "SCAR004"
     name = "error-code-mapping"
-    description = ("every repro.errors exception has a wire code "
-                   "(_ERROR_CODES, most-derived first), no orphan "
-                   "codes, and http.py only emits resolvable codes")
+    description = ("every repro.errors exception declares its own "
+                   "unique wire code, service conditions name real "
+                   "classes, and http.py only emits resolvable codes")
 
     def check_program(self, program: Any) -> Iterable[Finding]:
         errors_src = program.source(_ERRORS_MODULE)
-        wire_src = program.source(_WIRE_MODULE)
-        if errors_src is None or wire_src is None:
+        if errors_src is None:
             return ()
-        findings = list(self._check_wire(errors_src, wire_src))
-        http_src = program.source(_HTTP_MODULE)
-        if http_src is not None:
-            findings.extend(self._check_http(errors_src, wire_src,
-                                             http_src))
+        classes = _exception_classes(errors_src.tree)
+        owners: dict[str, str] = {}
+        findings = list(self._check_classes(errors_src, classes, owners))
+        wire_src = program.source(_WIRE_MODULE)
+        if wire_src is not None:
+            findings.extend(self._check_conditions(wire_src, classes,
+                                                   owners))
+            http_src = program.source(_HTTP_MODULE)
+            if http_src is not None:
+                findings.extend(self._check_http(http_src, owners))
         return findings
 
-    def _check_wire(self, errors_src: SourceFile,
-                    wire_src: SourceFile) -> Iterator[Finding]:
-        bases = _exception_classes(errors_src.tree)
-        table = _assign_value(wire_src.tree, "_ERROR_CODES")
-        if table is None:
-            yield wire_src.finding(
-                self.code, "repro.api.wire must define the "
-                "_ERROR_CODES exception-to-code table")
+    def _check_classes(self, errors_src: SourceFile,
+                       classes: dict[str, ast.ClassDef],
+                       owners: dict[str, str]) -> Iterator[Finding]:
+        """Fills ``owners`` (code -> class name) as it checks."""
+        for name, node in classes.items():
+            declared = _assign_value(node.body, "code")
+            if declared is None \
+                    or not isinstance(declared[0], ast.Constant) \
+                    or not isinstance(declared[0].value, str):
+                yield errors_src.finding(
+                    self.code,
+                    f"exception {name} declares no wire code of its "
+                    f"own: give it a code = \"...\" string literal",
+                    node)
+                continue
+            code, line = declared[0].value, declared[1]
+            if code in owners:
+                yield errors_src.finding(
+                    self.code,
+                    f"exception {name} reuses wire code {code!r} of "
+                    f"{owners[code]}", line=line)
+            else:
+                owners[code] = name
+
+    def _check_conditions(self, wire_src: SourceFile,
+                          classes: dict[str, ast.ClassDef],
+                          owners: dict[str, str]) -> Iterator[Finding]:
+        """Adds each service condition to ``owners`` as it checks."""
+        table = _assign_value(wire_src.tree.body, "_SERVICE_CONDITIONS")
+        if table is None or not isinstance(table[0], ast.Dict):
             return
-        value, table_line = table
-        entries = _codes_table(value)
-        mapped = {name for name, _, _ in entries}
-        for name in sorted(bases):
-            if name not in mapped:
+        for key, value in zip(table[0].keys, table[0].values):
+            if not isinstance(key, ast.Constant):
+                continue
+            code = str(key.value)
+            if code in owners:
                 yield wire_src.finding(
                     self.code,
-                    f"exception {name} from repro.errors has no wire "
-                    f"code in _ERROR_CODES", line=table_line)
-        for name, code, line in entries:
-            if name not in bases:
+                    f"service condition {code!r} reuses the wire code "
+                    f"of {owners[code]}", value)
+            owners.setdefault(code, "a service condition")
+            if not (isinstance(value, ast.Name) and value.id in classes):
                 yield wire_src.finding(
                     self.code,
-                    f"orphan wire code {code!r}: {name} is not an "
-                    f"exception class in repro.errors", line=line)
-        for i, (earlier, _, _) in enumerate(entries):
-            for name, _, line in entries[i + 1:]:
-                if earlier in _ancestors(name, bases):
-                    yield wire_src.finding(
-                        self.code,
-                        f"_ERROR_CODES entry {name} is shadowed by its "
-                        f"base {earlier} listed first; most-derived "
-                        f"entries must come first", line=line)
-        reverse = _assign_value(wire_src.tree, "_CODE_TO_EXCEPTION")
-        if reverse is not None:
-            for code, val, line in _dict_literal_entries(reverse[0]):
-                if isinstance(val, ast.Name) and val.id not in bases:
-                    yield wire_src.finding(
-                        self.code,
-                        f"_CODE_TO_EXCEPTION maps {code!r} to {val.id}, "
-                        f"which is not an exception class in "
-                        f"repro.errors", line=line)
+                    f"service condition {code!r} maps to "
+                    f"{ast.unparse(value)}, which is not an exception "
+                    f"class in repro.errors", value)
 
-    def _check_http(self, errors_src: SourceFile, wire_src: SourceFile,
-                    http_src: SourceFile) -> Iterator[Finding]:
-        bases = _exception_classes(errors_src.tree)
-        status_for = None
-        for node in ast.walk(http_src.tree):
-            if isinstance(node, ast.FunctionDef) \
-                    and node.name == "_status_for":
-                status_for = node
-                break
-        if status_for is None:
-            yield http_src.finding(
-                self.code, "service/http.py must define _status_for, "
-                "the exception-to-HTTP-status mapping")
-        else:
-            for node in ast.walk(status_for):
-                if isinstance(node, ast.Call) \
-                        and isinstance(node.func, ast.Name) \
-                        and node.func.id == "isinstance" \
-                        and len(node.args) == 2 \
-                        and isinstance(node.args[1], ast.Name) \
-                        and node.args[1].id not in bases:
-                    yield http_src.finding(
-                        self.code,
-                        f"_status_for checks {node.args[1].id}, which "
-                        f"is not an exception class in repro.errors",
-                        node)
-        yield from self._check_http_codes(wire_src, http_src)
-
-    def _check_http_codes(self, wire_src: SourceFile,
-                          http_src: SourceFile) -> Iterator[Finding]:
-        known = set()
-        table = _assign_value(wire_src.tree, "_ERROR_CODES")
-        if table is not None:
-            known.update(code for _, code, _ in _codes_table(table[0]))
-        reverse = _assign_value(wire_src.tree, "_CODE_TO_EXCEPTION")
-        if reverse is not None:
-            known.update(code for code, _, _
-                         in _dict_literal_entries(reverse[0]))
+    def _check_http(self, http_src: SourceFile,
+                    owners: dict[str, str]) -> Iterator[Finding]:
         for node in ast.walk(http_src.tree):
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
@@ -226,9 +159,10 @@ class ErrorCodeChecker(Checker):
                     and isinstance(node.args[1], ast.Constant)):
                 continue
             code = str(node.args[1].value)
-            if code not in known:
+            if code not in owners:
                 yield http_src.finding(
                     self.code,
-                    f"http.py emits wire code {code!r} with no "
-                    f"_CODE_TO_EXCEPTION entry; clients cannot rebuild "
-                    f"a typed exception from it", node.args[1])
+                    f"http.py emits wire code {code!r}, which is "
+                    f"neither a repro.errors class's code nor a "
+                    f"service condition; clients cannot rebuild a "
+                    f"typed exception from it", node.args[1])

@@ -522,7 +522,8 @@ class ProgramModel:
     Built from the per-file summaries plus the parsed sources they
     were distilled from (``sources[i]`` is the file ``summaries[i]``
     summarizes): ``program.source(module)`` is the parsed file
-    (SCAR004 reads three modules' ASTs), ``program.text(module)`` its
+    (SCAR004 reads the error classes' ``code`` attributes and the wire
+    and HTTP modules' codes from it), ``program.text(module)`` its
     raw text (registry-name greps).  A lint run gives files that
     share a module name (sibling ``conftest.py`` files) path-qualified
     names first; should two summaries still share one, the first keeps

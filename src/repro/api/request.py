@@ -53,7 +53,7 @@ from repro.mcm.templates import template_names
 from repro.perf import PerfReport
 from repro.workloads.model import Scenario
 from repro.workloads.scenarios import scenario as table3_scenario
-from repro.workloads.scenarios import scenario_ids
+from repro.workloads.scenarios import USE_CASES, scenario_ids
 
 _REQUEST_KIND = "schedule_request"
 _RESULT_KIND = "schedule_result"
@@ -109,10 +109,11 @@ class ScheduleRequest:
     :meth:`cache_key`.  Settings that cannot, such as the costing
     kernel, are :class:`~repro.api.session.Session` options.
     Bad values raise :class:`ConfigError` here, at construction,
-    including a ``scenario_id`` outside Table III and an unknown
-    ``template``.  Which policies exist depends on the registry of the
-    session that runs the request, so an unregistered ``policy`` is
-    rejected there (and by :meth:`SchedulerService.submit
+    including a ``scenario_id`` outside Table III, an inline spec's
+    unknown ``use_case`` and an unknown ``template``.  Which policies
+    exist depends on the registry of the session that runs the
+    request, so an unregistered ``policy`` is rejected there (and by
+    :meth:`SchedulerService.submit
     <repro.service.SchedulerService.submit>`).
     """
 
@@ -156,10 +157,14 @@ class ScheduleRequest:
             raise ConfigError(
                 "latency_bound_s must be None or a positive finite "
                 f"number, got {bound!r}")
-        if self.scenario_spec is not None \
-                and not isinstance(self.scenario_spec, dict):
-            raise ConfigError("scenario_spec must be None or an object, "
-                              f"got {self.scenario_spec!r}")
+        if self.scenario_spec is not None:
+            if not isinstance(self.scenario_spec, dict):
+                raise ConfigError("scenario_spec must be None or an "
+                                  f"object, got {self.scenario_spec!r}")
+            use_case = self.scenario_spec.get("use_case", "datacenter")
+            if use_case not in USE_CASES:
+                raise ConfigError(f"scenario_spec.use_case must be one of "
+                                  f"{USE_CASES}, got {use_case!r}")
         if self.scenario_id is not None \
                 and self.scenario_id not in scenario_ids():
             raise ConfigError(f"scenario_id must be None or one of "

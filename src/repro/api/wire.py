@@ -24,20 +24,8 @@ from repro.core.metrics import (
     ScheduleMetrics,
     WindowMetrics,
 )
-from repro.errors import (
-    AnalysisError,
-    ConfigError,
-    DataflowError,
-    HardwareError,
-    JobNotFoundError,
-    ReproError,
-    SchedulingError,
-    SearchError,
-    ServiceError,
-    ServiceOverloadedError,
-    ValidationError,
-    WorkloadError,
-)
+from repro import errors
+from repro.errors import ConfigError, ReproError, ServiceError
 from repro.perf import CacheStats, PerfReport
 
 #: Wire-format version shared by every document kind (requests, results,
@@ -293,33 +281,23 @@ def perf_from_dict(data: dict[str, Any]) -> PerfReport:
 
 _ERROR_KIND = "error"
 
-#: Exception class -> stable wire error code, most-derived first so the
-#: MRO walk in :meth:`ErrorDocument.from_exception` finds the tightest
-#: match.  The codes are the wire contract; the classes are python-side.
-_ERROR_CODES: tuple[tuple[type[ReproError], str], ...] = (
-    (ValidationError, "validation_error"),
-    (JobNotFoundError, "not_found"),
-    (ServiceOverloadedError, "service_overloaded"),
-    (SchedulingError, "scheduling_error"),
-    (WorkloadError, "workload_error"),
-    (HardwareError, "hardware_error"),
-    (DataflowError, "dataflow_error"),
-    (SearchError, "search_error"),
-    (ConfigError, "config_error"),
-    (AnalysisError, "analysis_error"),
-    (ServiceError, "service_error"),
-    (ReproError, "repro_error"),
-)
-
-#: Reverse map for rebuilding typed exceptions from wire codes; service
-#: conditions that have no exception class of their own resolve to
-#: :class:`ServiceError`.
-_CODE_TO_EXCEPTION: dict[str, type[ReproError]] = {
-    **{code: exc_type for exc_type, code in _ERROR_CODES},
+#: Wire codes of service conditions that have no exception class of
+#: their own, and the class a client rebuilds for each.
+_SERVICE_CONDITIONS: dict[str, type[ReproError]] = {
     "job_not_done": ServiceError,
     "job_cancelled": ServiceError,
     "unknown_endpoint": ServiceError,
     "bad_request": ConfigError,
+}
+
+#: Wire code -> the exception class a client rebuilds: every
+#: :mod:`repro.errors` class under the code it declares, and the
+#: service conditions.
+_CODE_TO_EXCEPTION: dict[str, type[ReproError]] = {
+    **{exc_type.code: exc_type for exc_type in vars(errors).values()
+       if isinstance(exc_type, type) and issubclass(exc_type, ReproError)
+       and "code" in vars(exc_type)},
+    **_SERVICE_CONDITIONS,
 }
 
 
@@ -341,14 +319,15 @@ class ErrorDocument:
     @classmethod
     def from_exception(cls, exc: BaseException,
                        field: str | None = None) -> "ErrorDocument":
-        """Map an exception to its wire document (tightest class wins).
+        """Map an exception to its wire document: its class's ``code``.
 
+        The class's code, not ``exc.code``: a rebuilt exception carries
+        its document's code, which may name a service condition.
         Non-:class:`ReproError` exceptions become ``internal_error`` so a
         service can report crashes without leaking a traceback.
         """
-        for exc_type, code in _ERROR_CODES:
-            if isinstance(exc, exc_type):
-                return cls(code=code, message=str(exc), field=field)
+        if isinstance(exc, ReproError):
+            return cls(code=type(exc).code, message=str(exc), field=field)
         return cls(code="internal_error",
                    message=f"{type(exc).__name__}: {exc}", field=field)
 

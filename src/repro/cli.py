@@ -617,7 +617,9 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--output", default=None,
                           help="write the sim_report JSON document here")
     _add_engine_options(simulate)
-    _add_common_options(simulate)
+    # No --perf-stats: the sim report already prints the reschedule
+    # cost.
+    _add_fast_option(simulate)
 
     lint = sub.add_parser(
         "lint",
@@ -743,9 +745,13 @@ def _add_eval_mode_option(parser: argparse.ArgumentParser) -> None:
                         "kernel (bit-identical results, requires numpy)")
 
 
-def _add_common_options(parser: argparse.ArgumentParser) -> None:
+def _add_fast_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fast", action="store_true",
                         help="use the reduced search budget")
+
+
+def _add_common_options(parser: argparse.ArgumentParser) -> None:
+    _add_fast_option(parser)
     parser.add_argument("--perf-stats", action="store_true",
                         help="print evaluation throughput and cache-hit "
                         "statistics after the run")

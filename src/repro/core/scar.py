@@ -31,7 +31,6 @@ from repro.core.evolutionary import EvolutionarySegSearch, GAConfig
 from repro.core.metrics import ScheduleEvaluator, ScheduleMetrics
 from repro.core.packing import (
     PACKING_MODES,
-    PackingPlan,
     WindowAssignment,
     expected_layer_energies,
     expected_layer_latencies,
@@ -71,7 +70,6 @@ class SCARResult:
 
     schedule: Schedule
     metrics: ScheduleMetrics
-    plan: PackingPlan
     window_candidates: tuple[tuple[WindowCandidate, ...], ...]
     num_evaluated: int
     perf: PerfReport | None = None
@@ -240,7 +238,7 @@ class SCARScheduler:
             num_segments_recosted=evaluator.stats.num_segments_recosted,
         )
         log_report(perf)
-        return SCARResult(schedule=schedule, metrics=metrics, plan=plan,
+        return SCARResult(schedule=schedule, metrics=metrics,
                           window_candidates=tuple(all_candidates),
                           num_evaluated=num_evaluated, perf=perf)
 

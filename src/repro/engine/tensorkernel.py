@@ -503,8 +503,8 @@ class TensorEvaluator(ScheduleEvaluator):
 
     def _segment_static(self, segment: Segment):
         # One plain-dict hop in front of the EvalCache lookup: the chain
-        # plans read segment statics, and the shared cache's
-        # LRU/statistics machinery costs more than the lookup.
+        # plans read segment statics, and the cache's table dispatch
+        # and hit counting cost more than one dict hit.
         key = (segment.model, segment.start, segment.stop, segment.node)
         static = self._static_memo.get(key)
         if static is None:

@@ -5,9 +5,9 @@ A *strategy* is the paper's (MCM template x scheduler policy) pair, e.g.
 ``het_sides`` (SCAR on the Het-Sides 3x3).  Experiment drivers translate
 (scenario, strategy, objective) triples into
 :class:`~repro.api.request.ScheduleRequest` values via
-:func:`strategy_request` and submit them to a shared
-``Session``, which memoizes results so that e.g.
-Table IV and Fig. 7 share work inside one process.
+:func:`strategy_request` and submit them to a ``Session`` of their
+own.  Each CLI command runs one experiment, so two experiments (Table
+IV and Fig. 7, say) never share results.
 """
 
 from __future__ import annotations

@@ -159,7 +159,7 @@ class ServiceClient:
             try:
                 return self.result(job_id)
             except ServiceError as exc:
-                if getattr(exc, "code", None) != "job_not_done":
+                if exc.code != "job_not_done":
                     raise
                 return None
         return self._poll(job_id, timeout, finished_result)

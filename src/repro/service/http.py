@@ -35,13 +35,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro.api.request import ScheduleRequest
 from repro.api.session import Session
 from repro.api.wire import ErrorDocument
-from repro.errors import (
-    ConfigError,
-    JobNotFoundError,
-    ReproError,
-    ServiceError,
-    ServiceOverloadedError,
-)
+from repro.errors import ConfigError, ReproError, ServiceOverloadedError
 from repro.service import jobs as jobstate
 from repro.service.scheduler import SchedulerService
 
@@ -104,7 +98,8 @@ class _JobsHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _send_exception(self, exc: ReproError) -> None:
-        """Map a typed exception to its wire document + HTTP status.
+        """Answer a typed exception: its class's wire document and
+        ``http_status``.
 
         Overload rejections carry ``Retry-After`` so well-behaved
         clients (and :class:`~repro.service.ServiceClient`) know the
@@ -114,7 +109,7 @@ class _JobsHandler(BaseHTTPRequestHandler):
         if isinstance(exc, ServiceOverloadedError):
             retry_after = getattr(exc, "retry_after_s", None) or 1.0
             headers = {"Retry-After": str(max(1, round(retry_after)))}
-        self._send(_status_for(exc),
+        self._send(exc.http_status,
                    ErrorDocument.from_exception(exc).to_dict(),
                    headers=headers)
 
@@ -281,19 +276,6 @@ class _BadBatchEntry(Exception):
     def __init__(self, document: ErrorDocument) -> None:
         super().__init__(document.message)
         self.document = document
-
-
-def _status_for(exc: ReproError) -> int:
-    """HTTP status for a service-boundary exception."""
-    if isinstance(exc, JobNotFoundError):
-        return 404
-    if isinstance(exc, ServiceOverloadedError):
-        return 429
-    if isinstance(exc, ServiceError):
-        return 409
-    if isinstance(exc, ConfigError):
-        return 400
-    return 500
 
 
 @contextlib.contextmanager

@@ -377,7 +377,7 @@ class SchedulerService:
         (:class:`~repro.perf.TimingSummary`); ``session`` is the wrapped
         session's aggregate :class:`~repro.perf.PerfReport` (including
         the engine's delta-evaluation ``num_segments*`` counters and
-        per-table cache/eviction stats).  ``job_backend`` is how jobs
+        per-table cache hit/miss counts).  ``job_backend`` is how jobs
         execute (worker thread vs process pool) and ``store`` the
         cross-replica cache's hit/miss stats (``None`` when no store is
         attached).

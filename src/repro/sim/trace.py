@@ -289,10 +289,10 @@ class TraceSpec:
     Deadlines are drawn log-uniformly from ``deadline_range`` (seconds);
     ``None`` generates best-effort tenants.
 
-    Counts, pools, ranges, the seed and the use case are checked here,
-    so a malformed one fails in :meth:`from_dict` with
-    :class:`ConfigError`, not as an untyped error in
-    :func:`generate_trace` or at the first replayed event.
+    Counts, pools (``models`` holds zoo model names), ranges, the seed
+    and the use case are checked here, so a malformed one fails in
+    :meth:`from_dict` with :class:`ConfigError`, not as an untyped
+    error in :func:`generate_trace` or at the first replayed event.
     """
 
     family: str
@@ -330,10 +330,10 @@ class TraceSpec:
                 f"utilization must be in (0, 1], got {self.utilization!r}")
         if self.models is not None:
             if not isinstance(self.models, (list, tuple)) or not self.models \
-                    or not all(isinstance(m, str) for m in self.models):
+                    or not all(m in zoo.model_names() for m in self.models):
                 raise ConfigError(
-                    f"models must be None or a non-empty list of model "
-                    f"names, got {self.models!r}")
+                    f"models must be None or a non-empty list of names "
+                    f"from {zoo.model_names()}, got {self.models!r}")
             object.__setattr__(self, "models", tuple(self.models))
         if self.batches is not None:
             if not isinstance(self.batches, (list, tuple)) \
@@ -459,8 +459,6 @@ def generate_trace(spec: TraceSpec) -> Trace:
         else use_case_models(spec.use_case)
     batch_pool = tuple(sorted(spec.batches)) if spec.batches is not None \
         else tuple(sorted(use_case_batches(spec.use_case)))
-    for model_name in model_pool:
-        zoo.build(model_name)  # validates the pool up front
 
     shares: tuple[float, ...] | None = None
     if spec.family == "uunifast":

@@ -423,38 +423,35 @@ class TestWireEnvelope:
 
 _ERRORS_FIXTURE = """\
 class ReproError(Exception):
-    pass
+    code: str = "repro_error"
+    http_status: int = 500
 
 class ConfigError(ReproError):
-    pass
+    code = "config_error"
+    http_status = 400
 
 class ServiceError(ReproError):
-    pass
+    code = "service_error"
 """
 
 _WIRE_FIXTURE = """\
-_ERROR_CODES = (
-    (ConfigError, "config_error"),
-    (ServiceError, "service_error"),
-    (ReproError, "repro_error"),
-)
-
-_CODE_TO_EXCEPTION = {
-    "config_error": ConfigError,
-    "service_error": ServiceError,
-    "repro_error": ReproError,
+_SERVICE_CONDITIONS = {
+    "job_not_done": ServiceError,
+    "bad_request": ConfigError,
 }
 """
 
 _HTTP_FIXTURE = """\
-def _status_for(exc):
-    if isinstance(exc, ConfigError):
-        return 400
-    return 500
-
 class Handler:
     def fail(self):
         self._send_error_doc(400, "config_error", "bad")
+        self._send_error_doc(409, "job_not_done", "later")
+"""
+
+_LONELY_ERROR = """\
+
+class LonelyError(ReproError):
+    pass
 """
 
 
@@ -473,41 +470,34 @@ class TestErrorCodeMapping:
         assert report.clean
 
     def test_unmapped_exception_flagged(self):
-        errors = _ERRORS_FIXTURE + textwrap.dedent("""\
-
-            class LonelyError(ReproError):
-                pass
-        """)
-        report = _lint(*_errmap_sources(errors=errors),
+        report = _lint(*_errmap_sources(errors=_ERRORS_FIXTURE
+                                        + _LONELY_ERROR),
                        select=["SCAR004"])
         assert _codes(report) == ["SCAR004"]
         assert "LonelyError" in report.findings[0].message
 
-    def test_orphan_code_flagged(self):
-        wire = _WIRE_FIXTURE.replace(
-            '(ReproError, "repro_error"),',
-            '(ReproError, "repro_error"),\n'
-            '    (GhostError, "ghost_error"),')
+    def test_shared_code_flagged(self):
+        errors = _ERRORS_FIXTURE + textwrap.dedent("""\
+
+            class TwinError(ReproError):
+                code = "config_error"
+        """)
+        report = _lint(*_errmap_sources(errors=errors),
+                       select=["SCAR004"])
+        assert _codes(report) == ["SCAR004"]
+        assert "TwinError reuses wire code 'config_error' of " \
+            "ConfigError" in report.findings[0].message
+
+    def test_condition_reusing_a_class_code_flagged(self):
+        wire = _WIRE_FIXTURE.replace('"bad_request"', '"service_error"')
         report = _lint(*_errmap_sources(wire=wire), select=["SCAR004"])
         assert _codes(report) == ["SCAR004"]
-        assert "GhostError" in report.findings[0].message
+        assert "'service_error'" in report.findings[0].message
 
-    def test_base_before_derived_flagged(self):
+    def test_condition_naming_unknown_class_flagged(self):
         wire = _WIRE_FIXTURE.replace(
-            '    (ConfigError, "config_error"),\n'
-            '    (ServiceError, "service_error"),\n'
-            '    (ReproError, "repro_error"),',
-            '    (ReproError, "repro_error"),\n'
-            '    (ConfigError, "config_error"),\n'
-            '    (ServiceError, "service_error"),')
-        report = _lint(*_errmap_sources(wire=wire), select=["SCAR004"])
-        assert _codes(report) == ["SCAR004", "SCAR004"]
-        assert "shadowed" in report.findings[0].message
-
-    def test_reverse_map_to_unknown_class_flagged(self):
-        wire = _WIRE_FIXTURE.replace(
-            '"repro_error": ReproError,',
-            '"repro_error": ReproError,\n    "odd": NotAClass,')
+            '"bad_request": ConfigError,',
+            '"bad_request": ConfigError,\n    "odd": NotAClass,')
         report = _lint(*_errmap_sources(wire=wire), select=["SCAR004"])
         assert _codes(report) == ["SCAR004"]
         assert "NotAClass" in report.findings[0].message
@@ -518,29 +508,24 @@ class TestErrorCodeMapping:
         assert _codes(report) == ["SCAR004"]
         assert "mystery_code" in report.findings[0].message
 
-    def test_status_for_unknown_class_flagged(self):
-        http = _HTTP_FIXTURE.replace("ConfigError", "MadeUpError")
-        report = _lint(*_errmap_sources(http=http), select=["SCAR004"])
-        assert _codes(report) == ["SCAR004"]
-        assert "MadeUpError" in report.findings[0].message
-
-    def test_skipped_when_wire_module_absent(self):
-        errors = _ERRORS_FIXTURE + textwrap.dedent("""\
-
-            class LonelyError(ReproError):
-                pass
-        """)
+    def test_errors_module_checked_alone(self):
         report = _lint(
-            _source(errors, module="repro.errors", path="errors.py"),
+            _source(_ERRORS_FIXTURE + _LONELY_ERROR,
+                    module="repro.errors", path="errors.py"),
             select=["SCAR004"])
+        assert _codes(report) == ["SCAR004"]
+
+    def test_skipped_when_errors_module_absent(self):
+        http = _HTTP_FIXTURE.replace('"config_error"', '"mystery_code"')
+        report = _lint(*_errmap_sources(http=http)[1:],
+                       select=["SCAR004"])
         assert report.clean
 
     def test_noqa_suppresses(self):
-        wire = _WIRE_FIXTURE.replace(
-            '(ReproError, "repro_error"),',
-            '(ReproError, "repro_error"),\n'
-            '    (GhostError, "ghost_error"),  # scar: noqa[SCAR004]')
-        report = _lint(*_errmap_sources(wire=wire), select=["SCAR004"])
+        errors = _ERRORS_FIXTURE + _LONELY_ERROR.replace(
+            "(ReproError):", "(ReproError):  # scar: noqa[SCAR004]")
+        report = _lint(*_errmap_sources(errors=errors),
+                       select=["SCAR004"])
         assert report.clean
         assert len(report.suppressed) == 1
 

@@ -155,6 +155,28 @@ class TestRequestValidation:
             ScheduleRequest(scenario_id=1,
                             scenario_spec={"name": "x", "models": []})
 
+    @pytest.mark.parametrize("use_case", ["x", None, ["arvr"]])
+    def test_inline_spec_use_case_is_checked_at_parse(self, use_case):
+        """Rejected here, not as a HardwareError once a session
+        resolves the scenario."""
+        from repro.workloads import scenario
+
+        spec = scenario_spec(scenario(8))
+        document = ScheduleRequest(scenario_spec=spec).to_dict()
+        document["scenario_spec"]["use_case"] = use_case
+        with pytest.raises(ConfigError, match="use_case"):
+            ScheduleRequest.from_dict(document)
+        with pytest.raises(ConfigError, match="use_case"):
+            ScheduleRequest(scenario_spec={**spec, "use_case": use_case})
+
+    def test_inline_spec_use_case_defaults_to_datacenter(self):
+        from repro.workloads import scenario
+
+        spec = scenario_spec(scenario(1))
+        del spec["use_case"]
+        request = ScheduleRequest(scenario_spec=spec)
+        assert request.resolve_scenario().use_case == "datacenter"
+
     def test_legacy_jobs_key_is_never_read(self):
         """A request document's jobs key, even a bad one, is ignored."""
         data = {**ScheduleRequest(scenario_id=1).to_dict(), "jobs": 0}
@@ -424,7 +446,8 @@ class TestResultParseBoundary:
 class TestTraceSpecParseBoundary:
     """The same seeded mutations of a trace_spec document with every
     field set: each mutant parses or is a ConfigError, and a parsed
-    spec's trace generates or fails with a ReproError."""
+    spec's trace generates.  Seeds 0, 1 and 6 set a ``models`` entry to
+    an unknown name, which must fail at parse time."""
 
     @pytest.fixture(scope="class")
     def document(self):
@@ -450,9 +473,7 @@ class TestTraceSpecParseBoundary:
                 pytest.fail(f"{change}: {type(exc).__name__}: {exc}")
             try:
                 generate_trace(spec)
-            except ReproError:
-                pass
-            except Exception as exc:
+            except Exception as exc:  # a parsed spec must generate
                 pytest.fail(f"{change}: generate_trace raised "
                             f"{type(exc).__name__}: {exc}")
 

@@ -539,6 +539,15 @@ class TestSimulateCommand:
         assert args.trace is None and args.spec is None
         assert args.service is None
 
+    def test_perf_stats_is_not_an_option(self, capsys):
+        """The sim report carries the reschedule cost; the flag never
+        printed anything."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["simulate", "--fast",
+                                       "--perf-stats"])
+        assert excinfo.value.code == 2
+        assert "--perf-stats" in capsys.readouterr().err
+
     def test_replays_a_trace_file(self, capsys, trace_file):
         assert main(["simulate", "--trace", str(trace_file),
                      "--fast"]) == 0

@@ -10,6 +10,7 @@ import urllib.request
 
 import pytest
 
+from repro import errors
 from repro.api import (
     DEFAULT_REGISTRY,
     ErrorDocument,
@@ -19,11 +20,18 @@ from repro.api import (
 )
 from repro.core.budget import SearchBudget
 from repro.errors import (
+    AnalysisError,
     ConfigError,
+    DataflowError,
+    HardwareError,
     JobNotFoundError,
+    ReproError,
+    SchedulingError,
     SearchError,
     ServiceError,
     ServiceOverloadedError,
+    ValidationError,
+    WorkloadError,
 )
 from repro.service import (
     CANCELLED,
@@ -349,6 +357,20 @@ class TestWireErrors:
                 assert "unknown policy 'nope'" in body["message"]
             assert service.jobs() == []
 
+    def test_inline_spec_unknown_use_case_is_config_error(self):
+        """Refused at the POST with a 400, not accepted with a 201 to
+        fail later with a hardware_error."""
+        from repro.workloads import scenario
+
+        document = ScheduleRequest.for_scenario(scenario(8)).to_dict()
+        document["scenario_spec"]["use_case"] = "x"
+        with local_service(workers=1) as (url, service):
+            status, body = _post_job(url, document)
+            assert service.jobs() == []
+        assert status == 400, body
+        assert body["code"] == "config_error"
+        assert "use_case" in body["message"]
+
     def test_unknown_job_id_raises_service_error(self):
         with local_service(workers=1) as (url, _service):
             client = ServiceClient(url)
@@ -483,6 +505,90 @@ class TestRequestParseBoundary:
         else:
             assert status == 400, body
             assert body["code"] == "config_error"
+
+
+#: The error contract, pinned: each repro.errors class, the wire code
+#: ErrorDocument.from_exception gives it and the HTTP status a replica
+#: answers it with.
+_ERROR_CONTRACT = [
+    (ReproError, "repro_error", 500),
+    (WorkloadError, "workload_error", 500),
+    (HardwareError, "hardware_error", 500),
+    (DataflowError, "dataflow_error", 500),
+    (SchedulingError, "scheduling_error", 500),
+    (ValidationError, "validation_error", 500),
+    (SearchError, "search_error", 500),
+    (ConfigError, "config_error", 400),
+    (AnalysisError, "analysis_error", 500),
+    (ServiceError, "service_error", 409),
+    (JobNotFoundError, "not_found", 404),
+    (ServiceOverloadedError, "service_overloaded", 429),
+]
+
+#: Wire codes without a class of their own, the class a client rebuilds
+#: for each and the code that class sends back.
+_SERVICE_CONDITIONS = [
+    ("job_not_done", ServiceError, "service_error"),
+    ("job_cancelled", ServiceError, "service_error"),
+    ("unknown_endpoint", ServiceError, "service_error"),
+    ("bad_request", ConfigError, "config_error"),
+]
+
+
+class TestErrorContract:
+    @pytest.fixture(scope="class")
+    def replica(self):
+        with local_service(workers=1) as replica:
+            yield replica
+
+    @staticmethod
+    def _answer(replica, monkeypatch, exc) -> tuple[int, ErrorDocument]:
+        """(status, body) of a replica whose job lookup raises exc."""
+        url, service = replica
+
+        def job(job_id):
+            raise exc
+
+        monkeypatch.setattr(service, "job", job)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(url + "/v1/jobs/job-1", timeout=30)
+        return excinfo.value.code, ErrorDocument.from_json(
+            excinfo.value.read().decode("utf-8"))
+
+    def test_every_class_is_pinned(self):
+        classes = {value for value in vars(errors).values()
+                   if isinstance(value, type)
+                   and issubclass(value, ReproError)}
+        assert classes == {cls for cls, _, _ in _ERROR_CONTRACT}
+
+    @pytest.mark.parametrize(
+        "cls,code,status", _ERROR_CONTRACT,
+        ids=[cls.__name__ for cls, _, _ in _ERROR_CONTRACT])
+    def test_code_and_status(self, replica, monkeypatch, cls, code,
+                             status):
+        assert ErrorDocument.from_exception(cls("m")).code == code
+        assert type(ErrorDocument(code=code,
+                                  message="m").exception()) is cls
+        assert self._answer(replica, monkeypatch, cls("m")) == \
+            (status, ErrorDocument(code=code, message="m"))
+
+    @pytest.mark.parametrize("code,cls,sent_back", _SERVICE_CONDITIONS)
+    def test_service_condition_rebuilds_its_class(self, code, cls,
+                                                  sent_back):
+        exc = ErrorDocument(code=code, message="m").exception()
+        assert type(exc) is cls and exc.code == code
+        assert ErrorDocument.from_exception(exc).code == sent_back
+
+    def test_subclass_without_a_code_inherits_its_contract(
+            self, replica, monkeypatch):
+        class UnlistedConfigError(ConfigError):
+            pass
+
+        assert self._answer(replica, monkeypatch,
+                            UnlistedConfigError("m")) == \
+            (400, ErrorDocument(code="config_error", message="m"))
+        assert type(ErrorDocument(code="config_error",
+                                  message="m").exception()) is ConfigError
 
 
 class TestResultBody:

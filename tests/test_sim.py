@@ -287,9 +287,9 @@ class TestGenerateTrace:
         assert {e.batch for e in arrivals} <= set(use_case_batches("arvr"))
 
     def test_unknown_model_pool_rejected(self):
-        with pytest.raises(Exception, match="unknown model"):
-            generate_trace(TraceSpec(family="arrivals",
-                                     models=("edsr",)))
+        """When the spec is built, so generate_trace never sees it."""
+        with pytest.raises(ConfigError, match="models"):
+            TraceSpec(family="arrivals", models=("edsr",))
 
     def test_uunifast_batches_from_pool(self):
         spec = TraceSpec(family="uunifast", seed=2, tenants=4,
