@@ -25,6 +25,7 @@ from functools import cached_property
 from typing import Any
 
 from repro.api.wire import (
+    RESULT_WIRE_VERSION,
     WIRE_VERSION,
     CandidateColumns,
     check_envelope,
@@ -53,7 +54,7 @@ from repro.mcm.templates import template_names
 from repro.perf import PerfReport
 from repro.workloads.model import Scenario
 from repro.workloads.scenarios import scenario as table3_scenario
-from repro.workloads.scenarios import USE_CASES, scenario_ids
+from repro.workloads.scenarios import scenario_ids
 
 _REQUEST_KIND = "schedule_request"
 _RESULT_KIND = "schedule_result"
@@ -109,8 +110,9 @@ class ScheduleRequest:
     :meth:`cache_key`.  Settings that cannot, such as the costing
     kernel, are :class:`~repro.api.session.Session` options.
     Bad values raise :class:`ConfigError` here, at construction,
-    including a ``scenario_id`` outside Table III, an inline spec's
-    unknown ``use_case`` and an unknown ``template``.  Which policies
+    including a ``scenario_id`` outside Table III, an inline spec that
+    does not resolve (an unknown zoo model or ``use_case``, a bad
+    batch or layer) and an unknown ``template``.  Which policies
     exist depends on the registry of the session that runs the
     request, so an unregistered ``policy`` is rejected there (and by
     :meth:`SchedulerService.submit
@@ -161,10 +163,9 @@ class ScheduleRequest:
             if not isinstance(self.scenario_spec, dict):
                 raise ConfigError("scenario_spec must be None or an "
                                   f"object, got {self.scenario_spec!r}")
-            use_case = self.scenario_spec.get("use_case", "datacenter")
-            if use_case not in USE_CASES:
-                raise ConfigError(f"scenario_spec.use_case must be one of "
-                                  f"{USE_CASES}, got {use_case!r}")
+            # Resolved here, so a bad zoo name, batch, layer or use case
+            # is refused at parse time, not by a job that fails later.
+            scenario_from_dict(self.scenario_spec)
         if self.scenario_id is not None \
                 and self.scenario_id not in scenario_ids():
             raise ConfigError(f"scenario_id must be None or one of "
@@ -371,14 +372,18 @@ class ScheduleResult:
     # -- wire format -------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        """Plain-JSON form (request echoed back for self-description)."""
+        """Plain-JSON form (request echoed back for self-description).
+
+        Wire version 2: each window of ``window_candidates`` is one
+        :meth:`CandidateColumns.to_dict` object of three columns.
+        """
         return {
             "kind": _RESULT_KIND,
-            "version": WIRE_VERSION,
+            "version": RESULT_WIRE_VERSION,
             "request": self.request.to_dict(),
             "schedule": schedule_to_dict(self.schedule),
             "metrics": metrics_to_dict(self.metrics),
-            "window_candidates": [window.to_dicts()
+            "window_candidates": [window.to_dict()
                                   for window in self.window_candidates],
             "num_evaluated": self.num_evaluated,
             "perf": None if self.perf is None else perf_to_dict(self.perf),
@@ -386,15 +391,25 @@ class ScheduleResult:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ScheduleResult":
-        """Rebuild a result from its wire form."""
-        check_envelope(data, _RESULT_KIND)
+        """Rebuild a result from its wire form.
+
+        Reads version 2 and version 1, whose windows are lists of one
+        :meth:`~repro.api.wire.CandidatePoint.to_dict` object per
+        candidate (``ResultStore`` lines and peers written before
+        version 2); both parse to the same result.
+        """
+        version = check_envelope(data, _RESULT_KIND,
+                                 (WIRE_VERSION, RESULT_WIRE_VERSION))
+        read_window = CandidateColumns.from_dict \
+            if version == RESULT_WIRE_VERSION \
+            else CandidateColumns.from_dicts
         try:
             return cls(
                 request=ScheduleRequest.from_dict(data["request"]),
                 schedule=schedule_from_dict(data["schedule"]),
                 metrics=metrics_from_dict(data["metrics"]),
                 window_candidates=tuple(
-                    CandidateColumns.from_dicts(window)
+                    read_window(window)
                     for window in data["window_candidates"]),
                 num_evaluated=data["num_evaluated"],
                 perf=None if data.get("perf") is None

@@ -6,6 +6,14 @@ inverses of each other -- ``from_dict(to_dict(x)) == x`` bit-for-bit --
 because every numeric field is a python float/int and JSON round-trips
 both losslessly (floats use shortest-repr round-tripping).
 
+Every document carries a ``{"kind", "version"}`` envelope, checked by
+:func:`check_envelope`.  Versions are per kind: ``schedule_result`` is
+at :data:`RESULT_WIRE_VERSION` (2), which writes each window of
+candidates as three columns (:meth:`CandidateColumns.to_dict`), and
+still reads version 1's one object per candidate
+(:meth:`CandidateColumns.from_dicts`); every other kind is at
+:data:`WIRE_VERSION` (1).
+
 Derived quantities (``edp``, ``hit_rate``, ``evals_per_s``) are emitted
 for the benefit of non-python consumers but ignored on the way back in,
 so they can never drift from the primary fields.
@@ -28,9 +36,13 @@ from repro import errors
 from repro.errors import ConfigError, ReproError, ServiceError
 from repro.perf import CacheStats, PerfReport
 
-#: Wire-format version shared by every document kind (requests, results,
-#: jobs, errors); bumped on incompatible schema changes.
+#: Wire-format version of every document kind but ``schedule_result``
+#: (requests, jobs, errors, ...); bumped on incompatible schema changes.
 WIRE_VERSION = 1
+#: Wire-format version of ``schedule_result`` documents: version 2 writes
+#: each window of ``window_candidates`` as three columns, where version 1
+#: wrote one object per candidate.
+RESULT_WIRE_VERSION = 2
 
 
 def loads_document(text: str, what: str) -> dict[str, Any]:
@@ -41,12 +53,15 @@ def loads_document(text: str, what: str) -> dict[str, Any]:
         raise ConfigError(f"cannot parse {what}: {exc}") from exc
 
 
-def check_envelope(data: Any, kind: str) -> None:
+def check_envelope(data: Any, kind: str,
+                   versions: tuple[int, ...] = (WIRE_VERSION,)) -> int:
     """Validate the shared ``{"kind": ..., "version": ...}`` envelope.
 
     The single implementation every document kind parses through, so a
     future envelope change (version negotiation, new fields) lands in
-    one place.
+    one place.  ``versions`` are the ones the caller reads; the
+    document's version is returned, so a reader of several can branch
+    on it.  A boolean is no version, although ``True == 1``.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"expected a {kind} document, got "
@@ -55,9 +70,11 @@ def check_envelope(data: Any, kind: str) -> None:
     if got_kind != kind:
         raise ConfigError(f"expected kind {kind!r}, got {got_kind!r}")
     version = data.get("version")
-    if version != WIRE_VERSION:
+    if isinstance(version, bool) or version not in versions:
+        supported = ", ".join(map(str, versions))
         raise ConfigError(f"unsupported wire version {version!r} "
-                          f"(supported: {WIRE_VERSION})")
+                          f"(supported: {supported})")
+    return version
 
 
 @dataclass(frozen=True)
@@ -92,6 +109,8 @@ class CandidatePoint:
 
 #: Bytes per packed double in a :class:`CandidateColumns` column.
 _DOUBLE = array("d").itemsize
+#: A :class:`CandidateColumns` window's columns, in order, by wire name.
+_COLUMNS = ("score", "latency_s", "energy_j")
 
 
 class CandidateColumns:
@@ -163,16 +182,40 @@ class CandidateColumns:
         return (CandidateColumns,
                 (self._score, self._latency_s, self._energy_j))
 
-    def to_dicts(self) -> list[dict[str, float]]:
-        """The window's wire form: one :meth:`CandidatePoint.to_dict`
-        object per candidate, built without the points."""
-        return [{"score": score, "latency_s": latency_s,
-                 "energy_j": energy_j}
-                for score, latency_s, energy_j in zip(*self.columns)]
+    def to_dict(self) -> dict[str, list[float]]:
+        """The window's wire form (``schedule_result`` version 2): one
+        list per column, ``{"score": [...], "latency_s": [...],
+        "energy_j": [...]}``, with no object per candidate."""
+        score, latency_s, energy_j = self.columns
+        return {"score": score.tolist(), "latency_s": latency_s.tolist(),
+                "energy_j": energy_j.tolist()}
+
+    @classmethod
+    def from_dict(cls, data: Any) -> "CandidateColumns":
+        """Rebuild a window from its wire form (:meth:`to_dict`).
+
+        Each column must be a list of real numbers that fit a double,
+        and the three must be equally long, so a missing or non-list
+        column, a non-number value, an integer too large for a float
+        or columns of unequal length is a :class:`ConfigError`.
+        """
+        if not isinstance(data, dict):
+            raise ConfigError("malformed candidate columns: expected an "
+                              f"object, got {type(data).__name__}")
+        for name in _COLUMNS:
+            if not isinstance(data.get(name), list):
+                raise ConfigError(f"malformed candidate columns: {name} "
+                                  "is missing or not a list")
+        try:
+            return cls(*(data[name] for name in _COLUMNS))
+        except (TypeError, OverflowError) as exc:
+            raise ConfigError(
+                f"malformed candidate columns: {exc}") from exc
 
     @classmethod
     def from_dicts(cls, points: Any) -> "CandidateColumns":
-        """Rebuild a window from its wire form (:meth:`to_dicts`).
+        """Rebuild a window from its ``schedule_result`` version-1 wire
+        form: one :meth:`CandidatePoint.to_dict` object per candidate.
 
         The columns take only real numbers that fit a double, so a
         missing key, a non-object point, a non-number value or an

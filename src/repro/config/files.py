@@ -19,6 +19,7 @@ from repro.mcm.topology import Topology
 from repro.workloads import zoo
 from repro.workloads.layer import Layer, LayerOp
 from repro.workloads.model import Model, ModelInstance, Scenario
+from repro.workloads.scenarios import USE_CASES
 
 # -- MCM ----------------------------------------------------------------
 
@@ -123,8 +124,10 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
     """Rebuild a scenario; models resolve from the zoo unless inlined.
 
     Every malformed-document failure -- missing keys, an unknown zoo
-    model, a non-integer batch -- surfaces as :class:`ConfigError`, the
-    same contract as every other config loader in this module.
+    model, a non-integer batch, a ``use_case`` outside
+    :data:`~repro.workloads.scenarios.USE_CASES` -- surfaces as
+    :class:`ConfigError`, the same contract as every other config
+    loader in this module.
     """
     try:
         instances = []
@@ -137,8 +140,12 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
                 model = zoo.build(entry["model"])
             instances.append(ModelInstance(model, entry.get("batch", 1),
                                            instance_name=entry.get("name")))
+        use_case = data.get("use_case", "datacenter")
+        if use_case not in USE_CASES:
+            raise ConfigError("malformed scenario config: use_case must "
+                              f"be one of {USE_CASES}, got {use_case!r}")
         return Scenario(name=data["name"], instances=tuple(instances),
-                        use_case=data.get("use_case", "datacenter"))
+                        use_case=use_case)
     except (KeyError, TypeError, ValueError, WorkloadError) as exc:
         raise ConfigError(f"malformed scenario config: {exc}") from exc
 

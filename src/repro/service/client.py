@@ -6,9 +6,9 @@ experiment written against handles runs unchanged against a local
 in-process server (:func:`repro.service.local_service`) or a remote
 ``scar serve`` instance::
 
-    client = ServiceClient("http://127.0.0.1:8787")
-    handle = client.submit(request)
-    result = handle.result(timeout=300)     # a ScheduleResult
+    with ServiceClient("http://127.0.0.1:8787") as client:
+        handle = client.submit(request)
+        result = handle.result(timeout=300)     # a ScheduleResult
 
 Error documents coming back over HTTP are re-raised as the typed
 :mod:`repro.errors` exception they encode, so remote failures look
@@ -16,20 +16,36 @@ exactly like local ones.  The one exception the client absorbs itself
 is admission-control pushback: a 429 ``service_overloaded`` rejection
 is retried with capped exponential backoff (honouring the server's
 ``Retry-After``) before surfacing, so bursty callers degrade to
-waiting instead of erroring.  Pure stdlib (``urllib.request``).
+waiting instead of erroring.
+
+Pure stdlib (:mod:`http.client`).  Each calling thread keeps one
+persistent HTTP/1.1 connection, opened by its first call and reused by
+every later one, so a submit and its result fetch pay for no TCP
+set-up and the replica starts no handler thread per call.  A request
+is sent a second time, on a fresh connection, only when it failed on a
+reused connection before any response byte arrived: the server had
+closed the idle connection, so the request never ran (the rule
+:meth:`xmlrpc.client.Transport.request` uses).  A request the server
+answered is never sent twice.  :meth:`ServiceClient.close`, or leaving
+its ``with`` block, closes the connections.  The base URL must be
+plain ``http://``, which is what a replica serves, and proxy
+environment variables (``http_proxy``, ``no_proxy``) are not read: the
+client always connects to the replica itself.
 """
 
 from __future__ import annotations
 
+import errno
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NoReturn
+from urllib.parse import urlsplit
 
 from repro.api.request import ScheduleRequest, ScheduleResult
 from repro.api.wire import ErrorDocument, is_error_document
-from repro.errors import ServiceError, ServiceOverloadedError
+from repro.errors import ConfigError, ServiceError, ServiceOverloadedError
 from repro.service.jobs import JobRecord
 
 #: How many times a submit rejected with ``service_overloaded`` (HTTP
@@ -39,8 +55,21 @@ OVERLOAD_RETRIES = 6
 #: never undercuts the server's ``Retry-After`` (itself capped).
 BACKOFF_S = 0.05
 BACKOFF_CAP_S = 2.0
-#: Delay between polls while waiting for a job to finish.
+#: Longest delay between polls while waiting for a job to finish; the
+#: first re-poll waits about 1 ms, and each later one twice as long.
 POLL_S = 0.05
+
+#: Errors of a reused connection that the server had already closed:
+#: the request never reached it, so it is sent once more.
+_STALE_ERRNOS = (errno.ECONNRESET, errno.ECONNABORTED, errno.EPIPE)
+_TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
+
+
+def _stale(exc: BaseException) -> bool:
+    """True when ``exc`` means a kept-alive connection was closed by
+    the server before the request's response began."""
+    return isinstance(exc, http.client.RemoteDisconnected) or (
+        isinstance(exc, OSError) and exc.errno in _STALE_ERRNOS)
 
 
 class RemoteJob:
@@ -79,12 +108,42 @@ class ServiceClient:
 
     ``timeout_s`` bounds each HTTP round trip.  Overload retries and
     polling follow the module constants (``OVERLOAD_RETRIES``,
-    ``BACKOFF_S``, ``BACKOFF_CAP_S``, ``POLL_S``).
+    ``BACKOFF_S``, ``BACKOFF_CAP_S``, ``POLL_S``).  One client may be
+    shared by threads: each gets its own connection (see the module
+    docstring), and :meth:`close` closes them all.
     """
 
     def __init__(self, base_url: str, *, timeout_s: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
+        try:
+            split = urlsplit(self.base_url)
+            self._address = (split.hostname, split.port or 80)
+        except ValueError as exc:  # a port that is not a number
+            raise ConfigError(f"bad service URL {base_url!r}: {exc}") \
+                from exc
+        if split.scheme != "http" or not split.hostname:
+            raise ConfigError(f"service URL must be http://host[:port], "
+                              f"got {base_url!r}")
+        self._path = split.path
+        self._lock = threading.Lock()
+        self._connections: dict[threading.Thread,
+                                http.client.HTTPConnection] = \
+            {}  # guarded by: _lock
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close every thread's connection (a later call opens anew)."""
+        with self._lock:
+            connections = list(self._connections.values())
+            self._connections.clear()
+        for connection in connections:
+            connection.close()
 
     # -- submission --------------------------------------------------------
 
@@ -176,10 +235,17 @@ class ServiceClient:
     @staticmethod
     def _poll(job_id: str, timeout: float | None,
               attempt: Callable[[], Any]) -> Any:
-        """Call ``attempt`` every ``POLL_S`` until it returns a value;
-        past ``timeout`` seconds raise :class:`ServiceError`."""
+        """Call ``attempt`` until it returns a value; past ``timeout``
+        seconds raise :class:`ServiceError`.
+
+        The first re-poll waits about 1 ms and each later one twice as
+        long, up to ``POLL_S``: a memo hit's job finishes on a worker
+        thread just after its submit returns, so a fetch sent at once
+        can find it a moment early.
+        """
         deadline = None if timeout is None \
             else time.monotonic() + timeout
+        delay = 0.001
         while True:
             value = attempt()
             if value is not None:
@@ -187,7 +253,8 @@ class ServiceClient:
             if deadline is not None and time.monotonic() >= deadline:
                 raise ServiceError(
                     f"job {job_id} not finished after {timeout}s")
-            time.sleep(POLL_S)
+            time.sleep(delay)
+            delay = min(2 * delay, POLL_S)
 
     @staticmethod
     def _jobs_path(priority: int) -> str:
@@ -196,40 +263,76 @@ class ServiceClient:
 
     def _call(self, method: str, path: str,
               payload: dict | list | None = None) -> Any:
-        data = None if payload is None \
+        body = None if payload is None \
             else json.dumps(payload).encode("utf-8")
-        req = urllib.request.Request(
-            self.base_url + path, data=data, method=method,
-            headers={"Content-Type": "application/json"})
-        try:
-            with urllib.request.urlopen(req,
-                                        timeout=self.timeout_s) as resp:
-                body = resp.read()
-        except urllib.error.HTTPError as exc:
-            body = exc.read()
-            self._raise_from_body(body, exc)
-            raise  # unreachable: _raise_from_body always raises
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                f"cannot reach service at {self.base_url}: "
-                f"{exc.reason}") from exc
-        return json.loads(body.decode("utf-8"))
+        response, data = self._round_trip(method, path, body)
+        if response.status >= 300:
+            self._raise_for_status(response, data, path)
+        return json.loads(data.decode("utf-8"))
 
-    def _raise_from_body(self, body: bytes,
-                         exc: urllib.error.HTTPError) -> None:
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection, made on its first call.
+
+        Making one also closes those of threads that have ended.
+        """
+        thread = threading.current_thread()
+        with self._lock:
+            connection = self._connections.get(thread)
+            if connection is None:
+                for ended in [t for t in self._connections
+                              if not t.is_alive()]:
+                    self._connections.pop(ended).close()
+                connection = self._connections[thread] = \
+                    http.client.HTTPConnection(*self._address,
+                                               timeout=self.timeout_s)
+        return connection
+
+    def _round_trip(self, method: str, path: str, body: bytes | None
+                    ) -> tuple[http.client.HTTPResponse, bytes]:
+        """One request on this thread's connection: the response and
+        its body.
+
+        A request that failed on a reused connection before any
+        response byte arrived (:func:`_stale`) is sent once more, on a
+        fresh connection; any other transport failure, or a second
+        one, is a :class:`ServiceError`, and closes the connection.
+        """
+        for attempt in range(2):
+            connection = self._connection()
+            reused = connection.sock is not None
+            try:
+                connection.request(method, self._path + path, body,
+                                   {"Content-Type": "application/json"})
+                response = connection.getresponse()
+                break
+            except _TRANSPORT_ERRORS as exc:
+                connection.close()
+                if attempt or not reused or not _stale(exc):
+                    raise ServiceError(
+                        f"cannot reach service at {self.base_url}: "
+                        f"{exc}") from exc
+        try:
+            return response, response.read()
+        except _TRANSPORT_ERRORS as exc:
+            connection.close()
+            raise ServiceError(
+                f"lost the response to {method} {path} from "
+                f"{self.base_url}: {exc}") from exc
+
+    def _raise_for_status(self, response: http.client.HTTPResponse,
+                          body: bytes, path: str) -> NoReturn:
         try:
             document = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             document = None
         if is_error_document(document):
             error = ErrorDocument.from_dict(document).exception()
-            retry_after = exc.headers.get("Retry-After") \
-                if exc.headers is not None else None
+            retry_after = response.getheader("Retry-After")
             if retry_after is not None:
                 try:
                     error.retry_after_s = float(retry_after)
                 except ValueError:
                     pass  # HTTP-date form: ignore, use our own backoff
-            raise error from None
-        raise ServiceError(
-            f"HTTP {exc.code} from {exc.url}: {exc.reason}") from exc
+            raise error
+        raise ServiceError(f"HTTP {response.status} from "
+                           f"{self.base_url}{path}: {response.reason}")

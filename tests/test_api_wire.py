@@ -14,6 +14,7 @@ import json
 import pickle
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -169,6 +170,25 @@ class TestRequestValidation:
         with pytest.raises(ConfigError, match="use_case"):
             ScheduleRequest(scenario_spec={**spec, "use_case": use_case})
 
+    @pytest.mark.parametrize("change", [
+        {"model": "nope"}, {"batch": 0}, {"batch": "2"},
+        {"layers": [{"name": "x"}]}, {"model": None}],
+        ids=["unknown-model", "batch-0", "string-batch", "bad-layer",
+             "null-model"])
+    def test_inline_spec_is_resolved_at_parse(self, change):
+        """The whole spec resolves when the request is built, so a
+        replica refuses it at the POST instead of failing the job."""
+        from repro.workloads import scenario
+
+        spec = scenario_spec(scenario(8))
+        spec["models"][0].update(change)
+        document = ScheduleRequest(scenario_id=8).to_dict()
+        document.update(scenario_id=None, scenario_spec=spec)
+        with pytest.raises(ConfigError, match="malformed scenario"):
+            ScheduleRequest.from_dict(document)
+        with pytest.raises(ConfigError, match="malformed scenario"):
+            ScheduleRequest(scenario_spec=spec)
+
     def test_inline_spec_use_case_defaults_to_datacenter(self):
         from repro.workloads import scenario
 
@@ -276,6 +296,22 @@ def result(tiny_scenario):
     return Session().submit(_quick_request(tiny_scenario))
 
 
+#: A version-1 ``schedule_result`` document (one object per candidate)
+#: as a replica sent it before version 2: scenario 4, QUICK_BUDGET,
+#: nsplits=1, about 20 KB.
+_V1_RESULT_PATH = Path(__file__).parent / "fixtures" \
+    / "schedule_result_v1.json"
+
+
+#: A field a test case deletes instead of setting.
+_DROP = object()
+
+
+@pytest.fixture
+def v1_document():
+    return json.loads(_V1_RESULT_PATH.read_text(encoding="utf-8"))
+
+
 class TestResultRoundTrip:
     def test_dict_round_trip(self, result):
         clone = ScheduleResult.from_dict(result.to_dict())
@@ -328,14 +364,100 @@ class TestResultRoundTrip:
     ], ids=["missing-energy", "list", "null", "string-score",
             "null-latency", "list-energy", "object-energy",
             "int-beyond-double"])
-    def test_malformed_window_candidate_is_config_error(self, result,
+    def test_malformed_window_candidate_is_config_error(self, v1_document,
                                                         point):
-        """Rejected while the columns fill, not later as a TypeError
-        inside candidate_points()."""
-        document = result.to_dict()
-        document["window_candidates"][0][0] = point
+        """Version 1: rejected while the columns fill, not later as a
+        TypeError inside candidate_points()."""
+        v1_document["window_candidates"][0][0] = point
         with pytest.raises(ConfigError, match="candidate point"):
+            ScheduleResult.from_dict(v1_document)
+
+    @pytest.mark.parametrize("column,index,value", [
+        ("energy_j", None, _DROP), ("energy_j", None, None),
+        ("score", None, "x"), ("score", None, {}),
+        ("latency_s", None, 0.01), ("score", 0, "x"),
+        ("energy_j", 0, None), ("score", 0, [1.0]),
+        ("latency_s", None, [1.0]), ("score", 0, 10**400),
+    ], ids=["missing-column", "null-column", "string-column",
+            "object-column", "number-column", "string-value",
+            "null-value", "list-value", "unequal-lengths",
+            "int-beyond-double"])
+    def test_malformed_window_columns_are_config_error(
+            self, result, column, index, value):
+        """Version 2's twins of the version-1 cases above: ``value``
+        replaces a whole column (``index`` None) or one of its items."""
+        document = result.to_dict()
+        window = document["window_candidates"][0]
+        assert len(window[column]) > 1
+        if value is _DROP:
+            del window[column]
+        elif index is None:
+            window[column] = value
+        else:
+            window[column][index] = value
+        with pytest.raises(ConfigError, match="candidate columns"):
             ScheduleResult.from_dict(document)
+
+    @pytest.mark.parametrize("window", [None, [], "x", 1.0])
+    def test_window_that_is_no_object_is_config_error(self, result,
+                                                      window):
+        document = result.to_dict()
+        document["window_candidates"][0] = window
+        with pytest.raises(ConfigError, match="candidate columns"):
+            ScheduleResult.from_dict(document)
+
+    def test_version_2_writes_each_window_as_three_columns(self, result):
+        document = json.loads(result.wire_bytes)
+        assert document["version"] == 2
+        assert len(document["window_candidates"]) == \
+            len(result.window_candidates)
+        for window, columns in zip(result.window_candidates,
+                                   document["window_candidates"]):
+            assert sorted(columns) == ["energy_j", "latency_s", "score"]
+            assert columns["score"] == [p.score for p in window]
+            assert columns["latency_s"] == [p.latency_s for p in window]
+            assert columns["energy_j"] == [p.energy_j for p in window]
+
+    def test_version_1_document_parses_to_a_fresh_result(self,
+                                                         v1_document):
+        """A document a replica sent before version 2 (and a
+        ResultStore line written then) reads as the same result a
+        search makes now."""
+        parsed = ScheduleResult.from_dict(v1_document)
+        assert parsed.request == ScheduleRequest(
+            scenario_id=4, budget=QUICK_BUDGET, nsplits=1)
+        assert parsed.same_payload(Session().submit(parsed.request))
+        assert parsed.perf is not None
+        assert parsed.perf.wall_s == v1_document["perf"]["wall_s"]
+        assert sum(map(len, parsed.window_candidates)) == sum(
+            map(len, v1_document["window_candidates"]))
+        assert ScheduleResult.from_dict(parsed.to_dict()) == parsed
+
+    @pytest.mark.parametrize("version", [True, False, 0, 3, -1, 2.5,
+                                         "2", None, [2]])
+    def test_result_version_must_be_1_or_2(self, result, v1_document,
+                                           version):
+        for document in (result.to_dict(), v1_document):
+            document["version"] = version
+            with pytest.raises(ConfigError, match="wire version"):
+                ScheduleResult.from_dict(document)
+
+    @pytest.mark.parametrize("version", [2, True])
+    def test_every_other_kind_reads_only_version_1(self, version):
+        from repro.api import ErrorDocument
+        from repro.service import JobRecord
+
+        request = ScheduleRequest(scenario_id=1)
+        job = JobRecord(job_id="job-1", request=request)
+        for parse, document in (
+                (ScheduleRequest.from_dict, request.to_dict()),
+                (JobRecord.from_dict, job.to_dict()),
+                (ErrorDocument.from_dict,
+                 ErrorDocument(code="x", message="y").to_dict())):
+            assert parse(document) is not None
+            document["version"] = version
+            with pytest.raises(ConfigError, match="wire version"):
+                parse(document)
 
     @pytest.mark.parametrize("breakage", ["negative-start",
                                           "non-contiguous-chain"])
@@ -418,19 +540,22 @@ def _mutants(document, seed, count=60):
 
 
 class TestResultParseBoundary:
-    """Seeded mutations of a real schedule_result document: every field
-    at every depth dropped or replaced by a value of another type or
-    range.  The document either parses or is a ConfigError -- never a
-    SchedulingError, TypeError, AttributeError or OverflowError."""
+    """Seeded mutations of real schedule_result documents, one of each
+    version: every field at every depth dropped or replaced by a value
+    of another type or range.  The document either parses or is a
+    ConfigError -- never a SchedulingError, TypeError, AttributeError
+    or OverflowError."""
 
-    @pytest.fixture(scope="class")
-    def document(self):
+    @pytest.fixture(scope="class", params=["v2", "v1"])
+    def document(self, request):
+        if request.param == "v1":
+            return json.loads(_V1_RESULT_PATH.read_text(encoding="utf-8"))
         from repro.workloads import scenario
 
-        request = ScheduleRequest.for_scenario(
+        schedule_request = ScheduleRequest.for_scenario(
             scenario(4), template="het_sides_3x3", budget=QUICK_BUDGET,
             nsplits=1)
-        return Session().submit(request).to_dict()
+        return Session().submit(schedule_request).to_dict()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_mutant_parses_or_is_a_config_error(self, document, seed):
@@ -598,8 +723,12 @@ class TestCandidateColumns:
             window[2]
         with pytest.raises(TypeError):
             window[0:1]
-        assert window.to_dicts() == [point.to_dict() for point in window]
-        assert CandidateColumns.from_dicts(window.to_dicts()) == window
+        assert window.to_dict() == {"score": [2.0, 1.0],
+                                    "latency_s": [0.5, 0.25],
+                                    "energy_j": [4.0, 3.0]}
+        assert CandidateColumns.from_dict(window.to_dict()) == window
+        assert CandidateColumns.from_dicts(
+            [point.to_dict() for point in window]) == window
 
     def test_columns_are_read_only(self, result):
         window = result.window_candidates[0]

@@ -371,6 +371,23 @@ class TestWireErrors:
         assert body["code"] == "config_error"
         assert "use_case" in body["message"]
 
+    @pytest.mark.parametrize("change", [{"model": "nope"}, {"batch": 0}],
+                             ids=["unknown-model", "batch-0"])
+    def test_inline_spec_that_does_not_resolve_is_config_error(
+            self, change):
+        """Refused at the POST with a 400, not accepted with a 201 to
+        fail when the job runs."""
+        from repro.workloads import scenario
+
+        document = ScheduleRequest.for_scenario(scenario(8)).to_dict()
+        document["scenario_spec"]["models"][0].update(change)
+        with local_service(workers=1) as (url, service):
+            status, body = _post_job(url, document)
+            assert service.jobs() == []
+        assert status == 400, body
+        assert body["code"] == "config_error"
+        assert "malformed scenario" in body["message"]
+
     def test_unknown_job_id_raises_service_error(self):
         with local_service(workers=1) as (url, _service):
             client = ServiceClient(url)
@@ -646,3 +663,99 @@ class TestResultBody:
             finally:
                 conn.close()
         assert elapsed < 0.4, f"20 keep-alive GETs took {elapsed:.3f} s"
+
+
+def _raw_exchange(url: str, request: bytes) -> tuple[bytes, bool]:
+    """Send raw request bytes; the response head, and whether the
+    server closed the connection after the response."""
+    import socket
+
+    host, port = url.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=30) as sock:
+        sock.sendall(request)
+        received = b""
+        while b"\r\n\r\n" not in received:
+            chunk = sock.recv(65536)
+            assert chunk, received
+            received += chunk
+        head, _, body = received.partition(b"\r\n\r\n")
+        length = int(next(line.split(b":")[1] for line in head.split(
+            b"\r\n") if line.lower().startswith(b"content-length")))
+        while len(body) < length:
+            body += sock.recv(65536)
+        closed = sock.recv(65536) == b""
+    return head, closed
+
+
+class TestConnectionClose:
+    """Each response after which the handler closes the connection says
+    so with ``Connection: close``, so a keep-alive client knows before
+    it sends another request on a closed socket."""
+
+    @pytest.mark.parametrize("header,status", [
+        (b"Content-Length: -5", b"400"),
+        (b"Transfer-Encoding: chunked", b"501"),
+        (b"Content-Length: 1099511627776", b"413"),
+    ], ids=["negative-length", "transfer-encoding", "oversized"])
+    def test_closing_response_says_so(self, header, status):
+        with local_service(workers=1) as (url, _service):
+            head, closed = _raw_exchange(
+                url, b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+                + header + b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        assert lines[0].split()[1] == status
+        assert b"Connection: close" in lines[1:]
+        assert closed
+
+    def test_kept_alive_response_does_not(self):
+        with local_service(workers=1) as (url, _service):
+            import http.client
+
+            host, port = url.removeprefix("http://").split(":")
+            conn = http.client.HTTPConnection(host, int(port), timeout=30)
+            try:
+                conn.request("GET", "/v1/health")
+                response = conn.getresponse()
+                response.read()
+                assert response.getheader("Connection") is None
+                assert not response.will_close
+            finally:
+                conn.close()
+
+
+class TestVersion1Store:
+    def test_stored_version_1_result_is_served_as_version_2(
+            self, tmp_path):
+        """A ResultStore line written before schedule_result version 2
+        is read, and served over HTTP in version 2 -- not a 500 and not
+        a search: the stored wall time rides along."""
+        from pathlib import Path
+
+        from repro.sweep import ResultStore
+
+        fixture = Path(__file__).parent / "fixtures" \
+            / "schedule_result_v1.json"
+        document = json.loads(fixture.read_text(encoding="utf-8"))
+        document["perf"]["wall_s"] = 4321.5
+        stored = ScheduleResult.from_dict(document)
+        path = tmp_path / "store.jsonl"
+        path.write_text(json.dumps(
+            {"kind": "sweep_cell", "version": 1,
+             "key": stored.request.cache_key(),
+             "result": document}) + "\n", encoding="utf-8")
+        with local_service(Session(), workers=1,
+                           store=ResultStore(path)) as (url, service):
+            with ServiceClient(url) as client:
+                handle = client.submit(stored.request)
+                served = handle.result(timeout=60)
+            with urllib.request.urlopen(
+                    f"{url}/v1/jobs/{handle.job_id}/result",
+                    timeout=30) as response:
+                body = json.loads(response.read())
+            assert service.perf_summary()["store"]["hits"] == 1
+        assert served.same_payload(stored)
+        assert served.perf.wall_s == 4321.5
+        assert body["version"] == 2
+        for window in body["window_candidates"]:
+            assert len(window["score"]) == len(window["latency_s"]) \
+                == len(window["energy_j"]) > 0
