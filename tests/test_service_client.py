@@ -13,6 +13,7 @@ import contextlib
 import errno
 import http.client
 import os
+import select
 import signal
 import socket
 import struct
@@ -101,7 +102,9 @@ class TestConnectionReuse:
         with local_service(workers=1) as (url, _service):
             with ServiceClient(url) as client:
                 assert client.health()["status"] == "ok"
-                time.sleep(0.6)
+                sock = client._connections[threading.current_thread()].sock
+                # Readable at EOF: wait until the replica has closed it.
+                assert select.select([sock], [], [], 30)[0]
                 assert client.health()["status"] == "ok"
                 assert client.health()["status"] == "ok"
         assert len(accepted) == 2
