@@ -3,7 +3,7 @@
 Nine PRs of review-hardening distilled into a CI gate: an
 ``ast``-visitor framework (:mod:`repro.analysis.core`), a
 whole-program model (:mod:`repro.analysis.graph`: import graph,
-symbol table, call graph, lock-acquisition graph) and ten
+symbol table, call graph, lock-acquisition graph) and seven
 project-specific checkers guarding the conventions the codebase's
 correctness actually rests on:
 
@@ -13,21 +13,13 @@ SCAR001   lock discipline: ``# guarded by: <lock>`` state only under
 SCAR002   determinism: no process-wide RNG, wall-clock reads or bare-set
           iteration in kernel/sweep paths
           (:mod:`repro.analysis.determinism`)
-SCAR003   wire envelope: document classes parse through
-          ``wire.loads_document``/``check_envelope`` and emit ``kind``
-          (:mod:`repro.analysis.envelope`)
-SCAR004   error codes: each repro.errors class declares its own
-          unique wire code, and every code http.py sends resolves
-          (:mod:`repro.analysis.errormap`)
-SCAR005   registry drift: registered policy names stay CLI-
-          reachable and documented (:mod:`repro.analysis.registries`)
 SCAR006   lock-order deadlocks: the inter-procedural lock-acquisition
           graph stays acyclic (:mod:`repro.analysis.deadlock`)
 SCAR007   RNG/wall-clock taint: nondeterministic values never flow
           into engine/sweep/sim/workloads call sites
           (:mod:`repro.analysis.taint`)
-SCAR008   wire-schema drift: emitted/parsed fields per kind match the
-          golden ``analysis/schemas.json``
+SCAR008   wire-schema drift: top-level emitted/parsed fields per kind
+          match the golden ``analysis/schemas.json``
           (:mod:`repro.analysis.schema`)
 SCAR009   dead symbols: unused ``__all__`` exports, unreachable
           registrations, orphan suppressions
@@ -36,6 +28,11 @@ SCAR010   hot-path allocation: no per-iteration allocations in the
           innermost loops of ``# scar: hot`` modules
           (:mod:`repro.analysis.hotpath`)
 ========  =================================================================
+
+Codes SCAR003-SCAR005 are retired: the wire-envelope, error-code and
+registry rules they approximated from source text are checked on the
+running program by ``tests/test_contracts.py`` and
+``tests/test_service_http.py::TestErrorContract``.
 
 Findings suppress per line with ``# scar: noqa[CODE]``; reports render
 as text, GitHub annotations or the ``kind: "lint_report"`` wire
@@ -59,11 +56,8 @@ from repro.analysis.core import (
 from repro.analysis import deadlock as _deadlock  # noqa: F401
 from repro.analysis import deadsyms as _deadsyms  # noqa: F401
 from repro.analysis import determinism as _determinism  # noqa: F401
-from repro.analysis import envelope as _envelope  # noqa: F401
-from repro.analysis import errormap as _errormap  # noqa: F401
 from repro.analysis import hotpath as _hotpath  # noqa: F401
 from repro.analysis import locks as _locks  # noqa: F401
-from repro.analysis import registries as _registries  # noqa: F401
 from repro.analysis import schema as _schema  # noqa: F401
 from repro.analysis import taint as _taint  # noqa: F401
 from repro.analysis.graph import FileSummary, ProgramModel, summarize

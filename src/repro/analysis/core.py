@@ -32,7 +32,7 @@ from typing import Any, Iterable, Sequence
 
 from repro.errors import AnalysisError, ConfigError
 
-#: ``# scar: noqa[SCAR001]`` / ``# scar: noqa[SCAR001,SCAR005]``.
+#: ``# scar: noqa[SCAR001]`` / ``# scar: noqa[SCAR001,SCAR006]``.
 _NOQA_RE = re.compile(r"#\s*scar:\s*noqa\[(?P<codes>[A-Z0-9,\s]+)\]")
 
 #: A noqa *directive*: the whole comment is the suppression.  Orphan

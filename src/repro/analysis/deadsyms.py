@@ -122,7 +122,7 @@ class DeadSymbolChecker(Checker):
         cli_text = program.text(_CLI_MODULE) \
             if _CLI_MODULE in program.modules else None
         if cli_text is None:
-            return  # SCAR005-style degradation without the CLI
+            return  # a partial lint without repro.cli cannot judge
         reachable_texts.append(cli_text)
         for module in sorted(program.summaries):
             summary = program.summaries[module]

@@ -223,7 +223,7 @@ def _collect_module_level(source: SourceFile,
             summary.exports_line = node.lineno
 
 
-#: registrar name -> registry label (shared with SCAR005/SCAR009).
+#: registrar name -> registry label (SCAR009's reachability pass).
 REGISTRARS: dict[str, str] = {
     "register_policy": "policy",
 }
@@ -521,13 +521,11 @@ class ProgramModel:
 
     Built from the per-file summaries plus the parsed sources they
     were distilled from (``sources[i]`` is the file ``summaries[i]``
-    summarizes): ``program.source(module)`` is the parsed file
-    (SCAR004 reads the error classes' ``code`` attributes and the wire
-    and HTTP modules' codes from it), ``program.text(module)`` its
-    raw text (registry-name greps).  A lint run gives files that
+    summarizes): ``program.text(module)`` is a module's raw text
+    (SCAR009's registry-name greps).  A lint run gives files that
     share a module name (sibling ``conftest.py`` files) path-qualified
     names first; should two summaries still share one, the first keeps
-    both its summary and its source, so a module's text is always the
+    both its summary and its text, so a module's text is always the
     text of its summary's file.
     """
 
@@ -535,24 +533,19 @@ class ProgramModel:
                  sources: Sequence[SourceFile]) -> None:
         self.root = Path(root)
         self.summaries: dict[str, FileSummary] = {}
-        self._sources: dict[str, SourceFile] = {}
+        self._texts: dict[str, str] = {}
         for summary, source in zip(summaries, sources, strict=True):
             if summary.module not in self.summaries:
                 self.summaries[summary.module] = summary
-                self._sources[summary.module] = source
+                self._texts[summary.module] = source.text
         self.modules: set[str] = set(self.summaries)
         self._lock_closure: dict[str, frozenset[str]] | None = None
 
     # -- sources ----------------------------------------------------------
 
-    def source(self, module: str) -> SourceFile | None:
-        """Parsed source of ``module`` (``None`` when absent)."""
-        return self._sources.get(module)
-
     def text(self, module: str) -> str | None:
         """Raw text of ``module`` (``None`` when absent)."""
-        source = self._sources.get(module)
-        return source.text if source is not None else None
+        return self._texts.get(module)
 
     # -- symbol resolution -------------------------------------------------
 

@@ -116,7 +116,7 @@ class LintReport:
                 codes=tuple(data["codes"]),
                 timings=dict(data.get("timings", {})),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed lint report: {exc}") from exc
 
     def to_json(self) -> str:

@@ -131,8 +131,8 @@ def run_checkers(sources: Sequence[SourceFile], *,
     """Run the selected checkers over parsed sources.
 
     ``root`` anchors program checks that read repo files
-    (README.md/DESIGN.md for SCAR005, ``analysis/schemas.json`` for
-    SCAR008); it defaults to the working directory.
+    (``analysis/schemas.json`` for SCAR008); it defaults to the working
+    directory.
     ``update_schemas`` regenerates the SCAR008 golden from the program
     model before the program phase runs, so the run reports the *new*
     contract as clean.

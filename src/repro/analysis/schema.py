@@ -1,21 +1,26 @@
-"""SCAR008: wire-document schemas only change with the golden file.
+"""SCAR008: top-level wire fields only change with the golden file.
 
 Every document the system puts on the wire is a dict literal carrying
-a ``"kind"`` key (the envelope convention SCAR003 enforces).  This
-checker extracts, per kind, the set of emitted fields (the ``to_dict``
-/ ``to_document`` literal's keys) and the set of parsed fields (the
-matching class's ``from_dict`` subscripts/`.get` reads) from the
-program model, and diffs them against the checked-in golden
-``analysis/schemas.json``.
+a ``"kind"`` key.  This checker extracts, per kind, the set of emitted
+top-level fields (the ``to_dict`` / ``to_document`` literal's keys)
+and the set of parsed fields (the matching class's ``from_dict``
+subscripts/`.get` reads) from the program model, and diffs them
+against the checked-in golden ``analysis/schemas.json``.
 
-Any difference -- a new kind, a removed kind, an added/removed field
--- is a finding until the golden is regenerated with ``scar lint
---update-schemas`` and the change lands in the same commit.  That
-turns silent wire drift into an explicit, reviewable golden-file diff:
-the schema file *is* the compatibility contract, exactly like a
-recorded-fixture test, but derived statically so it also covers
-emit-only documents (sweep_report, trace) that have no parser to
-round-trip through.
+Any difference -- a new kind, a removed kind, an added/removed
+top-level field -- is a finding until the golden is regenerated with
+``scar lint --update-schemas`` and the change lands in the same
+commit.  Being static, it also covers emit-only documents
+(sweep_report, trace) that have no parser to round-trip through.
+
+The golden records names only: not a field's value shape, not what
+lies below the top level and not the version number.  Moving
+``schedule_result``'s ``window_candidates`` from one object per
+candidate to three columns per window, with a version bump, left it
+unchanged.  Tests pin the nested shapes instead: the version-1
+``schedule_result`` fixture and the round-trip tests of
+``tests/test_api_wire.py``, and the parse-boundary tests of
+``tests/test_contracts.py``.
 
 Only project modules (``repro.*``) contribute schemas; fixture
 snippets and test helpers never pollute the golden.  Partial lints

@@ -68,8 +68,13 @@ from repro.experiments import (
     run_packing_ablation,
     run_prov_ablation,
 )
+from repro.core.scoring import OptTarget
+from repro.engine import EVAL_MODES
 from repro.perf import diff_reports, process_total
 from repro.workloads.scenarios import USE_CASES
+
+#: ``--objective`` choices: the built-in optimization targets.
+_OBJECTIVES = tuple(target.value for target in OptTarget)
 
 _EXPERIMENTS: dict[str, tuple[str, Callable[[ExperimentConfig], str]]] = {
     "fig2": ("Fig. 2 motivational 2x2 study",
@@ -474,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=DEFAULT_REGISTRY.names(),
                        help="scheduler policy (default: scar)")
     sched.add_argument("--objective", default="edp",
-                       choices=("latency", "energy", "edp"))
+                       choices=_OBJECTIVES)
     sched.add_argument("--format", default="text",
                        choices=("text", "json"),
                        help="output format: human-readable text or the "
@@ -598,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=DEFAULT_REGISTRY.names(),
                           help="scheduler policy (default: scar)")
     simulate.add_argument("--objective", default="edp",
-                          choices=("latency", "energy", "edp"))
+                          choices=_OBJECTIVES)
     simulate.add_argument("--mode", default="warm",
                           choices=("warm", "cold"),
                           help="warm: one session re-used across events, "
@@ -630,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--select", type=_csv_strs, default=None,
                       metavar="CODES",
                       help="run only these checker codes "
-                      "(e.g. SCAR001,SCAR004)")
+                      "(e.g. SCAR001,SCAR006)")
     lint.add_argument("--ignore", type=_csv_strs, default=None,
                       metavar="CODES",
                       help="skip these checker codes")
@@ -739,7 +744,7 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
 
 def _add_eval_mode_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eval-mode", default=None,
-                        choices=("scalar", "vector"),
+                        choices=EVAL_MODES,
                         help="candidate-costing kernel: the pure-Python "
                         "scalar reference (default) or the numpy tensor "
                         "kernel (bit-identical results, requires numpy)")

@@ -7,9 +7,10 @@ of the system (workload definition, hardware model, scheduling, search).
 Each class also owns its part of the error contract: ``code``, the
 stable wire code of its :class:`~repro.api.ErrorDocument`, and
 ``http_status``, the status a service replica answers it with.  Adding
-an error means adding one class here with its own ``code`` (SCAR004
-checks that each class declares one and that no two share one), plus
-an ``http_status`` where the inherited one is wrong.
+an error means adding one class here with its own ``code``, plus an
+``http_status`` where the inherited one is wrong, and pinning both in
+``tests/test_service_http.py::TestErrorContract``, which fails on a
+class it does not list and on a code two classes share.
 """
 
 from __future__ import annotations

@@ -177,10 +177,10 @@ class GeneratorSpec:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "GeneratorSpec":
-        if not isinstance(data, dict) or data.get("kind") != SPEC_KIND:
-            raise ConfigError(
-                f"not a {SPEC_KIND} document: kind="
-                f"{data.get('kind') if isinstance(data, dict) else data!r}")
+        # repro.api imports the workloads package, so not at module level.
+        from repro.api.wire import check_envelope
+
+        check_envelope(data, SPEC_KIND, (SPEC_VERSION,))
         try:
             return cls(
                 kind=data["generator"],

@@ -31,8 +31,8 @@ from repro.errors import AnalysisError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-ALL_CODES = ("SCAR001", "SCAR002", "SCAR003", "SCAR004", "SCAR005",
-             "SCAR006", "SCAR007", "SCAR008", "SCAR009", "SCAR010")
+ALL_CODES = ("SCAR001", "SCAR002", "SCAR006", "SCAR007", "SCAR008",
+             "SCAR009", "SCAR010")
 
 
 def _source(text: str, module: str = "fixture",
@@ -100,8 +100,8 @@ class TestFramework:
             lint_paths(["definitely/not/here"])
 
     def test_noqa_parses_multiple_codes(self):
-        src = _source("x = 1  # scar: noqa[SCAR001, SCAR005]\n")
-        assert src.noqa_codes(1) == {"SCAR001", "SCAR005"}
+        src = _source("x = 1  # scar: noqa[SCAR001, SCAR006]\n")
+        assert src.noqa_codes(1) == {"SCAR001", "SCAR006"}
         assert src.noqa_codes(2) == frozenset()
 
     def test_file_without_scar_is_never_tokenized(self, monkeypatch):
@@ -318,283 +318,6 @@ class TestDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# SCAR003: wire envelope
-
-_GOOD_DOC = """\
-    import json
-    from repro.api.wire import check_envelope, loads_document
-
-    class Doc:
-        def to_dict(self):
-            return {"kind": "doc", "version": 1}
-
-        @classmethod
-        def from_dict(cls, data):
-            check_envelope(data, "doc")
-            return cls()
-
-        def to_json(self):
-            return json.dumps(self.to_dict())
-
-        @classmethod
-        def from_json(cls, text):
-            return cls.from_dict(loads_document(text, "doc"))
-"""
-
-
-class TestWireEnvelope:
-    def test_true_negative_conforming_document(self):
-        report = _lint(_source(_GOOD_DOC), select=["SCAR003"])
-        assert report.clean
-
-    def test_bare_json_loads_flagged(self):
-        bad = _GOOD_DOC.replace("loads_document(text, \"doc\")",
-                                "json.loads(text)")
-        report = _lint(_source(bad), select=["SCAR003"])
-        assert _codes(report) == ["SCAR003"]
-        assert "json.loads" in report.findings[0].message
-
-    def test_missing_from_dict_flagged(self):
-        snippet = """\
-            from repro.api.wire import loads_document
-
-            class Doc:
-                @classmethod
-                def from_json(cls, text):
-                    loads_document(text, "doc")
-                    return cls()
-        """
-        report = _lint(_source(snippet), select=["SCAR003"])
-        assert _codes(report) == ["SCAR003"]
-        assert "no from_dict" in report.findings[0].message
-
-    def test_from_dict_without_check_envelope_flagged(self):
-        bad = _GOOD_DOC.replace("check_envelope(data, \"doc\")\n", "")
-        report = _lint(_source(bad), select=["SCAR003"])
-        assert _codes(report) == ["SCAR003"]
-        assert "check_envelope" in report.findings[0].message
-
-    def test_to_dict_without_kind_flagged(self):
-        bad = _GOOD_DOC.replace('{"kind": "doc", "version": 1}',
-                                '{"version": 1}')
-        report = _lint(_source(bad), select=["SCAR003"])
-        assert _codes(report) == ["SCAR003"]
-        assert "kind" in report.findings[0].message
-
-    def test_nested_payload_without_from_json_exempt(self):
-        snippet = """\
-            class Point:
-                def to_dict(self):
-                    return {"x": 1}
-
-                @classmethod
-                def from_dict(cls, data):
-                    return cls()
-        """
-        report = _lint(_source(snippet), select=["SCAR003"])
-        assert report.clean
-
-    def test_noqa_suppresses(self):
-        snippet = """\
-            import json
-            from repro.api.wire import check_envelope
-
-            class Doc:
-                def to_dict(self):
-                    return {"kind": "doc"}
-
-                @classmethod
-                def from_dict(cls, data):
-                    check_envelope(data, "doc")
-                    return cls()
-
-                @classmethod
-                def from_json(cls, text):
-                    data = json.loads(text)  # scar: noqa[SCAR003]
-                    return cls.from_dict(data)
-        """
-        report = _lint(_source(snippet), select=["SCAR003"])
-        assert report.clean
-        assert len(report.suppressed) == 1
-
-
-# ---------------------------------------------------------------------------
-# SCAR004: error-code mapping
-
-_ERRORS_FIXTURE = """\
-class ReproError(Exception):
-    code: str = "repro_error"
-    http_status: int = 500
-
-class ConfigError(ReproError):
-    code = "config_error"
-    http_status = 400
-
-class ServiceError(ReproError):
-    code = "service_error"
-"""
-
-_WIRE_FIXTURE = """\
-_SERVICE_CONDITIONS = {
-    "job_not_done": ServiceError,
-    "bad_request": ConfigError,
-}
-"""
-
-_HTTP_FIXTURE = """\
-class Handler:
-    def fail(self):
-        self._send_error_doc(400, "config_error", "bad")
-        self._send_error_doc(409, "job_not_done", "later")
-"""
-
-_LONELY_ERROR = """\
-
-class LonelyError(ReproError):
-    pass
-"""
-
-
-def _errmap_sources(errors=_ERRORS_FIXTURE, wire=_WIRE_FIXTURE,
-                    http=_HTTP_FIXTURE):
-    return (
-        _source(errors, module="repro.errors", path="errors.py"),
-        _source(wire, module="repro.api.wire", path="wire.py"),
-        _source(http, module="repro.service.http", path="http.py"),
-    )
-
-
-class TestErrorCodeMapping:
-    def test_true_negative_closed_mapping(self):
-        report = _lint(*_errmap_sources(), select=["SCAR004"])
-        assert report.clean
-
-    def test_unmapped_exception_flagged(self):
-        report = _lint(*_errmap_sources(errors=_ERRORS_FIXTURE
-                                        + _LONELY_ERROR),
-                       select=["SCAR004"])
-        assert _codes(report) == ["SCAR004"]
-        assert "LonelyError" in report.findings[0].message
-
-    def test_shared_code_flagged(self):
-        errors = _ERRORS_FIXTURE + textwrap.dedent("""\
-
-            class TwinError(ReproError):
-                code = "config_error"
-        """)
-        report = _lint(*_errmap_sources(errors=errors),
-                       select=["SCAR004"])
-        assert _codes(report) == ["SCAR004"]
-        assert "TwinError reuses wire code 'config_error' of " \
-            "ConfigError" in report.findings[0].message
-
-    def test_condition_reusing_a_class_code_flagged(self):
-        wire = _WIRE_FIXTURE.replace('"bad_request"', '"service_error"')
-        report = _lint(*_errmap_sources(wire=wire), select=["SCAR004"])
-        assert _codes(report) == ["SCAR004"]
-        assert "'service_error'" in report.findings[0].message
-
-    def test_condition_naming_unknown_class_flagged(self):
-        wire = _WIRE_FIXTURE.replace(
-            '"bad_request": ConfigError,',
-            '"bad_request": ConfigError,\n    "odd": NotAClass,')
-        report = _lint(*_errmap_sources(wire=wire), select=["SCAR004"])
-        assert _codes(report) == ["SCAR004"]
-        assert "NotAClass" in report.findings[0].message
-
-    def test_http_unresolvable_code_flagged(self):
-        http = _HTTP_FIXTURE.replace('"config_error"', '"mystery_code"')
-        report = _lint(*_errmap_sources(http=http), select=["SCAR004"])
-        assert _codes(report) == ["SCAR004"]
-        assert "mystery_code" in report.findings[0].message
-
-    def test_errors_module_checked_alone(self):
-        report = _lint(
-            _source(_ERRORS_FIXTURE + _LONELY_ERROR,
-                    module="repro.errors", path="errors.py"),
-            select=["SCAR004"])
-        assert _codes(report) == ["SCAR004"]
-
-    def test_skipped_when_errors_module_absent(self):
-        http = _HTTP_FIXTURE.replace('"config_error"', '"mystery_code"')
-        report = _lint(*_errmap_sources(http=http)[1:],
-                       select=["SCAR004"])
-        assert report.clean
-
-    def test_noqa_suppresses(self):
-        errors = _ERRORS_FIXTURE + _LONELY_ERROR.replace(
-            "(ReproError):", "(ReproError):  # scar: noqa[SCAR004]")
-        report = _lint(*_errmap_sources(errors=errors),
-                       select=["SCAR004"])
-        assert report.clean
-        assert len(report.suppressed) == 1
-
-
-# ---------------------------------------------------------------------------
-# SCAR005: registry drift
-
-_REGISTRATION = """\
-    @register_policy("fancy")
-    class FancyPolicy:
-        pass
-"""
-
-_CLI_WITH_CHOICES = """\
-    def build_parser():
-        choices = DEFAULT_REGISTRY.names()
-        return choices
-"""
-
-
-class TestRegistryDrift:
-    def _run(self, tmp_path, *, registration=_REGISTRATION,
-             cli=_CLI_WITH_CHOICES, docs="the fancy policy"):
-        if docs is not None:
-            (tmp_path / "README.md").write_text(docs, encoding="utf-8")
-        sources = [
-            _source(registration, module="repro.api.policies",
-                    path="policies.py"),
-        ]
-        if cli is not None:
-            sources.append(_source(cli, module="repro.cli",
-                                   path="cli.py"))
-        return _lint(*sources, select=["SCAR005"], root=tmp_path)
-
-    def test_true_negative_reachable_and_documented(self, tmp_path):
-        assert self._run(tmp_path).clean
-
-    def test_undocumented_name_flagged(self, tmp_path):
-        report = self._run(tmp_path, docs="no mention here")
-        assert _codes(report) == ["SCAR005"]
-        assert "'fancy'" in report.findings[0].message
-        assert "README" in report.findings[0].message
-
-    def test_word_boundary_match(self, tmp_path):
-        # "fancyful" must not count as documenting "fancy".
-        report = self._run(tmp_path, docs="a fancyful aside")
-        assert _codes(report) == ["SCAR005"]
-
-    def test_cli_without_choices_expr_flagged(self, tmp_path):
-        report = self._run(
-            tmp_path, cli="def build_parser():\n    return None\n")
-        assert _codes(report) == ["SCAR005"]
-        assert "not reachable from the CLI" in \
-            report.findings[0].message
-
-    def test_skipped_without_cli_or_docs(self, tmp_path):
-        assert self._run(tmp_path, cli=None, docs=None).clean
-
-    def test_noqa_suppresses(self, tmp_path):
-        registration = _REGISTRATION.replace(
-            '@register_policy("fancy")',
-            '@register_policy("fancy")  # scar: noqa[SCAR005]')
-        report = self._run(tmp_path, registration=registration,
-                           docs="undocumented on purpose")
-        assert report.clean
-        assert len(report.suppressed) == 1
-
-
-# ---------------------------------------------------------------------------
 # whole-tree smoke + CLI
 
 
@@ -603,10 +326,8 @@ class TestWholeTree:
         report = lint_paths([REPO_ROOT / "src"], root=REPO_ROOT)
         assert report.clean, report.render()
         assert report.checked_files > 50
-        # The acceptance bar: SCAR001..SCAR004 hold with zero
-        # suppressions anywhere in the shipped tree.
-        gated = [f for f in report.suppressed if f.code != "SCAR005"]
-        assert gated == []
+        # No suppression anywhere in the shipped tree.
+        assert report.suppressed == ()
 
     def test_report_counts_and_summary(self):
         finding = Finding(code="SCAR002", message="m", path="p.py",
