@@ -3,7 +3,7 @@
 Nine PRs of review-hardening distilled into a CI gate: an
 ``ast``-visitor framework (:mod:`repro.analysis.core`), a
 whole-program model (:mod:`repro.analysis.graph`: import graph,
-symbol table, call graph, lock-acquisition graph) and seven
+symbol table, call graph, lock-acquisition graph) and six
 project-specific checkers guarding the conventions the codebase's
 correctness actually rests on:
 
@@ -18,9 +18,6 @@ SCAR006   lock-order deadlocks: the inter-procedural lock-acquisition
 SCAR007   RNG/wall-clock taint: nondeterministic values never flow
           into engine/sweep/sim/workloads call sites
           (:mod:`repro.analysis.taint`)
-SCAR008   wire-schema drift: top-level emitted/parsed fields per kind
-          match the golden ``analysis/schemas.json``
-          (:mod:`repro.analysis.schema`)
 SCAR009   dead symbols: unused ``__all__`` exports, unreachable
           registrations, orphan suppressions
           (:mod:`repro.analysis.deadsyms`)
@@ -29,9 +26,11 @@ SCAR010   hot-path allocation: no per-iteration allocations in the
           (:mod:`repro.analysis.hotpath`)
 ========  =================================================================
 
-Codes SCAR003-SCAR005 are retired: the wire-envelope, error-code and
-registry rules they approximated from source text are checked on the
-running program by ``tests/test_contracts.py`` and
+Codes SCAR003-SCAR005 and SCAR008 are retired: the wire-envelope,
+error-code, registry and wire-schema rules they approximated from
+source text are checked on the running program by
+``tests/test_contracts.py`` (wire shapes against
+``tests/fixtures/wire_shapes.json``) and
 ``tests/test_service_http.py::TestErrorContract``.
 
 Findings suppress per line with ``# scar: noqa[CODE]``; reports render
@@ -58,7 +57,6 @@ from repro.analysis import deadsyms as _deadsyms  # noqa: F401
 from repro.analysis import determinism as _determinism  # noqa: F401
 from repro.analysis import hotpath as _hotpath  # noqa: F401
 from repro.analysis import locks as _locks  # noqa: F401
-from repro.analysis import schema as _schema  # noqa: F401
 from repro.analysis import taint as _taint  # noqa: F401
 from repro.analysis.graph import FileSummary, ProgramModel, summarize
 from repro.analysis.report import (

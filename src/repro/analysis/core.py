@@ -1,7 +1,7 @@
 """Static-analysis framework: findings, sources, the checker registry.
 
 A *checker* is a small `ast`-based analysis pass guarding one project
-invariant (lock discipline, determinism, wire contracts, ...).  Each
+invariant (lock discipline, determinism, dead symbols, ...).  Each
 checker owns one stable code (``SCAR001``, ``SCAR002``, ...); a
 :class:`Finding` pins a violation to a file/line and a finding can be
 suppressed in place with a ``# scar: noqa[CODE]`` comment on the
@@ -13,7 +13,7 @@ Checkers come in two flavours:
   :class:`SourceFile` they :meth:`apply to <Checker.applies_to>`;
 * program checkers implement :meth:`Checker.check_program` and run once
   over the whole-program model (cross-file invariants, e.g. the
-  exception-to-wire-code table).
+  lock-acquisition order).
 
 New checkers subclass :class:`Checker`, pick the next free ``SCARnnn``
 code and register with :func:`register_checker`; the runner
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from repro.errors import AnalysisError, ConfigError
+from repro.errors import AnalysisError
 
 #: ``# scar: noqa[SCAR001]`` / ``# scar: noqa[SCAR001,SCAR006]``.
 _NOQA_RE = re.compile(r"#\s*scar:\s*noqa\[(?P<codes>[A-Z0-9,\s]+)\]")
@@ -64,21 +64,11 @@ class Finding:
         return f"{self.path}:{self.line}:{self.col}: " \
                f"{self.code} {self.message}"
 
-    # Nested wire payload of the lint_report document (no envelope of
-    # its own, like CandidatePoint inside a schedule_result).
+    # Nested wire payload of the lint_report document (no envelope).
 
     def to_dict(self) -> dict[str, Any]:
         return {"code": self.code, "message": self.message,
                 "path": self.path, "line": self.line, "col": self.col}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Finding":
-        try:
-            return cls(code=data["code"], message=data["message"],
-                       path=data["path"], line=data["line"],
-                       col=data.get("col", 0))
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"malformed finding: {exc}") from exc
 
 
 def module_name_for(path: str | Path) -> str:

@@ -3,7 +3,7 @@
 One pass over each file (:func:`summarize`) distills its AST into a
 :class:`FileSummary`: the module's imports, exports, registry
 registrations, class/function inventory, per-function lock
-acquisitions and call sites, taint facts and wire-schema fragments.
+acquisitions and call sites, and taint facts.
 
 :class:`ProgramModel` stitches the summaries together:
 
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.analysis.core import SourceFile
@@ -91,7 +90,6 @@ class FileSummary:
     module: str
     imports: dict[str, str] = field(default_factory=dict)
     from_imports: list[list[str]] = field(default_factory=list)
-    constants: dict[str, str] = field(default_factory=dict)
     assigns: list[str] = field(default_factory=list)
     exports: list[str] = field(default_factory=list)
     exports_line: int = 0
@@ -99,7 +97,6 @@ class FileSummary:
     classes: dict[str, dict[str, Any]] = field(default_factory=dict)
     functions: dict[str, dict[str, Any]] = field(default_factory=dict)
     uses: list[list[str]] = field(default_factory=list)
-    emitters: list[dict[str, Any]] = field(default_factory=list)
 
     def project_imports(self, modules: set[str]) -> set[str]:
         """Modules of this project this file imports (direct deps)."""
@@ -158,22 +155,12 @@ def _self_attr(node: ast.AST) -> str | None:
     return None
 
 
-def _const_str(node: ast.expr | None,
-               constants: dict[str, str]) -> str | None:
-    """A string constant, directly or through a module-level name."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    if isinstance(node, ast.Name):
-        return constants.get(node.id)
-    return None
-
-
 # -- extraction walkers ------------------------------------------------------
 
 
 def _collect_module_level(source: SourceFile,
                           summary: FileSummary) -> None:
-    """Imports, constants, ``__all__`` and top-level symbol inventory."""
+    """Imports, ``__all__`` and top-level symbol inventory."""
     for node in ast.walk(source.tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -210,10 +197,6 @@ def _collect_module_level(source: SourceFile,
         for name in names:
             if name not in summary.assigns:
                 summary.assigns.append(name)
-        if isinstance(value, ast.Constant) \
-                and isinstance(value.value, str):
-            for name in names:
-                summary.constants[name] = value.value
         if "__all__" in names and isinstance(value,
                                              (ast.List, ast.Tuple)):
             summary.exports = [
@@ -427,75 +410,6 @@ def _collect_defs(source: SourceFile, summary: FileSummary,
             }
 
 
-def _collect_emitters(source: SourceFile,
-                      summary: FileSummary) -> None:
-    """Wire-document emitters: dict literals carrying a ``"kind"`` key.
-
-    Only kinds that resolve to a string constant count (``"kind":
-    self.kind`` is a payload field, not a document kind).  The owning
-    class (when the literal sits inside a method) links the emitter to
-    its ``from_dict`` parser for the schema diff.
-    """
-
-    def scan(node: ast.AST, owner: str | None) -> None:
-        if isinstance(node, ast.ClassDef):
-            for child in ast.iter_child_nodes(node):
-                scan(child, node.name)
-            return
-        if isinstance(node, ast.Dict):
-            kind: str | None = None
-            fields: list[str] = []
-            for key, value in zip(node.keys, node.values):
-                name = _const_str(key, {})
-                if name is None:
-                    continue
-                fields.append(name)
-                if name == "kind":
-                    kind = _const_str(value, summary.constants)
-            if kind is not None:
-                summary.emitters.append(
-                    {"kind": kind, "fields": sorted(set(fields)),
-                     "owner": owner, "line": node.lineno,
-                     "col": node.col_offset})
-        for child in ast.iter_child_nodes(node):
-            scan(child, owner)
-
-    for top in source.tree.body:
-        scan(top, None)
-    # from_dict parse keys, linked per class.
-    for node in ast.walk(source.tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        for item in node.body:
-            if not isinstance(item, ast.FunctionDef) \
-                    or item.name != "from_dict":
-                continue
-            params = [a.arg for a in item.args.args if a.arg != "cls"]
-            if not params:
-                continue
-            data = params[0]
-            parsed: set[str] = set()
-            for inner in ast.walk(item):
-                if isinstance(inner, ast.Subscript) \
-                        and isinstance(inner.value, ast.Name) \
-                        and inner.value.id == data:
-                    name = _const_str(inner.slice, {})
-                    if name is not None:
-                        parsed.add(name)
-                elif isinstance(inner, ast.Call) \
-                        and isinstance(inner.func, ast.Attribute) \
-                        and inner.func.attr == "get" \
-                        and isinstance(inner.func.value, ast.Name) \
-                        and inner.func.value.id == data \
-                        and inner.args:
-                    name = _const_str(inner.args[0], {})
-                    if name is not None:
-                        parsed.add(name)
-            info = summary.classes.setdefault(node.name, {})
-            info["parses"] = sorted(parsed)
-            info["parses_line"] = item.lineno
-
-
 def summarize(source: SourceFile,
               taint_extractor: Callable | None = None) -> FileSummary:
     """Distill one parsed source into its :class:`FileSummary`.
@@ -509,7 +423,6 @@ def summarize(source: SourceFile,
     _collect_registrations(source, summary)
     _collect_uses(source, summary)
     _collect_defs(source, summary, taint_extractor)
-    _collect_emitters(source, summary)
     return summary
 
 
@@ -529,9 +442,8 @@ class ProgramModel:
     text of its summary's file.
     """
 
-    def __init__(self, summaries: Sequence[FileSummary], root: Path,
+    def __init__(self, summaries: Sequence[FileSummary],
                  sources: Sequence[SourceFile]) -> None:
-        self.root = Path(root)
         self.summaries: dict[str, FileSummary] = {}
         self._texts: dict[str, str] = {}
         for summary, source in zip(summaries, sources, strict=True):

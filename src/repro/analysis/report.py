@@ -3,10 +3,10 @@
 A :class:`LintReport` is what one lint run produced: the surviving
 findings, the ``# scar: noqa``-suppressed ones (kept visible -- a
 suppression is a reviewed decision, not a deletion), and the run's
-scope.  It round-trips through the same kind/version JSON envelope as
-every other document in the system (``kind: "lint_report"``), so CI
-artifacts and tooling consume it exactly like schedule results or job
-records.
+scope.  It is written in the same kind/version JSON envelope as every
+other document in the system (``kind: "lint_report"``), so CI
+artifacts and tooling consume it like schedule results or job
+records.  Nothing in the program reads it back.
 """
 
 from __future__ import annotations
@@ -17,12 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.analysis.core import Finding
-from repro.api.wire import (
-    WIRE_VERSION,
-    check_envelope,
-    loads_document,
-)
-from repro.errors import ConfigError
+from repro.api.wire import WIRE_VERSION
 
 #: Document kind of the JSON lint report.
 REPORT_KIND = "lint_report"
@@ -34,9 +29,7 @@ class LintReport:
 
     ``timings`` (per-checker wall time) is an observability field, not
     identity -- :func:`strip_nonidentity` zeroes it so two runs of the
-    same tree compare byte-identical.  Documents written before the
-    incremental cache and ``--jobs`` were removed may still carry
-    ``cache`` and ``jobs`` keys; they parse, and are not read.
+    same tree compare byte-identical.
     """
 
     findings: tuple[Finding, ...] = ()
@@ -94,7 +87,7 @@ class LintReport:
             "version": WIRE_VERSION,
             "checked_files": self.checked_files,
             "codes": list(self.codes),
-            "counts": self.counts(),  # derived; ignored by from_dict
+            "counts": self.counts(),  # derived from the findings
             "findings": [finding.to_dict()
                          for finding in self.findings],
             "suppressed": [finding.to_dict()
@@ -103,28 +96,8 @@ class LintReport:
                         for code in self.codes},
         }
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "LintReport":
-        check_envelope(data, REPORT_KIND)
-        try:
-            return cls(
-                findings=tuple(Finding.from_dict(entry)
-                               for entry in data["findings"]),
-                suppressed=tuple(Finding.from_dict(entry)
-                                 for entry in data["suppressed"]),
-                checked_files=data["checked_files"],
-                codes=tuple(data["codes"]),
-                timings=dict(data.get("timings", {})),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed lint report: {exc}") from exc
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LintReport":
-        return cls.from_dict(loads_document(text, "lint report"))
 
 
 def strip_nonidentity(document: dict[str, Any]) -> dict[str, Any]:

@@ -7,8 +7,7 @@
   :class:`~repro.analysis.graph.FileSummary`;
 * the **program phase** hands every summary, together with its parsed
   source, to a :class:`~repro.analysis.graph.ProgramModel` and runs the
-  whole-program checkers (deadlock, taint, schema drift, dead
-  symbols).
+  whole-program checkers (deadlock, taint, dead symbols).
 
 :func:`lint_paths` (``scar lint``) is file discovery plus one
 :func:`run_checkers` call; the checker fixture tests drive
@@ -126,16 +125,11 @@ def _fold_report(sources: Sequence[SourceFile],
 def run_checkers(sources: Sequence[SourceFile], *,
                  select: Sequence[str] | None = None,
                  ignore: Sequence[str] | None = None,
-                 root: str | Path | None = None,
-                 update_schemas: bool = False) -> LintReport:
+                 root: str | Path | None = None) -> LintReport:
     """Run the selected checkers over parsed sources.
 
-    ``root`` anchors program checks that read repo files
-    (``analysis/schemas.json`` for SCAR008); it defaults to the working
-    directory.
-    ``update_schemas`` regenerates the SCAR008 golden from the program
-    model before the program phase runs, so the run reports the *new*
-    contract as clean.
+    Files that share a module name are named after their path under
+    ``root`` (default: the working directory).
     """
     checkers = build_checkers(select, ignore)
     enabled = [checker.code for checker in checkers]
@@ -159,11 +153,7 @@ def run_checkers(sources: Sequence[SourceFile], *,
             timed(checker.code, started)
         summaries.append(summarize(source, taint_extractor=extract_taint))
 
-    program = ProgramModel(summaries, root_path, sources)
-    if update_schemas:
-        from repro.analysis.schema import write_golden
-
-        write_golden(program, root_path)
+    program = ProgramModel(summaries, sources)
     for checker in checkers:
         if type(checker).is_program():
             started = time.perf_counter()
@@ -175,11 +165,10 @@ def run_checkers(sources: Sequence[SourceFile], *,
 def lint_paths(paths: Iterable[str | Path], *,
                select: Sequence[str] | None = None,
                ignore: Sequence[str] | None = None,
-               root: str | Path | None = None,
-               update_schemas: bool = False) -> LintReport:
+               root: str | Path | None = None) -> LintReport:
     """Lint files/directories (the ``scar lint`` engine): discover
     the ``.py`` files, load them, and :func:`run_checkers` over them."""
     sources = [SourceFile.load(path)
                for path in iter_python_files(paths)]
     return run_checkers(sources, select=select, ignore=ignore,
-                        root=root, update_schemas=update_schemas)
+                        root=root)

@@ -43,7 +43,7 @@ from repro.config.files import (
 )
 from repro.core.budget import SearchBudget
 from repro.core.metrics import ScheduleMetrics
-from repro.core.packing import PACKING_MODES
+from repro.core.packing import MAX_NSPLITS, PACKING_MODES
 from repro.core.scar import SEG_SEARCH_MODES
 from repro.core.schedule import Schedule
 from repro.engine.candidates import assemble_candidate_points
@@ -59,13 +59,14 @@ from repro.workloads.scenarios import scenario_ids
 _REQUEST_KIND = "schedule_request"
 _RESULT_KIND = "schedule_result"
 
-#: Integer request fields -> (minimum value or None, ``None`` allowed).
-_INT_FIELDS: dict[str, tuple[int | None, bool]] = {
-    "scenario_id": (None, True),
-    "nsplits": (0, False),
-    "prov_limit": (1, False),
-    "max_nodes_per_model": (1, True),
-    "beam": (1, True),
+#: Integer request fields -> (minimum or None, maximum or None, ``None``
+#: allowed).
+_INT_FIELDS: dict[str, tuple[int | None, int | None, bool]] = {
+    "scenario_id": (None, None, True),
+    "nsplits": (0, MAX_NSPLITS, False),
+    "prov_limit": (1, None, False),
+    "max_nodes_per_model": (1, None, True),
+    "beam": (1, None, True),
 }
 
 #: String request fields with a closed vocabulary -> the allowed values.
@@ -138,14 +139,17 @@ class ScheduleRequest:
         if (self.scenario_id is None) == (self.scenario_spec is None):
             raise ConfigError(
                 "exactly one of scenario_id and scenario_spec must be set")
-        for name, (minimum, optional) in _INT_FIELDS.items():
+        for name, (minimum, maximum, optional) in _INT_FIELDS.items():
             value = getattr(self, name)
             if value is None and optional:
                 continue
             if not isinstance(value, int) or isinstance(value, bool) \
-                    or (minimum is not None and value < minimum):
+                    or (minimum is not None and value < minimum) \
+                    or (maximum is not None and value > maximum):
                 expected = "an integer" if minimum is None \
                     else f"an integer >= {minimum}"
+                if maximum is not None:
+                    expected = f"an integer in [{minimum}, {maximum}]"
                 if optional:
                     expected = "None or " + expected
                 raise ConfigError(
@@ -394,9 +398,9 @@ class ScheduleResult:
         """Rebuild a result from its wire form.
 
         Reads version 2 and version 1, whose windows are lists of one
-        :meth:`~repro.api.wire.CandidatePoint.to_dict` object per
-        candidate (``ResultStore`` lines and peers written before
-        version 2); both parse to the same result.
+        ``{"score", "latency_s", "energy_j"}`` object per candidate
+        (``ResultStore`` lines and peers written before version 2);
+        both parse to the same result.
         """
         version = check_envelope(data, _RESULT_KIND,
                                  (WIRE_VERSION, RESULT_WIRE_VERSION))

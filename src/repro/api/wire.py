@@ -98,14 +98,6 @@ class CandidatePoint:
         return {"score": self.score, "latency_s": self.latency_s,
                 "energy_j": self.energy_j}
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "CandidatePoint":
-        try:
-            return cls(score=data["score"], latency_s=data["latency_s"],
-                       energy_j=data["energy_j"])
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"malformed candidate point: {exc}") from exc
-
 
 #: Bytes per packed double in a :class:`CandidateColumns` column.
 _DOUBLE = array("d").itemsize
@@ -215,7 +207,8 @@ class CandidateColumns:
     @classmethod
     def from_dicts(cls, points: Any) -> "CandidateColumns":
         """Rebuild a window from its ``schedule_result`` version-1 wire
-        form: one :meth:`CandidatePoint.to_dict` object per candidate.
+        form: one ``{"score", "latency_s", "energy_j"}`` object per
+        candidate.
 
         The columns take only real numbers that fit a double, so a
         missing key, a non-object point, a non-number value or an

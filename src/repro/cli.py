@@ -163,6 +163,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     import re
     from pathlib import Path
 
+    from repro.api.wire import WIRE_VERSION
     from repro.config import save_json, scenario_to_dict
     from repro.errors import ReproError
     from repro.workloads import GeneratorSpec, generate
@@ -195,6 +196,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         return _report_error(exc, args.format)
     if args.format == "json":
         print(json.dumps({"kind": "generated_scenarios",
+                          "version": WIRE_VERSION,
                           "files": [str(p) for p in paths]},
                          indent=2, sort_keys=True))
     else:
@@ -358,8 +360,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         paths = ["src"] if Path("src").is_dir() else ["."]
     try:
         report = lint_paths(paths, select=args.select,
-                            ignore=args.ignore,
-                            update_schemas=args.update_schemas)
+                            ignore=args.ignore)
     except ReproError as exc:
         # Usage/config failures (unknown code, unreadable file) exit 2
         # so CI can tell "findings" (1) from "lint could not run".
@@ -649,11 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--stats", action="store_true",
                       help="print per-checker wall time after the "
                       "report")
-    lint.add_argument("--update-schemas", action="store_true",
-                      help="regenerate the SCAR008 golden "
-                      "analysis/schemas.json from the current tree "
-                      "before checking (wire changes must land with "
-                      "this golden update)")
 
     serve = sub.add_parser("serve",
                            help="run the HTTP job-scheduling service")

@@ -24,6 +24,12 @@ from repro.workloads.model import Scenario
 #: Valid ``packing`` modes: Algorithm 1, or the uniform baseline.
 PACKING_MODES = ("greedy", "uniform")
 
+#: Largest ``nsplits`` a request may ask for.  The paper sweeps 1-5
+#: (default 4), and at 1,024 scenario 4 already packs into a single
+#: window; the horizon is divided by ``nsplits + 1`` as a float, so an
+#: integer of hundreds of digits would overflow mid-search.
+MAX_NSPLITS = 1024
+
 
 @dataclass(frozen=True)
 class WindowAssignment:

@@ -27,8 +27,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.api.wire import WIRE_VERSION, check_envelope, loads_document
-from repro.errors import ConfigError
+from repro.api.wire import WIRE_VERSION
 from repro.sim.replay import EventOutcome
 from repro.sim.trace import Trace
 
@@ -67,20 +66,6 @@ class TenantReport:
             "missed": self.missed,
             "events_active": self.events_active,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TenantReport":
-        try:
-            return cls(
-                tenant=data["tenant"], model=data["model"],
-                batch=data["batch"], deadline_s=data.get("deadline_s"),
-                worst_latency_s=data["worst_latency_s"],
-                min_slack_s=data.get("min_slack_s"),
-                missed=data["missed"],
-                events_active=data["events_active"],
-            )
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"malformed tenant report: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -146,33 +131,8 @@ class SimReport:
             "memo_hits": self.memo_hits,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "SimReport":
-        check_envelope(data, SIM_REPORT_KIND)
-        try:
-            return cls(
-                trace=data["trace"], mode=data["mode"],
-                num_events=data["num_events"],
-                num_scheduled=data["num_scheduled"],
-                deadline_miss_rate=data["deadline_miss_rate"],
-                tenants=tuple(TenantReport.from_dict(entry)
-                              for entry in data["tenants"]),
-                mean_churn=data["mean_churn"],
-                total_wall_s=data["total_wall_s"],
-                mean_wall_s=data["mean_wall_s"],
-                total_segments=data["total_segments"],
-                total_segments_recosted=data["total_segments_recosted"],
-                memo_hits=data["memo_hits"],
-            )
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"malformed sim report: {exc}") from exc
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SimReport":
-        return cls.from_dict(loads_document(text, "sim report"))
 
 
 def strip_nonidentity(data: dict[str, Any]) -> dict[str, Any]:

@@ -10,9 +10,9 @@ over:
   families (datacenter MLPerf vs XRBench AR/VR);
 * :func:`replicated` -- N tenants of the *same* model at (possibly
   different) batch sizes, the classic scale-out shape;
-* :class:`GeneratorSpec` + :func:`generate` -- a declarative, JSON
-  round-trippable description of a scenario family, the form ``scar
-  generate`` consumes.
+* :class:`GeneratorSpec` + :func:`generate` -- a declarative
+  description of a scenario family, the form ``scar generate`` builds
+  from its flags.
 
 Determinism contract: the same spec (same seed) produces bit-identical
 scenarios -- equal as dataclasses and exact through the
@@ -30,16 +30,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.errors import ConfigError, WorkloadError
 from repro.workloads import zoo
 from repro.workloads.model import ModelInstance, Scenario
 from repro.workloads.scenarios import use_case_batches, use_case_models
-
-#: Document kind/version of the GeneratorSpec wire form.
-SPEC_KIND = "generator_spec"
-SPEC_VERSION = 1
 
 _KINDS = ("random_mix", "replicated")
 
@@ -158,44 +154,6 @@ class GeneratorSpec:
             object.__setattr__(self, "models", tuple(self.models))
         if self.batches is not None:
             object.__setattr__(self, "batches", tuple(self.batches))
-
-    # -- wire format -------------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": SPEC_KIND,
-            "version": SPEC_VERSION,
-            "generator": self.kind,
-            "seed": self.seed,
-            "count": self.count,
-            "use_case": self.use_case,
-            "tenants": self.tenants,
-            "model": self.model,
-            "models": None if self.models is None else list(self.models),
-            "batches": None if self.batches is None else list(self.batches),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "GeneratorSpec":
-        # repro.api imports the workloads package, so not at module level.
-        from repro.api.wire import check_envelope
-
-        check_envelope(data, SPEC_KIND, (SPEC_VERSION,))
-        try:
-            return cls(
-                kind=data["generator"],
-                seed=data.get("seed", 0),
-                count=data.get("count", 1),
-                use_case=data.get("use_case", "datacenter"),
-                tenants=data.get("tenants", 3),
-                model=data.get("model"),
-                models=None if data.get("models") is None
-                else tuple(data["models"]),
-                batches=None if data.get("batches") is None
-                else tuple(data["batches"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"malformed generator spec: {exc}") from exc
 
 
 def generate(spec: GeneratorSpec) -> tuple[Scenario, ...]:

@@ -24,8 +24,7 @@ under every dataflow class by :mod:`repro.dataflow.cost`.
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 from repro.errors import WorkloadError
@@ -49,7 +48,14 @@ class LayerOp(enum.Enum):
     ELEMWISE = "elemwise"
 
 
-_POSITIVE_DIMS = ("n", "k", "c", "y", "x", "r", "s", "stride")
+_POSITIVE_DIMS = ("n", "k", "c", "y", "x", "r", "s", "stride",
+                  "bytes_per_element")
+
+#: Largest value of any :class:`Layer` dimension.  The zoo's largest is
+#: 5,120; a layer with every dimension here, at the largest batch, still
+#: costs to finite floats, where a dimension of hundreds of digits
+#: overflows the cost model's float arithmetic.
+MAX_LAYER_DIM = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -79,15 +85,13 @@ class Layer:
     def __post_init__(self) -> None:
         for dim in _POSITIVE_DIMS:
             value = getattr(self, dim)
-            if not isinstance(value, int) or value < 1:
+            # bool is an int subclass: ``True`` would pass as 1.
+            if not isinstance(value, int) or isinstance(value, bool) \
+                    or not 1 <= value <= MAX_LAYER_DIM:
                 raise WorkloadError(
                     f"layer {self.name!r}: dimension {dim}={value!r} must be "
-                    "a positive integer"
+                    f"an integer in [1, {MAX_LAYER_DIM}]"
                 )
-        if self.bytes_per_element < 1:
-            raise WorkloadError(
-                f"layer {self.name!r}: bytes_per_element must be >= 1"
-            )
         if self.op is LayerOp.DWCONV and self.k != self.c:
             raise WorkloadError(
                 f"depthwise layer {self.name!r} requires k == c "

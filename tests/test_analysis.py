@@ -9,6 +9,7 @@ violation.  On top of that a whole-tree smoke test asserts the shipped
 
 from __future__ import annotations
 
+import json
 import textwrap
 from pathlib import Path
 
@@ -31,8 +32,8 @@ from repro.errors import AnalysisError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-ALL_CODES = ("SCAR001", "SCAR002", "SCAR006", "SCAR007", "SCAR008",
-             "SCAR009", "SCAR010")
+ALL_CODES = ("SCAR001", "SCAR002", "SCAR006", "SCAR007", "SCAR009",
+             "SCAR010")
 
 
 def _source(text: str, module: str = "fixture",
@@ -361,14 +362,22 @@ class TestCliLint:
         rc = main(["lint", str(REPO_ROOT / "src" / "repro" /
                                "analysis"), "--format", "json"])
         assert rc == 0
-        report = LintReport.from_json(capsys.readouterr().out)
-        assert report.clean
-        assert report.codes == ALL_CODES
+        report = json.loads(capsys.readouterr().out)
+        assert report["kind"] == "lint_report"
+        assert report["findings"] == []
+        assert tuple(report["codes"]) == ALL_CODES
 
     def test_unknown_code_exits_two(self, capsys):
         rc = main(["lint", "--select", "SCAR999"])
         assert rc == 2
         assert "SCAR999" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("code", ["SCAR003", "SCAR004", "SCAR005",
+                                      "SCAR008"])
+    def test_retired_code_exits_two(self, capsys, code):
+        rc = main(["lint", "--select", code])
+        assert rc == 2
+        assert f"unknown checker code {code!r}" in capsys.readouterr().err
 
     def test_missing_path_exits_two(self, capsys):
         rc = main(["lint", "no/such/dir"])

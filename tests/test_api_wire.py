@@ -241,11 +241,6 @@ class TestRequestValidation:
 
 
 class TestAuxRoundTrips:
-    def test_candidate_point(self):
-        point = CandidatePoint(score=1.5e-8, latency_s=0.01,
-                               energy_j=0.002)
-        assert CandidatePoint.from_dict(point.to_dict()) == point
-
     def test_perf_report(self):
         perf = PerfReport(wall_s=1.25, num_evaluated=100, num_windows=3,
                           cache={"window": CacheStats(hits=5, misses=7)})
@@ -777,85 +772,6 @@ class TestCandidateColumns:
             CandidateColumns([1.0, 2.0], [1.0], [1.0, 2.0])
 
 
-class TestLintReportRoundTrip:
-    """The lint report is a first-class wire document (kind lint_report)."""
-
-    @pytest.fixture
-    def report(self):
-        from repro.analysis import Finding, LintReport
-
-        finding = Finding(code="SCAR002", message="time.time in engine",
-                          path="src/repro/engine/x.py", line=12, col=4)
-        muted = Finding(code="SCAR005", message="undocumented policy",
-                        path="src/repro/api/policies.py", line=3)
-        return LintReport(findings=(finding,), suppressed=(muted,),
-                          checked_files=88,
-                          codes=("SCAR002", "SCAR005"))
-
-    def test_dict_round_trip(self, report):
-        from repro.analysis import LintReport
-
-        assert LintReport.from_dict(report.to_dict()) == report
-
-    def test_json_round_trip(self, report):
-        from repro.analysis import LintReport
-
-        clone = LintReport.from_json(report.to_json())
-        assert clone == report
-        assert clone.counts() == {"SCAR002": 1}
-        assert not clone.clean
-
-    def test_envelope_kind_and_version(self, report):
-        from repro.analysis import REPORT_KIND
-        from repro.api.wire import WIRE_VERSION
-
-        data = report.to_dict()
-        assert data["kind"] == REPORT_KIND
-        assert data["version"] == WIRE_VERSION
-
-    def test_missing_envelope_rejected(self, report):
-        from repro.analysis import LintReport
-
-        for dropped in ("kind", "version"):
-            data = report.to_dict()
-            del data[dropped]
-            with pytest.raises(ConfigError, match="kind|version"):
-                LintReport.from_dict(data)
-
-    def test_wrong_kind_rejected(self, report):
-        from repro.analysis import LintReport
-
-        data = report.to_dict()
-        data["kind"] = "schedule_result"
-        with pytest.raises(ConfigError, match="kind"):
-            LintReport.from_dict(data)
-
-    def test_malformed_json_is_config_error(self):
-        from repro.analysis import LintReport
-
-        with pytest.raises(ConfigError, match="lint report"):
-            LintReport.from_json("{not json")
-
-    def test_malformed_findings_rejected(self, report):
-        from repro.analysis import LintReport
-
-        data = report.to_dict()
-        data["findings"] = [{"code": "SCAR001"}]  # missing fields
-        with pytest.raises(ConfigError, match="malformed finding"):
-            LintReport.from_dict(data)
-
-    def test_legacy_cache_and_jobs_keys_still_parse(self, report):
-        """Documents written while the linter had an incremental cache
-        and ``--jobs`` carry ``cache`` and ``jobs``; they are ignored."""
-        from repro.analysis import LintReport
-
-        document = dict(report.to_dict(),
-                        cache={"hits": 3, "misses": 0}, jobs=2)
-        clone = LintReport.from_dict(document)
-        assert clone == report
-        assert clone.to_dict() == report.to_dict()
-
-
 def _random_trace(rng: random.Random):
     """A seeded, valid trace: staircase lifecycles over random models."""
     from repro.sim import TenantEvent, Trace
@@ -899,37 +815,8 @@ def _random_trace_spec(rng: random.Random):
     )
 
 
-def _random_sim_report(rng: random.Random):
-    from repro.sim import SimReport, TenantReport
-
-    tenants = []
-    for i in range(rng.randrange(0, 4)):
-        deadline = rng.choice([None, rng.uniform(0.01, 1.0)])
-        worst = rng.uniform(0.001, 0.5)
-        tenants.append(TenantReport(
-            tenant=f"m#{i}", model="eyecod", batch=rng.randrange(1, 8),
-            deadline_s=deadline, worst_latency_s=worst,
-            min_slack_s=None if deadline is None else deadline - worst,
-            missed=deadline is not None and deadline < worst,
-            events_active=rng.randrange(0, 9)))
-    scheduled = rng.randrange(1, 10)
-    total_wall = rng.uniform(0.0, 5.0)
-    return SimReport(
-        trace=f"wire:{rng.randrange(100)}",
-        mode=rng.choice(("warm", "cold")),
-        num_events=scheduled + rng.randrange(0, 3),
-        num_scheduled=scheduled,
-        deadline_miss_rate=rng.uniform(0.0, 1.0),
-        tenants=tuple(tenants),
-        mean_churn=rng.uniform(0.0, 1.0),
-        total_wall_s=total_wall, mean_wall_s=total_wall / scheduled,
-        total_segments=rng.randrange(0, 5000),
-        total_segments_recosted=rng.randrange(0, 5000),
-        memo_hits=rng.randrange(0, 10))
-
-
 class TestSimWireRoundTrips:
-    """Traces, trace specs and sim reports are wire documents too."""
+    """Traces and trace specs are wire documents too."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_trace_round_trip(self, seed):
@@ -945,52 +832,35 @@ class TestSimWireRoundTrips:
         spec = _random_trace_spec(random.Random(f"wire-spec-{seed}"))
         assert TraceSpec.from_json(spec.to_json()) == spec
 
-    @pytest.mark.parametrize("seed", range(20))
-    def test_sim_report_round_trip(self, seed):
-        from repro.sim import SimReport
-
-        report = _random_sim_report(random.Random(f"wire-report-{seed}"))
-        assert SimReport.from_json(report.to_json()) == report
-
     def test_envelope_kinds(self):
-        from repro.sim import (
-            SIM_REPORT_KIND,
-            TRACE_KIND,
-            TRACE_SPEC_KIND,
-        )
+        from repro.sim import TRACE_KIND, TRACE_SPEC_KIND
         from repro.api.wire import WIRE_VERSION
 
         rng = random.Random("wire-kinds")
         for value, kind in ((_random_trace(rng), TRACE_KIND),
-                            (_random_trace_spec(rng), TRACE_SPEC_KIND),
-                            (_random_sim_report(rng), SIM_REPORT_KIND)):
+                            (_random_trace_spec(rng), TRACE_SPEC_KIND)):
             data = value.to_dict()
             assert data["kind"] == kind
             assert data["version"] == WIRE_VERSION
 
     def test_wrong_kind_rejected_everywhere(self):
-        from repro.sim import SimReport, Trace, TraceSpec
+        from repro.sim import Trace, TraceSpec
 
         rng = random.Random("wire-cross")
         trace = _random_trace(rng).to_dict()
         spec = _random_trace_spec(rng).to_dict()
-        report = _random_sim_report(rng).to_dict()
         with pytest.raises(ConfigError, match="kind"):
             Trace.from_dict(spec)
         with pytest.raises(ConfigError, match="kind"):
-            TraceSpec.from_dict(report)
-        with pytest.raises(ConfigError, match="kind"):
-            SimReport.from_dict(trace)
+            TraceSpec.from_dict(trace)
 
     def test_malformed_documents_are_config_errors(self):
-        from repro.sim import SimReport, Trace, TraceSpec
+        from repro.sim import Trace, TraceSpec
 
         with pytest.raises(ConfigError, match="trace"):
             Trace.from_json("{not json")
         with pytest.raises(ConfigError, match="trace spec"):
             TraceSpec.from_json("{not json")
-        with pytest.raises(ConfigError, match="sim report"):
-            SimReport.from_json("{not json")
         broken = _random_trace(random.Random("wire-broken")).to_dict()
         broken["events"] = [{"tick": 0}]  # missing kind/tenant
         with pytest.raises(ConfigError, match="malformed"):

@@ -106,11 +106,6 @@ class TestReplicated:
 
 
 class TestGeneratorSpec:
-    def test_round_trip(self):
-        spec = GeneratorSpec(kind="random_mix", seed=9, count=3,
-                             use_case="arvr", tenants=2)
-        assert GeneratorSpec.from_dict(spec.to_dict()) == spec
-
     def test_generate_is_deterministic(self):
         spec = GeneratorSpec(kind="random_mix", seed=5, count=4)
         assert generate(spec) == generate(spec)
@@ -149,10 +144,6 @@ class TestGeneratorSpec:
         with pytest.raises(ConfigError, match="one 'model'"):
             GeneratorSpec(kind="replicated", model="eyecod",
                           models=("eyecod", "midas"))
-
-    def test_not_a_spec_document_rejected(self):
-        with pytest.raises(ConfigError):
-            GeneratorSpec.from_dict({"kind": "something_else"})
 
     def test_scenario_names_are_unique(self):
         spec = GeneratorSpec(kind="random_mix", seed=1, count=5)

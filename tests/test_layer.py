@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.workloads.layer import (
+    MAX_LAYER_DIM,
     Layer,
     LayerOp,
     conv,
@@ -41,6 +42,18 @@ class TestLayerConstruction:
     def test_non_integer_dim_rejected(self):
         with pytest.raises(WorkloadError):
             Layer(name="bad", op=LayerOp.CONV, k=2.5)  # type: ignore
+
+    @pytest.mark.parametrize("dim", ["n", "k", "c", "y", "x", "r", "s",
+                                     "stride", "bytes_per_element"])
+    @pytest.mark.parametrize("value", [True, MAX_LAYER_DIM + 1, 1.5])
+    def test_bool_oversized_and_float_dims_rejected(self, dim, value):
+        with pytest.raises(WorkloadError, match=f"{dim}={value!r}"):
+            Layer(name="bad", op=LayerOp.CONV, **{dim: value})
+
+    def test_every_dim_at_the_cap_is_accepted(self):
+        dims = dict.fromkeys(("n", "k", "c", "y", "x", "r", "s", "stride",
+                              "bytes_per_element"), MAX_LAYER_DIM)
+        assert Layer(name="cap", op=LayerOp.CONV, **dims).k == MAX_LAYER_DIM
 
     def test_depthwise_requires_k_equals_c(self):
         with pytest.raises(WorkloadError, match="k == c"):

@@ -23,7 +23,6 @@ from repro.sim import (
     replay_parity,
     strip_nonidentity,
 )
-from repro.sim.metrics import SimReport
 from repro.workloads.model import MAX_BATCH
 from repro.workloads.scenarios import use_case_batches, use_case_models
 
@@ -468,9 +467,6 @@ class TestBuildReport:
         text = report.render()
         assert "MISS" in text and "best-effort" in text
         assert TINY_TRACE.name in text
-
-    def test_round_trip(self, report):
-        assert SimReport.from_json(report.to_json()) == report
 
     def test_strip_nonidentity_zeroes_wall_time_only(self, report):
         data = report.to_dict()
