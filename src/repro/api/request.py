@@ -378,8 +378,8 @@ class ScheduleResult:
     def to_dict(self) -> dict[str, Any]:
         """Plain-JSON form (request echoed back for self-description).
 
-        Wire version 2: each window of ``window_candidates`` is one
-        :meth:`CandidateColumns.to_dict` object of three columns.
+        Wire version 3: each window of ``window_candidates`` is one
+        :meth:`CandidateColumns.to_dict` object of three base64 columns.
         """
         return {
             "kind": _RESULT_KIND,
@@ -397,23 +397,23 @@ class ScheduleResult:
     def from_dict(cls, data: dict[str, Any]) -> "ScheduleResult":
         """Rebuild a result from its wire form.
 
-        Reads version 2 and version 1, whose windows are lists of one
-        ``{"score", "latency_s", "energy_j"}`` object per candidate
-        (``ResultStore`` lines and peers written before version 2);
-        both parse to the same result.
+        Reads version 3, version 2, whose columns are lists of numbers,
+        and version 1, whose windows are lists of one ``{"score",
+        "latency_s", "energy_j"}`` object per candidate (``ResultStore``
+        lines and peers written before version 3); all three parse to
+        the same result.
         """
         version = check_envelope(data, _RESULT_KIND,
-                                 (WIRE_VERSION, RESULT_WIRE_VERSION))
-        read_window = CandidateColumns.from_dict \
-            if version == RESULT_WIRE_VERSION \
-            else CandidateColumns.from_dicts
+                                 (WIRE_VERSION, 2, RESULT_WIRE_VERSION))
         try:
             return cls(
                 request=ScheduleRequest.from_dict(data["request"]),
                 schedule=schedule_from_dict(data["schedule"]),
                 metrics=metrics_from_dict(data["metrics"]),
                 window_candidates=tuple(
-                    read_window(window)
+                    CandidateColumns.from_dicts(window)
+                    if version == WIRE_VERSION
+                    else CandidateColumns.from_dict(window, version)
                     for window in data["window_candidates"]),
                 num_evaluated=data["num_evaluated"],
                 perf=None if data.get("perf") is None

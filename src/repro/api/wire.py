@@ -4,15 +4,17 @@ Everything the :mod:`repro.api` facade puts on the wire is plain JSON:
 dicts, lists, strings, numbers, booleans.  The converters here are exact
 inverses of each other -- ``from_dict(to_dict(x)) == x`` bit-for-bit --
 because every numeric field is a python float/int and JSON round-trips
-both losslessly (floats use shortest-repr round-tripping).
+both losslessly (floats use shortest-repr round-tripping), and the
+candidate columns travel as their doubles' own bytes.
 
 Every document carries a ``{"kind", "version"}`` envelope, checked by
 :func:`check_envelope`.  Versions are per kind: ``schedule_result`` is
-at :data:`RESULT_WIRE_VERSION` (2), which writes each window of
-candidates as three columns (:meth:`CandidateColumns.to_dict`), and
-still reads version 1's one object per candidate
-(:meth:`CandidateColumns.from_dicts`); every other kind is at
-:data:`WIRE_VERSION` (1).
+at :data:`RESULT_WIRE_VERSION` (3), which writes each window of
+candidates as three base64 columns of little-endian IEEE-754 doubles
+(:meth:`CandidateColumns.to_dict`), and still reads version 2's number
+lists (:meth:`CandidateColumns.from_dict`) and version 1's one object
+per candidate (:meth:`CandidateColumns.from_dicts`); every other kind is
+at :data:`WIRE_VERSION` (1).
 
 Derived quantities (``edp``, ``hit_rate``, ``evals_per_s``) are emitted
 for the benefit of non-python consumers but ignored on the way back in,
@@ -21,8 +23,11 @@ so they can never drift from the primary fields.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
 import operator
+import sys
 from array import array
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
@@ -39,10 +44,11 @@ from repro.perf import CacheStats, PerfReport
 #: Wire-format version of every document kind but ``schedule_result``
 #: (requests, jobs, errors, ...); bumped on incompatible schema changes.
 WIRE_VERSION = 1
-#: Wire-format version of ``schedule_result`` documents: version 2 writes
-#: each window of ``window_candidates`` as three columns, where version 1
-#: wrote one object per candidate.
-RESULT_WIRE_VERSION = 2
+#: Wire-format version of ``schedule_result`` documents: version 3 writes
+#: each window of ``window_candidates`` as three base64 columns of
+#: little-endian doubles, where version 2 wrote three lists of numbers
+#: and version 1 one object per candidate.
+RESULT_WIRE_VERSION = 3
 
 
 def loads_document(text: str, what: str) -> dict[str, Any]:
@@ -103,6 +109,19 @@ class CandidatePoint:
 _DOUBLE = array("d").itemsize
 #: A :class:`CandidateColumns` window's columns, in order, by wire name.
 _COLUMNS = ("score", "latency_s", "energy_j")
+#: Whether native doubles must be byte-swapped to the wire's
+#: little-endian order (on a big-endian host).
+_BYTESWAP = sys.byteorder == "big"
+
+
+def _little_endian(raw: bytes) -> bytes:
+    """Packed native doubles in the wire's little-endian order, or wire
+    doubles in native order: the swap is its own inverse."""
+    if not _BYTESWAP:
+        return raw
+    doubles = array("d", raw)
+    doubles.byteswap()
+    return doubles.tobytes()
 
 
 class CandidateColumns:
@@ -174,33 +193,49 @@ class CandidateColumns:
         return (CandidateColumns,
                 (self._score, self._latency_s, self._energy_j))
 
-    def to_dict(self) -> dict[str, list[float]]:
-        """The window's wire form (``schedule_result`` version 2): one
-        list per column, ``{"score": [...], "latency_s": [...],
-        "energy_j": [...]}``, with no object per candidate."""
-        score, latency_s, energy_j = self.columns
-        return {"score": score.tolist(), "latency_s": latency_s.tolist(),
-                "energy_j": energy_j.tolist()}
+    def to_dict(self) -> dict[str, str]:
+        """The window's wire form (``schedule_result`` version 3): each
+        column the standard base64 (RFC 4648, padded, one line) of its
+        doubles in little-endian order, ``{"score": "<b64>",
+        "latency_s": "<b64>", "energy_j": "<b64>"}``."""
+        return {name: binascii.b2a_base64(_little_endian(raw),
+                                          newline=False).decode("ascii")
+                for name, raw in zip(_COLUMNS, (self._score,
+                                                self._latency_s,
+                                                self._energy_j))}
 
     @classmethod
-    def from_dict(cls, data: Any) -> "CandidateColumns":
-        """Rebuild a window from its wire form (:meth:`to_dict`).
+    def from_dict(cls, data: Any,
+                  version: int = RESULT_WIRE_VERSION) -> "CandidateColumns":
+        """Rebuild a window from its ``schedule_result`` version-3 wire
+        form (:meth:`to_dict`) or its version-2 one, three lists of
+        numbers.
 
-        Each column must be a list of real numbers that fit a double,
-        and the three must be equally long, so a missing or non-list
-        column, a non-number value, an integer too large for a float
-        or columns of unequal length is a :class:`ConfigError`.
+        A version-3 column must be a string of base64 that decodes to
+        whole doubles; a version-2 column a list of real numbers that
+        fit a double.  A missing column or one of another type, a
+        character outside the alphabet, bad padding, a byte count that
+        is not a multiple of 8, a non-number value, an integer too large
+        for a float or columns of unequal length is a
+        :class:`ConfigError`.
         """
         if not isinstance(data, dict):
             raise ConfigError("malformed candidate columns: expected an "
                               f"object, got {type(data).__name__}")
-        for name in _COLUMNS:
-            if not isinstance(data.get(name), list):
-                raise ConfigError(f"malformed candidate columns: {name} "
-                                  "is missing or not a list")
+        column_type = str if version == RESULT_WIRE_VERSION else list
+        columns = [data.get(name) for name in _COLUMNS]
+        for name, column in zip(_COLUMNS, columns):
+            if not isinstance(column, column_type):
+                raise ConfigError(
+                    f"malformed candidate columns: {name} is missing or "
+                    f"not a {column_type.__name__}")
         try:
-            return cls(*(data[name] for name in _COLUMNS))
-        except (TypeError, OverflowError) as exc:
+            if column_type is str:
+                columns = [_little_endian(base64.b64decode(column,
+                                                           validate=True))
+                           for column in columns]
+            return cls(*columns)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(
                 f"malformed candidate columns: {exc}") from exc
 

@@ -7,12 +7,14 @@ form), and malformed documents must fail loudly with ``ConfigError``.
 
 from __future__ import annotations
 
+import base64
 import copy
 import dataclasses
 import gc
 import json
 import pickle
 import random
+import struct
 import sys
 from pathlib import Path
 
@@ -30,6 +32,7 @@ from repro.api import (
     perf_to_dict,
     scenario_spec,
 )
+from repro.api import wire
 from repro.core.budget import QUICK_BUDGET, SearchBudget
 from repro.errors import ConfigError, ReproError
 from repro.perf import CacheStats, PerfReport
@@ -268,7 +271,7 @@ class TestAuxRoundTrips:
 
     def test_metrics_round_trip_from_real_run(self, tiny_scenario,
                                               nvd_mcm):
-        from repro.core import ScheduleEvaluator, StandaloneScheduler
+        from repro.core import StandaloneScheduler
 
         outcome = StandaloneScheduler(nvd_mcm).schedule(tiny_scenario)
         metrics = outcome.metrics
@@ -296,6 +299,10 @@ def result(tiny_scenario):
 #: nsplits=1, about 20 KB.
 _V1_RESULT_PATH = Path(__file__).parent / "fixtures" \
     / "schedule_result_v1.json"
+#: The same result as a version-2 document (three lists of numbers per
+#: window) as a replica sent it before version 3, about 14 KB.
+_V2_RESULT_PATH = Path(__file__).parent / "fixtures" \
+    / "schedule_result_v2.json"
 
 
 #: A field a test case deletes instead of setting.
@@ -305,6 +312,17 @@ _DROP = object()
 @pytest.fixture
 def v1_document():
     return json.loads(_V1_RESULT_PATH.read_text(encoding="utf-8"))
+
+
+@pytest.fixture
+def v2_document():
+    return json.loads(_V2_RESULT_PATH.read_text(encoding="utf-8"))
+
+
+def _b64_doubles(*values: float) -> str:
+    """A version-3 column: base64 of little-endian doubles."""
+    return base64.b64encode(struct.pack(f"<{len(values)}d",
+                                        *values)).decode("ascii")
 
 
 class TestResultRoundTrip:
@@ -378,11 +396,10 @@ class TestResultRoundTrip:
             "null-value", "list-value", "unequal-lengths",
             "int-beyond-double"])
     def test_malformed_window_columns_are_config_error(
-            self, result, column, index, value):
+            self, v2_document, column, index, value):
         """Version 2's twins of the version-1 cases above: ``value``
         replaces a whole column (``index`` None) or one of its items."""
-        document = result.to_dict()
-        window = document["window_candidates"][0]
+        window = v2_document["window_candidates"][0]
         assert len(window[column]) > 1
         if value is _DROP:
             del window[column]
@@ -390,6 +407,30 @@ class TestResultRoundTrip:
             window[column] = value
         else:
             window[column][index] = value
+        with pytest.raises(ConfigError, match="candidate columns"):
+            ScheduleResult.from_dict(v2_document)
+
+    @pytest.mark.parametrize("column,value", [
+        ("energy_j", _DROP), ("latency_s", [1.0]), ("energy_j", None),
+        ("score", 1.0), ("latency_s", {}), ("score", "!!!!"),
+        ("energy_j", "AAAAAAAAAAA"),
+        ("latency_s", base64.b64encode(bytes(12)).decode("ascii")),
+        ("score", _b64_doubles(1.0)),
+    ], ids=["missing-column", "list-column", "null-column",
+            "number-column", "object-column", "outside-alphabet",
+            "bad-padding", "12-bytes", "unequal-lengths"])
+    def test_malformed_base64_columns_are_config_error(self, result,
+                                                       column, value):
+        """Version 3: a column must be base64 of whole doubles, the
+        three equally long."""
+        document = result.to_dict()
+        window = document["window_candidates"][0]
+        assert isinstance(window[column], str)
+        assert len(base64.b64decode(window[column])) > 8
+        if value is _DROP:
+            del window[column]
+        else:
+            window[column] = value
         with pytest.raises(ConfigError, match="candidate columns"):
             ScheduleResult.from_dict(document)
 
@@ -401,17 +442,24 @@ class TestResultRoundTrip:
         with pytest.raises(ConfigError, match="candidate columns"):
             ScheduleResult.from_dict(document)
 
-    def test_version_2_writes_each_window_as_three_columns(self, result):
+    def test_version_3_writes_each_window_as_three_base64_columns(
+            self, result):
+        """Each column is the base64 of its doubles, little-endian."""
         document = json.loads(result.wire_bytes)
-        assert document["version"] == 2
+        assert document["version"] == 3
         assert len(document["window_candidates"]) == \
             len(result.window_candidates)
         for window, columns in zip(result.window_candidates,
                                    document["window_candidates"]):
             assert sorted(columns) == ["energy_j", "latency_s", "score"]
-            assert columns["score"] == [p.score for p in window]
-            assert columns["latency_s"] == [p.latency_s for p in window]
-            assert columns["energy_j"] == [p.energy_j for p in window]
+            score, latency_s, energy_j = (
+                struct.unpack(f"<{len(window)}d",
+                              base64.b64decode(columns[name],
+                                               validate=True))
+                for name in ("score", "latency_s", "energy_j"))
+            assert score == tuple(p.score for p in window)
+            assert latency_s == tuple(p.latency_s for p in window)
+            assert energy_j == tuple(p.energy_j for p in window)
 
     def test_version_1_document_parses_to_a_fresh_result(self,
                                                          v1_document):
@@ -428,11 +476,30 @@ class TestResultRoundTrip:
             map(len, v1_document["window_candidates"]))
         assert ScheduleResult.from_dict(parsed.to_dict()) == parsed
 
-    @pytest.mark.parametrize("version", [True, False, 0, 3, -1, 2.5,
+    def test_version_2_document_parses_to_a_fresh_result(self,
+                                                         v1_document,
+                                                         v2_document):
+        """A document a replica sent before version 3 (and a
+        ResultStore line written then) reads as the same result a
+        search makes now, and as the version-1 document of it."""
+        parsed = ScheduleResult.from_dict(v2_document)
+        assert parsed.request == ScheduleRequest(
+            scenario_id=4, budget=QUICK_BUDGET, nsplits=1)
+        assert parsed.same_payload(Session().submit(parsed.request))
+        assert parsed.same_payload(ScheduleResult.from_dict(v1_document))
+        assert parsed.perf is not None
+        assert parsed.perf.wall_s == v2_document["perf"]["wall_s"]
+        assert [len(window) for window in parsed.window_candidates] == [
+            len(window["score"])
+            for window in v2_document["window_candidates"]]
+        assert ScheduleResult.from_dict(parsed.to_dict()) == parsed
+
+    @pytest.mark.parametrize("version", [True, False, 0, 4, -1, 2.5,
                                          "2", None, [2]])
-    def test_result_version_must_be_1_or_2(self, result, v1_document,
-                                           version):
-        for document in (result.to_dict(), v1_document):
+    def test_result_version_must_be_1_2_or_3(self, result, v1_document,
+                                             v2_document, version):
+        for document in (result.to_dict(), v2_document, v1_document):
+            ScheduleResult.from_dict(document)  # versions 3, 2 and 1
             document["version"] = version
             with pytest.raises(ConfigError, match="wire version"):
                 ScheduleResult.from_dict(document)
@@ -541,10 +608,12 @@ class TestResultParseBoundary:
     ConfigError -- never a SchedulingError, TypeError, AttributeError
     or OverflowError."""
 
-    @pytest.fixture(scope="class", params=["v2", "v1"])
+    @pytest.fixture(scope="class", params=["v3", "v2", "v1"])
     def document(self, request):
         if request.param == "v1":
             return json.loads(_V1_RESULT_PATH.read_text(encoding="utf-8"))
+        if request.param == "v2":
+            return json.loads(_V2_RESULT_PATH.read_text(encoding="utf-8"))
         from repro.workloads import scenario
 
         schedule_request = ScheduleRequest.for_scenario(
@@ -718,12 +787,46 @@ class TestCandidateColumns:
             window[2]
         with pytest.raises(TypeError):
             window[0:1]
-        assert window.to_dict() == {"score": [2.0, 1.0],
-                                    "latency_s": [0.5, 0.25],
-                                    "energy_j": [4.0, 3.0]}
+        assert window.to_dict() == {
+            "score": "AAAAAAAAAEAAAAAAAADwPw==",
+            "latency_s": "AAAAAAAA4D8AAAAAAADQPw==",
+            "energy_j": "AAAAAAAAEEAAAAAAAAAIQA=="}
         assert CandidateColumns.from_dict(window.to_dict()) == window
+        assert CandidateColumns.from_dict(
+            {"score": [2.0, 1.0], "latency_s": [0.5, 0.25],
+             "energy_j": [4.0, 3.0]}, 2) == window
         assert CandidateColumns.from_dicts(
             [point.to_dict() for point in window]) == window
+
+    def test_extreme_doubles_round_trip_bit_for_bit(self):
+        """The wire carries the doubles' own bytes: ``-0.0``, the least
+        subnormal and the largest double come back exactly."""
+        values = (-0.0, 5e-324, 1.7976931348623157e308)
+        window = CandidateColumns(values, values[::-1], values[1:] + (0.0,))
+        written = json.loads(json.dumps(window.to_dict()))
+        assert written["score"] == _b64_doubles(*values)
+        clone = CandidateColumns.from_dict(written)
+        assert [column.tobytes() for column in clone.columns] == \
+            [column.tobytes() for column in window.columns]
+        assert struct.pack("<d", clone[0].score) == struct.pack("<d", -0.0)
+
+    def test_forced_byte_swap_reverses_each_double(self, monkeypatch):
+        """A host of the other byte order writes the same wire bytes:
+        with the swap toggled, each written double is byte-reversed
+        from the native bytes, and the reader restores it."""
+        window = CandidateColumns([1.5, -0.0, 5e-324], [2.0, 0.25, 3.0],
+                                  [1e300, 7.0, -2.5])
+        native = window.to_dict()
+        monkeypatch.setattr(wire, "_BYTESWAP", not wire._BYTESWAP)
+        swapped = window.to_dict()
+        for name in native:
+            raw = base64.b64decode(native[name])
+            assert base64.b64decode(swapped[name]) == b"".join(
+                raw[i:i + 8][::-1] for i in range(0, len(raw), 8))
+        clone = CandidateColumns.from_dict(swapped)
+        assert [column.tobytes() for column in clone.columns] == \
+            [column.tobytes() for column in window.columns]
+        assert CandidateColumns.from_dict(native) != window
 
     def test_columns_are_read_only(self, result):
         window = result.window_candidates[0]

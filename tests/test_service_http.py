@@ -723,19 +723,23 @@ class TestConnectionClose:
                 conn.close()
 
 
-class TestVersion1Store:
-    def test_stored_version_1_result_is_served_as_version_2(
-            self, tmp_path):
-        """A ResultStore line written before schedule_result version 2
-        is read, and served over HTTP in version 2 -- not a 500 and not
-        a search: the stored wall time rides along."""
+class TestOlderStoreLines:
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_stored_result_is_served_as_version_3(self, tmp_path,
+                                                  version):
+        """A ResultStore line written before schedule_result version 3
+        (one object per candidate, or three number lists per window) is
+        read, and served over HTTP in version 3 -- not a 500 and not a
+        search: the stored wall time rides along."""
+        import base64
         from pathlib import Path
 
         from repro.sweep import ResultStore
 
         fixture = Path(__file__).parent / "fixtures" \
-            / "schedule_result_v1.json"
+            / f"schedule_result_v{version}.json"
         document = json.loads(fixture.read_text(encoding="utf-8"))
+        assert document["version"] == version
         document["perf"]["wall_s"] = 4321.5
         stored = ScheduleResult.from_dict(document)
         path = tmp_path / "store.jsonl"
@@ -755,7 +759,9 @@ class TestVersion1Store:
             assert service.perf_summary()["store"]["hits"] == 1
         assert served.same_payload(stored)
         assert served.perf.wall_s == 4321.5
-        assert body["version"] == 2
+        assert body["version"] == 3
         for window in body["window_candidates"]:
-            assert len(window["score"]) == len(window["latency_s"]) \
-                == len(window["energy_j"]) > 0
+            lengths = {len(base64.b64decode(window[name], validate=True))
+                       for name in ("score", "latency_s", "energy_j")}
+            assert len(lengths) == 1 and lengths != {0}, lengths
+            assert lengths.pop() % 8 == 0
